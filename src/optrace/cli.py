@@ -286,13 +286,11 @@ def _check_same_run(pred_meta, truth_meta, force: bool) -> None:
         )
 
 
-def _evaluate(predictions, truth, strict: bool):
-    if len(predictions) != len(truth):
+def _evaluate(pred_labels, truth_labels, strict: bool):
+    if len(pred_labels) != len(truth_labels):
         raise EvalError(
-            f"{len(predictions)} predictions vs {len(truth)} truth labels"
+            f"{len(pred_labels)} predictions vs {len(truth_labels)} truth labels"
         )
-    truth_labels = [label for _, label in truth]
-    pred_labels = [label for _, label, _, _ in predictions]
     return classify_outcomes(truth_labels, pred_labels, strict=strict)
 
 
@@ -312,7 +310,9 @@ def _cmd_eval(args) -> int:
     predictions, pred_meta = read_predictions(args.predictions)
     truth, truth_meta = read_truth(args.truth)
     _check_same_run(pred_meta, truth_meta, args.force)
-    report = _evaluate(predictions, truth, args.strict)
+    report = _evaluate(
+        [label for _, label, _, _ in predictions], [label for _, label in truth], args.strict
+    )
     print(f"recall: {report.recall:.3f}%")
     if args.counts:
         print(
@@ -352,12 +352,12 @@ def _cmd_ablate(args) -> int:
     trace = read_trace(args.trace)
     db = read_db(args.db)
     truth, _ = read_truth(args.truth)
+    truth_labels = [label for _, label in truth]
     specs = args.subsets.split(";") if args.subsets else _ABLATION_SETS
     lines = ["channels,recall_percent,n,correct,wrong,missed,inserted"]
     for channels in _dedup_subsets(specs):
         _, _, predictions = _run_attack(cfg, trace, db, channels)
-        pred_rows = [(p.segment_id, p.label, p.score, p.margin) for p in predictions]
-        report = _evaluate(pred_rows, truth, args.strict)
+        report = _evaluate([p.label for p in predictions], truth_labels, args.strict)
         shown = "+".join(c.value for c in _CHANNEL_ORDER if c in channels)
         lines.append(
             f"{shown},{report.recall:.3f},{report.n},{report.correct},"
@@ -410,8 +410,9 @@ def _cmd_end2end(args) -> int:
     )
 
     truth, _ = read_truth(out / "truth.csv")
-    pred_rows = [(p.segment_id, p.label, p.score, p.margin) for p in predictions]
-    result = _evaluate(pred_rows, truth, args.strict)
+    result = _evaluate(
+        [p.label for p in predictions], [label for _, label in truth], args.strict
+    )
     lines = [
         f"seed: {args.seed}",
         f"config_hash: {digest}",

@@ -45,44 +45,87 @@ class ConfigError(ValueError):
     pass
 
 
-def _split_file(path) -> tuple[str, dict[str, str], list[list[str]], list[int]]:
-    """Read a CSV-ish file into (format tag, header meta, rows, line numbers)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# optrace "):
-        raise FormatError("missing '# optrace <kind> <version>' header", 1)
-    tag = lines[0][2:].strip()
-    meta: dict[str, str] = {}
-    rows: list[list[str]] = []
-    row_lines: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        rows.append(next(csv.reader([stripped])))
-        row_lines.append(lineno)
-    return tag, meta, rows, row_lines
+_TRACE_COLUMNS = ("address", "mode", "pf_count", "latency")
+_TRUTH_COLUMNS = ("boundary_index", "label")
+_PREDICTION_COLUMNS = ("segment_id", "label", "score", "margin")
 
 
-def _check_tag(tag: str, kind: str) -> None:
-    want = f"optrace {kind} v1"
-    if tag != want:
-        raise FormatError(f"expected '{want}', found '{tag}'", 1)
+def _write_header(fh, kind: str, meta: dict[str, object], columns: tuple[str, ...] = ()) -> None:
+    """Tag line, one `# key=value` line per meta value that is not None, column line."""
+    fh.write(f"# optrace {kind} v1\n")
+    for key, value in meta.items():
+        if value is not None:
+            fh.write(f"# {key}={value}\n")
+    if columns:
+        fh.write(",".join(columns) + "\n")
 
 
-def _check_columns(rows, row_lines, expected: list[str]):
-    if not rows or rows[0] != expected:
-        raise FormatError(
-            f"expected column header {','.join(expected)}",
-            row_lines[0] if rows else None,
-        )
-    return rows[1:], row_lines[1:]
+class _Lines:
+    """The data lines of one optrace file, read as a stream.
+
+    Iterating checks that line 1 is `# optrace <kind> v1` (any kind when
+    `kind` is None), collects `# key=value` lines into `meta` wherever they
+    appear, skips other comments and blank lines, and yields
+    `(lineno, stripped_line)` for the rest.  Each line the file yields is
+    split again with `str.splitlines`, so a form feed or another Unicode
+    line break also starts a new numbered line.  Afterwards `tag` holds
+    line 1 without its `# ` and `last_line` is the number of the last line.
+    """
+
+    def __init__(self, path, kind: str | None):
+        self.path, self.kind = path, kind
+        self.meta: dict[str, str] = {}
+        self.tag = ""
+        self.last_line = 0
+
+    def __iter__(self):
+        meta = self.meta
+        with open(self.path) as fh:
+            lines = (line for raw in fh for line in raw.splitlines())
+            first = next(lines, "")
+            if not first.startswith("# optrace "):
+                raise FormatError("missing '# optrace <kind> <version>' header", 1)
+            self.tag = first[2:].strip()
+            want = f"optrace {self.kind} v1"
+            if self.kind is not None and self.tag != want:
+                raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
+            lineno = 1
+            for lineno, line in enumerate(lines, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if "=" in body:
+                        key, _, value = body.partition("=")
+                        meta[key.strip()] = value.strip()
+                    continue
+                yield lineno, line
+        self.last_line = lineno
+
+
+def _csv_rows(lines: _Lines, columns: tuple[str, ...]):
+    """Check the column header line, then yield `(lineno, fields)` per row.
+
+    Each line is parsed on its own, so a quoted field never spans lines.
+    """
+    rows = iter(lines)
+    lineno, line = next(rows, (None, ""))
+    if tuple(next(csv.reader((line,)))) != columns:
+        raise FormatError(f"expected column header {','.join(columns)}", lineno)
+    for lineno, line in rows:
+        row = next(csv.reader((line,)))
+        if len(row) != len(columns):
+            raise FormatError(f"expected {len(columns)} fields", lineno)
+        yield lineno, row
+
+
+def _convert(convert, text: str, lineno: int):
+    """`convert(text)`, with its ValueError raised as a FormatError on `lineno`."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
 
 
 # ---------------------------------------------------------------- traces
@@ -90,25 +133,16 @@ def _check_columns(rows, row_lines, expected: list[str]):
 
 def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("# optrace trace v1\n")
-        if trace.layout_seed is not None:
-            fh.write(f"# layout_seed={trace.layout_seed}\n")
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("address,mode,pf_count,latency\n")
+        meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+        _write_header(fh, "trace", meta, _TRACE_COLUMNS)
         for ev in trace.events:
             fh.write(f"0x{ev.page * PAGE_SIZE:x},{ev.mode},{ev.pf_count},{ev.latency}\n")
 
 
 def read_trace(path) -> SideChannelTrace:
-    tag, meta, rows, row_lines = _split_file(path)
-    _check_tag(tag, "trace")
-    rows, row_lines = _check_columns(rows, row_lines, ["address", "mode", "pf_count", "latency"])
+    lines = _Lines(path, "trace")
     events = []
-    for row, lineno in zip(rows, row_lines):
-        if len(row) != 4:
-            raise FormatError("expected 4 fields", lineno)
-        addr_s, mode, pf_s, lat_s = row
+    for lineno, (addr_s, mode, pf_s, lat_s) in _csv_rows(lines, _TRACE_COLUMNS):
         try:
             addr = int(addr_s, 16)
             pf = int(pf_s)
@@ -120,12 +154,12 @@ def read_trace(path) -> SideChannelTrace:
         if addr % PAGE_SIZE:
             raise FormatError(f"address 0x{addr:x} not page aligned", lineno)
         events.append(StepEvent(page=addr // PAGE_SIZE, mode=mode, pf_count=pf, latency=lat))
-    seed = meta.get("layout_seed")
-    return SideChannelTrace(
-        events=events,
-        truth=None,
-        layout_seed=int(seed) if seed is not None else None,
-    )
+    seed = lines.meta.get("layout_seed")
+    try:
+        layout_seed = int(seed) if seed is not None else None
+    except ValueError:
+        raise FormatError(f"layout_seed {seed!r} is not an integer") from None
+    return SideChannelTrace(events=events, truth=None, layout_seed=layout_seed)
 
 
 def write_segments(
@@ -136,12 +170,8 @@ def write_segments(
 ) -> None:
     """Trace rows annotated with the segment each event landed in."""
     with open(path, "w", newline="") as fh:
-        fh.write("# optrace segments v1\n")
-        if layout_seed is not None:
-            fh.write(f"# layout_seed={layout_seed}\n")
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("segment_id,address,mode,pf_count,latency\n")
+        meta = {"layout_seed": layout_seed, "config_hash": config_hash}
+        _write_header(fh, "segments", meta, ("segment_id", *_TRACE_COLUMNS))
         for seg_id, seg in enumerate(segments):
             for ev in seg.events:
                 fh.write(
@@ -152,9 +182,10 @@ def write_segments(
 
 def trace_meta(path) -> dict[str, str]:
     """Header key=value pairs of any trace-family file, without the rows."""
-    tag, meta, _, _ = _split_file(path)
-    meta["format"] = tag
-    return meta
+    lines = _Lines(path, None)
+    for _ in lines:
+        pass
+    return {**lines.meta, "format": lines.tag}
 
 
 # ----------------------------------------------------------- truth labels
@@ -164,31 +195,18 @@ def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -
     if trace.truth is None:
         raise ValueError("trace carries no ground truth")
     with open(path, "w", newline="") as fh:
-        fh.write("# optrace truth v1\n")
-        if trace.layout_seed is not None:
-            fh.write(f"# layout_seed={trace.layout_seed}\n")
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("boundary_index,label\n")
+        meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+        _write_header(fh, "truth", meta, _TRUTH_COLUMNS)
         for idx, label in trace.truth:
             fh.write(f"{idx},{_NULL_LABEL if label is None else label}\n")
 
 
 def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
-    tag, meta, rows, row_lines = _split_file(path)
-    _check_tag(tag, "truth")
-    rows, row_lines = _check_columns(rows, row_lines, ["boundary_index", "label"])
+    lines = _Lines(path, "truth")
     truth: list[tuple[int, str | None]] = []
-    for row, lineno in zip(rows, row_lines):
-        if len(row) != 2:
-            raise FormatError("expected 2 fields", lineno)
-        try:
-            idx = int(row[0])
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        label = None if row[1] == _NULL_LABEL else row[1]
-        truth.append((idx, label))
-    return truth, meta
+    for lineno, (idx_s, label) in _csv_rows(lines, _TRUTH_COLUMNS):
+        truth.append((_convert(int, idx_s, lineno), None if label == _NULL_LABEL else label))
+    return truth, lines.meta
 
 
 # ----------------------------------------------------------- predictions
@@ -198,34 +216,24 @@ def write_predictions(
     path, predictions, config_hash: str | None = None, layout_seed: int | None = None
 ) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("# optrace predictions v1\n")
-        if layout_seed is not None:
-            fh.write(f"# layout_seed={layout_seed}\n")
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write("segment_id,label,score,margin\n")
+        meta = {"layout_seed": layout_seed, "config_hash": config_hash}
+        _write_header(fh, "predictions", meta, _PREDICTION_COLUMNS)
         for p in predictions:
             label = _NULL_LABEL if p.label is None else p.label
             fh.write(f"{p.segment_id},{label},{p.score:.6f},{p.margin:.6f}\n")
 
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:
-    tag, meta, rows, row_lines = _split_file(path)
-    _check_tag(tag, "predictions")
-    rows, row_lines = _check_columns(rows, row_lines, ["segment_id", "label", "score", "margin"])
+    lines = _Lines(path, "predictions")
     out = []
-    for row, lineno in zip(rows, row_lines):
-        if len(row) != 4:
-            raise FormatError("expected 4 fields", lineno)
-        try:
-            seg_id = int(row[0])
-            score = float(row[2])
-            margin = float(row[3])
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        label = None if row[1] == _NULL_LABEL else row[1]
-        out.append((seg_id, label, score, margin))
-    return out, meta
+    for lineno, (seg_s, label, score_s, margin_s) in _csv_rows(lines, _PREDICTION_COLUMNS):
+        out.append((
+            _convert(int, seg_s, lineno),
+            None if label == _NULL_LABEL else label,
+            _convert(float, score_s, lineno),
+            _convert(float, margin_s, lineno),
+        ))
+    return out, lines.meta
 
 
 # --------------------------------------------------------- fingerprint DB
@@ -233,9 +241,7 @@ def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], 
 
 def write_db(path, db: FingerprintDb) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("# optrace fingerprint-db v1\n")
-        for key in sorted(db.meta):
-            fh.write(f"# {key}={db.meta[key]}\n")
+        _write_header(fh, "fingerprint-db", {key: db.meta[key] for key in sorted(db.meta)})
         for fp in db.entries:
             label = _NULL_LABEL if fp.label is None else fp.label
             fh.write(f"entry {label} support={fp.support}\n")
@@ -247,23 +253,10 @@ def write_db(path, db: FingerprintDb) -> None:
 
 
 def read_db(path) -> FingerprintDb:
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "# optrace fingerprint-db v1":
-        raise FormatError("missing '# optrace fingerprint-db v1' header", 1)
-    meta: dict[str, str] = {}
+    lines = _Lines(path, "fingerprint-db")
     entries: list[Fingerprint] = []
     current: dict[str, object] | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
+    for lineno, line in lines:
         word, _, rest = line.partition(" ")
         if word == "entry":
             if current is not None:
@@ -273,20 +266,18 @@ def read_db(path) -> FingerprintDb:
                 raise FormatError("entry line needs 'support=<n>'", lineno)
             current = {
                 "label": None if name == _NULL_LABEL else name,
-                "support": int(support_part.removeprefix("support=")),
+                "support": _convert(int, support_part.removeprefix("support="), lineno),
             }
         elif word in ("modes", "classes"):
             if current is None:
                 raise FormatError(f"'{word}' outside entry", lineno)
             current[word] = rest.strip()
-        elif word == "pf":
+        elif word in ("pf", "latency"):
             if current is None:
-                raise FormatError("'pf' outside entry", lineno)
-            current["pf"] = tuple(int(v) for v in rest.split(",")) if rest else ()
-        elif word == "latency":
-            if current is None:
-                raise FormatError("'latency' outside entry", lineno)
-            current["latency"] = tuple(float(v) for v in rest.split(",")) if rest else ()
+                raise FormatError(f"'{word}' outside entry", lineno)
+            convert = int if word == "pf" else float
+            values = rest.split(",") if rest else ()
+            current[word] = tuple(_convert(convert, v, lineno) for v in values)
         elif word == "end":
             if current is None:
                 raise FormatError("'end' outside entry", lineno)
@@ -308,8 +299,8 @@ def read_db(path) -> FingerprintDb:
         else:
             raise FormatError(f"unknown directive {word!r}", lineno)
     if current is not None:
-        raise FormatError("unterminated entry", len(lines))
-    return FingerprintDb(entries=tuple(entries), meta=meta)
+        raise FormatError("unterminated entry", lines.last_line)
+    return FingerprintDb(entries=tuple(entries), meta=lines.meta)
 
 
 # ----------------------------------------------------------------- config

@@ -270,6 +270,17 @@ def test_malformed_trace_file_is_a_data_error(pipeline, tmp_path, capsys):
     assert "expected 'optrace trace v1'" in capsys.readouterr().err
 
 
+def test_malformed_db_number_is_a_data_error(pipeline, tmp_path, capsys):
+    lines = pipeline.db.read_text().splitlines()
+    entry = next(i for i, line in enumerate(lines) if line.startswith("entry "))
+    lines[entry] = lines[entry].split("support=")[0] + "support=many"
+    bad = tmp_path / "bad.db"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("attack", "--trace", pipeline.trace, "--db", bad,
+               "--out", tmp_path / "p.csv") == 3
+    assert capsys.readouterr().err.startswith(f"error: line {entry + 1}: ")
+
+
 def test_missing_input_file_is_a_data_error(tmp_path, pipeline, capsys):
     assert run("attack", "--trace", tmp_path / "ghost.csv", "--db", pipeline.db,
                "--out", tmp_path / "p.csv") == 3

@@ -8,6 +8,7 @@ from optrace.machine import (
     PAGE_SIZE,
     LayoutConfig,
     NoiseModel,
+    StepEvent,
     build_layout,
     synthesize_trace,
 )
@@ -119,6 +120,63 @@ def test_read_trace_reports_bad_rows_with_line_numbers(tmp_path, row, message):
     with pytest.raises(FormatError, match=message) as info:
         read_trace(path)
     assert info.value.line == 3
+
+
+def test_read_trace_header_grammar(tmp_path):
+    # CRLF endings, blank lines, a quoted field and meta after the rows.
+    path = tmp_path / "crlf.trace"
+    path.write_bytes(
+        b"# optrace trace v1\r\naddress,mode,pf_count,latency\r\n"
+        b'0x1000,R,1,10\r\n\r\n"0x2000",W,2,20\r\n# layout_seed=9\r\n'
+    )
+    back = read_trace(path)
+    assert back.events == [StepEvent(1, "R", 1, 10), StepEvent(2, "W", 2, 20)]
+    assert back.layout_seed == 9
+
+
+def test_read_trace_quoted_field_never_spans_lines(tmp_path):
+    path = tmp_path / "quote.trace"
+    path.write_text(
+        '# optrace trace v1\naddress,mode,pf_count,latency\n"0x1000,R,1,10\n0x2000,R,1,10\n'
+    )
+    with pytest.raises(FormatError, match="expected 4 fields") as info:
+        read_trace(path)
+    assert info.value.line == 3
+
+
+def test_read_trace_rejects_non_integer_layout_seed(tmp_path):
+    path = tmp_path / "seed.trace"
+    path.write_text("# optrace trace v1\n# layout_seed=abc\naddress,mode,pf_count,latency\n")
+    with pytest.raises(FormatError, match="layout_seed 'abc'"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "reader,kind,columns,row",
+    [
+        (read_trace, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
+        (read_truth, "truth", "boundary_index,label", "0,nop"),
+        (read_predictions, "predictions", "segment_id,label,score,margin", "0,nop,1.0,0.0"),
+    ],
+    ids=["trace", "truth", "predictions"],
+)
+def test_csv_readers_share_header_checks(tmp_path, reader, kind, columns, row):
+    path = tmp_path / "f.csv"
+    path.write_text(f"# optrace segments v1\n{columns}\n{row}\n")
+    with pytest.raises(FormatError, match=f"expected 'optrace {kind} v1'") as info:
+        reader(path)
+    assert info.value.line == 1
+
+    path.write_text(f"# optrace {kind} v1\n# layout_seed=1\n\n{columns},extra\n{row}\n")
+    with pytest.raises(FormatError, match="expected column header") as info:
+        reader(path)
+    assert info.value.line == 4
+
+    fields = len(columns.split(","))
+    path.write_text(f"# optrace {kind} v1\n{columns}\n{row}\n\n{row},9\n")
+    with pytest.raises(FormatError, match=f"expected {fields} fields") as info:
+        reader(path)
+    assert info.value.line == 5
 
 
 def test_write_segments_exports_annotated_rows(tmp_path):
@@ -247,6 +305,9 @@ def test_db_null_label_round_trips(tmp_path):
         ("wat 5\n", "unknown directive"),
         ("entry nop support=1\nmodes RE\n", "unterminated"),
         ("entry nop 1\n", "support="),
+        ("entry nop support=many\n", "invalid literal"),
+        ("entry nop support=1\nmodes R\nclasses O\npf 8,x\n", "invalid literal"),
+        ("entry nop support=1\nlatency 1.0,fast\n", "could not convert"),
     ],
 )
 def test_read_db_rejects_malformed_entries(tmp_path, body, message):
