@@ -216,13 +216,17 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _run_attack(cfg, trace, db, channels):
-    report, filtered, segments = preprocess_trace(
+def _preprocess(cfg, trace):
+    return preprocess_trace(
         trace,
         coverage_target=cfg["preprocess.coverage_target"],
         window=cfg["preprocess.window"],
         min_rw_frac=cfg["preprocess.min_rw_frac"],
     )
+
+
+def _run_attack(cfg, trace, db, channels):
+    report, _, segments = _preprocess(cfg, trace)
     predictions = match_trace(segments, db, channels)
     return report, segments, predictions
 
@@ -252,12 +256,7 @@ def _cmd_attack(args) -> int:
 def _cmd_preprocess(args) -> int:
     cfg = load_config(args.config)
     trace = read_trace(args.trace)
-    report, filtered, segments = preprocess_trace(
-        trace,
-        coverage_target=cfg["preprocess.coverage_target"],
-        window=cfg["preprocess.window"],
-        min_rw_frac=cfg["preprocess.min_rw_frac"],
-    )
+    report, _, segments = _preprocess(cfg, trace)
     print(f"dispatch table page: 0x{report.optable_page:x}")
     print(f"confidence: {report.optable_confidence:.6f}")
     print(f"stack pages: {' '.join(f'0x{p:x}' for p in sorted(report.stack_pages))}")
@@ -354,9 +353,12 @@ def _cmd_ablate(args) -> int:
     truth, _ = read_truth(args.truth)
     truth_labels = [label for _, label in truth]
     specs = args.subsets.split(";") if args.subsets else _ABLATION_SETS
+    subsets = _dedup_subsets(specs)
+    # Preprocessing ignores the channels: run it once for every subset.
+    _, _, segments = _preprocess(cfg, trace)
     lines = ["channels,recall_percent,n,correct,wrong,missed,inserted"]
-    for channels in _dedup_subsets(specs):
-        _, _, predictions = _run_attack(cfg, trace, db, channels)
+    for channels in subsets:
+        predictions = match_trace(segments, db, channels)
         report = _evaluate([p.label for p in predictions], truth_labels, args.strict)
         shown = "+".join(c.value for c in _CHANNEL_ORDER if c in channels)
         lines.append(

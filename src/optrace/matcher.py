@@ -117,6 +117,12 @@ def score_segment(
     return score
 
 
+# Most S*E*W elements (segments x entries x width) scored in one block:
+# large enough to amortize per-block NumPy calls, small enough that the
+# block's temporaries stay in cache and add little to peak RSS.
+BLOCK_ELEMENTS = 1 << 18
+
+
 def _pad_str(s: str, width: int) -> np.ndarray:
     out = np.zeros(width, dtype=np.uint8)
     raw = s.encode("ascii")
@@ -130,123 +136,156 @@ def _pad_num(values, width: int, dtype) -> np.ndarray:
     return out
 
 
+def _pack_str(strings: list[str], width: int) -> np.ndarray:
+    """Equal-length strings, each cut to `width`, as an (S, width) uint8 array."""
+    raw = "".join(s[:width] for s in strings).encode("ascii")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(strings), width)
+
+
+def _discrete_scores(mism, lendiff):
+    return 1.0 / (1.0 + mism + lendiff)
+
+
+def _mismatches(ent, seg, cut_mask) -> np.ndarray:
+    """(S, E) count of differing positions inside each pair's common prefix."""
+    cut = seg.shape[1]
+    return ((ent[None, :, :cut] != seg[:, None, :]) & cut_mask[None]).sum(axis=2)
+
+
+# Channel and the Segment/Fingerprint attribute holding it; channel scores
+# multiply in this order.
+_DISCRETE = ((Channel.MODE, "modes"), (Channel.CLASS, "classes"))
+_NUMERIC = ((Channel.PF, "pf"), (Channel.LATENCY, "latency"))
+
+
+class _LengthGroup:
+    """What scoring segments of one length L against every entry shares."""
+
+    def __init__(self, db: "CompiledDb", L: int):
+        self.cut = min(L, db.width)  # segment positions any entry can see
+        self.m = np.minimum(db.lens, L)
+        self.n = self.m.astype(np.float64)
+        self.maxlen = np.maximum(db.lens, L)
+        self.lendiff = np.abs(db.lens - L)
+        mask = np.arange(db.width)[None, :] < self.m[:, None]
+        self.cut_mask = mask[:, : self.cut]
+        # Per numeric channel: masked entries, their sums sy and variance vy.
+        self.entry_side = {}
+        for attr, ent in db.numeric.items():
+            masked = ent * mask
+            sy = masked.sum(axis=1)
+            syy = (ent * ent * mask).sum(axis=1)
+            self.entry_side[attr] = (masked, sy, self.n * syy - sy * sy)
+
+
 class CompiledDb:
     """Fingerprint entries packed into padded arrays for bulk scoring.
 
-    Produces the same scores as score_segment; ties broken in favor of
-    higher support, then lexicographic label (unlabeled entries last).
+    Produces the same scores as score_segment, many segments at a time;
+    ties broken in favor of higher support, then lexicographic label
+    (unlabeled entries last), then database order.
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
         if not db.entries:
             raise MatchError("empty fingerprint database")
         self.entries = db.entries
-        self.channels = channels
-        lens = np.array([len(fp) for fp in db.entries], dtype=np.int64)
-        self.lens = lens
-        self.width = int(lens.max())
-        self.modes = np.stack([_pad_str(fp.modes, self.width) for fp in db.entries])
-        self.classes = np.stack([_pad_str(fp.classes, self.width) for fp in db.entries])
-        self.pf = np.stack(
-            [_pad_num(fp.pf, self.width, np.float64) for fp in db.entries]
-        )
-        self.latency = np.stack(
-            [_pad_num(fp.latency, self.width, np.float64) for fp in db.entries]
-        )
-        # Row sums only make sense under per-pair masks; precompute the
-        # squared rows once since they never change.
-        self.pf_sq = self.pf * self.pf
-        self.latency_sq = self.latency * self.latency
-        self.tie_key = [
-            (-fp.support, fp.label is None, fp.label or "") for fp in db.entries
-        ]
-        self._cache: dict[tuple, tuple[int, float, float]] = {}
+        self.lens = np.array([len(fp) for fp in db.entries], dtype=np.int64)
+        self.width = int(self.lens.max())
+        # Padded (E, width) arrays of the scored channels, keyed by attribute.
+        self.discrete = {
+            attr: np.stack([_pad_str(getattr(fp, attr), self.width) for fp in db.entries])
+            for channel, attr in _DISCRETE
+            if channel in channels
+        }
+        self.numeric = {
+            attr: np.stack(
+                [_pad_num(getattr(fp, attr), self.width, np.float64) for fp in db.entries]
+            )
+            for channel, attr in _NUMERIC
+            if channel in channels
+        }
+        tie_key = [(-fp.support, fp.label is None, fp.label or "") for fp in db.entries]
+        order = sorted(range(len(tie_key)), key=lambda i: (tie_key[i], i))
+        self.rank = np.empty(len(order), dtype=np.int64)
+        self.rank[order] = np.arange(len(order))
 
-    def _discrete_scores(self, ent: np.ndarray, seg: np.ndarray, mask, lendiff):
-        mism = ((ent != seg[None, :]) & mask).sum(axis=1)
-        return 1.0 / (1.0 + mism + lendiff)
+    def score_blocks(self, segments: list[Segment]):
+        """Yield `(rows, scores)`: `scores[k]` scores `segments[rows[k]]`.
 
-    def _numeric_scores(self, ent, ent_sq, seg_vals, L, m, mask, lendiff, maxlen):
-        x = _pad_num(seg_vals, max(self.width, L), np.float64)[: self.width]
-        n = m.astype(np.float64)
-        xm = x[None, :] * mask
-        sx = xm.sum(axis=1)
-        sxx = ((x * x)[None, :] * mask).sum(axis=1)
-        sy = (ent * mask).sum(axis=1)
-        syy = (ent_sq * mask).sum(axis=1)
-        sxy = (ent * xm).sum(axis=1)
+        Segments are grouped by length and scored in blocks of at most
+        BLOCK_ELEMENTS segment-entry-position elements.
+        """
+        by_len: dict[int, list[int]] = {}
+        for i, seg in enumerate(segments):
+            by_len.setdefault(len(seg), []).append(i)
+        per_block = max(1, BLOCK_ELEMENTS // max(1, len(self.entries) * self.width))
+        for L, rows in by_len.items():
+            group = _LengthGroup(self, L)
+            for start in range(0, len(rows), per_block):
+                block = rows[start : start + per_block]
+                yield block, self._score_block([segments[i] for i in block], group)
+
+    def _score_block(self, segs: list[Segment], g: _LengthGroup) -> np.ndarray:
+        scores = np.ones((len(segs), len(self.entries)), dtype=np.float64)
+        for attr, ent in self.discrete.items():
+            seg = _pack_str([getattr(s, attr) for s in segs], g.cut)
+            scores *= _discrete_scores(_mismatches(ent, seg, g.cut_mask), g.lendiff)
+        for attr in self.numeric:
+            x = np.array([getattr(s, attr)[: g.cut] for s in segs], dtype=np.float64)
+            scores *= self._numeric_scores(attr, x, g)
+        return scores
+
+    def _numeric_scores(self, attr: str, x, g: _LengthGroup) -> np.ndarray:
+        ent = self.numeric[attr]
+        masked, sy, vy = g.entry_side[attr]
+        S = len(x)
+        # x holds integers, so prefix sums, squares and the pf cross sum
+        # are exact in float64 whatever the summation order.
+        csum = np.zeros((S, g.cut + 1))
+        np.cumsum(x, axis=1, out=csum[:, 1:])
+        sx = csum[:, g.m]
+        np.cumsum(x * x, axis=1, out=csum[:, 1:])
+        sxx = csum[:, g.m]
+        if attr == "pf":
+            sxy = x @ masked[:, : g.cut].T
+        else:
+            # Latency entries are float means, so the summation order sets
+            # the last bits of sxy and can flip a near tie: sum the masked
+            # product along the full padded width, one contiguous row per
+            # pair, which keeps the labels of earlier releases.
+            xw = np.zeros((S, self.width))
+            xw[:, : g.cut] = x
+            sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
+        n = g.n
         vx = n * sxx - sx * sx
-        vy = n * syy - sy * sy
         cov = n * sxy - sx * sy
         x_const = vx <= 0.0
         y_const = vy <= 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
             r = cov / np.sqrt(vx * vy)
         r = np.clip(r, 0.0, None)
-        corr_score = r * (m / maxlen)
-        first_eq = ent[:, 0] == (seg_vals[0] if len(seg_vals) else 0.0)
+        corr_score = r * (g.m / g.maxlen)
+        first = x[:, :1] if g.cut else np.zeros((S, 1))
+        first_eq = ent[None, :, 0] == first
         both = x_const & y_const
         one = x_const ^ y_const
-        mism = ((ent != x[None, :]) & mask).sum(axis=1)
-        fallback = 1.0 / (1.0 + mism + lendiff)
         out = np.where(both, np.where(first_eq, 1.0, 0.0), corr_score)
-        out = np.where(one, fallback, out)
+        if one.any():
+            fallback = _discrete_scores(_mismatches(ent, x, g.cut_mask), g.lendiff)
+            out = np.where(one, fallback, out)
         return out
 
-    def score_all(self, segment: Segment) -> np.ndarray:
-        L = len(segment)
-        m = np.minimum(self.lens, L)
-        maxlen = np.maximum(self.lens, L)
-        lendiff = np.abs(self.lens - L)
-        mask = np.arange(self.width)[None, :] < m[:, None]
-        scores = np.ones(len(self.entries), dtype=np.float64)
-        if Channel.MODE in self.channels:
-            seg = _pad_str(segment.modes, max(self.width, L))[: self.width]
-            scores *= self._discrete_scores(self.modes, seg, mask, lendiff)
-        if Channel.CLASS in self.channels:
-            seg = _pad_str(segment.classes, max(self.width, L))[: self.width]
-            scores *= self._discrete_scores(self.classes, seg, mask, lendiff)
-        if Channel.PF in self.channels:
-            scores *= self._numeric_scores(
-                self.pf,
-                self.pf_sq,
-                np.array(segment.pf, dtype=np.float64),
-                L,
-                m,
-                mask,
-                lendiff,
-                maxlen,
-            )
-        if Channel.LATENCY in self.channels:
-            scores *= self._numeric_scores(
-                self.latency,
-                self.latency_sq,
-                np.array(segment.latency, dtype=np.float64),
-                L,
-                m,
-                mask,
-                lendiff,
-                maxlen,
-            )
-        return scores
-
-    def best(self, segment: Segment) -> tuple[int, float, float]:
-        """Index of the winning entry plus its score and margin to runner-up."""
-        key = (segment.modes, segment.classes, segment.pf, segment.latency)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        scores = self.score_all(segment)
-        top = float(scores.max())
-        tied = np.flatnonzero(scores == top)
-        idx = int(min(tied, key=lambda i: self.tie_key[i]))
-        if len(scores) > 1:
-            second = float(np.partition(scores, -2)[-2])
+    def pick(self, scores: np.ndarray):
+        """Per row of `scores`: winning entry, its score, margin to runner-up."""
+        top = scores.max(axis=1)
+        tied_rank = np.where(scores == top[:, None], self.rank, len(self.rank))
+        best = tied_rank.argmin(axis=1)
+        if scores.shape[1] > 1:
+            second = np.partition(scores, -2, axis=1)[:, -2]
         else:
-            second = 0.0
-        result = (idx, top, top - second)
-        self._cache[key] = result
-        return result
+            second = np.zeros(len(scores))
+        return best, top, top - second
 
 
 def match_trace(
@@ -255,15 +294,25 @@ def match_trace(
     channels: frozenset[Channel] = DEFAULT_CHANNELS,
 ) -> list[Prediction]:
     compiled = CompiledDb(db, channels)
-    out = []
-    for seg_id, seg in enumerate(segments):
-        idx, score, margin = compiled.best(seg)
-        out.append(
-            Prediction(
-                segment_id=seg_id,
-                label=compiled.entries[idx].label,
-                score=score,
-                margin=margin,
-            )
-        )
-    return out
+    # Segments with equal channel vectors score alike: score each once.
+    slots: dict[tuple, int] = {}
+    unique: list[Segment] = []
+    slot_of = []
+    for seg in segments:
+        key = (seg.modes, seg.classes, seg.pf, seg.latency)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(unique)
+            unique.append(seg)
+        slot_of.append(slot)
+    best = np.empty(len(unique), dtype=np.int64)
+    top = np.empty(len(unique))
+    margin = np.empty(len(unique))
+    for rows, scores in compiled.score_blocks(unique):
+        best[rows], top[rows], margin[rows] = compiled.pick(scores)
+    labels = [fp.label for fp in compiled.entries]
+    best, top, margin = best.tolist(), top.tolist(), margin.tolist()
+    return [
+        Prediction(segment_id=i, label=labels[best[u]], score=top[u], margin=margin[u])
+        for i, u in enumerate(slot_of)
+    ]

@@ -60,6 +60,19 @@ def _write_header(fh, kind: str, meta: dict[str, object], columns: tuple[str, ..
         fh.write(",".join(columns) + "\n")
 
 
+def _undecodable_line(path, encoding: str) -> int | None:
+    """Number of the first line of `path` holding bytes `encoding` rejects."""
+    done = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                done += len(raw.decode(encoding).splitlines())
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start].decode(encoding)
+                return done + len((head + "x").splitlines())
+    return None
+
+
 class _Lines:
     """The data lines of one optrace file, read as a stream.
 
@@ -68,8 +81,10 @@ class _Lines:
     appear, skips other comments and blank lines, and yields
     `(lineno, stripped_line)` for the rest.  Each line the file yields is
     split again with `str.splitlines`, so a form feed or another Unicode
-    line break also starts a new numbered line.  Afterwards `tag` holds
-    line 1 without its `# ` and `last_line` is the number of the last line.
+    line break also starts a new numbered line.  Bytes the text codec
+    rejects raise a FormatError on the line that holds them.  Afterwards
+    `tag` holds line 1 without its `# ` and `last_line` is the number of
+    the last line.
     """
 
     def __init__(self, path, kind: str | None):
@@ -82,25 +97,30 @@ class _Lines:
         meta = self.meta
         with open(self.path) as fh:
             lines = (line for raw in fh for line in raw.splitlines())
-            first = next(lines, "")
-            if not first.startswith("# optrace "):
-                raise FormatError("missing '# optrace <kind> <version>' header", 1)
-            self.tag = first[2:].strip()
-            want = f"optrace {self.kind} v1"
-            if self.kind is not None and self.tag != want:
-                raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
-            lineno = 1
-            for lineno, line in enumerate(lines, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
-                        meta[key.strip()] = value.strip()
-                    continue
-                yield lineno, line
+            try:
+                first = next(lines, "")
+                if not first.startswith("# optrace "):
+                    raise FormatError("missing '# optrace <kind> <version>' header", 1)
+                self.tag = first[2:].strip()
+                want = f"optrace {self.kind} v1"
+                if self.kind is not None and self.tag != want:
+                    raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
+                lineno = 1
+                for lineno, line in enumerate(lines, start=2):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if line.startswith("#"):
+                        body = line.lstrip("#").strip()
+                        if "=" in body:
+                            key, _, value = body.partition("=")
+                            meta[key.strip()] = value.strip()
+                        continue
+                    yield lineno, line
+            except UnicodeDecodeError as exc:
+                # The codec decodes whole chunks, so the line is found again.
+                bad = _undecodable_line(self.path, fh.encoding)
+                raise FormatError(f"undecodable bytes ({exc.reason})", bad) from None
         self.last_line = lineno
 
 
@@ -111,13 +131,16 @@ def _csv_rows(lines: _Lines, columns: tuple[str, ...]):
     """
     rows = iter(lines)
     lineno, line = next(rows, (None, ""))
-    if tuple(next(csv.reader((line,)))) != columns:
-        raise FormatError(f"expected column header {','.join(columns)}", lineno)
-    for lineno, line in rows:
-        row = next(csv.reader((line,)))
-        if len(row) != len(columns):
-            raise FormatError(f"expected {len(columns)} fields", lineno)
-        yield lineno, row
+    try:
+        if tuple(next(csv.reader((line,)))) != columns:
+            raise FormatError(f"expected column header {','.join(columns)}", lineno)
+        for lineno, line in rows:
+            row = next(csv.reader((line,)))
+            if len(row) != len(columns):
+                raise FormatError(f"expected {len(columns)} fields", lineno)
+            yield lineno, row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise FormatError(str(exc), lineno) from None
 
 
 def _convert(convert, text: str, lineno: int):

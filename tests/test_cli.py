@@ -281,6 +281,21 @@ def test_malformed_db_number_is_a_data_error(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: line {entry + 1}: ")
 
 
+@pytest.mark.parametrize(
+    "row",
+    [b"0x1000,R,1,\xff\xfe", b'"0x' + b"0" * 140_000 + b'1000",R,1,10'],
+    ids=["undecodable-bytes", "oversized-field"],
+)
+def test_unreadable_trace_row_is_a_data_error(pipeline, tmp_path, capsys, row):
+    lines = pipeline.trace.read_bytes().splitlines()
+    lines[5] = row
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    assert run("attack", "--trace", bad, "--db", pipeline.db,
+               "--out", tmp_path / "p.csv") == 3
+    assert capsys.readouterr().err.startswith("error: line 6: ")
+
+
 def test_missing_input_file_is_a_data_error(tmp_path, pipeline, capsys):
     assert run("attack", "--trace", tmp_path / "ghost.csv", "--db", pipeline.db,
                "--out", tmp_path / "p.csv") == 3

@@ -2,11 +2,14 @@
 
 import random
 import statistics
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optrace import matcher
 from optrace.matcher import (
     Channel,
     CompiledDb,
@@ -159,8 +162,8 @@ CLASS_CH = st.sampled_from("OSX")
 
 
 @st.composite
-def channel_vectors(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
+def channel_vectors(draw, min_len=1, max_len=4):
+    n = draw(st.integers(min_value=min_len, max_value=max_len))
     modes = "".join(draw(st.lists(MODE_CH, min_size=n, max_size=n)))
     classes = "".join(draw(st.lists(CLASS_CH, min_size=n, max_size=n)))
     pf = tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
@@ -184,13 +187,28 @@ def fingerprints(draw):
 
 
 @st.composite
-def segments(draw):
-    return seg(*draw(channel_vectors()))
+def segments(draw, min_len=1, max_len=4):
+    return seg(*draw(channel_vectors(min_len, max_len)))
 
 
 CHANNEL_SETS = st.sets(
     st.sampled_from(list(Channel)), min_size=1, max_size=4
 ).map(frozenset)
+
+
+def score_rows(compiled, segs):
+    """Every entry's score for each of `segs`, assembled from the blocks."""
+    out = np.full((len(segs), len(compiled.entries)), np.nan)
+    for rows, block in compiled.score_blocks(segs):
+        out[rows] = block
+    return out
+
+
+def tie_break(fps, tied):
+    return min(
+        tied,
+        key=lambda i: (-fps[i].support, fps[i].label is None, fps[i].label or "", i),
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,7 +219,7 @@ CHANNEL_SETS = st.sets(
 )
 def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
     compiled = CompiledDb(db(*fps), channels)
-    bulk = compiled.score_all(segment)
+    bulk = score_rows(compiled, [segment])[0]
     for entry, got in zip(fps, bulk):
         want = score_segment(segment, entry, channels)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -216,14 +234,11 @@ def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
 )
 def test_best_applies_the_documented_tie_break(fps, segment, channels):
     compiled = CompiledDb(db(*fps), channels)
-    scores = compiled.score_all(segment)
-    idx, top, margin = compiled.best(segment)
+    scores = score_rows(compiled, [segment])[0]
+    (idx,), (top,), (margin,) = compiled.pick(scores[None, :])
     assert top == pytest.approx(float(scores.max()))
     tied = [i for i, s in enumerate(scores) if s == scores.max()]
-    want = min(
-        tied,
-        key=lambda i: (-fps[i].support, fps[i].label is None, fps[i].label or "", i),
-    )
+    want = tie_break(fps, tied)
     assert idx == want
     ranked = sorted(scores, reverse=True)
     second = ranked[1] if len(ranked) > 1 else 0.0
@@ -236,9 +251,91 @@ def test_best_applies_the_documented_tie_break(fps, segment, channels):
     segment=segments(),
 )
 def test_adding_channels_never_raises_a_score(fps, segment):
-    full = CompiledDb(db(*fps), frozenset(Channel)).score_all(segment)
-    partial = CompiledDb(db(*fps), frozenset({Channel.MODE})).score_all(segment)
+    full = score_rows(CompiledDb(db(*fps), frozenset(Channel)), [segment])
+    partial = score_rows(CompiledDb(db(*fps), frozenset({Channel.MODE})), [segment])
     assert (full <= partial + 1e-12).all()
+
+
+def vectors_of(segment):
+    return segment.modes, segment.classes, segment.pf, segment.latency
+
+
+def assert_matches_scalar_oracle(preds, segs, fps, channels):
+    """Each prediction against score_segment over every entry."""
+    assert [p.segment_id for p in preds] == list(range(len(segs)))
+    for pred, segment in zip(preds, segs):
+        scalar = [score_segment(segment, entry, channels) for entry in fps]
+        top = max(scalar)
+        assert pred.score == pytest.approx(top, rel=1e-9, abs=1e-12)
+        want = tie_break(fps, [i for i, s in enumerate(scalar) if s == top])
+        assert pred.label == fps[want].label
+        ranked = sorted(scalar, reverse=True)
+        second = ranked[1] if len(ranked) > 1 else 0.0
+        assert pred.margin == pytest.approx(top - second, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fps=st.lists(fingerprints(), min_size=1, max_size=8),
+    short=st.lists(segments(), min_size=1, max_size=10),
+    long=st.lists(segments(min_len=5, max_len=8), min_size=1, max_size=6),
+    repeats=st.lists(st.integers(0, 1000), max_size=8),
+    twins=st.lists(
+        st.tuples(st.integers(0, 1000), st.integers(0, 3), channel_vectors(8, 8)),
+        max_size=4,
+    ),
+    per_block=st.integers(1, 3),
+    channels=CHANNEL_SETS,
+)
+def test_match_trace_batches_agree_with_scalar_oracle(
+    fps, short, long, repeats, twins, per_block, channels
+):
+    # Mixed lengths, some past the widest entry (width <= 4), exact
+    # repeats, and twins that differ from a segment in one channel only;
+    # blocks of at most `per_block` segments, so that a length group with
+    # more distinct segments than that spans several blocks.
+    segs = short + long
+    for r, channel, fresh in twins:
+        vectors = list(vectors_of(segs[r % len(segs)]))
+        vectors[channel] = fresh[channel][: len(vectors[0])]
+        segs.append(seg(*vectors))
+    segs += [segs[r % len(segs)] for r in repeats]
+    random.Random(len(segs)).shuffle(segs)
+    width = max(len(entry) for entry in fps)
+    budget = per_block * len(fps) * width
+    with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
+        preds = match_trace(segs, db(*fps), channels)
+    assert_matches_scalar_oracle(preds, segs, fps, channels)
+
+
+def test_match_trace_spans_blocks_at_the_default_budget():
+    rng = random.Random(11)
+
+    def vectors(n):
+        return (
+            "".join(rng.choice("RWE") for _ in range(n)),
+            "".join(rng.choice("OSX") for _ in range(n)),
+            [rng.randint(0, 3) for _ in range(n)],
+            [rng.randint(5000, 5030) for _ in range(n)],
+        )
+
+    width = 48
+    fps = [
+        fp(f"op{i % 30}", *vectors(rng.randint(1, width)), support=rng.randint(1, 3))
+        for i in range(40)
+    ]
+    fps.append(fps[3])  # an exact tie with an earlier entry
+    per_block = matcher.BLOCK_ELEMENTS // (len(fps) * width)
+    distinct = [seg(*vectors(width)) for _ in range(per_block + 20)]
+    distinct += [seg(*vectors(rng.randint(width + 1, 3 * width))) for _ in range(30)]
+    distinct += [seg(fps[7].modes, fps[7].classes, fps[7].pf, fps[7].latency)]
+    segs = distinct + [rng.choice(distinct) for _ in range(50)]
+    rng.shuffle(segs)
+    channels = frozenset(Channel)
+    blocks = list(CompiledDb(db(*fps), channels).score_blocks(segs))
+    assert any(len(rows) == per_block for rows, _ in blocks)
+    preds = match_trace(segs, db(*fps), channels)
+    assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
 # ------------------------------------------------------------- tie-breaks
@@ -312,6 +409,14 @@ def test_match_trace_is_deterministic():
         for _ in range(10)
     ]
     assert match_trace(segs, db(*entries)) == match_trace(segs, db(*entries))
+
+
+def test_database_of_empty_entries_still_scores_discrete_channels():
+    s = seg("RE", "OX", (8, 5), (5548, 5309))
+    empty = fp("none", "", "", (), ())
+    channels = frozenset({Channel.MODE})
+    preds = match_trace([s], db(empty), channels)
+    assert preds[0].score == pytest.approx(score_segment(s, empty, channels))
 
 
 def test_empty_database_is_an_error():

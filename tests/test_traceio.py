@@ -152,6 +152,34 @@ def test_read_trace_rejects_non_integer_layout_seed(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "nl,extra,line",
+    [(b"\n", b"", 4), (b"\r\n", b"", 4), (b"\r", b"", 4), (b"\n", b"\x0c", 5)],
+    ids=["lf", "crlf", "cr", "form-feed"],
+)
+def test_read_trace_reports_undecodable_bytes_on_their_line(tmp_path, nl, extra, line):
+    path = tmp_path / "bytes.trace"
+    path.write_bytes(
+        b"# optrace trace v1" + nl + b"address,mode,pf_count,latency" + nl
+        + b"0x1000,R,1,10" + nl + extra + b"0x2000,R,1,\xff\xfe" + nl
+        + b"0x3000,R,1,10" + nl
+    )
+    with pytest.raises(FormatError, match="undecodable bytes") as info:
+        read_trace(path)
+    assert info.value.line == line
+
+
+def test_read_trace_rejects_oversized_field(tmp_path):
+    path = tmp_path / "wide.trace"
+    path.write_text(
+        "# optrace trace v1\naddress,mode,pf_count,latency\n0x1000,R,1,10\n"
+        '"0x' + "0" * 140_000 + '1000",R,1,10\n'
+    )
+    with pytest.raises(FormatError, match="field larger than field limit") as info:
+        read_trace(path)
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize(
     "reader,kind,columns,row",
     [
         (read_trace, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
