@@ -9,6 +9,7 @@ inconsistent data files, 4 pipeline failure (detection or matching).
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .machine import (
     LayoutConfig,
     MitigationConfig,
     NoiseModel,
-    SideChannelTrace,
     SynthesisError,
     build_layout,
     shuffle_handler_pages,
@@ -166,7 +166,7 @@ def _cmd_synth(args) -> int:
     config_out = args.out_config or str(Path(args.out_trace).with_suffix(".config"))
     write_config(config_out, cfg)
     print(
-        f"synth: {len(run.executed)} retired opcodes, {len(trace.events)} events, "
+        f"synth: {len(run.executed)} retired opcodes, {len(trace)} events, "
         f"layout seed {args.seed}"
     )
     print(f"synth: trace -> {args.out_trace}")
@@ -186,11 +186,7 @@ def _cmd_profile(args) -> int:
         truth, _ = read_truth(args.truth)
         if bare.layout_seed is None:
             raise FormatError("trace header lacks layout_seed")
-        trace = SideChannelTrace(
-            events=bare.events,
-            truth=tuple(truth),
-            layout_seed=bare.layout_seed,
-        )
+        trace = dataclasses.replace(bare, truth=tuple(truth))
         layout = build_layout(bare.layout_seed, _layout_from_config(cfg))
         seed = bare.layout_seed
     else:

@@ -1,11 +1,12 @@
 """Machine model: turns an opcode trace into a single-step side-channel trace.
 
-Every retired native instruction of the interpreter becomes one StepEvent
-carrying the page it touched, the access mode (R/W/E), a page-fault count and
-a latency.  Instructions with a data access report that access; pure register
-and branch instructions report an execute fault on their code page.  Branch
-events are attributed to the branch-target page, which is what makes the
-read-then-execute dispatch pattern visible downstream.
+Every retired native instruction of the interpreter becomes one trace row
+(one StepEvent when read as events) carrying the page it touched, the
+access mode (R/W/E), a page-fault count and a latency.  Instructions with
+a data access report that access; pure register and branch instructions
+report an execute fault on their code page.  Branch events are attributed
+to the branch-target page, which is what makes the read-then-execute
+dispatch pattern visible downstream.
 
 Per handler the emission order is: body steps, then the shared dispatch tail
 (bytecode read, optable read, dispatch branch).  The optable read of a tail
@@ -264,11 +265,57 @@ class StepEvent:
     latency: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SideChannelTrace:
-    events: list[StepEvent]
+    """A single-step trace as four columns with one row per observed step.
+
+    `page` holds int64 page numbers, `mode` the uint8 ASCII codes of R, W and
+    E, `pf` int64 page-fault counts and `latency` int64 latencies.  `truth`
+    holds one (row, label) pair per optable read of a synthesized trace; a
+    trace read from a file has None.
+    """
+
+    page: np.ndarray
+    mode: np.ndarray
+    pf: np.ndarray
+    latency: np.ndarray
     truth: tuple[tuple[int, str | None], ...] | None
-    layout_seed: int
+    layout_seed: int | None
+
+    def __post_init__(self):
+        self.page = np.asarray(self.page, dtype=np.int64)
+        self.mode = np.asarray(self.mode, dtype=np.uint8)
+        self.pf = np.asarray(self.pf, dtype=np.int64)
+        self.latency = np.asarray(self.latency, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.page)
+
+    @classmethod
+    def from_events(cls, events, truth=None, layout_seed=None) -> "SideChannelTrace":
+        events = list(events)
+        return cls(
+            page=[ev.page for ev in events],
+            mode=[ord(ev.mode) for ev in events],
+            pf=[ev.pf_count for ev in events],
+            latency=[ev.latency for ev in events],
+            truth=truth,
+            layout_seed=layout_seed,
+        )
+
+    @property
+    def events(self) -> list[StepEvent]:
+        """The rows as StepEvents, built on each access."""
+        modes = self.mode.tobytes().decode("ascii")
+        return list(map(StepEvent, self.page.tolist(), modes, self.pf.tolist(),
+                        self.latency.tolist()))
+
+    def take(self, rows, truth=None) -> "SideChannelTrace":
+        """The selected rows (a mask or indices) as a new trace with `truth`."""
+        return SideChannelTrace(
+            self.page[rows], self.mode[rows], self.pf[rows], self.latency[rows],
+            truth, self.layout_seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -297,8 +344,12 @@ class _Synth:
         self.noise = noise
         self.markers = profiling_markers
         self.rng = np.random.default_rng(noise.rng_seed)
-        self.events: list[StepEvent] = []
-        self.labels: list = []
+        # The trace's columns, one entry per event, and its truth pairs.
+        self.page: list[int] = []
+        self.mode: list[str] = []
+        self.pf: list[int] = []
+        self.latency: list[int] = []
+        self.truth: list[tuple[int, str | None]] = []
         self.depth = 0  # replayed operand-stack depth
         self.linear_counter = 0
         self.bytecode_counter = 0
@@ -307,7 +358,7 @@ class _Synth:
 
     # -- low-level emission --------------------------------------------------
 
-    def latency(self, base: float) -> int:
+    def jitter(self, base: float) -> int:
         noise = self.noise
         x = float(base)
         if noise.latency_jitter_sigma > 0:
@@ -318,8 +369,12 @@ class _Synth:
         return max(1, int(round(x)))
 
     def emit(self, page: int, mode: str, pf: int, base_latency: float, label=_NO_LABEL) -> None:
-        self.events.append(StepEvent(page, mode, pf, self.latency(base_latency)))
-        self.labels.append(label)
+        if label is not _NO_LABEL:
+            self.truth.append((len(self.page), label))
+        self.page.append(page)
+        self.mode.append(mode)
+        self.pf.append(pf)
+        self.latency.append(self.jitter(base_latency))
 
     def maybe_burst(self) -> None:
         rate = self.noise.ctx_switch_rate
@@ -423,7 +478,7 @@ def synthesize_trace(
     noise: NoiseModel,
     profiling_markers: bool = False,
 ) -> SideChannelTrace:
-    """Expand retired opcodes into per-instruction StepEvents plus truth.
+    """Expand retired opcodes into one trace row per native instruction, plus truth.
 
     Truth records one (event index, label) pair per optable read: the opcode
     it dispatches, or NULL (None) for the extra optable touches of handlers
@@ -450,31 +505,42 @@ def synthesize_trace(
             info = opcode_info(op)
             synth.depth = max(synth.depth - info.pops, 0) + info.pushes
 
-    events, labels = synth.events, synth.labels
-    if noise.multistep_prob > 0:
-        events, labels = _merge_multisteps(synth.rng, noise.multistep_prob, events, labels)
-
-    truth = tuple(
-        (i, label) for i, label in enumerate(labels) if label is not _NO_LABEL
+    trace = SideChannelTrace(
+        page=synth.page,
+        mode=np.frombuffer("".join(synth.mode).encode("ascii"), dtype=np.uint8),
+        pf=synth.pf,
+        latency=synth.latency,
+        truth=tuple(synth.truth),
+        layout_seed=layout.seed,
     )
-    return SideChannelTrace(events=events, truth=truth, layout_seed=layout.seed)
+    if noise.multistep_prob > 0:
+        trace = _merge_multisteps(synth.rng, noise.multistep_prob, trace)
+    return trace
 
 
-def _merge_multisteps(rng, prob: float, events: list[StepEvent], labels: list):
-    """Occasionally two native steps retire under one observation."""
-    merged_events: list[StepEvent] = []
-    merged_labels: list = []
-    i = 0
-    while i < len(events):
-        if i + 1 < len(events) and rng.random() < prob:
-            a, b = events[i], events[i + 1]
-            merged_events.append(
-                StepEvent(a.page, a.mode, a.pf_count + b.pf_count, a.latency + b.latency)
-            )
-            merged_labels.append(labels[i])  # the absorbed event's label is lost
-            i += 2
-        else:
-            merged_events.append(events[i])
-            merged_labels.append(labels[i])
-            i += 1
-    return merged_events, merged_labels
+def _merge_multisteps(rng, prob: float, trace: SideChannelTrace) -> SideChannelTrace:
+    """Occasionally two native steps retire under one observation.
+
+    Walking the events in order, each event that has a successor draws one
+    uniform number; below `prob`, the successor folds into it (fault counts
+    and latencies add, the successor's truth label is lost) and the walk
+    skips it.  Draw k is made at event k + (merges before it), so one bulk
+    draw gives the same merges as drawing event by event.
+    """
+    n = len(trace)
+    merged: list[int] = []
+    for draw in np.flatnonzero(rng.random(max(n - 1, 0)) < prob).tolist():
+        i = draw + len(merged)
+        if i + 1 >= n:
+            break
+        merged.append(i)
+    if not merged:
+        return trace
+    at = np.array(merged)
+    keep = np.ones(n, dtype=bool)
+    keep[at + 1] = False
+    row = np.cumsum(keep) - 1
+    out = trace.take(keep, tuple((int(row[i]), label) for i, label in trace.truth if keep[i]))
+    out.pf[row[at]] += trace.pf[at + 1]
+    out.latency[row[at]] += trace.latency[at + 1]
+    return out

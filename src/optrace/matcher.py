@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .preprocess import Segment
+from .preprocess import Segment, Segments, as_segments
 from .profiler import Fingerprint, FingerprintDb
 
 __all__ = [
@@ -136,10 +136,18 @@ def _pad_num(values, width: int, dtype) -> np.ndarray:
     return out
 
 
-def _pack_str(strings: list[str], width: int) -> np.ndarray:
-    """Equal-length strings, each cut to `width`, as an (S, width) uint8 array."""
-    raw = "".join(s[:width] for s in strings).encode("ascii")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(strings), width)
+def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """(S, width) array whose row k is column[starts[k] : starts[k] + width]."""
+    return column[starts[:, None] + np.arange(width)]
+
+
+def _length_groups(lengths: np.ndarray):
+    """Yield `(L, rows)` per distinct length L, rows in ascending order."""
+    order = np.argsort(lengths, kind="stable")
+    if not len(order):
+        return
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        yield int(lengths[rows[0]]), rows
 
 
 def _discrete_scores(mism, lendiff):
@@ -167,6 +175,9 @@ class _LengthGroup:
         self.n = self.m.astype(np.float64)
         self.maxlen = np.maximum(db.lens, L)
         self.lendiff = np.abs(db.lens - L)
+        # score_numeric on an empty vector: 1.0 against an empty one, else 0.0.
+        self.empty = (db.lens == 0) | (L == 0)
+        self.empty_score = (db.lens == L).astype(np.float64)
         mask = np.arange(db.width)[None, :] < self.m[:, None]
         self.cut_mask = mask[:, : self.cut]
         # Per numeric channel: masked entries, their sums sy and variance vy.
@@ -210,30 +221,68 @@ class CompiledDb:
         self.rank = np.empty(len(order), dtype=np.int64)
         self.rank[order] = np.arange(len(order))
 
-    def score_blocks(self, segments: list[Segment]):
+    def _columns(self, segs: Segments) -> dict[str, np.ndarray]:
+        """The scored channels' columns of `segs`, keyed by attribute."""
+        columns = {
+            "modes": segs.trace.mode,
+            "classes": segs.classes,
+            "pf": segs.trace.pf,
+            "latency": segs.trace.latency,
+        }
+        return {attr: columns[attr] for attr in (*self.discrete, *self.numeric)}
+
+    def _distinct(self, segs: Segments) -> tuple[Segments, np.ndarray]:
+        """Collapse segments that score alike: `(representatives, slot)`.
+
+        Two segments score alike when they have the same length and agree
+        on every scored channel over their first `width` rows, which is all
+        the scorer reads.  Segment i scores as `representatives[slot[i]]`.
+        """
+        columns = self._columns(segs).values()
+        slot = np.empty(len(segs), dtype=np.int64)
+        firsts = []
+        count = 0
+        for L, rows in _length_groups(segs.lengths):
+            cut = min(L, self.width)
+            parts = [_gather(col, segs.starts[rows], cut).view(np.uint8) for col in columns]
+            key = np.concatenate([np.empty((len(rows), 0), np.uint8), *parts], axis=1)
+            if key.shape[1]:
+                _, first, inverse = np.unique(
+                    key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                    return_index=True,
+                    return_inverse=True,
+                )
+            else:
+                first, inverse = np.zeros(1, dtype=np.int64), np.zeros(len(rows), np.int64)
+            slot[rows] = count + inverse
+            firsts.append(rows[first])
+            count += len(first)
+        return segs[np.concatenate([np.empty(0, np.int64), *firsts])], slot
+
+    def score_blocks(self, segments: Segments | list[Segment]):
         """Yield `(rows, scores)`: `scores[k]` scores `segments[rows[k]]`.
 
         Segments are grouped by length and scored in blocks of at most
-        BLOCK_ELEMENTS segment-entry-position elements.
+        BLOCK_ELEMENTS segment-entry-position elements, gathered from the
+        segments' columns.
         """
-        by_len: dict[int, list[int]] = {}
-        for i, seg in enumerate(segments):
-            by_len.setdefault(len(seg), []).append(i)
+        segs = as_segments(segments)
+        columns = self._columns(segs)
         per_block = max(1, BLOCK_ELEMENTS // max(1, len(self.entries) * self.width))
-        for L, rows in by_len.items():
+        for L, rows in _length_groups(segs.lengths):
             group = _LengthGroup(self, L)
             for start in range(0, len(rows), per_block):
                 block = rows[start : start + per_block]
-                yield block, self._score_block([segments[i] for i in block], group)
+                starts = segs.starts[block]
+                x = {attr: _gather(col, starts, group.cut) for attr, col in columns.items()}
+                yield block, self._score_block(x, len(block), group)
 
-    def _score_block(self, segs: list[Segment], g: _LengthGroup) -> np.ndarray:
-        scores = np.ones((len(segs), len(self.entries)), dtype=np.float64)
+    def _score_block(self, x: dict[str, np.ndarray], S: int, g: _LengthGroup) -> np.ndarray:
+        scores = np.ones((S, len(self.entries)), dtype=np.float64)
         for attr, ent in self.discrete.items():
-            seg = _pack_str([getattr(s, attr) for s in segs], g.cut)
-            scores *= _discrete_scores(_mismatches(ent, seg, g.cut_mask), g.lendiff)
+            scores *= _discrete_scores(_mismatches(ent, x[attr], g.cut_mask), g.lendiff)
         for attr in self.numeric:
-            x = np.array([getattr(s, attr)[: g.cut] for s in segs], dtype=np.float64)
-            scores *= self._numeric_scores(attr, x, g)
+            scores *= self._numeric_scores(attr, x[attr].astype(np.float64), g)
         return scores
 
     def _numeric_scores(self, attr: str, x, g: _LengthGroup) -> np.ndarray:
@@ -265,7 +314,7 @@ class CompiledDb:
         with np.errstate(invalid="ignore", divide="ignore"):
             r = cov / np.sqrt(vx * vy)
         r = np.clip(r, 0.0, None)
-        corr_score = r * (g.m / g.maxlen)
+        corr_score = r * (g.m / np.maximum(g.maxlen, 1))  # 0 only for empty vs empty
         first = x[:, :1] if g.cut else np.zeros((S, 1))
         first_eq = ent[None, :, 0] == first
         both = x_const & y_const
@@ -274,7 +323,7 @@ class CompiledDb:
         if one.any():
             fallback = _discrete_scores(_mismatches(ent, x, g.cut_mask), g.lendiff)
             out = np.where(one, fallback, out)
-        return out
+        return np.where(g.empty, g.empty_score, out)
 
     def pick(self, scores: np.ndarray):
         """Per row of `scores`: winning entry, its score, margin to runner-up."""
@@ -289,30 +338,23 @@ class CompiledDb:
 
 
 def match_trace(
-    segments: list[Segment],
+    segments: Segments | list[Segment],
     db: FingerprintDb,
     channels: frozenset[Channel] = DEFAULT_CHANNELS,
 ) -> list[Prediction]:
     compiled = CompiledDb(db, channels)
-    # Segments with equal channel vectors score alike: score each once.
-    slots: dict[tuple, int] = {}
-    unique: list[Segment] = []
-    slot_of = []
-    for seg in segments:
-        key = (seg.modes, seg.classes, seg.pf, seg.latency)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(unique)
-            unique.append(seg)
-        slot_of.append(slot)
+    # Segments that score alike are scored once.
+    unique, slot = compiled._distinct(as_segments(segments))
     best = np.empty(len(unique), dtype=np.int64)
     top = np.empty(len(unique))
     margin = np.empty(len(unique))
     for rows, scores in compiled.score_blocks(unique):
         best[rows], top[rows], margin[rows] = compiled.pick(scores)
     labels = [fp.label for fp in compiled.entries]
-    best, top, margin = best.tolist(), top.tolist(), margin.tolist()
-    return [
-        Prediction(segment_id=i, label=labels[best[u]], score=top[u], margin=margin[u])
-        for i, u in enumerate(slot_of)
-    ]
+    return list(map(
+        Prediction,
+        range(len(slot)),
+        [labels[b] for b in best[slot].tolist()],
+        top[slot].tolist(),
+        margin[slot].tolist(),
+    ))

@@ -7,16 +7,20 @@ region is whatever pages are both read and written often enough to cover the
 regions between dispatches.
 """
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .machine import SideChannelTrace, StepEvent
+import numpy as np
+
+from .machine import SideChannelTrace
 
 __all__ = [
     "DetectionError",
     "SegmentationError",
     "PreprocessReport",
     "Segment",
+    "Segments",
+    "as_segments",
     "detect_optable_page",
     "detect_stack_pages",
     "filter_redundant",
@@ -27,6 +31,8 @@ __all__ = [
 DEFAULT_COVERAGE_TARGET = 0.95
 DEFAULT_WINDOW = 16
 DEFAULT_MIN_RW_FRAC = 0.005
+
+_R, _W, _E = b"RWE"  # ASCII codes in the mode column
 
 
 class DetectionError(ValueError):
@@ -47,13 +53,12 @@ class PreprocessReport:
 
 @dataclass(frozen=True)
 class Segment:
-    """One inter-dispatch slice of the trace plus its channel vectors.
+    """One inter-dispatch slice of the trace: its first row and channel vectors.
 
     Page classes collapse to O (optable), S (stack), X (everything else):
     which handler page ran is deliberately not used.
     """
 
-    events: tuple[StepEvent, ...]
     start_index: int
     modes: str
     classes: str
@@ -61,7 +66,57 @@ class Segment:
     latency: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.modes)
+
+
+class Segments(Sequence):
+    """Segments as row ranges of one trace: segment i is rows starts[i]:ends[i].
+
+    `classes` holds every row's page class as an ASCII code.  Indexing with
+    an integer builds that Segment; with a slice, mask or index array, it
+    gives a Segments.
+    """
+
+    def __init__(self, trace: SideChannelTrace, classes, starts, ends):
+        self.trace, self.classes, self.starts, self.ends = trace, classes, starts, ends
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return Segments(self.trace, self.classes, self.starts[i], self.ends[i])
+        rows = slice(self.starts[i], self.ends[i])
+        return Segment(
+            start_index=int(self.starts[i]),
+            modes=self.trace.mode[rows].tobytes().decode("ascii"),
+            classes=self.classes[rows].tobytes().decode("ascii"),
+            pf=tuple(self.trace.pf[rows].tolist()),
+            latency=tuple(self.trace.latency[rows].tolist()),
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.ends - self.starts
+
+
+def as_segments(segments) -> Segments:
+    """`segments` itself if it is a Segments, else its channels stacked in order."""
+    if isinstance(segments, Segments):
+        return segments
+    segments = list(segments)
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    trace = SideChannelTrace(
+        page=np.zeros(int(lengths.sum())),  # a segment holds no pages
+        mode=np.frombuffer("".join(s.modes for s in segments).encode("ascii"), np.uint8),
+        pf=[v for s in segments for v in s.pf],
+        latency=[v for s in segments for v in s.latency],
+        truth=None,
+        layout_seed=None,
+    )
+    classes = np.frombuffer("".join(s.classes for s in segments).encode("ascii"), np.uint8)
+    return Segments(trace, classes, ends - lengths, ends)
 
 
 def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:
@@ -70,38 +125,26 @@ def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:
     A qualifying pair is a read immediately followed by an execute event on a
     page different from the previously executing one, i.e. a read that
     redirected control.  Returns (page, confidence); confidence is the
-    winning page's share of all qualifying pairs.
+    winning page's share of all qualifying pairs, and ties go to the
+    lowest page.
     """
-    events = trace.events
-    counts: Counter[int] = Counter()
-    last_exec_page: int | None = None
-    for i in range(len(events) - 1):
-        cur, nxt = events[i], events[i + 1]
-        if (
-            cur.mode == "R"
-            and nxt.mode == "E"
-            and (last_exec_page is None or nxt.page != last_exec_page)
-        ):
-            counts[cur.page] += 1
-        if cur.mode == "E":
-            last_exec_page = cur.page
-    if not counts:
+    page, mode = trace.page, trace.mode
+    is_exec = mode == _E
+    # Row of the last execute event at or before each row (-1: none yet).
+    last_exec = np.maximum.accumulate(np.where(is_exec, np.arange(len(mode)), -1))
+    prev = last_exec[:-1]
+    fresh = (prev < 0) | (page[1:] != page[np.maximum(prev, 0)])
+    hits = page[:-1][(mode[:-1] == _R) & is_exec[1:] & fresh]
+    if not len(hits):
         raise DetectionError("no read-then-execute pairs in trace")
-    total = sum(counts.values())
-    page, hits = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return page, hits / total
+    pages, counts = np.unique(hits, return_counts=True)
+    best = int(np.argmax(counts))
+    return int(pages[best]), int(counts[best]) / len(hits)
 
 
-def _dispatch_regions(events: list[StepEvent], optable_page: int) -> list[tuple[int, int]]:
-    """Half-open [start, end) spans between consecutive optable reads."""
-    boundaries = [
-        i for i, ev in enumerate(events) if ev.mode == "R" and ev.page == optable_page
-    ]
-    regions = []
-    for j, start in enumerate(boundaries):
-        end = boundaries[j + 1] if j + 1 < len(boundaries) else len(events)
-        regions.append((start, end))
-    return regions
+def _boundaries(trace: SideChannelTrace, optable_page: int) -> np.ndarray:
+    """Rows of the optable reads, each the start of one dispatch region."""
+    return np.flatnonzero((trace.mode == _R) & (trace.page == optable_page))
 
 
 def detect_stack_pages(
@@ -119,43 +162,38 @@ def detect_stack_pages(
     spread requirement keeps one long preemption burst — heavy traffic
     confined to a single region — out of the candidate pool.
     """
-    events = trace.events
-    regions = _dispatch_regions(events, optable_page)
-    if not regions:
+    starts = _boundaries(trace, optable_page)
+    if not len(starts):
         return frozenset()
-    reads: Counter[int] = Counter()
-    writes: Counter[int] = Counter()
-    for ev in events:
-        if ev.page == optable_page:
-            continue
-        if ev.mode == "R":
-            reads[ev.page] += 1
-        elif ev.mode == "W":
-            writes[ev.page] += 1
+    data = np.flatnonzero((trace.mode == _R) | (trace.mode == _W))
+    pages, code = np.unique(trace.page[data], return_inverse=True)
+    mode = trace.mode[data]
+    off_table = pages[code] != optable_page
+    reads = np.bincount(code[off_table & (mode == _R)], minlength=len(pages))
+    writes = np.bincount(code[off_table & (mode == _W)], minlength=len(pages))
 
-    # Per-region page sets restricted to data accesses, for coverage counting.
-    region_pages: list[set[int]] = []
-    spread: Counter[int] = Counter()
-    for start, end in regions:
-        touched = {ev.page for ev in events[start:end] if ev.mode in ("R", "W")}
-        region_pages.append(touched)
-        spread.update(touched)
+    # Distinct (region, page) pairs of data accesses inside regions, for
+    # spread and coverage; region k runs from starts[k] to starts[k + 1].
+    region = np.searchsorted(starts, data, side="right") - 1
+    pairs = np.sort((region * len(pages) + code)[region >= 0])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    pair_region, pair_code = np.divmod(pairs, len(pages))
+    spread = np.bincount(pair_code, minlength=len(pages))
 
-    threshold = max(2, int(min_rw_frac * len(regions)))
-    candidates = [
-        page
-        for page in reads.keys() & writes.keys()
-        if min(reads[page], writes[page]) >= threshold and spread[page] >= threshold
-    ]
-    candidates.sort(key=lambda p: (-min(reads[p], writes[p]), p))
+    threshold = max(2, int(min_rw_frac * len(starts)))
+    rw = np.minimum(reads, writes)
+    candidates = np.flatnonzero((rw >= threshold) & (spread >= threshold))
+    candidates = candidates[np.lexsort((pages[candidates], -rw[candidates]))]
 
     chosen: set[int] = set()
+    hit = np.zeros(len(starts), dtype=bool)
     covered = 0
-    for page in candidates:
-        if covered / len(regions) >= coverage_target:
+    for c in candidates.tolist():
+        if covered / len(starts) >= coverage_target:
             break
-        chosen.add(page)
-        covered = sum(1 for touched in region_pages if touched & chosen)
+        chosen.add(int(pages[c]))
+        hit[pair_region[pair_code == c]] = True
+        covered = int(np.count_nonzero(hit))
     return frozenset(chosen)
 
 
@@ -172,80 +210,41 @@ def filter_redundant(
     co-tenant bursts disappear while opcode-region events survive.  Truth
     boundary indices are remapped.  Returns (filtered trace, removed count).
     """
-    events = trace.events
-    if not events:
-        return SideChannelTrace(events=[], truth=trace.truth, layout_seed=trace.layout_seed), 0
-    keep_pages: set[int] = {optable_page} | set(stack_pages)
-    n = len(events)
-    for i, ev in enumerate(events):
-        if ev.mode == "R" and ev.page == optable_page:
-            lo, hi = max(0, i - window), min(n, i + window + 1)
-            keep_pages.update(events[j].page for j in range(lo, hi))
-
-    kept: list[StepEvent] = []
-    index_map: dict[int, int] = {}
-    removed = 0
-    for i, ev in enumerate(events):
-        if ev.page in keep_pages:
-            index_map[i] = len(kept)
-            kept.append(ev)
-        else:
-            removed += 1
+    n = len(trace)
+    starts = _boundaries(trace, optable_page)
+    # +1 where a boundary's window opens, -1 where it closes: rows with a
+    # positive running sum lie within +-window of some boundary.
+    edges = np.bincount(np.clip(starts - window, 0, n), minlength=n + 1) - np.bincount(
+        np.clip(starts + window + 1, 0, n), minlength=n + 1
+    )
+    near = np.cumsum(edges[:n]) > 0
+    keep_pages = np.union1d(trace.page[near], [optable_page, *stack_pages])
+    keep = np.isin(trace.page, keep_pages)
 
     truth = trace.truth
     if truth is not None:
-        remapped = []
-        for idx, label in truth:
-            if idx in index_map:
-                remapped.append((index_map[idx], label))
-        truth = tuple(remapped)
-    return SideChannelTrace(events=kept, truth=truth, layout_seed=trace.layout_seed), removed
-
-
-def _classify(page: int, optable_page: int, stack_pages: frozenset[int]) -> str:
-    if page == optable_page:
-        return "O"
-    if page in stack_pages:
-        return "S"
-    return "X"
-
-
-def _make_segment(
-    events: list[StepEvent],
-    start: int,
-    end: int,
-    optable_page: int,
-    stack_pages: frozenset[int],
-) -> Segment:
-    chunk = tuple(events[start:end])
-    return Segment(
-        events=chunk,
-        start_index=start,
-        modes="".join(ev.mode for ev in chunk),
-        classes="".join(_classify(ev.page, optable_page, stack_pages) for ev in chunk),
-        pf=tuple(ev.pf_count for ev in chunk),
-        latency=tuple(ev.latency for ev in chunk),
-    )
+        row = np.cumsum(keep) - 1
+        truth = tuple((int(row[i]), label) for i, label in truth if 0 <= i < n and keep[i])
+    return trace.take(keep, truth), n - int(np.count_nonzero(keep))
 
 
 def segment_trace(
     trace: SideChannelTrace,
     optable_page: int,
     stack_pages: frozenset[int] = frozenset(),
-) -> list[Segment]:
+) -> Segments:
     """Split at optable reads; each segment covers one dispatched opcode.
 
     Events before the first boundary (the partial first dispatch) are
     discarded.  The final segment runs to the end of the trace.
     """
-    events = trace.events
-    regions = _dispatch_regions(events, optable_page)
-    if len(regions) < 2:
+    starts = _boundaries(trace, optable_page)
+    if len(starts) < 2:
         raise SegmentationError("need at least 2 dispatch boundaries to segment")
-    return [
-        _make_segment(events, start, end, optable_page, stack_pages)
-        for start, end in regions
-    ]
+    classes = np.full(len(trace), ord("X"), dtype=np.uint8)
+    classes[np.isin(trace.page, np.array(sorted(stack_pages), dtype=np.int64))] = ord("S")
+    classes[trace.page == optable_page] = ord("O")
+    return Segments(trace, classes, starts, np.append(starts[1:], len(trace)))
 
 
 def preprocess_trace(
@@ -253,7 +252,7 @@ def preprocess_trace(
     coverage_target: float = DEFAULT_COVERAGE_TARGET,
     window: int = DEFAULT_WINDOW,
     min_rw_frac: float = DEFAULT_MIN_RW_FRAC,
-) -> tuple[PreprocessReport, SideChannelTrace, list[Segment]]:
+) -> tuple[PreprocessReport, SideChannelTrace, Segments]:
     """Full pipeline: detect structures, filter noise, segment."""
     optable_page, confidence = detect_optable_page(trace)
     stack_pages = detect_stack_pages(

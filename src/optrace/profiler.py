@@ -8,9 +8,12 @@ attack phase recovers, so fingerprints and observations compare one-to-one.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .machine import SideChannelTrace, StepEvent
-from .preprocess import Segment, segment_trace
+import numpy as np
+
+from .machine import SideChannelTrace
+from .preprocess import Segment, Segments, as_segments, segment_trace
 
 __all__ = [
     "ProfilingError",
@@ -58,6 +61,38 @@ class FingerprintDb:
         return {fp.label for fp in self.entries}
 
 
+def _labeled_slices(
+    trace: SideChannelTrace,
+    marker_page: int,
+    optable_page: int,
+    stack_pages: frozenset[int],
+) -> tuple[list[str | None], Segments]:
+    """The slices of the marker-stripped trace and the truth label of each."""
+    if trace.truth is None:
+        raise ProfilingError("profiling trace carries no ground-truth labels")
+    is_marker = trace.page == marker_page
+    marker_count = int(np.count_nonzero(is_marker & (trace.mode == ord("W"))))
+    if marker_count == 0:
+        raise ProfilingError("trace has no marker writes; synthesized without markers?")
+    labeled = sum(1 for _, label in trace.truth if label is not None)
+    if marker_count != labeled:
+        raise ProfilingError(
+            f"{marker_count} marker writes but {labeled} labeled dispatches"
+        )
+
+    keep = ~is_marker
+    row = np.cumsum(keep) - 1
+    n = len(trace)
+    label_at = {int(row[i]): label for i, label in trace.truth if 0 <= i < n and keep[i]}
+    segments = segment_trace(trace.take(keep), optable_page, stack_pages)
+    labels = []
+    for start in segments.starts.tolist():
+        if start not in label_at:
+            raise ProfilingError(f"dispatch at event {start} has no ground-truth label")
+        labels.append(label_at[start])
+    return labels, segments
+
+
 def split_by_marker(
     trace: SideChannelTrace,
     marker_page: int,
@@ -70,42 +105,8 @@ def split_by_marker(
     actual cuts happen at dispatch-table reads after the marker events are
     stripped, matching the attack-side segmentation geometry.
     """
-    if trace.truth is None:
-        raise ProfilingError("profiling trace carries no ground-truth labels")
-    events = trace.events
-    marker_count = sum(
-        1 for ev in events if ev.page == marker_page and ev.mode == "W"
-    )
-    if marker_count == 0:
-        raise ProfilingError("trace has no marker writes; synthesized without markers?")
-    labeled = sum(1 for _, label in trace.truth if label is not None)
-    if marker_count != labeled:
-        raise ProfilingError(
-            f"{marker_count} marker writes but {labeled} labeled dispatches"
-        )
-
-    stripped: list[StepEvent] = []
-    index_map: dict[int, int] = {}
-    for i, ev in enumerate(events):
-        if ev.page == marker_page:
-            continue
-        index_map[i] = len(stripped)
-        stripped.append(ev)
-    label_at = {index_map[i]: label for i, label in trace.truth if i in index_map}
-
-    segments = segment_trace(
-        SideChannelTrace(events=stripped, truth=None, layout_seed=trace.layout_seed),
-        optable_page,
-        stack_pages,
-    )
-    out: list[tuple[str | None, Segment]] = []
-    for seg in segments:
-        if seg.start_index not in label_at:
-            raise ProfilingError(
-                f"dispatch at event {seg.start_index} has no ground-truth label"
-            )
-        out.append((label_at[seg.start_index], seg))
-    return out
+    labels, segments = _labeled_slices(trace, marker_page, optable_page, stack_pages)
+    return list(zip(labels, segments))
 
 
 def dedup_fingerprints(
@@ -116,24 +117,32 @@ def dedup_fingerprints(
     Latency, the only noisy channel, is averaged element-wise across the
     merged slices.  Entries come out sorted for stable serialization.
     """
-    groups: dict[tuple, list[Segment]] = {}
-    for label, seg in labeled_segments:
-        groups.setdefault((label, seg.modes, seg.classes, seg.pf), []).append(seg)
+    labels = [label for label, _ in labeled_segments]
+    return _fingerprints(labels, as_segments(seg for _, seg in labeled_segments))
+
+
+def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]:
+    modes = segs.trace.mode.tobytes()
+    classes = segs.classes.tobytes()
+    pf = segs.trace.pf.tobytes()
+    size = segs.trace.pf.itemsize
+    groups: dict[tuple, list[int]] = {}
+    for label, start, end in zip(labels, segs.starts.tolist(), segs.ends.tolist()):
+        key = (label, modes[start:end], classes[start:end], pf[start * size : end * size])
+        groups.setdefault(key, []).append(start)
 
     entries = []
-    for (label, modes, classes, pf), segs in groups.items():
-        n = len(segs)
-        latency = tuple(
-            sum(seg.latency[i] for seg in segs) / n for i in range(len(pf))
-        )
+    for (label, modes_b, classes_b, _), starts in groups.items():
+        rows = np.array(starts)[:, None] + np.arange(len(modes_b))
+        latency = segs.trace.latency[rows].sum(axis=0) / len(starts)
         entries.append(
             Fingerprint(
                 label=label,
-                modes=modes,
-                classes=classes,
-                pf=pf,
-                latency=latency,
-                support=n,
+                modes=modes_b.decode("ascii"),
+                classes=classes_b.decode("ascii"),
+                pf=tuple(segs.trace.pf[starts[0] : starts[0] + len(modes_b)].tolist()),
+                latency=tuple(latency.tolist()),
+                support=len(starts),
             )
         )
     entries.sort(
@@ -156,11 +165,11 @@ def build_fingerprint_db(
     longer slice means the run was preempted mid-dispatch; such slices are
     discarded rather than stored as nonsense fingerprints.
     """
-    labeled = split_by_marker(trace, marker_page, optable_page, stack_pages)
-    labeled = [(label, seg) for label, seg in labeled if len(seg) <= max_slice_len]
-    if not labeled:
+    labels, segments = _labeled_slices(trace, marker_page, optable_page, stack_pages)
+    short = segments.lengths <= max_slice_len
+    if not short.any():
         raise ProfilingError("every profiling slice exceeded max_slice_len")
     return FingerprintDb(
-        entries=tuple(dedup_fingerprints(labeled)),
+        entries=tuple(_fingerprints(list(compress(labels, short)), segments[short])),
         meta=dict(meta or {}),
     )

@@ -8,9 +8,14 @@ the page number is address / 4096.
 
 import csv
 import hashlib
+from functools import partial
+from itertools import islice, repeat
 from pathlib import Path
 
-from .machine import PAGE_SIZE, SideChannelTrace, StepEvent
+import numpy as np
+
+from .machine import PAGE_SIZE, SideChannelTrace
+from .preprocess import Segments
 from .profiler import Fingerprint, FingerprintDb
 
 __all__ = [
@@ -33,6 +38,15 @@ __all__ = [
 ]
 
 _NULL_LABEL = "NULL"
+
+# File lines read, and trace rows parsed or formatted, per bulk step: large
+# enough to amortize the per-step calls, small enough that one step's
+# temporary strings stay a few MB (2^16 lines took 10 MB more peak RSS to
+# read 829k rows, and no less time).
+_CHUNK_LINES = 1 << 14
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_MODES = np.frombuffer(b"RWE", dtype=np.uint8)
 
 
 class FormatError(ValueError):
@@ -79,12 +93,12 @@ class _Lines:
     Iterating checks that line 1 is `# optrace <kind> v1` (any kind when
     `kind` is None), collects `# key=value` lines into `meta` wherever they
     appear, skips other comments and blank lines, and yields
-    `(lineno, stripped_line)` for the rest.  Each line the file yields is
-    split again with `str.splitlines`, so a form feed or another Unicode
-    line break also starts a new numbered line.  Bytes the text codec
-    rejects raise a FormatError on the line that holds them.  Afterwards
-    `tag` holds line 1 without its `# ` and `last_line` is the number of
-    the last line.
+    `(lineno, stripped_line)` for the rest; `chunks()` yields the same lines
+    a chunk of file lines at a time.  Lines are split with
+    `str.splitlines`, so a form feed or another Unicode line break also
+    starts a new numbered line.  Bytes the text codec rejects raise a
+    FormatError on the line that holds them.  Afterwards `tag` holds line 1
+    without its `# ` and `last_line` is the number of the last line.
     """
 
     def __init__(self, path, kind: str | None):
@@ -94,53 +108,89 @@ class _Lines:
         self.last_line = 0
 
     def __iter__(self):
-        meta = self.meta
+        for linenos, lines in self.chunks():
+            yield from zip(linenos, lines)
+
+    def chunks(self):
+        """Yield `(linenos, lines)`: the data lines of up to _CHUNK_LINES file lines."""
         with open(self.path) as fh:
-            lines = (line for raw in fh for line in raw.splitlines())
             try:
-                first = next(lines, "")
-                if not first.startswith("# optrace "):
-                    raise FormatError("missing '# optrace <kind> <version>' header", 1)
-                self.tag = first[2:].strip()
-                want = f"optrace {self.kind} v1"
-                if self.kind is not None and self.tag != want:
-                    raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
-                lineno = 1
-                for lineno, line in enumerate(lines, start=2):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if line.startswith("#"):
-                        body = line.lstrip("#").strip()
-                        if "=" in body:
-                            key, _, value = body.partition("=")
-                            meta[key.strip()] = value.strip()
-                        continue
-                    yield lineno, line
+                lineno = 0
+                for raw in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
+                    lines = "".join(raw).splitlines()
+                    if not lineno:
+                        self._check_tag(lines[0])
+                        yield self._data(lines[1:], 2)
+                    else:
+                        yield self._data(lines, lineno + 1)
+                    lineno += len(lines)
+                if not lineno:
+                    self._check_tag("")
             except UnicodeDecodeError as exc:
                 # The codec decodes whole chunks, so the line is found again.
                 bad = _undecodable_line(self.path, fh.encoding)
                 raise FormatError(f"undecodable bytes ({exc.reason})", bad) from None
         self.last_line = lineno
 
+    def _check_tag(self, first: str) -> None:
+        if not first.startswith("# optrace "):
+            raise FormatError("missing '# optrace <kind> <version>' header", 1)
+        self.tag = first[2:].strip()
+        want = f"optrace {self.kind} v1"
+        if self.kind is not None and self.tag != want:
+            raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
 
-def _csv_rows(lines: _Lines, columns: tuple[str, ...]):
-    """Check the column header line, then yield `(lineno, fields)` per row.
+    def _data(self, lines: list[str], first: int):
+        """`(linenos, stripped)` of the data lines among `lines`, numbered from `first`."""
+        stripped = list(map(str.strip, lines))
+        if "" not in stripped and "\n#" not in "\n" + "\n".join(stripped):
+            return range(first, first + len(stripped)), stripped
+        linenos, data = [], []
+        for lineno, line in enumerate(stripped, start=first):
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    self.meta[key.strip()] = value.strip()
+                continue
+            linenos.append(lineno)
+            data.append(line)
+        return linenos, data
+
+
+def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> None:
+    try:
+        found = tuple(next(csv.reader((line,))))
+    except csv.Error as exc:
+        raise FormatError(str(exc), lineno) from None
+    if found != columns:
+        raise FormatError(f"expected column header {','.join(columns)}", lineno)
+
+
+def _split_rows(rows, width: int):
+    """Yield `(lineno, fields)` per numbered line, checking the field count.
 
     Each line is parsed on its own, so a quoted field never spans lines.
     """
-    rows = iter(lines)
-    lineno, line = next(rows, (None, ""))
+    lineno = None
     try:
-        if tuple(next(csv.reader((line,)))) != columns:
-            raise FormatError(f"expected column header {','.join(columns)}", lineno)
         for lineno, line in rows:
-            row = next(csv.reader((line,)))
-            if len(row) != len(columns):
-                raise FormatError(f"expected {len(columns)} fields", lineno)
-            yield lineno, row
+            fields = next(csv.reader((line,)))
+            if len(fields) != width:
+                raise FormatError(f"expected {width} fields", lineno)
+            yield lineno, fields
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise FormatError(str(exc), lineno) from None
+
+
+def _csv_rows(lines: _Lines, columns: tuple[str, ...]):
+    """Check the column header line, then yield `(lineno, fields)` per row."""
+    rows = iter(lines)
+    lineno, line = next(rows, (None, ""))
+    _check_columns(lineno, line, columns)
+    yield from _split_rows(rows, len(columns))
 
 
 def _convert(convert, text: str, lineno: int):
@@ -154,53 +204,141 @@ def _convert(convert, text: str, lineno: int):
 # ---------------------------------------------------------------- traces
 
 
+def _rows_text(trace: SideChannelTrace, rows, ids=None) -> str:
+    """Trace file lines of `rows` (not empty), each led by its id if given."""
+    pages, inverse = np.unique(trace.page[rows], return_inverse=True)
+    hexes = np.array([f"0x{p * PAGE_SIZE:x}" for p in pages.tolist()], dtype=object)
+    columns = [
+        hexes[inverse].tolist(),
+        trace.mode[rows].tobytes().decode("ascii"),
+        map(str, trace.pf[rows].tolist()),
+        map(str, trace.latency[rows].tolist()),
+    ]
+    if ids is not None:
+        columns.insert(0, map(str, ids.tolist()))
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
         _write_header(fh, "trace", meta, _TRACE_COLUMNS)
-        for ev in trace.events:
-            fh.write(f"0x{ev.page * PAGE_SIZE:x},{ev.mode},{ev.pf_count},{ev.latency}\n")
+        for start in range(0, len(trace), _CHUNK_LINES):
+            fh.write(_rows_text(trace, slice(start, start + _CHUNK_LINES)))
+
+
+def _ints(strings: list[str], base: int) -> np.ndarray:
+    """`int(s, base)` of every string, as int64; each distinct string is parsed once."""
+    values = {text: int(text, base) for text in set(strings)}
+    return np.fromiter(map(values.__getitem__, strings), np.int64, len(strings))
+
+
+def _bulk_trace_rows(lines: list[str]):
+    """Columns of unquoted, well-formed trace lines, parsed in bulk.
+
+    Returns None if any line fails a check, so that the caller parses the
+    lines one at a time and reports the first bad one.
+    """
+    n = len(lines)
+    text = ",".join(lines)
+    if (
+        '"' in text
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) != {3}
+    ):
+        return None
+    fields = text.split(",")
+    try:
+        addr = _ints(fields[0::4], 16)
+        pf = _ints(fields[2::4], 10)
+        latency = _ints(fields[3::4], 10)
+    except (ValueError, OverflowError):  # OverflowError: outside int64
+        return None
+    modes = "".join(fields[1::4])
+    if len(modes) != n or not modes.isascii():
+        return None
+    mode = np.frombuffer(modes.encode("ascii"), np.uint8)
+    if not np.isin(mode, _MODES).all() or (addr % PAGE_SIZE).any():
+        return None
+    return addr // PAGE_SIZE, mode, pf, latency
+
+
+def _trace_rows(numbered):
+    """Columns of `(lineno, line)` trace lines parsed one at a time.
+
+    Raises a FormatError on the first line that is not a valid row.
+    """
+    page, mode, pf, latency = [], [], [], []
+    for lineno, (addr_s, mode_s, pf_s, lat_s) in _split_rows(numbered, 4):
+        addr = _convert(partial(int, base=16), addr_s, lineno)
+        pf_count = _convert(int, pf_s, lineno)
+        lat = _convert(int, lat_s, lineno)
+        for name, value, text in (
+            ("address", addr, addr_s), ("pf_count", pf_count, pf_s), ("latency", lat, lat_s)
+        ):
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                raise FormatError(f"{name} {text!r} does not fit in int64", lineno)
+        if mode_s not in ("R", "W", "E"):
+            raise FormatError(f"bad access mode {mode_s!r}", lineno)
+        if addr % PAGE_SIZE:
+            raise FormatError(f"address 0x{addr:x} not page aligned", lineno)
+        page.append(addr // PAGE_SIZE)
+        mode.append(ord(mode_s))
+        pf.append(pf_count)
+        latency.append(lat)
+    return (
+        np.array(page, dtype=np.int64),
+        np.array(mode, dtype=np.uint8),
+        np.array(pf, dtype=np.int64),
+        np.array(latency, dtype=np.int64),
+    )
 
 
 def read_trace(path) -> SideChannelTrace:
+    """Read a trace file into columns, _CHUNK_LINES lines at a time.
+
+    Each chunk is parsed in bulk; a chunk that holds a quote or fails a
+    check is parsed line by line, which also words the error of its
+    first bad line.
+    """
     lines = _Lines(path, "trace")
-    events = []
-    for lineno, (addr_s, mode, pf_s, lat_s) in _csv_rows(lines, _TRACE_COLUMNS):
-        try:
-            addr = int(addr_s, 16)
-            pf = int(pf_s)
-            lat = int(lat_s)
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        if mode not in ("R", "W", "E"):
-            raise FormatError(f"bad access mode {mode!r}", lineno)
-        if addr % PAGE_SIZE:
-            raise FormatError(f"address 0x{addr:x} not page aligned", lineno)
-        events.append(StepEvent(page=addr // PAGE_SIZE, mode=mode, pf_count=pf, latency=lat))
+    parts = [_trace_rows(())]  # typed empty columns
+    header = None
+    for linenos, chunk in lines.chunks():
+        if header is None and chunk:
+            header = chunk[0]
+            _check_columns(linenos[0], header, _TRACE_COLUMNS)
+            linenos, chunk = linenos[1:], chunk[1:]
+        if chunk:
+            parts.append(_bulk_trace_rows(chunk) or _trace_rows(zip(linenos, chunk)))
+    if header is None:
+        _check_columns(None, "", _TRACE_COLUMNS)
+    page, mode, pf, latency = (np.concatenate(column) for column in zip(*parts))
     seed = lines.meta.get("layout_seed")
     try:
         layout_seed = int(seed) if seed is not None else None
     except ValueError:
         raise FormatError(f"layout_seed {seed!r} is not an integer") from None
-    return SideChannelTrace(events=events, truth=None, layout_seed=layout_seed)
+    return SideChannelTrace(page, mode, pf, latency, truth=None, layout_seed=layout_seed)
 
 
 def write_segments(
     path,
-    segments,
+    segments: Segments,
     config_hash: str | None = None,
     layout_seed: int | None = None,
 ) -> None:
     """Trace rows annotated with the segment each event landed in."""
+    lengths = segments.lengths
+    ids = np.repeat(np.arange(len(segments)), lengths)
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.arange(len(ids)) + np.repeat(segments.starts - offsets, lengths)
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": layout_seed, "config_hash": config_hash}
         _write_header(fh, "segments", meta, ("segment_id", *_TRACE_COLUMNS))
-        for seg_id, seg in enumerate(segments):
-            for ev in seg.events:
-                fh.write(
-                    f"{seg_id},0x{ev.page * PAGE_SIZE:x},{ev.mode},"
-                    f"{ev.pf_count},{ev.latency}\n"
-                )
+        for start in range(0, len(rows), _CHUNK_LINES):
+            chunk = slice(start, start + _CHUNK_LINES)
+            fh.write(_rows_text(segments.trace, rows[chunk], ids[chunk]))
 
 
 def trace_meta(path) -> dict[str, str]:

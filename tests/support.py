@@ -105,6 +105,11 @@ def attack_report(
     return classify_outcomes(v.truth, [p.label for p in predictions], strict=strict)
 
 
+def segment_events(trace, segment):
+    """The StepEvents of a segment's rows in the trace it was cut from."""
+    return trace.take(slice(segment.start_index, segment.start_index + len(segment))).events
+
+
 def mean_recall(seeds, **kwargs) -> float:
     recalls = [attack_report(seed, **kwargs).recall for seed in seeds]
     return sum(recalls) / len(recalls)

@@ -283,8 +283,12 @@ def test_malformed_db_number_is_a_data_error(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "row",
-    [b"0x1000,R,1,\xff\xfe", b'"0x' + b"0" * 140_000 + b'1000",R,1,10'],
-    ids=["undecodable-bytes", "oversized-field"],
+    [
+        b"0x1000,R,1,\xff\xfe",
+        b'"0x' + b"0" * 140_000 + b'1000",R,1,10',
+        b"0x1000,R,1,9223372036854775808",
+    ],
+    ids=["undecodable-bytes", "oversized-field", "int64-overflow"],
 )
 def test_unreadable_trace_row_is_a_data_error(pipeline, tmp_path, capsys, row):
     lines = pipeline.trace.read_bytes().splitlines()

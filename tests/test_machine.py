@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from optrace.bytecode import OpcodeTrace, execute
@@ -14,7 +15,9 @@ from optrace.machine import (
     NoiseModel,
     PageClass,
     StackRole,
+    StepEvent,
     StepKind,
+    _merge_multisteps,
     build_layout,
     classify_page,
     shuffle_handler_pages,
@@ -281,6 +284,33 @@ def test_multistep_merging_conserves_fault_and_latency_mass():
     assert len(merged.events) == math.ceil(len(clean.events) / 2)
     assert sum(e.pf_count for e in merged.events) == sum(e.pf_count for e in clean.events)
     assert sum(e.latency for e in merged.events) == sum(e.latency for e in clean.events)
+
+
+def merge_event_by_event(rng, prob, events, truth):
+    """The multistep merge as a walk that draws one number per visited event."""
+    labels = dict(truth)
+    merged, merged_truth = [], []
+    i = 0
+    while i < len(events):
+        if i in labels:
+            merged_truth.append((len(merged), labels[i]))
+        if i + 1 < len(events) and rng.random() < prob:
+            a, b = events[i], events[i + 1]
+            merged.append(StepEvent(a.page, a.mode, a.pf_count + b.pf_count, a.latency + b.latency))
+            i += 2
+        else:
+            merged.append(events[i])
+            i += 1
+    return merged, tuple(merged_truth)
+
+
+@pytest.mark.parametrize("prob", [0.0, 0.02, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bulk_multistep_merge_matches_the_event_by_event_walk(prob, seed):
+    _, trace = synth(ops(*["i32.const", "call", "drop"] * 20), noise=NoiseModel(rng_seed=seed))
+    merged = _merge_multisteps(np.random.default_rng(seed), prob, trace)
+    want = merge_event_by_event(np.random.default_rng(seed), prob, trace.events, trace.truth)
+    assert (merged.events, merged.truth) == want
 
 
 def test_synthesis_is_deterministic_for_fixed_seeds():

@@ -27,7 +27,6 @@ from optrace.profiler import Fingerprint, FingerprintDb
 def seg(modes, classes, pf, latency):
     assert len(modes) == len(classes) == len(pf) == len(latency)
     return Segment(
-        events=tuple(range(len(modes))),
         start_index=0,
         modes=modes,
         classes=classes,
@@ -417,6 +416,17 @@ def test_database_of_empty_entries_still_scores_discrete_channels():
     channels = frozenset({Channel.MODE})
     preds = match_trace([s], db(empty), channels)
     assert preds[0].score == pytest.approx(score_segment(s, empty, channels))
+
+
+def test_empty_entry_scores_like_the_oracle_on_numeric_channels():
+    # An empty vector scores 1.0 against an empty one and 0.0 otherwise,
+    # whatever the other side's first value is.
+    empty = fp("empty", "", "", (), ())
+    pair = fp("pair", "RW", "OS", (1, 1), (5000, 5000))
+    segs = [seg("RE", "OX", (0, 3), (0, 5309)), seg("", "", (), ())]
+    for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
+        preds = match_trace(segs, db(empty, pair), frozenset(channels))
+        assert_matches_scalar_oracle(preds, segs, [empty, pair], frozenset(channels))
 
 
 def test_empty_database_is_an_error():

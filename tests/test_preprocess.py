@@ -27,6 +27,8 @@ from optrace.preprocess import (
 )
 from optrace.workloads import benchmark_module
 
+from support import segment_events
+
 ZERO = NoiseModel.zero(rng_seed=0)
 BURSTY = NoiseModel(
     latency_jitter_sigma=0.0,
@@ -85,20 +87,20 @@ def test_detection_survives_default_noise():
 
 
 def test_detection_needs_read_then_execute_pairs():
-    only_writes = SideChannelTrace(
+    only_writes = SideChannelTrace.from_events(
         events=[StepEvent(5, "W", 9, 100)] * 50, truth=None, layout_seed=0
     )
     with pytest.raises(DetectionError):
         detect_optable_page(only_writes)
     with pytest.raises(DetectionError):
-        detect_optable_page(SideChannelTrace(events=[], truth=None, layout_seed=0))
+        detect_optable_page(SideChannelTrace.from_events(events=[], truth=None, layout_seed=0))
 
 
 def test_detection_maps_through_page_relabeling():
     _, layout, trace = bench_trace()
     base_page, base_confidence = detect_optable_page(trace)
     for relabel in (lambda p: p + 17, lambda p: 2_000_000 - p):
-        mapped = SideChannelTrace(
+        mapped = SideChannelTrace.from_events(
             events=[
                 StepEvent(relabel(ev.page), ev.mode, ev.pf_count, ev.latency)
                 for ev in trace.events
@@ -117,7 +119,7 @@ def test_detection_tie_breaks_on_lowest_page():
     for _ in range(10):
         events += [StepEvent(30, "R", 8, 100), StepEvent(40, "E", 5, 100)]
         events += [StepEvent(20, "R", 8, 100), StepEvent(50, "E", 5, 100)]
-    trace = SideChannelTrace(events=events, truth=None, layout_seed=0)
+    trace = SideChannelTrace.from_events(events=events, truth=None, layout_seed=0)
     page, confidence = detect_optable_page(trace)
     assert page == 20
     assert confidence == 0.5
@@ -186,7 +188,7 @@ def test_filter_is_idempotent():
 
 
 def test_filter_handles_empty_trace():
-    empty = SideChannelTrace(events=[], truth=None, layout_seed=0)
+    empty = SideChannelTrace.from_events(events=[], truth=None, layout_seed=0)
     filtered, removed = filter_redundant(empty, 1, frozenset())
     assert filtered.events == []
     assert removed == 0
@@ -213,15 +215,15 @@ def test_segment_channels_align_with_events():
     _, layout, trace = bench_trace()
     segments = segment_trace(trace, layout.optable_page, frozenset(layout.stack_pages))
     for segment in segments[:200]:
-        size = len(segment.events)
+        size = len(segment_events(trace, segment))
         assert len(segment.modes) == size
         assert len(segment.classes) == size
         assert len(segment.pf) == size
         assert len(segment.latency) == size
         assert set(segment.modes) <= set("RWE")
         assert set(segment.classes) <= set("OSX")
-        assert segment.events[0].page == layout.optable_page
-        assert segment.events[0].mode == "R"
+        assert segment_events(trace, segment)[0].page == layout.optable_page
+        assert segment_events(trace, segment)[0].mode == "R"
 
 
 def test_segments_partition_the_trace():
@@ -230,7 +232,7 @@ def test_segments_partition_the_trace():
     rebuilt = []
     for segment in segments:
         assert segment.start_index == len(rebuilt) + segments[0].start_index
-        rebuilt.extend(segment.events)
+        rebuilt.extend(segment_events(trace, segment))
     prefix = trace.events[: segments[0].start_index]
     assert prefix + rebuilt == trace.events
 
@@ -241,7 +243,7 @@ def test_segmentation_requires_two_boundaries():
         segment_trace(trace, layout.optable_page, frozenset())
     with pytest.raises(SegmentationError):
         segment_trace(
-            SideChannelTrace(events=[], truth=None, layout_seed=0), 1, frozenset()
+            SideChannelTrace.from_events(events=[], truth=None, layout_seed=0), 1, frozenset()
         )
 
 
@@ -273,5 +275,5 @@ def test_zero_noise_segment_count_matches_dispatch_count(names, seed):
     page, confidence = detect_optable_page(trace)
     assert page == layout.optable_page
     assert confidence == 1.0
-    rebuilt = [ev for segment in segments for ev in segment.events]
+    rebuilt = [ev for segment in segments for ev in segment_events(trace, segment)]
     assert trace.events[segments[0].start_index :] == rebuilt

@@ -20,7 +20,7 @@ from optrace.profiler import (
     split_by_marker,
 )
 
-from support import profile_db
+from support import profile_db, segment_events
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -45,7 +45,6 @@ def marked(opcode_trace, seed=0, noise=ZERO):
 
 def seg(modes, classes, pf, latency):
     return Segment(
-        events=(),
         start_index=0,
         modes=modes,
         classes=classes,
@@ -93,13 +92,19 @@ def test_split_marks_mid_handler_dispatch_reads_unlabeled():
 def test_split_strips_marker_events_from_slices():
     layout, trace = marked(ops("nop", "nop", "nop"))
     slices = split_by_marker(trace, layout.marker_page, layout.optable_page)
+    # Slices index the trace without its marker events: each slice's channels
+    # must be those rows, which a slice holding a marker write would not be.
+    unmarked = [ev for ev in trace.events if ev.page != layout.marker_page]
     for _, segment in slices:
-        assert all(ev.page != layout.marker_page for ev in segment.events)
+        rows = segment_events(SideChannelTrace.from_events(unmarked), segment)
+        assert segment.modes == "".join(ev.mode for ev in rows)
+        assert segment.pf == tuple(ev.pf_count for ev in rows)
+        assert segment.latency == tuple(ev.latency for ev in rows)
 
 
 def test_split_requires_ground_truth():
     layout, trace = marked(ops("nop", "nop"))
-    bare = SideChannelTrace(
+    bare = SideChannelTrace.from_events(
         events=trace.events, truth=None, layout_seed=trace.layout_seed
     )
     with pytest.raises(ProfilingError, match="ground-truth"):
@@ -121,7 +126,7 @@ def test_split_rejects_unmarked_trace():
 
 def test_split_rejects_marker_truth_count_mismatch():
     layout, trace = marked(ops("nop", "nop", "nop"))
-    doctored = SideChannelTrace(
+    doctored = SideChannelTrace.from_events(
         events=trace.events,
         truth=trace.truth + ((0, "drop"),),
         layout_seed=trace.layout_seed,

@@ -1,7 +1,14 @@
 """Serialization round-trips and format validation for every file kind."""
 
-import pytest
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optrace import traceio
 from optrace.bytecode import OpcodeTrace
 from optrace.handlers import default_handler_specs
 from optrace.machine import (
@@ -112,6 +119,9 @@ def test_read_trace_rejects_wrong_columns(tmp_path):
         ("0x1001,R,1,10", "not page aligned"),
         ("zz,R,1,10", "invalid literal"),
         ("0x1000,R,one,10", "invalid literal"),
+        ("0x8000000000000000,R,1,10", "address '0x8000000000000000' does not fit in int64"),
+        ("0x1000,R,9223372036854775808,10", "pf_count '9223372036854775808' does not fit"),
+        ("0x1000,R,1,-9223372036854775809", "latency '-9223372036854775809' does not fit"),
     ],
 )
 def test_read_trace_reports_bad_rows_with_line_numbers(tmp_path, row, message):
@@ -120,6 +130,65 @@ def test_read_trace_reports_bad_rows_with_line_numbers(tmp_path, row, message):
     with pytest.raises(FormatError, match=message) as info:
         read_trace(path)
     assert info.value.line == 3
+
+
+# Rows whose address, pf and latency fit in int64, and how each is written.
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 2**51 - 1),
+        st.sampled_from("RWE"),
+        st.integers(-(2**63), 2**63 - 1),
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from(["\n", "\r\n", "\r"]),  # line ending
+        st.sampled_from(["", "\x0c", " ", "# note"]),  # a line break or a line before it
+        st.booleans(),  # quote the address field
+    ),
+    max_size=14,
+)
+_MUTATIONS = {
+    "mode": (lambda f: [f[0], "Q", f[2], f[3]], "bad access mode"),
+    "aligned": (lambda f: [f[0][:-1] + "1", *f[1:]], "not page aligned"),
+    "number": (lambda f: [f[0], f[1], "x", f[3]], "invalid literal"),
+    "fields": (lambda f: f[:3], "expected 4 fields"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_ROWS,
+    chunk=st.integers(1, 5),
+    mutation=st.none() | st.tuples(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 99)),
+)
+def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
+    # Few lines per chunk, so rows, blank lines and comments straddle chunk
+    # boundaries; the quoted fields send their chunks down the per-line path.
+    text = "# optrace trace v1\naddress,mode,pf_count,latency\n"
+    lineno = 2
+    linenos = []
+    bad = mutation and rows and mutation[1] % len(rows)
+    for k, (page, mode, pf, latency, end, before, quoted) in enumerate(rows):
+        fields = [f"0x{page * PAGE_SIZE:x}", mode, str(pf), str(latency)]
+        if mutation and rows and k == bad:
+            fields = _MUTATIONS[mutation[0]][0](fields)
+        if quoted:
+            fields[0] = f'"{fields[0]}"'
+        if before in (" ", "# note"):
+            before += end  # a blank or comment line; never a bare LF, which would join a CR
+        text += before + ",".join(fields) + end
+        lineno += 1 + (before != "")
+        linenos.append(lineno)
+    text += "# layout_seed=5\n"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        path = Path(tmp) / "rows.trace"
+        path.write_bytes(text.encode())
+        if mutation and rows:
+            with pytest.raises(FormatError, match=_MUTATIONS[mutation[0]][1]) as info:
+                read_trace(path)
+            assert info.value.line == linenos[bad]
+            return
+        back = read_trace(path)
+    assert back.events == [StepEvent(row[0], row[1], row[2], row[3]) for row in rows]
+    assert back.layout_seed == 5
 
 
 def test_read_trace_header_grammar(tmp_path):
@@ -240,7 +309,7 @@ def test_truth_round_trip_preserves_null_labels(tmp_path):
 
 def test_write_truth_requires_ground_truth(tmp_path):
     _, trace = small_trace(markers=False)
-    bare = type(trace)(events=trace.events, truth=None, layout_seed=None)
+    bare = type(trace).from_events(events=trace.events, truth=None, layout_seed=None)
     with pytest.raises(ValueError, match="ground truth"):
         write_truth(tmp_path / "t.truth", bare)
 
