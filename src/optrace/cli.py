@@ -175,6 +175,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _profile_db(cfg, trace, layout, seed: int):
+    """The fingerprint DB of a marker-instrumented trace, tagged with its config and seed."""
+    return build_fingerprint_db(
+        trace,
+        layout.marker_page,
+        layout.optable_page,
+        frozenset(layout.stack_pages),
+        meta={"config_hash": config_hash(cfg), "profile_seed": str(seed)},
+    )
+
+
 def _cmd_profile(args) -> int:
     cfg = load_config(args.config)
     if bool(args.trace) != bool(args.truth):
@@ -195,16 +206,7 @@ def _cmd_profile(args) -> int:
             cfg, args.seed, module, True, args.zero_noise, args.step_limit
         )
         seed = args.seed
-    db = build_fingerprint_db(
-        trace,
-        layout.marker_page,
-        layout.optable_page,
-        frozenset(layout.stack_pages),
-        meta={
-            "config_hash": config_hash(cfg),
-            "profile_seed": str(seed),
-        },
-    )
+    db = _profile_db(cfg, trace, layout, seed)
     write_db(args.out, db)
     labels = {fp.label for fp in db.entries if fp.label is not None}
     print(f"profile: {len(db.entries)} fingerprints covering {len(labels)} opcodes")
@@ -221,9 +223,13 @@ def _preprocess(cfg, trace):
     )
 
 
-def _run_attack(cfg, trace, db, channels):
+def _attack(cfg, trace, db, channels, out):
+    """Preprocess and match `trace`, and write its predictions to `out`."""
     report, _, segments = _preprocess(cfg, trace)
     predictions = match_trace(segments, db, channels)
+    write_predictions(
+        out, predictions, config_hash=config_hash(cfg), layout_seed=trace.layout_seed
+    )
     return report, segments, predictions
 
 
@@ -232,13 +238,7 @@ def _cmd_attack(args) -> int:
     trace = read_trace(args.trace)
     db = read_db(args.db)
     channels = _parse_channels(args.channels or cfg["match.channels"])
-    report, segments, predictions = _run_attack(cfg, trace, db, channels)
-    write_predictions(
-        args.out,
-        predictions,
-        config_hash=config_hash(cfg),
-        layout_seed=trace.layout_seed,
-    )
+    report, _, predictions = _attack(cfg, trace, db, channels, args.out)
     print(
         f"attack: dispatch table page 0x{report.optable_page:x} "
         f"(confidence {report.optable_confidence:.4f}), "
@@ -382,13 +382,7 @@ def _cmd_end2end(args) -> int:
     _, playout, ptrace = _synthesize(
         cfg, profile_seed, module, True, args.zero_noise, args.step_limit
     )
-    db = build_fingerprint_db(
-        ptrace,
-        playout.marker_page,
-        playout.optable_page,
-        frozenset(playout.stack_pages),
-        meta={"config_hash": digest, "profile_seed": str(profile_seed)},
-    )
+    db = _profile_db(cfg, ptrace, playout, profile_seed)
     write_db(out / "db.txt", db)
 
     run, _, vtrace = _synthesize(
@@ -399,13 +393,7 @@ def _cmd_end2end(args) -> int:
 
     channels = _parse_channels(cfg["match.channels"])
     victim = read_trace(out / "victim.csv")
-    report, segments, predictions = _run_attack(cfg, victim, db, channels)
-    write_predictions(
-        out / "predictions.csv",
-        predictions,
-        config_hash=digest,
-        layout_seed=victim.layout_seed,
-    )
+    report, segments, predictions = _attack(cfg, victim, db, channels, out / "predictions.csv")
 
     truth, _ = read_truth(out / "truth.csv")
     result = _evaluate(

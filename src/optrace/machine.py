@@ -310,8 +310,19 @@ class SideChannelTrace:
         return list(map(StepEvent, self.page.tolist(), modes, self.pf.tolist(),
                         self.latency.tolist()))
 
-    def take(self, rows, truth=None) -> "SideChannelTrace":
-        """The selected rows (a mask or indices) as a new trace with `truth`."""
+    def take(self, rows) -> "SideChannelTrace":
+        """The selected rows (a mask or a slice) as a new trace.
+
+        Each truth pair moves with its row; a pair whose row is dropped or
+        out of range is dropped.
+        """
+        truth = self.truth
+        if truth is not None:
+            n = len(self)
+            kept = np.zeros(n, dtype=bool)
+            kept[rows] = True
+            row = np.cumsum(kept) - 1
+            truth = tuple((int(row[i]), label) for i, label in truth if 0 <= i < n and kept[i])
         return SideChannelTrace(
             self.page[rows], self.mode[rows], self.pf[rows], self.latency[rows],
             truth, self.layout_seed,
@@ -539,8 +550,9 @@ def _merge_multisteps(rng, prob: float, trace: SideChannelTrace) -> SideChannelT
     at = np.array(merged)
     keep = np.ones(n, dtype=bool)
     keep[at + 1] = False
-    row = np.cumsum(keep) - 1
-    out = trace.take(keep, tuple((int(row[i]), label) for i, label in trace.truth if keep[i]))
-    out.pf[row[at]] += trace.pf[at + 1]
-    out.latency[row[at]] += trace.latency[at + 1]
+    out = trace.take(keep)
+    # Merges are at least two rows apart, so each earlier one removed one row before `at`.
+    row = at - np.arange(len(at))
+    out.pf[row] += trace.pf[at + 1]
+    out.latency[row] += trace.latency[at + 1]
     return out

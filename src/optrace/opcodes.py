@@ -88,21 +88,13 @@ def _build_registry() -> dict[str, OpcodeInfo]:
 OPCODE_INFO: dict[str, OpcodeInfo] = _build_registry()
 OPCODES: dict[str, OpcodeId] = {m: info.opcode for m, info in OPCODE_INFO.items()}
 
-_BY_CODE: dict[int, OpcodeId] = {op.code: op for op in OPCODES.values()}
-
 # Opcodes whose retirement opens / closes a structured control scope.
 OPENERS = frozenset({"block", "loop", "if"})
-
-WIDTH_FAMILIES = frozenset(base for base, *_ in _WIDTH_OPS)
 
 
 def opcode_by_mnemonic(mnemonic: str) -> OpcodeId:
     """Look up an opcode; raises KeyError for unknown mnemonics."""
     return OPCODES[mnemonic]
-
-
-def opcode_by_code(code: int) -> OpcodeId:
-    return _BY_CODE[code]
 
 
 def opcode_family(op: OpcodeId) -> str:

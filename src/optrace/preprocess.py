@@ -220,12 +220,7 @@ def filter_redundant(
     near = np.cumsum(edges[:n]) > 0
     keep_pages = np.union1d(trace.page[near], [optable_page, *stack_pages])
     keep = np.isin(trace.page, keep_pages)
-
-    truth = trace.truth
-    if truth is not None:
-        row = np.cumsum(keep) - 1
-        truth = tuple((int(row[i]), label) for i, label in truth if 0 <= i < n and keep[i])
-    return trace.take(keep, truth), n - int(np.count_nonzero(keep))
+    return trace.take(keep), n - int(np.count_nonzero(keep))
 
 
 def segment_trace(

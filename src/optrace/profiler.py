@@ -80,11 +80,9 @@ def _labeled_slices(
             f"{marker_count} marker writes but {labeled} labeled dispatches"
         )
 
-    keep = ~is_marker
-    row = np.cumsum(keep) - 1
-    n = len(trace)
-    label_at = {int(row[i]): label for i, label in trace.truth if 0 <= i < n and keep[i]}
-    segments = segment_trace(trace.take(keep), optable_page, stack_pages)
+    stripped = trace.take(~is_marker)
+    label_at = dict(stripped.truth)
+    segments = segment_trace(stripped, optable_page, stack_pages)
     labels = []
     for start in segments.starts.tolist():
         if start not in label_at:

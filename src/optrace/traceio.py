@@ -8,8 +8,7 @@ the page number is address / 4096.
 
 import csv
 import hashlib
-from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +38,14 @@ __all__ = [
 
 _NULL_LABEL = "NULL"
 
-# File lines read, and trace rows parsed or formatted, per bulk step: large
-# enough to amortize the per-step calls, small enough that one step's
-# temporary strings stay a few MB (2^16 lines took 10 MB more peak RSS to
-# read 829k rows, and no less time).
+# File lines read, and CSV rows parsed or trace rows formatted, per bulk
+# step: large enough to amortize the per-step calls, small enough that one
+# step's temporary strings stay a few MB (2^16 lines took 10 MB more peak
+# RSS to read 829k trace rows, and no less time).
 _CHUNK_LINES = 1 << 14
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-_MODES = np.frombuffer(b"RWE", dtype=np.uint8)
+_MODES = frozenset("RWE")
 
 
 class FormatError(ValueError):
@@ -169,28 +168,79 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
         raise FormatError(f"expected column header {','.join(columns)}", lineno)
 
 
-def _split_rows(rows, width: int):
-    """Yield `(lineno, fields)` per numbered line, checking the field count.
+def _fields(linenos, lines: list[str], width: int) -> tuple[list[str], FormatError | None]:
+    """The fields of `lines`, row after row, in one flat list, and the error of a bad line.
 
-    Each line is parsed on its own, so a quoted field never spans lines.
+    A chunk with no quote, no line over `csv.field_size_limit()` and
+    `width - 1` commas on every line is split in one go.  Any other is read
+    with `csv` a line at a time, so a quoted field never spans lines; its
+    fields stop before the first line with a bad field count or size.
     """
-    lineno = None
-    try:
-        for lineno, line in rows:
-            fields = next(csv.reader((line,)))
-            if len(fields) != width:
-                raise FormatError(f"expected {width} fields", lineno)
-            yield lineno, fields
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise FormatError(str(exc), lineno) from None
+    text = ",".join(lines)
+    if (
+        '"' not in text
+        and max(map(len, lines)) <= csv.field_size_limit()
+        and set(map(str.count, lines, repeat(","))) == {width - 1}
+    ):
+        return text.split(","), None
+    fields: list[str] = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            row = next(csv.reader((line,)))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            return fields, FormatError(str(exc), lineno)
+        if len(row) != width:
+            return fields, FormatError(f"expected {width} fields", lineno)
+        fields += row
+    return fields, None
 
 
-def _csv_rows(lines: _Lines, columns: tuple[str, ...]):
-    """Check the column header line, then yield `(lineno, fields)` per row."""
-    rows = iter(lines)
-    lineno, line = next(rows, (None, ""))
-    _check_columns(lineno, line, columns)
-    yield from _split_rows(rows, len(columns))
+def _raise_bad_row(linenos, fields: list[str], converters) -> None:
+    """Raise a FormatError for the first row with a bad field, naming its leftmost bad field."""
+    width = len(converters)
+    for lineno, start in zip(linenos, range(0, len(fields), width)):
+        for convert, text in zip(converters, fields[start : start + width]):
+            try:
+                convert(text)
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
+
+
+def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None):
+    """Check the column header line, then yield the rows of each chunk, converted in bulk.
+
+    `converters` holds one function per column that converts a field or
+    raises a ValueError naming its problem.  A chunk's rows are
+    `bulk(fields)`, or without `bulk` a list of tuples of converted fields,
+    each converter mapped over its column.  If that fails, the converters
+    run row by row to report the first bad row.
+    """
+    width = len(columns)
+    header = None
+    for linenos, chunk in lines.chunks():
+        if header is None and chunk:
+            header = chunk[0]
+            _check_columns(linenos[0], header, columns)
+            linenos, chunk = linenos[1:], chunk[1:]
+        if chunk:
+            fields, error = _fields(linenos, chunk, width)
+            try:
+                if bulk:
+                    rows = bulk(fields)
+                else:
+                    rows = list(zip(*(map(f, fields[k::width]) for k, f in enumerate(converters))))
+            except (ValueError, OverflowError):  # OverflowError: outside int64
+                _raise_bad_row(linenos, fields, converters)
+                raise
+            if error:  # a line after every converted row
+                raise error
+            yield rows
+    if header is None:
+        _check_columns(None, "", columns)
+
+
+def _label(text: str) -> str | None:
+    return None if text == _NULL_LABEL else text
 
 
 def _convert(convert, text: str, lineno: int):
@@ -207,7 +257,7 @@ def _convert(convert, text: str, lineno: int):
 def _rows_text(trace: SideChannelTrace, rows, ids=None) -> str:
     """Trace file lines of `rows` (not empty), each led by its id if given."""
     pages, inverse = np.unique(trace.page[rows], return_inverse=True)
-    hexes = np.array([f"0x{p * PAGE_SIZE:x}" for p in pages.tolist()], dtype=object)
+    hexes = np.array([f"{p * PAGE_SIZE:#x}" for p in pages.tolist()], dtype=object)
     columns = [
         hexes[inverse].tolist(),
         trace.mode[rows].tobytes().decode("ascii"),
@@ -233,86 +283,45 @@ def _ints(strings: list[str], base: int) -> np.ndarray:
     return np.fromiter(map(values.__getitem__, strings), np.int64, len(strings))
 
 
-def _bulk_trace_rows(lines: list[str]):
-    """Columns of unquoted, well-formed trace lines, parsed in bulk.
-
-    Returns None if any line fails a check, so that the caller parses the
-    lines one at a time and reports the first bad one.
-    """
-    n = len(lines)
-    text = ",".join(lines)
-    if (
-        '"' in text
-        or max(map(len, lines)) > csv.field_size_limit()
-        or set(map(str.count, lines, repeat(","))) != {3}
-    ):
-        return None
-    fields = text.split(",")
-    try:
-        addr = _ints(fields[0::4], 16)
-        pf = _ints(fields[2::4], 10)
-        latency = _ints(fields[3::4], 10)
-    except (ValueError, OverflowError):  # OverflowError: outside int64
-        return None
-    modes = "".join(fields[1::4])
-    if len(modes) != n or not modes.isascii():
-        return None
-    mode = np.frombuffer(modes.encode("ascii"), np.uint8)
-    if not np.isin(mode, _MODES).all() or (addr % PAGE_SIZE).any():
-        return None
-    return addr // PAGE_SIZE, mode, pf, latency
+def _int64(name: str, text: str, base: int = 10) -> int:
+    value = int(text, base)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{name} {text!r} does not fit in int64")
+    return value
 
 
-def _trace_rows(numbered):
-    """Columns of `(lineno, line)` trace lines parsed one at a time.
+def _address(text: str) -> int:
+    addr = _int64("address", text, 16)
+    if addr % PAGE_SIZE:
+        raise ValueError(f"address {addr:#x} not page aligned")
+    return addr
 
-    Raises a FormatError on the first line that is not a valid row.
-    """
-    page, mode, pf, latency = [], [], [], []
-    for lineno, (addr_s, mode_s, pf_s, lat_s) in _split_rows(numbered, 4):
-        addr = _convert(partial(int, base=16), addr_s, lineno)
-        pf_count = _convert(int, pf_s, lineno)
-        lat = _convert(int, lat_s, lineno)
-        for name, value, text in (
-            ("address", addr, addr_s), ("pf_count", pf_count, pf_s), ("latency", lat, lat_s)
-        ):
-            if not _INT64_MIN <= value <= _INT64_MAX:
-                raise FormatError(f"{name} {text!r} does not fit in int64", lineno)
-        if mode_s not in ("R", "W", "E"):
-            raise FormatError(f"bad access mode {mode_s!r}", lineno)
-        if addr % PAGE_SIZE:
-            raise FormatError(f"address 0x{addr:x} not page aligned", lineno)
-        page.append(addr // PAGE_SIZE)
-        mode.append(ord(mode_s))
-        pf.append(pf_count)
-        latency.append(lat)
-    return (
-        np.array(page, dtype=np.int64),
-        np.array(mode, dtype=np.uint8),
-        np.array(pf, dtype=np.int64),
-        np.array(latency, dtype=np.int64),
-    )
+
+def _mode(text: str) -> str:
+    if text not in _MODES:
+        raise ValueError(f"bad access mode {text!r}")
+    return text
+
+
+_TRACE_CONVERTERS = (
+    _address, _mode, lambda text: _int64("pf_count", text), lambda text: _int64("latency", text)
+)
+
+
+def _trace_columns(fields: list[str]):
+    """Page, mode, pf and latency columns of a chunk's trace rows."""
+    addr = _ints(fields[0::4], 16)
+    modes = fields[1::4]
+    if not _MODES.issuperset(modes) or (addr % PAGE_SIZE).any():
+        raise ValueError("bad mode or address")
+    mode = np.frombuffer("".join(modes).encode("ascii"), np.uint8)
+    return addr // PAGE_SIZE, mode, _ints(fields[2::4], 10), _ints(fields[3::4], 10)
 
 
 def read_trace(path) -> SideChannelTrace:
-    """Read a trace file into columns, _CHUNK_LINES lines at a time.
-
-    Each chunk is parsed in bulk; a chunk that holds a quote or fails a
-    check is parsed line by line, which also words the error of its
-    first bad line.
-    """
+    """Read a trace file into columns, _CHUNK_LINES lines at a time."""
     lines = _Lines(path, "trace")
-    parts = [_trace_rows(())]  # typed empty columns
-    header = None
-    for linenos, chunk in lines.chunks():
-        if header is None and chunk:
-            header = chunk[0]
-            _check_columns(linenos[0], header, _TRACE_COLUMNS)
-            linenos, chunk = linenos[1:], chunk[1:]
-        if chunk:
-            parts.append(_bulk_trace_rows(chunk) or _trace_rows(zip(linenos, chunk)))
-    if header is None:
-        _check_columns(None, "", _TRACE_COLUMNS)
+    parts = [_trace_columns([]), *_table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_columns)]
     page, mode, pf, latency = (np.concatenate(column) for column in zip(*parts))
     seed = lines.meta.get("layout_seed")
     try:
@@ -364,10 +373,7 @@ def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -
 
 def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
     lines = _Lines(path, "truth")
-    truth: list[tuple[int, str | None]] = []
-    for lineno, (idx_s, label) in _csv_rows(lines, _TRUTH_COLUMNS):
-        truth.append((_convert(int, idx_s, lineno), None if label == _NULL_LABEL else label))
-    return truth, lines.meta
+    return list(chain.from_iterable(_table(lines, _TRUTH_COLUMNS, (int, _label)))), lines.meta
 
 
 # ----------------------------------------------------------- predictions
@@ -386,15 +392,8 @@ def write_predictions(
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:
     lines = _Lines(path, "predictions")
-    out = []
-    for lineno, (seg_s, label, score_s, margin_s) in _csv_rows(lines, _PREDICTION_COLUMNS):
-        out.append((
-            _convert(int, seg_s, lineno),
-            None if label == _NULL_LABEL else label,
-            _convert(float, score_s, lineno),
-            _convert(float, margin_s, lineno),
-        ))
-    return out, lines.meta
+    rows = _table(lines, _PREDICTION_COLUMNS, (int, _label, float, float))
+    return list(chain.from_iterable(rows)), lines.meta
 
 
 # --------------------------------------------------------- fingerprint DB

@@ -14,6 +14,7 @@ from optrace.machine import (
     NativeStep,
     NoiseModel,
     PageClass,
+    SideChannelTrace,
     StackRole,
     StepEvent,
     StepKind,
@@ -311,6 +312,24 @@ def test_bulk_multistep_merge_matches_the_event_by_event_walk(prob, seed):
     merged = _merge_multisteps(np.random.default_rng(seed), prob, trace)
     want = merge_event_by_event(np.random.default_rng(seed), prob, trace.events, trace.truth)
     assert (merged.events, merged.truth) == want
+
+
+def test_take_moves_truth_pairs_with_their_rows():
+    events = [StepEvent(page, "R", 0, 10 * page) for page in range(5)]
+    truth = ((0, "a"), (2, "b"), (3, None), (4, "c"), (7, "out"), (-1, "neg"))
+    trace = SideChannelTrace.from_events(events, truth=truth, layout_seed=4)
+
+    kept = trace.take(np.array([True, False, True, False, True]))
+    assert [ev.page for ev in kept.events] == [0, 2, 4]
+    assert kept.truth == ((0, "a"), (1, "b"), (2, "c"))
+    assert kept.layout_seed == 4
+
+    tail = trace.take(slice(2, 4))
+    assert [ev.page for ev in tail.events] == [2, 3]
+    assert tail.truth == ((0, "b"), (1, None))
+
+    bare = SideChannelTrace.from_events(events).take(slice(1, 3))
+    assert bare.truth is None and len(bare) == 2
 
 
 def test_synthesis_is_deterministic_for_fixed_seeds():

@@ -15,6 +15,7 @@ from optrace.machine import (
     PAGE_SIZE,
     LayoutConfig,
     NoiseModel,
+    SideChannelTrace,
     StepEvent,
     build_layout,
     synthesize_trace,
@@ -161,7 +162,7 @@ _MUTATIONS = {
 )
 def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
     # Few lines per chunk, so rows, blank lines and comments straddle chunk
-    # boundaries; the quoted fields send their chunks down the per-line path.
+    # boundaries; a quoted field sends its chunk through `csv` line by line.
     text = "# optrace trace v1\naddress,mode,pf_count,latency\n"
     lineno = 2
     linenos = []
@@ -189,6 +190,38 @@ def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
         back = read_trace(path)
     assert back.events == [StepEvent(row[0], row[1], row[2], row[3]) for row in rows]
     assert back.layout_seed == 5
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("0x1001,Q,1,10", "address 0x1001 not page aligned"),
+        ("0x1000,Q,x,10", "bad access mode 'Q'"),
+        ("0x1000,R,9223372036854775808,x", "pf_count '9223372036854775808' does not fit"),
+    ],
+)
+def test_read_trace_reports_the_leftmost_bad_field_of_a_row(tmp_path, row, message):
+    path = tmp_path / "two.trace"
+    path.write_text(f"# optrace trace v1\naddress,mode,pf_count,latency\n0x0,R,1,10\n{row}\n")
+    with pytest.raises(FormatError, match=message) as info:
+        read_trace(path)
+    assert info.value.line == 4
+
+
+def test_read_trace_rejects_modes_that_only_add_up_to_one_per_row(tmp_path):
+    path = tmp_path / "modes.trace"
+    path.write_text("# optrace trace v1\naddress,mode,pf_count,latency\n0x0,RW,1,10\n0x0,,1,10\n")
+    with pytest.raises(FormatError, match="bad access mode 'RW'") as info:
+        read_trace(path)
+    assert info.value.line == 3
+
+
+def test_negative_page_round_trips(tmp_path):
+    trace = SideChannelTrace.from_events([StepEvent(-1, "R", 1, 10), StepEvent(2, "W", 0, 5)])
+    path = tmp_path / "neg.trace"
+    write_trace(path, trace)
+    assert path.read_text().splitlines()[-2:] == ["-0x1000,R,1,10", "0x2000,W,0,5"]
+    assert read_trace(path).events == trace.events
 
 
 def test_read_trace_header_grammar(tmp_path):
@@ -276,6 +309,26 @@ def test_csv_readers_share_header_checks(tmp_path, reader, kind, columns, row):
     assert info.value.line == 5
 
 
+@pytest.mark.parametrize(
+    "reader,kind,columns,row,bad,message",
+    [
+        (read_trace, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10",
+         "0x1000,R,1,x", "invalid literal"),
+        (read_truth, "truth", "boundary_index,label", "0,nop", "x,nop", "invalid literal"),
+        (read_predictions, "predictions", "segment_id,label,score,margin", "0,nop,1.0,0.0",
+         "0,nop,1.0,low", "could not convert"),
+    ],
+    ids=["trace", "truth", "predictions"],
+)
+def test_csv_readers_report_the_first_bad_line(tmp_path, reader, kind, columns, row, bad, message):
+    # A bad value on line 4 comes before a bad field count on line 5 in the same chunk.
+    path = tmp_path / "f.csv"
+    path.write_text(f"# optrace {kind} v1\n{columns}\n{row}\n{bad}\n{row},9\n")
+    with pytest.raises(FormatError, match=message) as info:
+        reader(path)
+    assert info.value.line == 4
+
+
 def test_write_segments_exports_annotated_rows(tmp_path):
     from optrace.preprocess import preprocess_trace
 
@@ -337,6 +390,76 @@ def test_read_predictions_rejects_bad_score(tmp_path):
     with pytest.raises(FormatError) as info:
         read_predictions(path)
     assert info.value.line == 3
+
+
+# A truth or prediction row's values, and how it is written.
+_LABELED_ROWS = st.lists(
+    st.tuples(
+        st.integers(-(2**70), 2**70),
+        st.sampled_from(["NULL", "i32.add", "br_if", "a b", "x,y"]),
+        st.floats(allow_nan=False),
+        st.floats(allow_nan=False),
+        st.sampled_from(["\n", "\r\n", "\r"]),  # line ending
+        st.sampled_from(["", "\x0c", " ", "# note"]),  # a line break or a line before it
+        st.booleans(),  # quote the label field
+    ),
+    max_size=14,
+)
+# Per kind: reader, column line, field count, and three ways to spoil a row.
+_LABELED_KINDS = {
+    "truth": (read_truth, "boundary_index,label", 2, [
+        (lambda f: ["x", *f[1:]], "invalid literal"),
+        (lambda f: f[:1], "expected 2 fields"),
+        (lambda f: [*f, "9"], "expected 2 fields"),
+    ]),
+    "predictions": (read_predictions, "segment_id,label,score,margin", 4, [
+        (lambda f: ["x", *f[1:]], "invalid literal"),
+        (lambda f: f[:3], "expected 4 fields"),
+        (lambda f: [*f[:2], "high", f[3]], "could not convert string to float"),
+    ]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_LABELED_KINDS)),
+    rows=_LABELED_ROWS,
+    chunk=st.integers(1, 5),
+    mutation=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 99)),
+)
+def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, chunk, mutation):
+    # As for traces: rows, blank lines and comments straddle chunk boundaries,
+    # and a quoted label sends its chunk through `csv` line by line.
+    reader, columns, width, mutations = _LABELED_KINDS[kind]
+    text = f"# optrace {kind} v1\n# config_hash=ab12\n{columns}\n"
+    lineno = 3
+    linenos = []
+    bad = mutation and rows and mutation[1] % len(rows)
+    for k, (idx, label, score, margin, end, before, quoted) in enumerate(rows):
+        fields = [str(idx), f'"{label}"' if quoted or "," in label else label]
+        fields += [repr(score), repr(margin)][: width - 2]
+        if mutation and rows and k == bad:
+            fields = mutations[mutation[0]][0](fields)
+        if before in (" ", "# note"):
+            before += end  # a blank or comment line; never a bare LF, which would join a CR
+        text += before + ",".join(fields) + end
+        lineno += 1 + (before != "")
+        linenos.append(lineno)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        path = Path(tmp) / f"rows.{kind}"
+        path.write_bytes(text.encode())
+        if mutation and rows:
+            with pytest.raises(FormatError, match=mutations[mutation[0]][1]) as info:
+                reader(path)
+            assert info.value.line == linenos[bad]
+            return
+        back, meta = reader(path)
+    want = [
+        (idx, None if label == "NULL" else label, score, margin)[:width]
+        for idx, label, score, margin, *_ in rows
+    ]
+    assert back == want
+    assert meta == {"config_hash": "ab12"}
 
 
 # ------------------------------------------------------------ fingerprints
