@@ -69,34 +69,32 @@ class EvalError(ValueError):
     """Prediction and truth files do not describe the same run."""
 
 
+def _section(cfg, name: str) -> dict[str, object]:
+    """The `name.*` settings of `cfg`, keyed by what follows the dot."""
+    prefix = name + "."
+    return {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
+
+
+def _settings(cls, cfg, name: str, **extra):
+    """`cls` built from the `name.*` settings; a value it rejects is a usage error."""
+    try:
+        return cls(**_section(cfg, name), **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _noise_from_config(cfg, seed: int, zero: bool = False) -> NoiseModel:
     if zero:
         return NoiseModel.zero(rng_seed=seed)
-    return NoiseModel(
-        latency_jitter_sigma=cfg["noise.latency_jitter_sigma"],
-        apic_quantum=cfg["noise.apic_quantum"],
-        ctx_switch_rate=cfg["noise.ctx_switch_rate"],
-        ctx_switch_extra_steps_mean=cfg["noise.ctx_switch_extra_steps_mean"],
-        multistep_prob=cfg["noise.multistep_prob"],
-        rng_seed=seed,
-    )
+    return _settings(NoiseModel, cfg, "noise", rng_seed=seed)
 
 
 def _layout_from_config(cfg) -> LayoutConfig:
-    return LayoutConfig(
-        stack_pages=cfg["layout.stack_pages"],
-        bytecode_pages=cfg["layout.bytecode_pages"],
-        linear_pages=cfg["layout.linear_pages"],
-        span=cfg["layout.span"],
-    )
+    return _settings(LayoutConfig, cfg, "layout")
 
 
 def _mitigation_from_config(cfg) -> MitigationConfig:
-    return MitigationConfig(
-        nop_insertion_prob=cfg["mitigation.nop_insertion_prob"],
-        shuffle_handlers=cfg["mitigation.shuffle_handlers"],
-        variant_count=cfg["mitigation.variant_count"],
-    )
+    return _settings(MitigationConfig, cfg, "mitigation")
 
 
 _CHANNEL_NAMES = {c.value: c for c in Channel}
@@ -215,12 +213,7 @@ def _cmd_profile(args) -> int:
 
 
 def _preprocess(cfg, trace):
-    return preprocess_trace(
-        trace,
-        coverage_target=cfg["preprocess.coverage_target"],
-        window=cfg["preprocess.window"],
-        min_rw_frac=cfg["preprocess.min_rw_frac"],
-    )
+    return preprocess_trace(trace, **_section(cfg, "preprocess"))
 
 
 def _attack(cfg, trace, db, channels, out):
@@ -320,15 +313,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# All channels, then each channel left out in turn, last channel first.
 _ABLATION_SETS = [
-    "mode,class,pf,latency",
-    "mode,class,pf",
-    "mode,class,latency",
-    "mode,pf,latency",
-    "class,pf,latency",
+    ",".join(c.value for c in Channel if c is not out) for out in (None, *reversed(Channel))
 ]
-
-_CHANNEL_ORDER = [Channel.MODE, Channel.CLASS, Channel.PF, Channel.LATENCY]
 
 
 def _dedup_subsets(specs: list[str]) -> list[frozenset[Channel]]:
@@ -356,7 +344,7 @@ def _cmd_ablate(args) -> int:
     for channels in subsets:
         predictions = match_trace(segments, db, channels)
         report = _evaluate([p.label for p in predictions], truth_labels, args.strict)
-        shown = "+".join(c.value for c in _CHANNEL_ORDER if c in channels)
+        shown = "+".join(c.value for c in Channel if c in channels)
         lines.append(
             f"{shown},{report.recall:.3f},{report.n},{report.correct},"
             f"{report.wrong},{report.missed},{report.inserted}"
@@ -419,6 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value settings file")
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    program = argparse.ArgumentParser(add_help=False)
+    program.add_argument("--workload", default="benchmark",
+                         choices=["benchmark", "reference", "primes"])
+    program.add_argument("--module", metavar="FILE", help="flat module text to run instead")
+    program.add_argument("--iterations", type=int, default=55)
+    synthesis = argparse.ArgumentParser(add_help=False)
+    synthesis.add_argument("--step-limit", type=int, default=10_000_000)
+    synthesis.add_argument("--zero-noise", action="store_true")
+    profiling = argparse.ArgumentParser(add_help=False)
+    profiling.add_argument("--repeats", type=int, default=32)
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--strict", action="store_true",
+                         help="exact mnemonics instead of opcode families")
 
     parser = argparse.ArgumentParser(
         prog="optrace",
@@ -426,13 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", parents=[common], help="generate a victim trace")
-    synth.add_argument("--workload", default="benchmark",
-                       choices=["benchmark", "reference", "primes"])
-    synth.add_argument("--module", metavar="FILE", help="flat module text to run instead")
-    synth.add_argument("--iterations", type=int, default=55)
-    synth.add_argument("--step-limit", type=int, default=10_000_000)
-    synth.add_argument("--zero-noise", action="store_true")
+    synth = sub.add_parser("synth", parents=[common, program, synthesis],
+                           help="generate a victim trace")
     synth.add_argument("--markers", action="store_true",
                        help="instrumented profiling build (marker page writes)")
     synth.add_argument("--out-trace", default="victim.csv")
@@ -441,15 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resolved settings path (default: trace path, .config)")
     synth.set_defaults(func=_cmd_synth)
 
-    profile = sub.add_parser("profile", parents=[common],
+    profile = sub.add_parser("profile", parents=[common, synthesis, profiling],
                              help="build a fingerprint database")
     profile.add_argument("--trace", metavar="FILE",
                          help="marker-instrumented trace CSV (default: synthesize)")
     profile.add_argument("--truth", metavar="FILE",
                          help="truth CSV matching --trace")
-    profile.add_argument("--repeats", type=int, default=32)
-    profile.add_argument("--step-limit", type=int, default=10_000_000)
-    profile.add_argument("--zero-noise", action="store_true")
     profile.add_argument("--out", default="db.txt")
     profile.set_defaults(func=_cmd_profile)
 
@@ -457,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="recover opcode labels from a trace")
     attack.add_argument("--trace", required=True)
     attack.add_argument("--db", required=True)
-    attack.add_argument("--channels", help="comma list: mode,class,pf,latency")
+    attack.add_argument("--channels", help=f"comma list: {','.join(_CHANNEL_NAMES)}")
     attack.add_argument("--out", default="predictions.csv")
     attack.set_defaults(func=_cmd_attack)
 
@@ -468,40 +461,32 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write segmented trace CSV (segment_id column)")
     prep.set_defaults(func=_cmd_preprocess)
 
-    ev = sub.add_parser("eval", parents=[common], help="score predictions against truth")
+    ev = sub.add_parser("eval", parents=[common, scoring],
+                        help="score predictions against truth")
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--counts", action="store_true", help="print error breakdown")
-    ev.add_argument("--strict", action="store_true",
-                    help="exact mnemonics instead of opcode families")
     ev.add_argument("--force", action="store_true",
                     help="skip the same-run header check")
     ev.add_argument("--out-confusion", metavar="FILE",
                     help="write confusion matrix CSV")
     ev.set_defaults(func=_cmd_eval)
 
-    ablate = sub.add_parser("ablate", parents=[common],
+    ablate = sub.add_parser("ablate", parents=[common, scoring],
                             help="recall per fingerprint-channel subset")
     ablate.add_argument("--trace", required=True)
     ablate.add_argument("--db", required=True)
     ablate.add_argument("--truth", required=True)
-    ablate.add_argument("--strict", action="store_true")
     ablate.add_argument("--subsets", metavar="LISTS",
                         help="semicolon-separated channel lists "
                              "(default: full plus each leave-one-out)")
     ablate.add_argument("--out", metavar="FILE", help="write table instead of stdout")
     ablate.set_defaults(func=_cmd_ablate)
 
-    end2end = sub.add_parser("end2end", parents=[common],
-                             help="profile, synthesize, attack, and evaluate")
-    end2end.add_argument("--workload", default="benchmark",
-                         choices=["benchmark", "reference", "primes"])
-    end2end.add_argument("--module", metavar="FILE")
-    end2end.add_argument("--iterations", type=int, default=55)
-    end2end.add_argument("--repeats", type=int, default=32)
-    end2end.add_argument("--step-limit", type=int, default=10_000_000)
-    end2end.add_argument("--zero-noise", action="store_true")
-    end2end.add_argument("--strict", action="store_true")
+    end2end = sub.add_parser(
+        "end2end", parents=[common, program, synthesis, profiling, scoring],
+        help="profile, synthesize, attack, and evaluate",
+    )
     end2end.add_argument("--out-dir", default="optrace-out")
     end2end.set_defaults(func=_cmd_end2end)
     return parser

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bytecode import OpcodeTrace
-from .opcodes import OpcodeId, all_opcodes, opcode_info
+from .opcodes import OPCODES, OpcodeId, all_opcodes, opcode_info
 
 __all__ = [
     "PageClass",
@@ -164,6 +164,13 @@ class LayoutConfig:
     def __post_init__(self):
         if min(self.stack_pages, self.bytecode_pages, self.linear_pages) < 1:
             raise ValueError("page counts must be >= 1")
+        if self.frames > self.span:
+            raise ValueError(f"layout needs {self.frames} frames but span is {self.span}")
+
+    @property
+    def frames(self) -> int:
+        """Distinct frames a layout takes: optable, marker, regions and handlers."""
+        return 2 + len(OPCODES) + self.stack_pages + self.bytecode_pages + self.linear_pages
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,8 @@ def build_layout(seed: int, config: LayoutConfig | None = None) -> MemoryLayout:
     """Deterministically place every interpreter region on distinct frames."""
     config = config or LayoutConfig()
     opcodes = all_opcodes()
-    needed = 2 + len(opcodes) + config.stack_pages + config.bytecode_pages + config.linear_pages
-    if needed > config.span:
-        raise ValueError(f"layout needs {needed} frames but span is {config.span}")
     rng = np.random.default_rng(seed)
-    frames = [int(f) for f in rng.choice(config.span, size=needed, replace=False)]
+    frames = [int(f) for f in rng.choice(config.span, size=config.frames, replace=False)]
     it = iter(frames)
     optable = next(it)
     marker = next(it)

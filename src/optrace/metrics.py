@@ -67,25 +67,23 @@ def classify_outcomes(
     """
     if len(truth_labels) != len(predicted_labels):
         raise ValueError("truth and prediction streams have different lengths")
-    canon = (lambda x: x) if strict else family_of
+    confusion = Counter(zip(truth_labels, predicted_labels))
+    if not strict:
+        raw, confusion = confusion, Counter()
+        for (truth, pred), count in raw.items():
+            confusion[(family_of(truth), family_of(pred))] += count
     correct = wrong = missed = inserted = 0
-    confusion: Counter = Counter()
-    for truth, pred in zip(truth_labels, predicted_labels):
-        confusion[(canon(truth), canon(pred))] += 1
-        if truth is None:
-            if pred is None:
-                correct += 1
-            else:
-                inserted += 1
+    for (truth, pred), count in confusion.items():
+        if truth == pred:
+            correct += count
         elif pred is None:
-            missed += 1
-        elif canon(truth) == canon(pred):
-            correct += 1
+            missed += count
+        elif truth is None:
+            inserted += count
         else:
-            wrong += 1
-    n = len(truth_labels)
+            wrong += count
     return RecallReport(
-        n=n,
+        n=len(truth_labels),
         correct=correct,
         wrong=wrong,
         missed=missed,
@@ -115,23 +113,22 @@ def align_free(truth_seq, pred_seq) -> AlignmentCounts:
     traceback prefers substitution, then deletion, then insertion, which
     keeps error placement deterministic.  Quadratic in sequence length.
     """
-    a, b = list(truth_seq), list(pred_seq)
+    codes: dict = {}
+    a = [codes.setdefault(x, len(codes)) for x in truth_seq]
+    b = [codes.setdefault(x, len(codes)) for x in pred_seq]
     la, lb = len(a), len(b)
+    b_codes = np.array(b, dtype=np.int64)
+    cols = np.arange(1, lb + 1)
     dp = np.zeros((la + 1, lb + 1), dtype=np.int64)
     dp[:, 0] = np.arange(la + 1)
     dp[0, :] = np.arange(lb + 1)
     for i in range(1, la + 1):
-        ai = a[i - 1]
-        sub = dp[i - 1, :-1] + np.array([0 if ai == x else 1 for x in b], dtype=np.int64)
-        dele = dp[i - 1, 1:] + 1
-        row = dp[i]
-        prev = dp[i, 0]
-        # np.minimum can't resolve the left-dependency, so finish the row
-        # with a scan over the candidate of sub/del vs insertion.
-        cand = np.minimum(sub, dele)
-        for j in range(1, lb + 1):
-            prev = min(cand[j - 1], prev + 1)
-            row[j] = prev
+        sub = dp[i - 1, :-1] + (b_codes != a[i - 1])
+        cand = np.minimum(sub, dp[i - 1, 1:] + 1)
+        # dp[i, j] = min(cand[j - 1], dp[i, j - 1] + 1) unrolls to
+        # j + min over k <= j of (cand[k - 1] - k); the all-insertion path
+        # from dp[i, 0] = i never wins, since cand[0] <= i.
+        dp[i, 1:] = cols + np.minimum.accumulate(cand - cols)
     matched = substituted = deleted = inserted = 0
     i, j = la, lb
     while i > 0 or j > 0:

@@ -8,13 +8,16 @@ the page number is address / 4096.
 
 import csv
 import hashlib
+from dataclasses import fields
+from inspect import signature
 from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .machine import PAGE_SIZE, SideChannelTrace
-from .preprocess import Segments
+from .machine import PAGE_SIZE, LayoutConfig, MitigationConfig, NoiseModel, SideChannelTrace
+from .matcher import Channel
+from .preprocess import Segments, preprocess_trace
 from .profiler import Fingerprint, FingerprintDb
 
 __all__ = [
@@ -465,24 +468,26 @@ def read_db(path) -> FingerprintDb:
 
 # ----------------------------------------------------------------- config
 
+def _field_defaults(section: str, cls, skip=()) -> dict[str, object]:
+    return {
+        f"{section}.{f.name}": f.default for f in fields(cls) if f.name not in skip
+    }
+
+
 # One flat namespace of dotted keys; values are coerced to the default's type.
+# Each section is stated once, by the code that takes it: the fields of the
+# noise, layout and mitigation settings (the noise seed comes from --seed),
+# preprocess_trace's keyword arguments, and every matcher channel.
 DEFAULT_CONFIG: dict[str, object] = {
-    "noise.latency_jitter_sigma": 60.0,
-    "noise.apic_quantum": 35,
-    "noise.ctx_switch_rate": 1953 / 10_000_000,
-    "noise.ctx_switch_extra_steps_mean": 2258.0,
-    "noise.multistep_prob": 10 / 2_810_963_156,
-    "layout.stack_pages": 2,
-    "layout.bytecode_pages": 2,
-    "layout.linear_pages": 2,
-    "layout.span": 1 << 20,
-    "mitigation.nop_insertion_prob": 0.0,
-    "mitigation.shuffle_handlers": False,
-    "mitigation.variant_count": 1,
-    "preprocess.coverage_target": 0.95,
-    "preprocess.window": 16,
-    "preprocess.min_rw_frac": 0.005,
-    "match.channels": "mode,class,pf,latency",
+    **_field_defaults("noise", NoiseModel, skip={"rng_seed"}),
+    **_field_defaults("layout", LayoutConfig),
+    **_field_defaults("mitigation", MitigationConfig),
+    **{
+        f"preprocess.{p.name}": p.default
+        for p in signature(preprocess_trace).parameters.values()
+        if p.default is not p.empty
+    },
+    "match.channels": ",".join(c.value for c in Channel),
 }
 
 

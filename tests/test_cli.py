@@ -4,8 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from optrace import cli
 from optrace.cli import main
-from optrace.traceio import read_db, trace_meta
+from optrace.machine import LayoutConfig, MitigationConfig, NoiseModel
+from optrace.matcher import Channel
+from optrace.traceio import load_config, read_db, trace_meta
 
 from support import run_optrace
 
@@ -262,6 +265,78 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
     ) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "layout.stack_pages = 0",
+        "mitigation.variant_count = 0",
+        "mitigation.nop_insertion_prob = 1.5",
+        "layout.span = 10",
+    ],
+)
+def test_out_of_range_setting_is_a_usage_error(tmp_path, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(setting + "\n")
+    proc = run_optrace(
+        "synth", "--workload", "primes", "--config", bad,
+        "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
+        cwd=tmp_path, hash_seed="0",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {setting.split('.')[0]}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_config_key_reaches_the_code_that_owns_it(tmp_path, monkeypatch):
+    path = tmp_path / "all.cfg"
+    path.write_text(
+        "noise.latency_jitter_sigma = 12.5\n"
+        "noise.apic_quantum = 7\n"
+        "noise.ctx_switch_rate = 0.001\n"
+        "noise.ctx_switch_extra_steps_mean = 99.5\n"
+        "noise.multistep_prob = 0.25\n"
+        "layout.stack_pages = 3\n"
+        "layout.bytecode_pages = 4\n"
+        "layout.linear_pages = 5\n"
+        "layout.span = 4096\n"
+        "mitigation.nop_insertion_prob = 0.5\n"
+        "mitigation.shuffle_handlers = true\n"
+        "mitigation.variant_count = 3\n"
+        "preprocess.coverage_target = 0.9\n"
+        "preprocess.window = 8\n"
+        "preprocess.min_rw_frac = 0.01\n"
+        "match.channels = mode,pf\n"
+    )
+    cfg = load_config(path)
+    assert cli._noise_from_config(cfg, 41) == NoiseModel(
+        latency_jitter_sigma=12.5,
+        apic_quantum=7,
+        ctx_switch_rate=0.001,
+        ctx_switch_extra_steps_mean=99.5,
+        multistep_prob=0.25,
+        rng_seed=41,
+    )
+    assert cli._noise_from_config(cfg, 41, zero=True) == NoiseModel.zero(rng_seed=41)
+    assert cli._layout_from_config(cfg) == LayoutConfig(
+        stack_pages=3, bytecode_pages=4, linear_pages=5, span=4096
+    )
+    assert cli._mitigation_from_config(cfg) == MitigationConfig(
+        nop_insertion_prob=0.5, shuffle_handlers=True, variant_count=3
+    )
+    seen = {}
+
+    def fake_preprocess(trace, **kwargs):
+        seen.update(kwargs, trace=trace)
+        return "report"
+
+    monkeypatch.setattr(cli, "preprocess_trace", fake_preprocess)
+    assert cli._preprocess(cfg, "trace") == "report"
+    assert seen == {
+        "trace": "trace", "coverage_target": 0.9, "window": 8, "min_rw_frac": 0.01,
+    }
+    assert cli._parse_channels(cfg["match.channels"]) == {Channel.MODE, Channel.PF}
 
 
 def test_malformed_trace_file_is_a_data_error(pipeline, tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Recovery metrics: outcome classification, recall arithmetic, alignment."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optrace.metrics import (
     AlignmentCounts,
+    RecallReport,
     align_free,
     classify_outcomes,
     family_of,
@@ -100,6 +103,29 @@ def test_classify_empty_streams_have_no_recall():
 LABEL_POOL = ["i32.add", "i64.add", "i32.sub", "call", "nop", None]
 
 
+def classify_row_by_row(truth_labels, predicted_labels, strict):
+    """One branch per region, kept independent of the library implementation."""
+    canon = (lambda x: x) if strict else family_of
+    counts = Counter()
+    confusion = Counter()
+    for truth, pred in zip(truth_labels, predicted_labels):
+        confusion[(canon(truth), canon(pred))] += 1
+        if truth is None:
+            counts["correct" if pred is None else "inserted"] += 1
+        elif pred is None:
+            counts["missed"] += 1
+        else:
+            counts["correct" if canon(truth) == canon(pred) else "wrong"] += 1
+    return RecallReport(
+        n=len(truth_labels),
+        correct=counts["correct"],
+        wrong=counts["wrong"],
+        missed=counts["missed"],
+        inserted=counts["inserted"],
+        confusion=confusion,
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     pairs=st.lists(
@@ -113,6 +139,7 @@ def test_classify_outcomes_partition_every_region(pairs):
     pred = [p for _, p in pairs]
     for strict in (False, True):
         report = classify_outcomes(truth, pred, strict=strict)
+        assert report == classify_row_by_row(truth, pred, strict)
         assert (
             report.correct + report.wrong + report.missed + report.inserted
             == report.n
@@ -209,6 +236,56 @@ def test_align_accepts_arbitrary_hashable_items():
 )
 def test_align_matches_edit_distance(a, b):
     check_against_oracle(a, b)
+
+
+def align_cell_by_cell(truth_seq, pred_seq):
+    """The DP filled one cell at a time, with the library's traceback tie order."""
+    a, b = list(truth_seq), list(pred_seq)
+    la, lb = len(a), len(b)
+    dp = np.zeros((la + 1, lb + 1), dtype=np.int64)
+    dp[:, 0] = np.arange(la + 1)
+    dp[0, :] = np.arange(lb + 1)
+    for i in range(1, la + 1):
+        for j in range(1, lb + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            dp[i, j] = min(dp[i - 1, j - 1] + cost, dp[i - 1, j] + 1, dp[i, j - 1] + 1)
+    counts = Counter()
+    i, j = la, lb
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            step = 0 if a[i - 1] == b[j - 1] else 1
+            if dp[i, j] == dp[i - 1, j - 1] + step:
+                counts["substituted" if step else "matched"] += 1
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+            counts["deleted"] += 1
+            i -= 1
+            continue
+        counts["inserted"] += 1
+        j -= 1
+    return AlignmentCounts(
+        n=la,
+        matched=counts["matched"],
+        substituted=counts["substituted"],
+        deleted=counts["deleted"],
+        inserted=counts["inserted"],
+    )
+
+
+ALIGN_POOL = ["i32.add", "i64.add", "call", "br_if", "x", None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.lists(st.sampled_from(ALIGN_POOL), max_size=40),
+    b=st.lists(st.sampled_from(ALIGN_POOL), max_size=40),
+)
+def test_align_counts_equal_the_cell_by_cell_dp(a, b):
+    # Equal counts, not only an equal distance: the traceback's tie order
+    # (substitution, then deletion, then insertion) must not change.
+    assert align_free(a, b) == align_cell_by_cell(a, b)
 
 
 # -------------------------------------------------------------- naive match

@@ -632,6 +632,57 @@ def test_config_hash_is_stable_and_sensitive():
     assert config_hash(a) != config_hash(b)
 
 
+DEFAULT_CONFIG_TEXT = """\
+layout.bytecode_pages = 2
+layout.linear_pages = 2
+layout.span = 1048576
+layout.stack_pages = 2
+match.channels = mode,class,pf,latency
+mitigation.nop_insertion_prob = 0.0
+mitigation.shuffle_handlers = False
+mitigation.variant_count = 1
+noise.apic_quantum = 35
+noise.ctx_switch_extra_steps_mean = 2258.0
+noise.ctx_switch_rate = 0.0001953
+noise.latency_jitter_sigma = 60.0
+noise.multistep_prob = 3.55749949217762e-09
+preprocess.coverage_target = 0.95
+preprocess.min_rw_frac = 0.005
+preprocess.window = 16
+"""
+
+
+def test_default_config_is_pinned(tmp_path):
+    # Every artifact header carries this hash, and every synthesized trace
+    # this text: a default that moves changes both.
+    assert config_hash(load_config(None)) == "0a23cce4961a"
+    path = tmp_path / "default.config"
+    write_config(path, load_config(None))
+    assert path.read_text() == DEFAULT_CONFIG_TEXT
+
+
+def _readme_config_block() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Configuration", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()]
+
+
+def _shown_as(default, shown: str) -> bool:
+    """Whether README's `shown` is `default` at the precision it prints."""
+    if isinstance(default, float):
+        digits = shown.lower().split("e")[0].replace("-", "").replace(".", "").lstrip("0")
+        return float(shown) == float(f"{default:.{max(len(digits), 1)}g}")
+    return shown == str(default)
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    rows = [line.partition(" = ") for line in _readme_config_block()]
+    assert [key for key, _, _ in rows] == list(DEFAULT_CONFIG)
+    for key, _, shown in rows:
+        assert _shown_as(DEFAULT_CONFIG[key], shown), (key, shown)
+
+
 def test_config_hash_ignores_key_order():
     a = dict(DEFAULT_CONFIG)
     b = dict(reversed(list(DEFAULT_CONFIG.items())))
