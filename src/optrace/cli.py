@@ -29,6 +29,7 @@ from .metrics import classify_outcomes
 from .preprocess import (
     DetectionError,
     SegmentationError,
+    check_settings,
     preprocess_trace,
 )
 from .profiler import ProfilingError, build_fingerprint_db
@@ -76,7 +77,7 @@ def _section(cfg, name: str) -> dict[str, object]:
 
 
 def _settings(cls, cfg, name: str, **extra):
-    """`cls` built from the `name.*` settings; a value it rejects is a usage error."""
+    """`cls` called with the `name.*` settings; a value it rejects is a usage error."""
     try:
         return cls(**_section(cfg, name), **extra)
     except ValueError as exc:
@@ -213,6 +214,7 @@ def _cmd_profile(args) -> int:
 
 
 def _preprocess(cfg, trace):
+    _settings(check_settings, cfg, "preprocess")
     return preprocess_trace(trace, **_section(cfg, "preprocess"))
 
 
@@ -360,6 +362,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_end2end(args) -> int:
     cfg = load_config(args.config)
+    _settings(check_settings, cfg, "preprocess")  # before anything is synthesized or written
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)

@@ -107,15 +107,12 @@ class HandlerSpec:
     def __post_init__(self):
         if len(self.steps) < 3:
             raise ValueError("handler needs at least the dispatch tail")
-        tail = self.steps[-3:]
-        ok = (
-            tail[0].kind is StepKind.LOAD
-            and tail[0].target_class is PageClass.BYTECODE
-            and tail[1].kind is StepKind.LOAD
-            and tail[1].target_class is PageClass.OPTABLE
-            and tail[2].kind is StepKind.EXEC_BRANCH
-        )
-        if not ok:
+        tail = [(s.kind, s.target_class) for s in self.steps[-3:]]
+        if tail != [
+            (StepKind.LOAD, PageClass.BYTECODE),
+            (StepKind.LOAD, PageClass.OPTABLE),
+            (StepKind.EXEC_BRANCH, None),
+        ]:
             raise ValueError(f"{self.opcode.mnemonic}: handler must end with the dispatch tail")
         optable_loads = sum(
             1 for s in self.steps if s.kind is StepKind.LOAD and s.target_class is PageClass.OPTABLE
@@ -126,21 +123,12 @@ class HandlerSpec:
                 f"1 + extra_optable_accesses ({self.extra_optable_accesses})"
             )
         info = opcode_info(self.opcode)
-        operand_loads = sum(
-            1
+        operand = [
+            s.kind
             for s in self.steps
-            if s.kind is StepKind.LOAD
-            and s.target_class is PageClass.STACK
-            and s.stack_role is StackRole.OPERAND
-        )
-        operand_stores = sum(
-            1
-            for s in self.steps
-            if s.kind is StepKind.STORE
-            and s.target_class is PageClass.STACK
-            and s.stack_role is StackRole.OPERAND
-        )
-        if operand_loads > info.pops or operand_stores > info.pushes:
+            if s.target_class is PageClass.STACK and s.stack_role is StackRole.OPERAND
+        ]
+        if operand.count(StepKind.LOAD) > info.pops or operand.count(StepKind.STORE) > info.pushes:
             raise ValueError(
                 f"{self.opcode.mnemonic}: operand-stack accesses exceed pop/push arity"
             )
@@ -185,28 +173,23 @@ class MemoryLayout:
     seed: int
 
     def all_pages(self) -> frozenset[int]:
-        return frozenset(
-            [self.optable_page, self.marker_page]
-            + list(self.handler_pages.values())
-            + list(self.stack_pages)
-            + list(self.bytecode_pages)
-            + list(self.linear_mem_pages)
-        )
+        return frozenset([
+            self.optable_page, self.marker_page, *self.handler_pages.values(),
+            *self.stack_pages, *self.bytecode_pages, *self.linear_mem_pages,
+        ])
 
 
 def build_layout(seed: int, config: LayoutConfig | None = None) -> MemoryLayout:
     """Deterministically place every interpreter region on distinct frames."""
     config = config or LayoutConfig()
-    opcodes = all_opcodes()
     rng = np.random.default_rng(seed)
-    frames = [int(f) for f in rng.choice(config.span, size=config.frames, replace=False)]
-    it = iter(frames)
-    optable = next(it)
-    marker = next(it)
-    stacks = tuple(next(it) for _ in range(config.stack_pages))
-    bytecodes = tuple(next(it) for _ in range(config.bytecode_pages))
-    linears = tuple(next(it) for _ in range(config.linear_pages))
-    handlers = {op: next(it) for op in opcodes}
+    frames = iter(rng.choice(config.span, size=config.frames, replace=False).tolist())
+    optable, marker = next(frames), next(frames)
+    stacks, bytecodes, linears = (
+        tuple(next(frames) for _ in range(count))
+        for count in (config.stack_pages, config.bytecode_pages, config.linear_pages)
+    )
+    handlers = {op: next(frames) for op in all_opcodes()}
     return MemoryLayout(
         page_size=PAGE_SIZE,
         optable_page=optable,
@@ -255,6 +238,14 @@ class NoiseModel:
     ctx_switch_extra_steps_mean: float = 2258.0
     multistep_prob: float = 10 / 2_810_963_156
     rng_seed: int = 0
+
+    def __post_init__(self):
+        for name in ("ctx_switch_rate", "multistep_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("latency_jitter_sigma", "apic_quantum", "ctx_switch_extra_steps_mean"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def zero(cls, rng_seed: int = 0) -> "NoiseModel":
@@ -346,191 +337,198 @@ class MitigationConfig:
             raise ValueError("variant_count must be >= 1")
 
 
-_NO_LABEL = object()  # events that are not truth boundaries
+# Page sources of template rows: own handler, next handler, optable (an extra
+# read, labeled NULL), labeled dispatch read, marker, frame, operand page at
+# the current depth, bytecode page at the dispatch count, linear memory in turn.
+_OWN, _NEXT, _OPTABLE, _DISPATCH, _MARKER, _FRAME, _OPERAND, _BYTECODE, _LINEAR = range(9)
+_R, _W, _E = b"RWE"
+_DATA = {PageClass.OPTABLE: _OPTABLE, PageClass.BYTECODE: _BYTECODE, PageClass.LINEAR_MEM: _LINEAR}
 
-SpecMap = dict  # OpcodeId -> HandlerSpec | tuple[HandlerSpec, ...]
+# A burst row jumps to one of its burst's three code pages, reads or writes
+# one of its three data pages, or steps on its current code page: a uniform
+# draw below each cut picks that kind.  Mode, pf and base latency per kind:
+_BURST_CUTS = (0.04, 0.10, 0.16)
+_BURST_ROWS = np.array([(_E, 5, 5280), (_R, 7, 5540), (_W, 9, 5400), (_E, 5, 5280)], np.int16)
 
 
-class _Synth:
-    """One synthesis run; bundles rng state and page resolution."""
-
-    def __init__(self, layout: MemoryLayout, noise: NoiseModel, profiling_markers: bool):
-        self.layout = layout
-        self.noise = noise
-        self.markers = profiling_markers
-        self.rng = np.random.default_rng(noise.rng_seed)
-        # The trace's columns, one entry per event, and its truth pairs.
-        self.page: list[int] = []
-        self.mode: list[str] = []
-        self.pf: list[int] = []
-        self.latency: list[int] = []
-        self.truth: list[tuple[int, str | None]] = []
-        self.depth = 0  # replayed operand-stack depth
-        self.linear_counter = 0
-        self.bytecode_counter = 0
-        # Foreign frames (co-tenant activity) live above every layout frame.
-        self.foreign_base = max(layout.all_pages()) + 1
-
-    # -- low-level emission --------------------------------------------------
-
-    def jitter(self, base: float) -> int:
-        noise = self.noise
-        x = float(base)
-        if noise.latency_jitter_sigma > 0:
-            x += self.rng.normal(0.0, noise.latency_jitter_sigma)
-        if noise.apic_quantum > 0:
-            q = noise.apic_quantum
-            return max(q, q * int(round(x / q)))
-        return max(1, int(round(x)))
-
-    def emit(self, page: int, mode: str, pf: int, base_latency: float, label=_NO_LABEL) -> None:
-        if label is not _NO_LABEL:
-            self.truth.append((len(self.page), label))
-        self.page.append(page)
-        self.mode.append(mode)
-        self.pf.append(pf)
-        self.latency.append(self.jitter(base_latency))
-
-    def maybe_burst(self) -> None:
-        rate = self.noise.ctx_switch_rate
-        if rate > 0 and self.rng.random() < rate:
-            self._emit_burst()
-
-    def _emit_burst(self) -> None:
-        """Co-tenant preemption: a run of foreign-page events.
-
-        Modeled as mostly straight-line execution over a tiny working set
-        with occasional data touches, so the burst rarely fakes the
-        read-then-execute dispatch pattern.
-        """
-        rng = self.rng
-        mean = max(self.noise.ctx_switch_extra_steps_mean, 1.0)
-        length = int(rng.geometric(1.0 / mean))
-        pool = rng.integers(0, 4096, size=6)
-        code = [self.foreign_base + int(p) for p in pool[:3]]
-        data = [self.foreign_base + 4096 + int(p) for p in pool[3:]]
-        current = code[0]
-        for _ in range(length):
-            u = rng.random()
-            if u < 0.04:
-                current = code[int(rng.integers(0, len(code)))]
-                self.emit(current, "E", 5, 5280)
-            elif u < 0.10:
-                self.emit(data[int(rng.integers(0, len(data)))], "R", 7, 5540)
-            elif u < 0.16:
-                self.emit(data[int(rng.integers(0, len(data)))], "W", 9, 5400)
-            else:
-                self.emit(current, "E", 5, 5280)
-
-    # -- page resolution -----------------------------------------------------
-
-    def data_page(self, step: NativeStep) -> int:
-        layout = self.layout
+def _template(spec: HandlerSpec, markers: bool) -> list[tuple[int, int, int, int]]:
+    """(page source, mode, pf, base latency) rows of one handler: body, then tail."""
+    rows = []
+    for step in spec.body:
         cls = step.target_class
-        if cls is PageClass.OPTABLE:
-            return layout.optable_page
-        if cls is PageClass.STACK:
-            if step.stack_role is StackRole.FRAME or len(layout.stack_pages) == 1:
-                return layout.stack_pages[0]
-            index = 1 + self.depth // _SLOTS_PER_PAGE
-            return layout.stack_pages[min(index, len(layout.stack_pages) - 1)]
-        if cls is PageClass.BYTECODE:
-            index = (self.bytecode_counter // 4096) % len(layout.bytecode_pages)
-            return layout.bytecode_pages[index]
-        if cls is PageClass.LINEAR_MEM:
-            page = layout.linear_mem_pages[self.linear_counter % len(layout.linear_mem_pages)]
-            self.linear_counter += 1
-            return page
-        raise SynthesisError(f"unexpected data class {cls}")
-
-    # -- structured emission ---------------------------------------------------
-
-    def emit_body(self, spec: HandlerSpec, handler_page: int) -> None:
-        for step in spec.body:
-            self.maybe_burst()
-            if step.kind in (StepKind.REG_OP, StepKind.EXEC_BRANCH):
-                # In-handler branches land on the handler's own page.
-                self.emit(handler_page, "E", step.pf_count, step.base_latency)
-            elif step.kind is StepKind.LOAD:
-                label = None if step.target_class is PageClass.OPTABLE else _NO_LABEL
-                self.emit(self.data_page(step), "R", step.pf_count, step.base_latency, label)
-            else:
-                self.emit(self.data_page(step), "W", step.pf_count, step.base_latency)
-
-    def emit_tail(self, tail: tuple[NativeStep, ...], dispatched: OpcodeId) -> None:
-        """Dispatch of `dispatched`: bytecode fetch, optable read, branch."""
-        fetch, lookup, branch = tail
-        self.maybe_burst()
-        self.emit(self.data_page(fetch), "R", fetch.pf_count, fetch.base_latency)
-        self.bytecode_counter += 1
-        if self.markers:
-            self.maybe_burst()
-            self.emit(self.layout.marker_page, "W", 9, 5400)
-        self.maybe_burst()
-        self.emit(
-            self.layout.optable_page,
-            "R",
-            lookup.pf_count,
-            lookup.base_latency,
-            label=dispatched.mnemonic,
-        )
-        self.maybe_burst()
-        target = self.layout.handler_pages[dispatched]
-        self.emit(target, "E", branch.pf_count, branch.base_latency)
+        if cls is None:  # in-handler branches land on the handler's own page
+            source = _OWN
+        elif cls is PageClass.STACK:
+            source = _FRAME if step.stack_role is StackRole.FRAME else _OPERAND
+        elif cls in _DATA:
+            source = _DATA[cls]
+        else:
+            raise SynthesisError(f"unexpected data class {cls}")
+        mode = _E if cls is None else _R if step.kind is StepKind.LOAD else _W
+        rows.append((source, mode, step.pf_count, step.base_latency))
+    fetch, lookup, branch = spec.tail
+    rows.append((_BYTECODE, _R, fetch.pf_count, fetch.base_latency))
+    if markers:
+        rows.append((_MARKER, _W, 9, 5400))
+    rows.append((_DISPATCH, _R, lookup.pf_count, lookup.base_latency))
+    rows.append((_NEXT, _E, branch.pf_count, branch.base_latency))
+    return rows
 
 
-def _variants_of(specs: SpecMap, op: OpcodeId) -> tuple[HandlerSpec, ...]:
-    entry = specs[op]
-    if isinstance(entry, HandlerSpec):
-        return (entry,)
-    return tuple(entry)
+def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
+    """Page, mode, pf and base latency columns of the interpreter's rows, and
+    the rows of its optable reads with their labels.
+
+    Each retired opcode runs a variant drawn uniformly from its `variants`.
+    Unit 0 is the prologue, the tail of the first opcode's first variant;
+    unit u > 0 runs retired opcode u - 1, and the last unit stops before its
+    tail.  Each unit is a run of template-table rows, gathered all at once.
+    """
+    flat = [_template(spec, markers) for specs in variants for spec in specs]
+    t_len = np.array([len(rows) for rows in flat])
+    t_start = np.cumsum(t_len) - t_len
+    sizes = np.array([len(specs) for specs in variants])
+    count = sizes[opi]
+    pick = rng.integers(0, count) if (count > 1).any() else np.zeros_like(count)
+    tmpl = (np.cumsum(sizes) - sizes)[opi] + pick
+    src_t, mode_t, pf_t, lat_t = np.array([row for rows in flat for row in rows]).T
+    tail = 4 if markers else 3
+    prologue = tmpl[0] - pick[0]
+    start = np.concatenate(([t_start[prologue] + t_len[prologue] - tail], t_start[tmpl]))
+    length = np.concatenate(([tail], t_len[tmpl]))
+    length[-1] -= tail
+    idx = np.repeat((start - np.cumsum(length) + length).astype(np.int32), length)
+    idx += np.arange(len(idx), dtype=np.int32)
+    src, mode = src_t.astype(np.uint8)[idx], mode_t.astype(np.uint8)[idx]
+    pf, latency = pf_t[idx], lat_t[idx]
+    del idx
+    units = np.arange(len(length), dtype=np.int32)
+    unit = np.repeat(units, length)
+
+    # Each opcode sets depth = max(depth - pops, 0) + pushes.  Its first term
+    # is a running sum of pushes[i-1] - pops[i] clamped at 0, which is the
+    # running sum less its running minimum (where that is below 0).
+    info = [opcode_info(op) for op in distinct]
+    pops, pushes = (np.array([getattr(i, k) for i in info])[opi] for k in ("pops", "pushes"))
+    total = np.cumsum(np.concatenate(([0], pushes[:-1])) - pops)
+    after = total - np.minimum(np.minimum.accumulate(total), 0) + pushes
+    depth = np.concatenate(([0, 0], after[:-1]))  # as each unit starts
+    handler = np.array([layout.handler_pages[op] for op in distinct])[opi]
+    unit_page = np.zeros((9, len(units)), dtype=np.int64)
+    unit_page[_OWN, 1:] = unit_page[_NEXT, :-1] = handler
+    unit_page[[_OPTABLE, _DISPATCH]] = layout.optable_page
+    unit_page[_MARKER] = layout.marker_page
+    unit_page[_FRAME] = layout.stack_pages[0]
+    unit_page[_OPERAND] = np.take(layout.stack_pages, 1 + depth // _SLOTS_PER_PAGE, mode="clip")
+    # Unit u fetches after u dispatches, 4096 per bytecode page.
+    unit_page[_BYTECODE] = np.take(layout.bytecode_pages, units // 4096, mode="wrap")
+    page = np.empty(len(src), dtype=np.int64)
+    for source in range(_LINEAR):
+        rows = src == source
+        page[rows] = unit_page[source, unit[rows]]
+    rows = src == _LINEAR
+    page[rows] = np.take(layout.linear_mem_pages, np.arange(np.count_nonzero(rows)), mode="wrap")
+
+    # Unit u dispatches retired opcode u; extra optable reads are NULL.
+    labeled = np.flatnonzero((src == _DISPATCH) | (src == _OPTABLE) & (mode == _R))
+    null = len(distinct)
+    code = np.where(src[labeled] == _DISPATCH, np.append(opi, null)[unit[labeled]], null)
+    names = np.array([op.mnemonic for op in distinct] + [None], dtype=object)
+    return page, mode, pf, latency, labeled, names[code]
+
+
+def _bursts(rng, count: int, noise: NoiseModel, layout: MemoryLayout):
+    """Co-tenant preemption: the lengths of `count` bursts of foreign-page
+    rows, and the page, mode, pf and base latency columns of their rows.
+
+    Modeled as mostly straight-line execution over a tiny working set with
+    occasional data touches, so a burst rarely fakes the read-then-execute
+    dispatch pattern.  A burst starts on its first code page.
+    """
+    lengths = rng.geometric(1.0 / max(noise.ctx_switch_extra_steps_mean, 1.0), size=count)
+    # Three code, then three data pages, above every frame of the layout.
+    pools = max(layout.all_pages()) + 1 + rng.integers(0, 4096, size=(count, 6))
+    pools[:, 3:] += 4096
+    kind = np.searchsorted(_BURST_CUTS, rng.random(lengths.sum()), side="right").astype(np.uint8)
+    pick = rng.integers(0, 3, size=len(kind), dtype=np.uint8)
+    # A step runs on the code page of its burst's last jump, or on its first.
+    jump = kind == 0
+    anchor = jump.copy()
+    anchor[np.cumsum(lengths) - lengths] = True
+    last = np.maximum.accumulate(np.where(anchor, np.arange(len(kind), dtype=np.int32), 0))
+    # A jump picks a code page (column 0-2), a read or write a data page (3-5).
+    column = np.where(kind == 3, np.where(jump, pick, 0)[last], pick + np.uint8(3) * (kind > 0))
+    page = pools[np.repeat(np.arange(count, dtype=np.int32), lengths), column]
+    return lengths, page, *_BURST_ROWS[kind].T
 
 
 def synthesize_trace(
     trace: OpcodeTrace,
     layout: MemoryLayout,
-    specs: SpecMap,
+    specs: dict,
     noise: NoiseModel,
     profiling_markers: bool = False,
 ) -> SideChannelTrace:
     """Expand retired opcodes into one trace row per native instruction, plus truth.
 
-    Truth records one (event index, label) pair per optable read: the opcode
-    it dispatches, or NULL (None) for the extra optable touches of handlers
-    like call and memory.grow.
+    `specs` maps each opcode to its HandlerSpec or to a tuple of equivalent
+    variants.  Truth records one (row, label) pair per optable read: the
+    opcode it dispatches, or NULL (None) for the extra optable touches of
+    handlers like call and memory.grow.
+
+    Noise comes from one generator seeded with `noise.rng_seed`, drawn in
+    bulk in this order; a zero-noise model draws nothing.  One `integers`
+    call picks every opcode's variant, if some opcode has more than one.
+    One `random` call over the interpreter's rows (marker writes included)
+    puts a burst before each row that draws below `ctx_switch_rate`.  One
+    call each draws the burst lengths, page pools, row kinds and page
+    picks.  One `normal` call jitters every row.  The multistep merges
+    draw last.
     """
     ops = trace.executed
-    missing = {op.mnemonic for op in ops if op not in specs}
+    _, first, opi = np.unique([op.code for op in ops], return_index=True, return_inverse=True)
+    distinct = [ops[i] for i in first.tolist()]
+    missing = sorted(op.mnemonic for op in distinct if op not in specs)
     if missing:
-        raise SynthesisError(f"no handler spec for: {', '.join(sorted(missing))}")
+        raise SynthesisError(f"no handler spec for: {', '.join(missing)}")
+    if not ops:
+        return SideChannelTrace([], [], [], [], (), layout.seed)
 
-    synth = _Synth(layout, noise, profiling_markers)
-    if ops:
-        first_variants = _variants_of(specs, ops[0])
-        synth.emit_tail(first_variants[0].tail, dispatched=ops[0])
-        for i, op in enumerate(ops):
-            variants = _variants_of(specs, op)
-            if len(variants) == 1:
-                spec = variants[0]
-            else:
-                spec = variants[int(synth.rng.integers(0, len(variants)))]
-            synth.emit_body(spec, layout.handler_pages[op])
-            if i + 1 < len(ops):
-                synth.emit_tail(spec.tail, dispatched=ops[i + 1])
-            info = opcode_info(op)
-            synth.depth = max(synth.depth - info.pops, 0) + info.pushes
+    rng = np.random.default_rng(noise.rng_seed)
+    variants = [(s,) if isinstance(s := specs[op], HandlerSpec) else tuple(s) for op in distinct]
+    page, mode, pf, latency, labeled, labels = _interpreter_rows(
+        rng, layout, distinct, variants, opi, profiling_markers
+    )
 
-    trace = SideChannelTrace(
-        page=synth.page,
-        mode=np.frombuffer("".join(synth.mode).encode("ascii"), dtype=np.uint8),
-        pf=synth.pf,
-        latency=synth.latency,
-        truth=tuple(synth.truth),
-        layout_seed=layout.seed,
+    if noise.ctx_switch_rate > 0:
+        at = np.flatnonzero(rng.random(len(page)) < noise.ctx_switch_rate)
+        lengths, *burst = _bursts(rng, len(at), noise, layout)
+        # A burst goes before the row that drew it: shift each row past them.
+        shift = np.zeros(len(page), dtype=np.int64)
+        shift[at] = lengths
+        row = np.arange(len(page)) + np.cumsum(shift, out=shift)
+        foreign = np.ones(len(page) + len(burst[0]), dtype=bool)
+        foreign[row] = False
+        ours = page, mode, pf, latency
+        page, mode, pf, latency = (np.empty(len(foreign), dtype=c.dtype) for c in ours)
+        for column, interpreter, bursts in zip((page, mode, pf, latency), ours, burst):
+            column[row], column[foreign] = interpreter, bursts
+        del ours, burst
+        labeled = row[labeled]
+    sigma, step = noise.latency_jitter_sigma, max(noise.apic_quantum, 1)
+    if sigma > 0 or noise.apic_quantum > 0:
+        # Gaussian timer jitter, then rounding to the APIC quantum (or to 1).
+        x = rng.normal(0.0, sigma, size=len(latency)) if sigma > 0 else np.zeros(len(latency))
+        x += latency
+        np.rint(x / step, out=x)
+        latency[:] = np.maximum(x * step, step)
+
+    out = SideChannelTrace(
+        page, mode, pf, latency, tuple(zip(labeled.tolist(), labels.tolist())), layout.seed
     )
     if noise.multistep_prob > 0:
-        trace = _merge_multisteps(synth.rng, noise.multistep_prob, trace)
-    return trace
+        out = _merge_multisteps(rng, noise.multistep_prob, out)
+    return out
 
 
 def _merge_multisteps(rng, prob: float, trace: SideChannelTrace) -> SideChannelTrace:

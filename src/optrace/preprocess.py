@@ -25,6 +25,7 @@ __all__ = [
     "detect_stack_pages",
     "filter_redundant",
     "segment_trace",
+    "check_settings",
     "preprocess_trace",
 ]
 
@@ -242,6 +243,15 @@ def segment_trace(
     return Segments(trace, classes, starts, np.append(starts[1:], len(trace)))
 
 
+def check_settings(coverage_target: float, window: int, min_rw_frac: float) -> None:
+    """Raise ValueError for a preprocessing setting outside its range."""
+    for name, value in (("coverage_target", coverage_target), ("min_rw_frac", min_rw_frac)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1]")
+    if window < 0:
+        raise ValueError("window must be >= 0")
+
+
 def preprocess_trace(
     trace: SideChannelTrace,
     coverage_target: float = DEFAULT_COVERAGE_TARGET,
@@ -249,6 +259,7 @@ def preprocess_trace(
     min_rw_frac: float = DEFAULT_MIN_RW_FRAC,
 ) -> tuple[PreprocessReport, SideChannelTrace, Segments]:
     """Full pipeline: detect structures, filter noise, segment."""
+    check_settings(coverage_target, window, min_rw_frac)
     optable_page, confidence = detect_optable_page(trace)
     stack_pages = detect_stack_pages(
         trace, optable_page, coverage_target=coverage_target, min_rw_frac=min_rw_frac

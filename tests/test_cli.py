@@ -274,6 +274,11 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         "mitigation.variant_count = 0",
         "mitigation.nop_insertion_prob = 1.5",
         "layout.span = 10",
+        "noise.ctx_switch_rate = 2",
+        "noise.multistep_prob = -0.5",
+        "noise.latency_jitter_sigma = -1",
+        "noise.apic_quantum = -35",
+        "noise.ctx_switch_extra_steps_mean = -1",
     ],
 )
 def test_out_of_range_setting_is_a_usage_error(tmp_path, setting):
@@ -287,6 +292,26 @@ def test_out_of_range_setting_is_a_usage_error(tmp_path, setting):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {setting.split('.')[0]}: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["preprocess.window = -40", "preprocess.coverage_target = 5", "preprocess.min_rw_frac = -0.1"],
+)
+def test_out_of_range_preprocess_setting_is_a_usage_error(pipeline, tmp_path, capsys, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(setting + "\n")
+    assert run("preprocess", "--trace", pipeline.trace, "--config", bad) == 2
+    assert capsys.readouterr().err.startswith("error: preprocess: ")
+    # The settings are checked before detection, which would fail here with exit 4.
+    dead = tmp_path / "dead.csv"
+    dead.write_text("# optrace trace v1\naddress,mode,pf_count,latency\n0x1000,W,1,10\n")
+    assert run("preprocess", "--trace", dead, "--config", bad) == 2
+    assert run("preprocess", "--trace", dead) == 4
+    # end2end stops before it profiles or writes anything.
+    out = tmp_path / "e2e"
+    assert run("end2end", "--iterations", 1, "--config", bad, "--out-dir", out) == 2
+    assert not out.exists()
 
 
 def test_every_config_key_reaches_the_code_that_owns_it(tmp_path, monkeypatch):

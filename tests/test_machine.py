@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optrace.bytecode import OpcodeTrace, execute
 from optrace.handlers import BASE_LATENCY, apply_mitigation, default_handler_specs
@@ -231,6 +233,130 @@ def test_distinct_families_differ_in_some_channel():
         assert len(families) == 1
 
 
+# ------------------------------------------------- event-by-event reference
+
+_NO_LABEL = object()
+
+
+def reference_emission(opcode_trace, layout, specs, markers, picks=None):
+    """Zero-noise synthesis as a plain walk that emits one event at a time.
+
+    Each opcode runs its handler body, then the dispatch tail of the next
+    opcode (bytecode fetch, marker write when profiling, labeled optable
+    read, branch to the next handler); a prologue tail dispatches the first
+    opcode and the last opcode stops before its tail.  `picks` holds the
+    variant each retired opcode runs (the first one by default).
+    """
+    events, truth = [], []
+    depth = linear = fetched = 0
+
+    def emit(page, mode, step, label=_NO_LABEL):
+        if label is not _NO_LABEL:
+            truth.append((len(events), label))
+        events.append(StepEvent(page, mode, step.pf_count, step.base_latency))
+
+    def data_page(step):
+        nonlocal linear
+        cls = step.target_class
+        if cls is PageClass.OPTABLE:
+            return layout.optable_page
+        if cls is PageClass.STACK:
+            if step.stack_role is StackRole.FRAME or len(layout.stack_pages) == 1:
+                return layout.stack_pages[0]
+            index = min(1 + depth // 512, len(layout.stack_pages) - 1)
+            return layout.stack_pages[index]
+        if cls is PageClass.BYTECODE:
+            return layout.bytecode_pages[fetched // 4096 % len(layout.bytecode_pages)]
+        page = layout.linear_mem_pages[linear % len(layout.linear_mem_pages)]
+        linear += 1
+        return page
+
+    def emit_tail(spec, dispatched):
+        nonlocal fetched
+        fetch, lookup, branch = spec.tail
+        emit(data_page(fetch), "R", fetch)
+        fetched += 1
+        if markers:
+            emit(layout.marker_page, "W", NativeStep(StepKind.STORE, PageClass.MARKER,
+                                                     base_latency=5400, pf_count=9))
+        emit(layout.optable_page, "R", lookup, dispatched.mnemonic)
+        emit(layout.handler_pages[dispatched], "E", branch)
+
+    def variants(op):
+        return (specs[op],) if isinstance(specs[op], HandlerSpec) else specs[op]
+
+    ops = opcode_trace.executed
+    if ops:
+        emit_tail(variants(ops[0])[0], ops[0])
+    for i, op in enumerate(ops):
+        spec = variants(op)[0 if picks is None else picks[i]]
+        for step in spec.body:
+            if step.kind in (StepKind.REG_OP, StepKind.EXEC_BRANCH):
+                emit(layout.handler_pages[op], "E", step)
+            elif step.kind is StepKind.LOAD:
+                label = None if step.target_class is PageClass.OPTABLE else _NO_LABEL
+                emit(data_page(step), "R", step, label)
+            else:
+                emit(data_page(step), "W", step)
+        if i + 1 < len(ops):
+            emit_tail(spec, ops[i + 1])
+        info = opcode_info(op)
+        depth = max(depth - info.pops, 0) + info.pushes
+    return events, tuple(truth)
+
+
+def assert_matches_reference(opcode_trace, layout_seed, config, markers, nop_prob):
+    layout = build_layout(layout_seed, config)
+    specs = default_handler_specs()
+    if nop_prob:
+        specs = apply_mitigation(specs, MitigationConfig(nop_insertion_prob=nop_prob), layout_seed)
+    trace = synthesize_trace(opcode_trace, layout, specs, ZERO, profiling_markers=markers)
+    events, truth = reference_emission(opcode_trace, layout, specs, markers)
+    assert trace.events == events
+    assert trace.truth == truth
+
+
+pages = st.integers(min_value=1, max_value=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(sorted(OPCODES)), max_size=40),
+    layout_seed=st.integers(min_value=0, max_value=2**16),
+    config=st.builds(LayoutConfig, stack_pages=pages, bytecode_pages=pages, linear_pages=pages),
+    markers=st.booleans(),
+    nop_prob=st.sampled_from([0.0, 0.5]),
+)
+@example(names=[], layout_seed=0, config=LayoutConfig(), markers=False, nop_prob=0.0)
+@example(names=["call", "memory.grow"], layout_seed=1, config=LayoutConfig(1, 1, 1),
+         markers=True, nop_prob=0.0)
+def test_zero_noise_synthesis_matches_the_event_by_event_reference(
+    names, layout_seed, config, markers, nop_prob
+):
+    assert_matches_reference(ops(*names), layout_seed, config, markers, nop_prob)
+
+
+def test_long_run_matches_the_reference_across_bytecode_and_stack_pages():
+    middle = ["i32.load", "call", "i32.store", "local.get", "memory.grow", "global.set", "i64.add"]
+    names = ["i32.const"] * 700 + middle * 1100 + ["drop"] * 700
+    run = ops(*names)
+    assert len(names) > 2 * 4096  # the bytecode fetch wraps past two pages
+    for markers in (False, True):
+        assert_matches_reference(run, 5, LayoutConfig(3, 2, 3), markers, 0.3)
+
+
+def test_variant_picks_come_from_one_draw_over_the_retired_opcodes():
+    run = execute(reference_module(1))
+    layout = build_layout(2)
+    specs = apply_mitigation(default_handler_specs(), MitigationConfig(variant_count=3), seed=2)
+    trace = synthesize_trace(run, layout, specs, NoiseModel.zero(rng_seed=7))
+    picks = np.random.default_rng(7).integers(0, np.full(len(run.executed), 3))
+    assert len(set(picks.tolist())) == 3
+    events, truth = reference_emission(run, layout, specs, False, picks.tolist())
+    assert trace.events == events
+    assert trace.truth == truth
+
+
 # ------------------------------------------------------------------- noise
 
 
@@ -274,6 +400,50 @@ def test_context_switch_bursts_visit_foreign_pages():
     foreign = [ev for ev in trace.events if ev.page not in known]
     assert foreign
     assert {ev.mode for ev in foreign} <= {"R", "W", "E"}
+
+
+@pytest.mark.parametrize("markers", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_noise_leaves_the_interpreter_rows_in_place(seed, markers):
+    noise = NoiseModel(
+        latency_jitter_sigma=60.0,
+        apic_quantum=35,
+        ctx_switch_rate=0.01,
+        ctx_switch_extra_steps_mean=20.0,
+        multistep_prob=0.0,
+        rng_seed=seed,
+    )
+    run = execute(reference_module(1))
+    layout, noisy = synth(run, seed=seed, noise=noise, markers=markers)
+    _, clean = synth(run, seed=seed, markers=markers)
+    ours = np.isin(noisy.page, list(layout.all_pages()))
+    assert not ours.all()  # bursts happened
+    kept = noisy.take(ours)
+    assert np.array_equal(kept.page, clean.page)
+    assert np.array_equal(kept.mode, clean.mode)
+    assert np.array_equal(kept.pf, clean.pf)
+    assert kept.truth == clean.truth
+    rows = [row for row, _ in noisy.truth]
+    assert (noisy.page[rows] == layout.optable_page).all()
+    assert (noisy.mode[rows] == ord("R")).all()
+    assert (noisy.latency % 35 == 0).all() and (noisy.latency >= 35).all()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ctx_switch_rate", 2.0),
+        ("ctx_switch_rate", -0.1),
+        ("multistep_prob", 1.5),
+        ("latency_jitter_sigma", -1.0),
+        ("latency_jitter_sigma", float("nan")),
+        ("apic_quantum", -35),
+        ("ctx_switch_extra_steps_mean", -1.0),
+    ],
+)
+def test_noise_model_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
 
 
 def test_multistep_merging_conserves_fault_and_latency_mass():

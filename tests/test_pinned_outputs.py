@@ -19,13 +19,13 @@ from optrace.traceio import read_trace
 CASES = {
     "default-noise": (
         (),
-        "979b2f2afae100b8a4990651107e6899db6be72a64747958217e3eb8e5daef0b",
-        "7ad7cfcaa2455b00cfa133e896982525db2a17132cfc443fc945255a2288e628",
+        "169218ba4bdd93e4fd5974ae51d591db9f7b909c7e53e6a28dcdb81aef0c4f9a",
+        "40c3378ccdf1e2b0745725a3ee0b66cbf7b7de4fc9eeb2a6816321c1b5da09b6",
     ),
     "bursty": (
         ("--config", "noise.ctx_switch_rate = 0.001953\n"),
-        "fa20bf30b9635bf954eb355479a4954dcc6dd5221f73f189da8f042c2198ea20",
-        "99d26721a5024ccd5a8252d07323468306668c3d9d5e0ab5d2b624534e71cfdb",
+        "ce930aa1e31c8e6642c39d65991f82d9b9bc270402986dad52a1777ec8be4ca8",
+        "bb07246d5882b85e6e3933c63b763e16f6f46693e454256f2d6dcfd3525ee86a",
     ),
     "zero-noise": (
         ("--zero-noise",),

@@ -171,9 +171,10 @@ def test_filter_removes_burst_pages_exactly():
     assert removed == len(trace.events) - len(expected_events)
 
     # truth labels must still point at dispatch reads, in order
+    events = filtered.events  # built once: each access rebuilds every event
     for index, label in filtered.truth:
-        assert filtered.events[index].page == layout.optable_page
-        assert filtered.events[index].mode == "R"
+        assert events[index].page == layout.optable_page
+        assert events[index].mode == "R"
     assert [lab for _, lab in filtered.truth] == [lab for _, lab in trace.truth]
 
 
@@ -256,6 +257,17 @@ def test_preprocess_trace_bundles_the_stages():
     assert report.optable_page not in report.stack_pages
     assert report.events_removed == len(trace.events) - len(filtered.events)
     assert len(segments) >= 1
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"window": -40}, {"coverage_target": 5.0}, {"coverage_target": -0.5}, {"min_rw_frac": 1.5}],
+)
+def test_preprocess_trace_rejects_out_of_range_settings(setting):
+    _, _, trace = bench_trace()
+    with pytest.raises(ValueError, match=next(iter(setting))) as caught:
+        preprocess_trace(trace, **setting)
+    assert not isinstance(caught.value, (DetectionError, SegmentationError))
 
 
 # ------------------------------------------------------------ property test
