@@ -37,7 +37,6 @@ __all__ = [
     "MitigationConfig",
     "SynthesisError",
     "build_layout",
-    "classify_page",
     "shuffle_handler_pages",
     "synthesize_trace",
 ]
@@ -202,22 +201,6 @@ def build_layout(seed: int, config: LayoutConfig | None = None) -> MemoryLayout:
     )
 
 
-def classify_page(layout: MemoryLayout, page: int) -> PageClass:
-    if page == layout.optable_page:
-        return PageClass.OPTABLE
-    if page == layout.marker_page:
-        return PageClass.MARKER
-    if page in layout.stack_pages:
-        return PageClass.STACK
-    if page in layout.bytecode_pages:
-        return PageClass.BYTECODE
-    if page in layout.linear_mem_pages:
-        return PageClass.LINEAR_MEM
-    if page in layout.handler_pages.values():
-        return PageClass.HANDLER_CODE
-    return PageClass.OTHER
-
-
 def shuffle_handler_pages(layout: MemoryLayout, seed: int) -> MemoryLayout:
     """Permute the opcode -> handler-page assignment (deployment mitigation)."""
     rng = np.random.default_rng(seed)
@@ -230,7 +213,15 @@ def shuffle_handler_pages(layout: MemoryLayout, seed: int) -> MemoryLayout:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Measurement-noise parameters; all-zero means a perfectly clean trace."""
+    """Measurement-noise parameters; all-zero means a perfectly clean trace.
+
+    A burst follows an interpreter row with probability `ctx_switch_rate`
+    and runs `max(ctx_switch_extra_steps_mean, 1)` rows on average, so their
+    product is the expected number of burst rows per interpreter row.  The
+    trace and the memory synthesis needs grow with it, so a product above 16,
+    where a trace is almost all bursts, is rejected.  The default gives 0.44
+    and the `bursty` benchmark 4.4.
+    """
 
     latency_jitter_sigma: float = 60.0
     apic_quantum: int = 35
@@ -246,6 +237,11 @@ class NoiseModel:
         for name in ("latency_jitter_sigma", "apic_quantum", "ctx_switch_extra_steps_mean"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.ctx_switch_rate * max(self.ctx_switch_extra_steps_mean, 1.0) > 16:
+            raise ValueError(
+                "ctx_switch_rate * ctx_switch_extra_steps_mean must be <= 16"
+                " burst rows per interpreter row"
+            )
 
     @classmethod
     def zero(cls, rng_seed: int = 0) -> "NoiseModel":

@@ -122,17 +122,22 @@ def score_segment(
 # block's temporaries stay in cache and add little to peak RSS.
 BLOCK_ELEMENTS = 1 << 18
 
+# Each channel's Fingerprint attribute and padded dtype; channel scores
+# multiply in this order.
+_CHANNELS = {
+    Channel.MODE: ("modes", np.uint8),
+    Channel.CLASS: ("classes", np.uint8),
+    Channel.PF: ("pf", np.float64),
+    Channel.LATENCY: ("latency", np.float64),
+}
+_NUMERIC = (Channel.PF, Channel.LATENCY)
 
-def _pad_str(s: str, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.uint8)
-    raw = s.encode("ascii")
-    out[: len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    return out
 
-
-def _pad_num(values, width: int, dtype) -> np.ndarray:
-    out = np.zeros(width, dtype=dtype)
-    out[: len(values)] = values
+def _pad(rows, width: int, dtype) -> np.ndarray:
+    """(len(rows), width) array of `rows`, strings as ASCII codes, zero-padded."""
+    out = np.zeros((len(rows), width), dtype=dtype)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = list(row.encode("ascii")) if isinstance(row, str) else row
     return out
 
 
@@ -141,52 +146,11 @@ def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return column[starts[:, None] + np.arange(width)]
 
 
-def _length_groups(lengths: np.ndarray):
-    """Yield `(L, rows)` per distinct length L, rows in ascending order."""
-    order = np.argsort(lengths, kind="stable")
-    if not len(order):
-        return
-    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        yield int(lengths[rows[0]]), rows
-
-
-def _discrete_scores(mism, lendiff):
-    return 1.0 / (1.0 + mism + lendiff)
-
-
-def _mismatches(ent, seg, cut_mask) -> np.ndarray:
-    """(S, E) count of differing positions inside each pair's common prefix."""
+def _discrete_scores(ent, seg, cut_mask, lendiff) -> np.ndarray:
+    """(S, E) score_discrete: mismatches inside each pair's common prefix."""
     cut = seg.shape[1]
-    return ((ent[None, :, :cut] != seg[:, None, :]) & cut_mask[None]).sum(axis=2)
-
-
-# Channel and the Segment/Fingerprint attribute holding it; channel scores
-# multiply in this order.
-_DISCRETE = ((Channel.MODE, "modes"), (Channel.CLASS, "classes"))
-_NUMERIC = ((Channel.PF, "pf"), (Channel.LATENCY, "latency"))
-
-
-class _LengthGroup:
-    """What scoring segments of one length L against every entry shares."""
-
-    def __init__(self, db: "CompiledDb", L: int):
-        self.cut = min(L, db.width)  # segment positions any entry can see
-        self.m = np.minimum(db.lens, L)
-        self.n = self.m.astype(np.float64)
-        self.maxlen = np.maximum(db.lens, L)
-        self.lendiff = np.abs(db.lens - L)
-        # score_numeric on an empty vector: 1.0 against an empty one, else 0.0.
-        self.empty = (db.lens == 0) | (L == 0)
-        self.empty_score = (db.lens == L).astype(np.float64)
-        mask = np.arange(db.width)[None, :] < self.m[:, None]
-        self.cut_mask = mask[:, : self.cut]
-        # Per numeric channel: masked entries, their sums sy and variance vy.
-        self.entry_side = {}
-        for attr, ent in db.numeric.items():
-            masked = ent * mask
-            sy = masked.sum(axis=1)
-            syy = (ent * ent * mask).sum(axis=1)
-            self.entry_side[attr] = (masked, sy, self.n * syy - sy * sy)
+    mism = ((ent[None, :, :cut] != seg[:, None, :]) & cut_mask[None]).sum(axis=2)
+    return 1.0 / (1.0 + mism + lendiff)
 
 
 class CompiledDb:
@@ -203,17 +167,10 @@ class CompiledDb:
         self.entries = db.entries
         self.lens = np.array([len(fp) for fp in db.entries], dtype=np.int64)
         self.width = int(self.lens.max())
-        # Padded (E, width) arrays of the scored channels, keyed by attribute.
-        self.discrete = {
-            attr: np.stack([_pad_str(getattr(fp, attr), self.width) for fp in db.entries])
-            for channel, attr in _DISCRETE
-            if channel in channels
-        }
-        self.numeric = {
-            attr: np.stack(
-                [_pad_num(getattr(fp, attr), self.width, np.float64) for fp in db.entries]
-            )
-            for channel, attr in _NUMERIC
+        # Padded (E, width) array of each scored channel, in _CHANNELS order.
+        self.entry = {
+            channel: _pad([getattr(fp, attr) for fp in db.entries], self.width, dtype)
+            for channel, (attr, dtype) in _CHANNELS.items()
             if channel in channels
         }
         tie_key = [(-fp.support, fp.label is None, fp.label or "") for fp in db.entries]
@@ -221,92 +178,104 @@ class CompiledDb:
         self.rank = np.empty(len(order), dtype=np.int64)
         self.rank[order] = np.arange(len(order))
 
-    def _columns(self, segs: Segments) -> dict[str, np.ndarray]:
-        """The scored channels' columns of `segs`, keyed by attribute."""
-        columns = {
-            "modes": segs.trace.mode,
-            "classes": segs.classes,
-            "pf": segs.trace.pf,
-            "latency": segs.trace.latency,
-        }
-        return {attr: columns[attr] for attr in (*self.discrete, *self.numeric)}
+    def _entry_side(self, cut: int):
+        """Entry-side terms shared by every segment of `cut` scored rows.
 
-    def _distinct(self, segs: Segments) -> tuple[Segments, np.ndarray]:
-        """Collapse segments that score alike: `(representatives, slot)`.
-
-        Two segments score alike when they have the same length and agree
-        on every scored channel over their first `width` rows, which is all
-        the scorer reads.  Segment i scores as `representatives[slot[i]]`.
+        Each entry's common prefix m with such a segment, the prefix mask,
+        and per numeric channel the masked entries, their sums sy and
+        variance vy.
         """
-        columns = self._columns(segs).values()
-        slot = np.empty(len(segs), dtype=np.int64)
-        firsts = []
-        count = 0
-        for L, rows in _length_groups(segs.lengths):
-            cut = min(L, self.width)
-            parts = [_gather(col, segs.starts[rows], cut).view(np.uint8) for col in columns]
-            key = np.concatenate([np.empty((len(rows), 0), np.uint8), *parts], axis=1)
-            if key.shape[1]:
-                _, first, inverse = np.unique(
-                    key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                    return_index=True,
-                    return_inverse=True,
-                )
-            else:
-                first, inverse = np.zeros(1, dtype=np.int64), np.zeros(len(rows), np.int64)
-            slot[rows] = count + inverse
-            firsts.append(rows[first])
-            count += len(first)
-        return segs[np.concatenate([np.empty(0, np.int64), *firsts])], slot
+        m = np.minimum(self.lens, cut)
+        n = m.astype(np.float64)
+        mask = np.arange(self.width)[None, :] < m[:, None]
+        sums = {}
+        for channel in _NUMERIC:
+            if channel in self.entry:
+                ent = self.entry[channel]
+                masked = ent * mask
+                sy = masked.sum(axis=1)
+                syy = (ent * ent * mask).sum(axis=1)
+                sums[channel] = (masked, sy, n * syy - sy * sy)
+        return m, mask[:, :cut], sums
 
     def score_blocks(self, segments: Segments | list[Segment]):
-        """Yield `(rows, scores)`: `scores[k]` scores `segments[rows[k]]`.
+        """Yield `(rows, slot, scores)`: segment rows[k] scores as scores[slot[k]].
 
-        Segments are grouped by length and scored in blocks of at most
-        BLOCK_ELEMENTS segment-entry-position elements, gathered from the
-        segments' columns.
+        Segments are grouped by cut = min(length, width), the number of rows
+        the scorer reads, and each group's channels are gathered once.  The
+        segments of a group that have the same length and the same gathered
+        rows score alike, so each such key is scored once, in blocks of at
+        most BLOCK_ELEMENTS segment-entry-position elements.
         """
         segs = as_segments(segments)
-        columns = self._columns(segs)
+        if not len(segs):
+            return
+        columns = {
+            Channel.MODE: segs.trace.mode,
+            Channel.CLASS: segs.classes,
+            Channel.PF: segs.trace.pf,
+            Channel.LATENCY: segs.trace.latency,
+        }
+        lengths = segs.lengths
+        cuts = np.minimum(lengths, self.width)
+        order = np.argsort(cuts, kind="stable")
         per_block = max(1, BLOCK_ELEMENTS // max(1, len(self.entries) * self.width))
-        for L, rows in _length_groups(segs.lengths):
-            group = _LengthGroup(self, L)
-            for start in range(0, len(rows), per_block):
-                block = rows[start : start + per_block]
-                starts = segs.starts[block]
-                x = {attr: _gather(col, starts, group.cut) for attr, col in columns.items()}
-                yield block, self._score_block(x, len(block), group)
+        for rows in np.split(order, np.flatnonzero(np.diff(cuts[order])) + 1):
+            cut = int(cuts[rows[0]])
+            L = lengths[rows]
+            x = {ch: _gather(columns[ch], segs.starts[rows], cut) for ch in self.entry}
+            parts = [v.view(np.uint8) for v in x.values()]
+            key = np.concatenate([L[:, None].view(np.uint8), *parts], axis=1)
+            keys = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+            _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+            side = self._entry_side(cut)
+            for start in range(0, len(first), per_block):
+                block = first[start : start + per_block]
+                scores = self._score_block({ch: v[block] for ch, v in x.items()}, L[block], side)
+                if len(first) <= per_block:
+                    yield rows, slot, scores
+                else:
+                    inside = (slot >= start) & (slot < start + per_block)
+                    yield rows[inside], slot[inside] - start, scores
 
-    def _score_block(self, x: dict[str, np.ndarray], S: int, g: _LengthGroup) -> np.ndarray:
-        scores = np.ones((S, len(self.entries)), dtype=np.float64)
-        for attr, ent in self.discrete.items():
-            scores *= _discrete_scores(_mismatches(ent, x[attr], g.cut_mask), g.lendiff)
-        for attr in self.numeric:
-            scores *= self._numeric_scores(attr, x[attr].astype(np.float64), g)
+    def _score_block(self, x: dict[Channel, np.ndarray], L: np.ndarray, side) -> np.ndarray:
+        _, cut_mask, sums = side
+        lendiff = np.abs(self.lens - L[:, None])
+        scores = np.ones((len(L), len(self.entries)), dtype=np.float64)
+        for channel, ent in self.entry.items():
+            if channel in sums:
+                scores *= self._numeric_scores(channel, x[channel], L, lendiff, side)
+            else:
+                scores *= _discrete_scores(ent, x[channel], cut_mask, lendiff)
         return scores
 
-    def _numeric_scores(self, attr: str, x, g: _LengthGroup) -> np.ndarray:
-        ent = self.numeric[attr]
-        masked, sy, vy = g.entry_side[attr]
-        S = len(x)
+    def _numeric_scores(self, channel: Channel, x, L, lendiff, side) -> np.ndarray:
+        x = x.astype(np.float64)
+        S, cut = x.shape
+        if cut == 0:
+            # score_numeric on an empty vector: 1.0 against an empty one, else 0.0.
+            return (lendiff == 0).astype(np.float64)
+        ent = self.entry[channel]
+        m, cut_mask, sums = side
+        masked, sy, vy = sums[channel]
         # x holds integers, so prefix sums, squares and the pf cross sum
         # are exact in float64 whatever the summation order.
-        csum = np.zeros((S, g.cut + 1))
+        csum = np.zeros((S, cut + 1))
         np.cumsum(x, axis=1, out=csum[:, 1:])
-        sx = csum[:, g.m]
+        sx = csum[:, m]
         np.cumsum(x * x, axis=1, out=csum[:, 1:])
-        sxx = csum[:, g.m]
-        if attr == "pf":
-            sxy = x @ masked[:, : g.cut].T
+        sxx = csum[:, m]
+        if channel is Channel.PF:
+            sxy = x @ masked[:, :cut].T
         else:
             # Latency entries are float means, so the summation order sets
             # the last bits of sxy and can flip a near tie: sum the masked
             # product along the full padded width, one contiguous row per
             # pair, which keeps the labels of earlier releases.
             xw = np.zeros((S, self.width))
-            xw[:, : g.cut] = x
+            xw[:, :cut] = x
             sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
-        n = g.n
+        n = m.astype(np.float64)
         vx = n * sxx - sx * sx
         cov = n * sxy - sx * sy
         x_const = vx <= 0.0
@@ -314,16 +283,17 @@ class CompiledDb:
         with np.errstate(invalid="ignore", divide="ignore"):
             r = cov / np.sqrt(vx * vy)
         r = np.clip(r, 0.0, None)
-        corr_score = r * (g.m / np.maximum(g.maxlen, 1))  # 0 only for empty vs empty
-        first = x[:, :1] if g.cut else np.zeros((S, 1))
-        first_eq = ent[None, :, 0] == first
+        corr_score = r * (m / np.maximum(self.lens, L[:, None]))
+        # Two constants agree fully or not at all; an empty entry agrees
+        # with no segment, which here is never empty.
+        agree = (ent[None, :, 0] == x[:, :1]) & (m > 0)
         both = x_const & y_const
         one = x_const ^ y_const
-        out = np.where(both, np.where(first_eq, 1.0, 0.0), corr_score)
+        out = np.where(both, np.where(agree, 1.0, 0.0), corr_score)
         if one.any():
-            fallback = _discrete_scores(_mismatches(ent, x, g.cut_mask), g.lendiff)
+            fallback = _discrete_scores(ent, x, cut_mask, lendiff)
             out = np.where(one, fallback, out)
-        return np.where(g.empty, g.empty_score, out)
+        return out
 
     def pick(self, scores: np.ndarray):
         """Per row of `scores`: winning entry, its score, margin to runner-up."""
@@ -343,18 +313,13 @@ def match_trace(
     channels: frozenset[Channel] = DEFAULT_CHANNELS,
 ) -> list[Prediction]:
     compiled = CompiledDb(db, channels)
-    # Segments that score alike are scored once.
-    unique, slot = compiled._distinct(as_segments(segments))
-    best = np.empty(len(unique), dtype=np.int64)
-    top = np.empty(len(unique))
-    margin = np.empty(len(unique))
-    for rows, scores in compiled.score_blocks(unique):
-        best[rows], top[rows], margin[rows] = compiled.pick(scores)
+    segs = as_segments(segments)
+    best = np.empty(len(segs), dtype=np.int64)
+    top = np.empty(len(segs))
+    margin = np.empty(len(segs))
+    for rows, slot, scores in compiled.score_blocks(segs):
+        b, t, g = compiled.pick(scores)
+        best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
     labels = [fp.label for fp in compiled.entries]
-    return list(map(
-        Prediction,
-        range(len(slot)),
-        [labels[b] for b in best[slot].tolist()],
-        top[slot].tolist(),
-        margin[slot].tolist(),
-    ))
+    predicted = [labels[b] for b in best.tolist()]
+    return list(map(Prediction, range(len(segs)), predicted, top.tolist(), margin.tolist()))

@@ -275,6 +275,7 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         "mitigation.nop_insertion_prob = 1.5",
         "layout.span = 10",
         "noise.ctx_switch_rate = 2",
+        "noise.ctx_switch_rate = 1",
         "noise.multistep_prob = -0.5",
         "noise.latency_jitter_sigma = -1",
         "noise.apic_quantum = -35",

@@ -22,7 +22,6 @@ from optrace.machine import (
     StepKind,
     _merge_multisteps,
     build_layout,
-    classify_page,
     shuffle_handler_pages,
     synthesize_trace,
 )
@@ -69,19 +68,6 @@ def test_layout_is_deterministic_and_seed_sensitive():
 def test_layout_rejects_overfull_span():
     with pytest.raises(ValueError, match="span"):
         build_layout(0, LayoutConfig(span=16))
-
-
-def test_classify_page_covers_every_region():
-    layout = build_layout(11)
-    assert classify_page(layout, layout.optable_page) is PageClass.OPTABLE
-    assert classify_page(layout, layout.marker_page) is PageClass.MARKER
-    assert classify_page(layout, layout.stack_pages[0]) is PageClass.STACK
-    assert classify_page(layout, layout.bytecode_pages[0]) is PageClass.BYTECODE
-    assert classify_page(layout, layout.linear_mem_pages[0]) is PageClass.LINEAR_MEM
-    handler_page = next(iter(layout.handler_pages.values()))
-    assert classify_page(layout, handler_page) is PageClass.HANDLER_CODE
-    foreign = max(layout.all_pages()) + 1
-    assert classify_page(layout, foreign) is PageClass.OTHER
 
 
 # ----------------------------------------------------- handler validation
@@ -444,6 +430,19 @@ def test_noise_leaves_the_interpreter_rows_in_place(seed, markers):
 def test_noise_model_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
         NoiseModel(**{field: value})
+
+
+def test_noise_model_bounds_burst_rows_per_interpreter_row():
+    # Each field is in range, but together they ask for 2,258 burst rows per
+    # interpreter row.
+    with pytest.raises(ValueError, match="ctx_switch_rate \\* ctx_switch_extra_steps_mean"):
+        NoiseModel(ctx_switch_rate=1.0)
+    with pytest.raises(ValueError, match="burst rows"):
+        NoiseModel(ctx_switch_rate=0.5, ctx_switch_extra_steps_mean=33.0)
+    # 16 rows is the most allowed; a mean below one row counts as one row.
+    NoiseModel(ctx_switch_rate=0.5, ctx_switch_extra_steps_mean=32.0)
+    NoiseModel(ctx_switch_rate=1.0, ctx_switch_extra_steps_mean=0.0)
+    NoiseModel(ctx_switch_rate=0.001953)
 
 
 def test_multistep_merging_conserves_fault_and_latency_mass():

@@ -198,8 +198,8 @@ CHANNEL_SETS = st.sets(
 def score_rows(compiled, segs):
     """Every entry's score for each of `segs`, assembled from the blocks."""
     out = np.full((len(segs), len(compiled.entries)), np.nan)
-    for rows, block in compiled.score_blocks(segs):
-        out[rows] = block
+    for rows, slot, block in compiled.score_blocks(segs):
+        out[rows] = block[slot]
     return out
 
 
@@ -332,7 +332,7 @@ def test_match_trace_spans_blocks_at_the_default_budget():
     rng.shuffle(segs)
     channels = frozenset(Channel)
     blocks = list(CompiledDb(db(*fps), channels).score_blocks(segs))
-    assert any(len(rows) == per_block for rows, _ in blocks)
+    assert any(len(scores) == per_block for _, _, scores in blocks)
     preds = match_trace(segs, db(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
@@ -424,9 +424,35 @@ def test_empty_entry_scores_like_the_oracle_on_numeric_channels():
     empty = fp("empty", "", "", (), ())
     pair = fp("pair", "RW", "OS", (1, 1), (5000, 5000))
     segs = [seg("RE", "OX", (0, 3), (0, 5309)), seg("", "", (), ())]
-    for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
-        preds = match_trace(segs, db(empty, pair), frozenset(channels))
-        assert_matches_scalar_oracle(preds, segs, [empty, pair], frozenset(channels))
+    # The second database has width 0, so every segment's scored rows are empty.
+    for fps in ([empty, pair], [empty]):
+        for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
+            preds = match_trace(segs, db(*fps), frozenset(channels))
+            assert_matches_scalar_oracle(preds, segs, fps, frozenset(channels))
+
+
+def test_segments_score_once_per_length_and_scored_rows():
+    # Width 3: the scorer reads the first 3 rows of the longer segments.
+    fps = [
+        fp("a", "RWE", "OSX", (1, 2, 3), (5000, 5010, 5005)),
+        fp("b", "RW", "OS", (2, 1), (5010, 5000)),
+    ]
+    base = seg("RWERW", "OSXOS", (1, 2, 3, 4, 5), (5000, 5010, 5005, 5001, 5002))
+    longer = seg(base.modes + "E", base.classes + "X", base.pf + (6,), base.latency + (5003,))
+    tail_differs = seg("RWEEE", "OSXXX", (1, 2, 3, 9, 9), (5000, 5010, 5005, 5009, 5009))
+    segs = [base, longer, tail_differs]
+    placed = {}
+    blocks = CompiledDb(db(*fps)).score_blocks(segs)
+    for block, (rows, slot, scores) in enumerate(blocks):
+        for row, k in zip(rows.tolist(), slot.tolist()):
+            placed[row] = (block, k, scores[k])
+    assert sorted(placed) == [0, 1, 2]
+    assert placed[0][:2] == placed[2][:2]
+    assert placed[0][:2] != placed[1][:2]
+    assert (placed[0][2] != placed[1][2]).any()
+    for row, segment in enumerate(segs):
+        want = [score_segment(segment, entry) for entry in fps]
+        assert placed[row][2] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_empty_database_is_an_error():

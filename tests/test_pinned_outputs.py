@@ -5,7 +5,9 @@ the way `attack` does.  The digests cover the detected dispatch page and its
 confidence, the stack pages, the removed-event count, every segment's start
 and four channels, and the predictions file, so a refactor of the trace
 representation, the reader, preprocessing or the matcher that changes any
-of them fails here.
+of them fails here.  On the `bursty` case, `attack --channels` is also
+pinned for every leave-one-out channel subset, so that the scorer's
+per-channel paths are covered one by one.
 """
 
 import hashlib
@@ -49,21 +51,58 @@ def preprocess_digest(trace_path) -> str:
     return h.hexdigest()
 
 
+def end2end(out_dir, extra) -> list[str]:
+    """Run the small end2end case into `out_dir`; returns its config arguments."""
+    options = list(extra)
+    if extra[:1] == ("--config",):
+        config = out_dir / "case.config"
+        config.write_text(extra[1])
+        options = ["--config", str(config)]
+    argv = [
+        "end2end", "--seed", "0", "--iterations", "8", "--repeats", "4",
+        "--out-dir", str(out_dir), *options,
+    ]
+    assert main(argv) == 0
+    return options
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_small_runs_keep_their_pinned_outputs(tmp_path, capsys, case):
     extra, want_preprocess, want_predictions = CASES[case]
-    argv = [
-        "end2end", "--seed", "0", "--iterations", "8", "--repeats", "4",
-        "--out-dir", str(tmp_path),
-    ]
-    if extra[:1] == ("--config",):
-        config = tmp_path / "case.config"
-        config.write_text(extra[1])
-        argv += ["--config", str(config)]
-    else:
-        argv += list(extra)
-    assert main(argv) == 0
+    end2end(tmp_path, extra)
     capsys.readouterr()
     assert preprocess_digest(tmp_path / "victim.csv") == want_preprocess
-    predictions = (tmp_path / "predictions.csv").read_bytes()
-    assert hashlib.sha256(predictions).hexdigest() == want_predictions
+    assert sha256_of(tmp_path / "predictions.csv") == want_predictions
+
+
+# `attack --channels` predictions on the `bursty` case (DB width 17, 18 of
+# its 1,664 segments longer), by the channel left out.
+SUBSET_PREDICTIONS = {
+    "mode": "c3735c118f68d656d794aa65f81a2930050a21fc7226570d3713d08087778f93",
+    "class": "b91ca1d41d8b6b1145eabb8e52da593c8d3ab7dbbcd0104c0e8494976fe51f05",
+    "pf": "7bd3faa1915f89f9c85fa98c882ca7c9ce97f57ade5e2cf4bb1c1ee9e7b8cb48",
+    "latency": "32b33210e6e221a8fa600a067ed75d12e949a881b09b90fda1204a08998e7bd5",
+}
+
+
+@pytest.fixture(scope="module")
+def bursty_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("bursty")
+    return out_dir, end2end(out_dir, CASES["bursty"][0])
+
+
+@pytest.mark.parametrize("left_out", SUBSET_PREDICTIONS)
+def test_channel_subsets_keep_their_pinned_predictions(bursty_run, tmp_path, capsys, left_out):
+    out_dir, options = bursty_run
+    channels = ",".join(name for name in SUBSET_PREDICTIONS if name != left_out)
+    out = tmp_path / "predictions.csv"
+    assert main([
+        "attack", "--trace", str(out_dir / "victim.csv"), "--db", str(out_dir / "db.txt"),
+        "--channels", channels, "--out", str(out), *options,
+    ]) == 0
+    capsys.readouterr()
+    assert sha256_of(out) == SUBSET_PREDICTIONS[left_out]
