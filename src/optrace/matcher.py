@@ -146,6 +146,14 @@ def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return column[starts[:, None] + np.arange(width)]
 
 
+def _distinct(*columns: np.ndarray):
+    """First row and slot of each distinct key, a row's key being its row of every column."""
+    key = np.concatenate([c.reshape(len(c), -1).view(np.uint8) for c in columns], axis=1)
+    keys = key.view(np.dtype((np.void, key.shape[1]))).ravel()
+    _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    return first, slot
+
+
 def _discrete_scores(ent, seg, cut_mask, lendiff) -> np.ndarray:
     """(S, E) score_discrete: mismatches inside each pair's common prefix."""
     cut = seg.shape[1]
@@ -202,10 +210,13 @@ class CompiledDb:
         """Yield `(rows, slot, scores)`: segment rows[k] scores as scores[slot[k]].
 
         Segments are grouped by cut = min(length, width), the number of rows
-        the scorer reads, and each group's channels are gathered once.  The
-        segments of a group that have the same length and the same gathered
-        rows score alike, so each such key is scored once, in blocks of at
-        most BLOCK_ELEMENTS segment-entry-position elements.
+        the scorer reads, and each group's channels are gathered once.  Each
+        distinct (length, mode, class and pf rows) key and each distinct
+        (length, latency rows) key is scored once, in blocks of at most
+        BLOCK_ELEMENTS segment-entry-position elements; a latency key whose
+        pairs span two blocks is scored in each.  A segment scores as the
+        product of its two keys' scores, the float operations of scoring its
+        channels in turn, formed once per distinct pair of keys.
         """
         segs = as_segments(segments)
         if not len(segs):
@@ -224,29 +235,39 @@ class CompiledDb:
             cut = int(cuts[rows[0]])
             L = lengths[rows]
             x = {ch: _gather(columns[ch], segs.starts[rows], cut) for ch in self.entry}
-            parts = [v.view(np.uint8) for v in x.values()]
-            key = np.concatenate([L[:, None].view(np.uint8), *parts], axis=1)
-            keys = key.view(np.dtype((np.void, key.shape[1]))).ravel()
-            _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
             side = self._entry_side(cut)
+            discrete = {ch: v for ch, v in x.items() if ch is not Channel.LATENCY}
+            latency = {ch: v for ch, v in x.items() if ch is Channel.LATENCY}
+            dfirst, dslot = _distinct(L, *discrete.values())
+            dblocks = np.split(dfirst, range(per_block, len(dfirst), per_block))
+            dscores = np.concatenate([self._score_block(discrete, L, b, side) for b in dblocks])
+            lfirst, lslot = _distinct(L, *latency.values())
+            # Pairs in latency-key order, so a block of pairs reads a run of
+            # at most per_block latency keys, scored for that block only.
+            pairs = lslot * len(dfirst) + dslot
+            _, first, slot = np.unique(pairs, return_index=True, return_inverse=True)
             for start in range(0, len(first), per_block):
                 block = first[start : start + per_block]
-                scores = self._score_block({ch: v[block] for ch, v in x.items()}, L[block], side)
+                lo, hi = lslot[block[0]], lslot[block[-1]] + 1
+                lscores = self._score_block(latency, L, lfirst[lo:hi], side)
+                scores = dscores[dslot[block]] * lscores[lslot[block] - lo]
                 if len(first) <= per_block:
                     yield rows, slot, scores
                 else:
                     inside = (slot >= start) & (slot < start + per_block)
                     yield rows[inside], slot[inside] - start, scores
 
-    def _score_block(self, x: dict[Channel, np.ndarray], L: np.ndarray, side) -> np.ndarray:
+    def _score_block(self, x: dict[Channel, np.ndarray], L: np.ndarray, keys, side) -> np.ndarray:
+        """(len(keys), E) product of the scores of rows `keys` of each channel in `x`."""
         _, cut_mask, sums = side
+        L = L[keys]
         lendiff = np.abs(self.lens - L[:, None])
         scores = np.ones((len(L), len(self.entries)), dtype=np.float64)
-        for channel, ent in self.entry.items():
+        for channel, values in x.items():
             if channel in sums:
-                scores *= self._numeric_scores(channel, x[channel], L, lendiff, side)
+                scores *= self._numeric_scores(channel, values[keys], L, lendiff, side)
             else:
-                scores *= _discrete_scores(ent, x[channel], cut_mask, lendiff)
+                scores *= _discrete_scores(self.entry[channel], values[keys], cut_mask, lendiff)
         return scores
 
     def _numeric_scores(self, channel: Channel, x, L, lendiff, side) -> np.ndarray:

@@ -76,6 +76,13 @@ def _write_header(fh, kind: str, meta: dict[str, object], columns: tuple[str, ..
         fh.write(",".join(columns) + "\n")
 
 
+def _write_lines(fh, lines) -> None:
+    """Write `lines`, each ending in a newline, _CHUNK_LINES of them per write."""
+    lines = iter(lines)
+    for text in iter(lambda: "".join(islice(lines, _CHUNK_LINES)), ""):
+        fh.write(text)
+
+
 def _undecodable_line(path, encoding: str) -> int | None:
     """Number of the first line of `path` holding bytes `encoding` rejects."""
     done = 0
@@ -370,8 +377,9 @@ def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
         _write_header(fh, "truth", meta, _TRUTH_COLUMNS)
-        for idx, label in trace.truth:
-            fh.write(f"{idx},{_NULL_LABEL if label is None else label}\n")
+        _write_lines(fh, (
+            f"{idx},{_NULL_LABEL if label is None else label}\n" for idx, label in trace.truth
+        ))
 
 
 def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
@@ -388,9 +396,11 @@ def write_predictions(
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": layout_seed, "config_hash": config_hash}
         _write_header(fh, "predictions", meta, _PREDICTION_COLUMNS)
-        for p in predictions:
-            label = _NULL_LABEL if p.label is None else p.label
-            fh.write(f"{p.segment_id},{label},{p.score:.6f},{p.margin:.6f}\n")
+        _write_lines(fh, (
+            f"{p.segment_id},{_NULL_LABEL if p.label is None else p.label},"
+            f"{p.score:.6f},{p.margin:.6f}\n"
+            for p in predictions
+        ))
 
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:

@@ -1,7 +1,9 @@
 """Segment-vs-fingerprint scoring: channel scores, tie-breaks, bulk scorer."""
 
+import itertools
 import random
 import statistics
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -453,6 +455,49 @@ def test_segments_score_once_per_length_and_scored_rows():
     for row, segment in enumerate(segs):
         want = [score_segment(segment, entry) for entry in fps]
         assert placed[row][2] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+ALL_SUBSETS = [
+    frozenset(subset)
+    for k in range(1, len(Channel) + 1)
+    for subset in itertools.combinations(Channel, k)
+]
+
+
+def test_families_sharing_a_discrete_key_score_it_once():
+    # {add, sub} and {and, or, xor} each share modes, classes and pf and
+    # differ in latency only, as width twins do in a profiled DB.
+    rng = random.Random(12)
+
+    def latency(n):
+        return [rng.randint(5000, 5030) for _ in range(n)]
+
+    arith = ("RWER", "OSXO", (1, 0, 2, 1))
+    logic = ("RWE", "OSX", (0, 1, 1))
+    fps = [fp(label, *arith, latency(4)) for label in ("i32.add", "i32.sub")]
+    fps += [fp(label, *logic, latency(3)) for label in ("i32.and", "i32.or", "i32.xor")]
+    segs = [seg(*arith, latency(4)) for _ in range(30)]
+    segs += [seg(*logic, latency(3)) for _ in range(20)]
+    segs += [seg(*logic, (5000, 5000, 5000))] * 3
+    real = CompiledDb._score_block
+    for channels in ALL_SUBSETS:
+        rows_in = Counter()  # rows each set of channels was scored on
+
+        def spy(self, x, L, keys, side):
+            rows_in[frozenset(x)] += len(keys)
+            return real(self, x, L, keys, side)
+
+        with mock.patch.object(CompiledDb, "_score_block", spy):
+            preds = match_trace(segs, db(*fps), channels)
+        assert_matches_scalar_oracle(preds, segs, fps, channels)
+        scored = [score_segment(s, entry, channels) for s in segs for entry in fps]
+        got = score_rows(CompiledDb(db(*fps), channels), segs).ravel()
+        assert got == pytest.approx(scored, rel=1e-9, abs=1e-12)
+        discrete = channels - {Channel.LATENCY}
+        if discrete:
+            assert rows_in[discrete] == 2  # one discrete key per family group
+        if Channel.LATENCY in channels:
+            assert rows_in[frozenset({Channel.LATENCY})] == len({s.latency for s in segs})
 
 
 def test_empty_database_is_an_error():

@@ -382,6 +382,38 @@ def test_predictions_round_trip(tmp_path):
     assert meta["layout_seed"] == "5"
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 10**9),
+            st.sampled_from([None, "i32.add", "br_if"]),
+            st.floats(),
+            st.floats(),
+        ),
+        max_size=12,
+    ),
+    chunk=st.integers(1, 5),
+)
+def test_truth_and_predictions_are_written_a_chunk_of_lines_at_a_time(rows, chunk):
+    # Whatever the chunk size, the bytes are one formatted line per row.
+    trace = SideChannelTrace([0], [ord("R")], [0], [0], tuple(r[:2] for r in rows), 4)
+    preds = [Prediction(*r) for r in rows]
+    truth_lines = "".join(f"{i},{'NULL' if l is None else l}\n" for i, l, _, _ in rows)
+    pred_lines = "".join(
+        f"{i},{'NULL' if l is None else l},{s:.6f},{m:.6f}\n" for i, l, s, m in rows
+    )
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        write_truth(Path(tmp) / "t", trace, config_hash="ab12")
+        write_predictions(Path(tmp) / "p", preds, config_hash="ab12", layout_seed=4)
+        truth_text = (Path(tmp) / "t").read_text()
+        pred_text = (Path(tmp) / "p").read_text()
+    head = "# layout_seed=4\n# config_hash=ab12\n"
+    assert truth_text == f"# optrace truth v1\n{head}boundary_index,label\n{truth_lines}"
+    want = f"# optrace predictions v1\n{head}segment_id,label,score,margin\n{pred_lines}"
+    assert pred_text == want
+
+
 def test_read_predictions_rejects_bad_score(tmp_path):
     path = tmp_path / "p.predictions"
     path.write_text(
