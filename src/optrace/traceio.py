@@ -47,6 +47,11 @@ _NULL_LABEL = "NULL"
 # RSS to read 829k trace rows, and no less time).
 _CHUNK_LINES = 1 << 14
 
+# Bytes read per step of the binary trace reader: a block's temporary arrays
+# stay a few MB (2^22 bytes took 20 MB more peak RSS to read 829k trace rows,
+# and no less time).
+_BLOCK_BYTES = 1 << 18
+
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _MODES = frozenset("RWE")
 
@@ -159,14 +164,19 @@ class _Lines:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    self.meta[key.strip()] = value.strip()
+                _comment(self.meta, line)
                 continue
             linenos.append(lineno)
             data.append(line)
         return linenos, data
+
+
+def _comment(meta: dict[str, str], line: str) -> None:
+    """Record a `# key=value` line in `meta`; any other comment line says nothing."""
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        meta[key.strip()] = value.strip()
 
 
 def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> None:
@@ -264,15 +274,19 @@ def _convert(convert, text: str, lineno: int):
 # ---------------------------------------------------------------- traces
 
 
+def _formatted(values: np.ndarray, fmt=str) -> list[str]:
+    """`fmt(value)` of every value, each distinct value formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
+
+
 def _rows_text(trace: SideChannelTrace, rows, ids=None) -> str:
     """Trace file lines of `rows` (not empty), each led by its id if given."""
-    pages, inverse = np.unique(trace.page[rows], return_inverse=True)
-    hexes = np.array([f"{p * PAGE_SIZE:#x}" for p in pages.tolist()], dtype=object)
     columns = [
-        hexes[inverse].tolist(),
+        _formatted(trace.page[rows], lambda page: f"{page * PAGE_SIZE:#x}"),
         trace.mode[rows].tobytes().decode("ascii"),
-        map(str, trace.pf[rows].tolist()),
-        map(str, trace.latency[rows].tolist()),
+        _formatted(trace.pf[rows]),
+        _formatted(trace.latency[rows]),
     ]
     if ids is not None:
         columns.insert(0, map(str, ids.tolist()))
@@ -328,12 +342,131 @@ def _trace_columns(fields: list[str]):
     return addr // PAGE_SIZE, mode, _ints(fields[2::4], 10), _ints(fields[3::4], 10)
 
 
-def read_trace(path) -> SideChannelTrace:
-    """Read a trace file into columns, _CHUNK_LINES lines at a time."""
+# A trace file in the writer's form: this tag line, `#` lines, this column
+# line, then rows matching `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
+# With at most 15 hex or 18 decimal digits no value can leave int64.
+_TRACE_TAG = b"# optrace trace v1\n"
+_TRACE_HEADER = ",".join(_TRACE_COLUMNS).encode("ascii") + b"\n"
+_MOST_DIGITS = {16: 15, 10: 18}
+_MAX_ROW_BYTES = len(b"-0x,R,-,-\n") + _MOST_DIGITS[16] + 2 * _MOST_DIGITS[10]
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
+_DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
+_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+_IS_MODE = np.zeros(256, bool)
+_IS_MODE[np.frombuffer(b"RWE", np.uint8)] = True
+
+
+def _numbers(a: np.ndarray, digit: np.ndarray, start, end, base: int, prefix: bytes):
+    """Values of the fields `a[start:end]`, each `-?<prefix><digits>`, or None.
+
+    A field has 1 to _MOST_DIGITS[base] digits, taken into int64 one
+    right-aligned digit position at a time.
+    """
+    neg = a[start] == ord("-")
+    start = start + neg
+    for k, byte in enumerate(prefix):
+        if (a[start + k] != byte).any():
+            return None
+    count = end - start - len(prefix)
+    if len(count) and (count.min() < 1 or count.max() > _MOST_DIGITS[base]):
+        return None
+    value = np.zeros(len(count), np.int64)
+    for k in range(count.max(initial=0)):
+        live = k < count
+        d = np.where(live, digit.take(end - 1 - k, mode="clip"), 0)
+        if (d >= base).any():
+            return None
+        value += d * np.int64(base**k)
+    return np.where(neg, -value, value)
+
+
+def _trace_block(buf):
+    """Page, mode, pf and latency columns of `buf`'s rows; None if one is off the writer's form.
+
+    `buf` holds whole rows, each ending in a newline.  Every row must match
+    the writer's form (see _TRACE_TAG) and hold a page-aligned address.
+    """
+    a = np.frombuffer(buf, np.uint8)
+    sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    if len(sep) % 4:
+        return None
+    sep = sep.reshape(-1, 4)
+    if (a[sep] != _ROW_SEPARATORS).any():
+        return None
+    at = sep[:, 0] + 1
+    mode = a[at]
+    if (sep[:, 1] != at + 1).any() or not _IS_MODE[mode].all():
+        return None
+    starts = np.roll(sep[:, 3] + 1, 1)
+    starts[:1] = 0
+    digit = _DIGIT[a]
+    addr = _numbers(a, digit, starts, sep[:, 0], 16, b"0x")
+    pf = _numbers(a, digit, sep[:, 1] + 1, sep[:, 2], 10, b"")
+    latency = _numbers(a, digit, sep[:, 2] + 1, sep[:, 3], 10, b"")
+    if addr is None or pf is None or latency is None or (addr % PAGE_SIZE).any():
+        return None
+    return addr // PAGE_SIZE, mode, pf, latency
+
+
+def _trace_header(fh) -> dict[str, str] | None:
+    """Meta of a header in the writer's form, read from `fh` up to the column line; else None.
+
+    Between the tag and column lines only `#` lines of printable ASCII may
+    appear, so the text reader would see the same lines.
+    """
+    if fh.readline() != _TRACE_TAG:
+        return None
+    meta: dict[str, str] = {}
+    for line in iter(fh.readline, _TRACE_HEADER):
+        text = line[:-1].decode("latin-1")
+        if not (line[:1] == b"#" and line[-1:] == b"\n" and text.isascii() and text.isprintable()):
+            return None
+        _comment(meta, text)
+    return meta
+
+
+def _trace_bytes(path):
+    """Columns and meta of a trace file in the writer's form, or None for any other file.
+
+    The rows are read in binary, _BLOCK_BYTES at a time; each block is cut
+    after its last newline and the rest carries into the next block.
+    """
+    with open(path, "rb") as fh:
+        meta = _trace_header(fh)
+        if meta is None:
+            return None
+        parts = [_trace_block(b"")]
+        rest = b""
+        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+            buf = rest + block
+            cut = buf.rfind(b"\n") + 1
+            rest = buf[cut:]
+            columns = _trace_block(memoryview(buf)[:cut])
+            if columns is None or len(rest) >= _MAX_ROW_BYTES:
+                return None
+            parts.append(columns)
+        if rest:  # no final newline
+            return None
+    return [np.concatenate(column) for column in zip(*parts)], meta
+
+
+def _trace_text(path):
+    """Columns and meta of any trace file, read as text _CHUNK_LINES lines at a time."""
     lines = _Lines(path, "trace")
     parts = [_trace_columns([]), *_table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_columns)]
-    page, mode, pf, latency = (np.concatenate(column) for column in zip(*parts))
-    seed = lines.meta.get("layout_seed")
+    return [np.concatenate(column) for column in zip(*parts)], lines.meta
+
+
+def read_trace(path) -> SideChannelTrace:
+    """Read a trace file into columns.
+
+    A file in the writer's form (see _TRACE_TAG) is parsed as bytes, a block
+    at a time.  Any other file, well-formed or not, is read as text by the
+    CSV reader, which reports the first bad line; the file's bytes alone
+    decide which reader runs, and both give the same columns.
+    """
+    (page, mode, pf, latency), meta = _trace_bytes(path) or _trace_text(path)
+    seed = meta.get("layout_seed")
     try:
         layout_seed = int(seed) if seed is not None else None
     except ValueError:

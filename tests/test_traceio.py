@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,152 @@ def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
         back = read_trace(path)
     assert back.events == [StepEvent(row[0], row[1], row[2], row[3]) for row in rows]
     assert back.layout_seed == 5
+
+
+# Rows in the writer's form: pages whose address has 1 to 15 hex digits,
+# either sign, and pf and latency values of 1 to 18 digits, edges included.
+_PAGES = st.sampled_from([0, -1, 2**48 - 1, 1 - 2**48]) | st.integers(1 - 2**48, 2**48 - 1)
+_NUMBERS = st.sampled_from([0, 10**18 - 1, 1 - 10**18]) | st.integers(1 - 10**18, 10**18 - 1)
+_FORM_ROWS = st.lists(st.tuples(_PAGES, st.sampled_from("RWE"), _NUMBERS, _NUMBERS), max_size=12)
+# A value past that form and the column it goes in: addresses of 16 hex
+# digits, numbers of 19 digits, to the ends of int64.  The text reader takes them.
+_WIDE = st.sampled_from(
+    [(0, page) for page in (2**48, -(2**48), 2**51 - 1, -(2**51))]
+    + [(col, value) for col in (2, 3) for value in (10**18, -(10**18), 2**63 - 1, -(2**63))]
+)
+_COLUMN_DTYPES = [np.int64, np.uint8, np.int64, np.int64]
+
+
+def _assert_read_as_text(path) -> None:
+    """`read_trace(path)` gives the text reader's columns, or its FormatError and line."""
+    try:
+        want, _ = traceio._trace_text(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            read_trace(path)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    back = read_trace(path)
+    assert all(map(np.array_equal, (back.page, back.mode, back.pf, back.latency), want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=_FORM_ROWS,
+    wide=st.none() | st.tuples(_WIDE, st.integers(0, 99)),
+    block=st.integers(1, 70),
+    mutation=st.none() | st.tuples(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 99)),
+)
+def test_read_trace_parses_the_writers_rows_as_the_text_reader_does(rows, wide, block, mutation):
+    # Blocks of a few bytes, so rows straddle blocks.  Rows in the writer's
+    # form are parsed as bytes; any other file gives the text reader's
+    # columns or its FormatError, message and line alike.
+    rows = list(map(list, rows))
+    if wide and rows:
+        (col, value), k = wide
+        rows[k % len(rows)][col] = value
+    fields = [[f"{page * PAGE_SIZE:#x}", mode, str(pf), str(lat)] for page, mode, pf, lat in rows]
+    if mutation and rows:
+        bad = mutation[1] % len(rows)
+        fields[bad] = _MUTATIONS[mutation[0]][0](fields[bad])
+    text = "# optrace trace v1\n# layout_seed=5\naddress,mode,pf_count,latency\n"
+    text += "".join(",".join(row) + "\n" for row in fields)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        path = Path(tmp) / "rows.trace"
+        path.write_bytes(text.encode())
+        parsed = traceio._trace_bytes(path)
+        assert (parsed is None) == bool(rows and (wide or mutation))
+        _assert_read_as_text(path)
+        if parsed is not None:
+            want, meta = traceio._trace_text(path)
+            assert [column.dtype for column in parsed[0]] == _COLUMN_DTYPES
+            assert [column.dtype for column in want] == _COLUMN_DTYPES
+            assert all(map(np.array_equal, parsed[0], want)) and parsed[1] == meta
+            assert read_trace(path).layout_seed == 5
+
+
+_TAG, _COLUMNS = "# optrace trace v1\n", "address,mode,pf_count,latency\n"
+
+
+@pytest.mark.parametrize(
+    "text,in_form",
+    [
+        (f"{_TAG}# layout_seed=4\n# note\n{_COLUMNS}-0x0,R,-0,007\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1a,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,1f\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,+1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0X1000,R,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1A000,R,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1_000,R,1,1_0\n", False),
+        (f"{_TAG}{_COLUMNS}0x,R,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,r,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,RW,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,10,0x2000,R,1,10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1\n10\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,-\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,10 \n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,10\r\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,10\x0c\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,1\u0660\n", False),  # an Arabic-Indic zero, which int() reads
+        (f"# optrace trace v1 \n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}\n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}# layout_seed=4\r\n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}# a=1\x85b=2\n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}address,mode,pf_count,latency \n0x1000,R,1,10\n", False),
+    ],
+)
+def test_files_near_the_writers_form_read_as_the_text_reader_reads_them(tmp_path, text, in_form):
+    path = tmp_path / "near.trace"
+    path.write_bytes(text.encode())
+    assert (traceio._trace_bytes(path) is not None) == in_form
+    _assert_read_as_text(path)
+
+
+def test_a_line_longer_than_any_row_stops_the_byte_reader_within_a_row(tmp_path):
+    # The reader holds one block and the part row after it, never the file.
+    path = tmp_path / "long.trace"
+    path.write_bytes(f"{_TAG}{_COLUMNS}{'1' * 10_000}\n".encode())
+    calls = mock.patch.object(traceio, "_trace_block", wraps=traceio._trace_block)
+    with calls as block_reader, mock.patch.object(traceio, "_BLOCK_BYTES", 8):
+        assert traceio._trace_bytes(path) is None
+    assert block_reader.call_count <= 2 + traceio._MAX_ROW_BYTES // 8  # the first call is empty
+
+
+@pytest.mark.parametrize("block", [1, 23, traceio._BLOCK_BYTES])
+def test_a_written_trace_is_read_without_the_text_reader(tmp_path, block):
+    # A silent fallback to the text reader would keep every other test green.
+    events = [StepEvent(-1, "R", 1, 10), StepEvent(0, "E", -3, 0), StepEvent(2**40, "W", 0, 5)]
+    trace = SideChannelTrace.from_events([*small_trace()[1].events, *events], layout_seed=7)
+    path = tmp_path / "t.trace"
+    write_trace(path, trace, config_hash="cafe01234567")
+    text_reader = mock.patch.object(traceio, "_trace_text", side_effect=AssertionError)
+    with text_reader, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        back = read_trace(path)
+    assert back.events == trace.events
+    assert back.layout_seed == 7
+
+
+def test_a_header_only_trace_gives_empty_columns_from_the_byte_reader(tmp_path):
+    path = tmp_path / "empty.trace"
+    write_trace(path, SideChannelTrace([], [], [], [], truth=None, layout_seed=3))
+    columns, meta = traceio._trace_bytes(path)
+    assert [column.dtype for column in columns] == _COLUMN_DTYPES
+    assert [len(column) for column in columns] == [0, 0, 0, 0]
+    assert meta == {"layout_seed": "3"}
+    with mock.patch.object(traceio, "_trace_text", side_effect=AssertionError):
+        assert len(read_trace(path)) == 0
+
+
+def test_a_trace_without_a_final_newline_is_read_as_text(tmp_path):
+    _, trace = small_trace()
+    path = tmp_path / "t.trace"
+    write_trace(path, trace)
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    with mock.patch.object(traceio, "_trace_text", wraps=traceio._trace_text) as text_reader:
+        back = read_trace(path)
+    assert text_reader.call_count == 1
+    assert back.events == trace.events
 
 
 @pytest.mark.parametrize(
