@@ -8,6 +8,7 @@ the page number is address / 4096.
 
 import csv
 import hashlib
+import locale
 from dataclasses import fields
 from inspect import signature
 from itertools import chain, islice, repeat
@@ -41,13 +42,12 @@ __all__ = [
 
 _NULL_LABEL = "NULL"
 
-# File lines read, and CSV rows parsed or trace rows formatted, per bulk
-# step: large enough to amortize the per-step calls, small enough that one
-# step's temporary strings stay a few MB (2^16 lines took 10 MB more peak
-# RSS to read 829k trace rows, and no less time).
+# Lines formatted per write by the writers: large enough to amortize the
+# per-write calls, small enough that one write's temporary strings stay a
+# few MB.
 _CHUNK_LINES = 1 << 14
 
-# Bytes read per step of the binary trace reader: a block's temporary arrays
+# Bytes read per block by every reader: a block's temporary arrays and lines
 # stay a few MB (2^22 bytes took 20 MB more peak RSS to read 829k trace rows,
 # and no less time).
 _BLOCK_BYTES = 1 << 18
@@ -88,31 +88,25 @@ def _write_lines(fh, lines) -> None:
         fh.write(text)
 
 
-def _undecodable_line(path, encoding: str) -> int | None:
-    """Number of the first line of `path` holding bytes `encoding` rejects."""
-    done = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                done += len(raw.decode(encoding).splitlines())
-            except UnicodeDecodeError as exc:
-                head = raw[: exc.start].decode(encoding)
-                return done + len((head + "x").splitlines())
-    return None
-
-
 class _Lines:
-    """The data lines of one optrace file, read as a stream.
+    """The lines of one optrace file, read in binary a block at a time.
 
-    Iterating checks that line 1 is `# optrace <kind> v1` (any kind when
-    `kind` is None), collects `# key=value` lines into `meta` wherever they
-    appear, skips other comments and blank lines, and yields
-    `(lineno, stripped_line)` for the rest; `chunks()` yields the same lines
-    a chunk of file lines at a time.  Lines are split with
-    `str.splitlines`, so a form feed or another Unicode line break also
-    starts a new numbered line.  Bytes the text codec rejects raise a
-    FormatError on the line that holds them.  Afterwards `tag` holds line 1
-    without its `# ` and `last_line` is the number of the last line.
+    `blocks()` reads _BLOCK_BYTES at a time (at most 4 KiB for the first
+    block, which is always decoded; as much as it holds of a longer line)
+    and yields each block cut after its last LF or its last CR that cannot
+    start a CRLF, whichever is later.  So a block holds whole lines, and
+    at most _BLOCK_BYTES plus twice the longest line.
+    `decode(block)` gives the data lines of the block just yielded: line 1
+    must be `# optrace <kind> v1` (any kind when `kind` is None),
+    `# key=value` lines go into `meta` wherever they appear, other comments
+    and blank lines are skipped.  Lines are split with `str.splitlines`, so
+    a form feed or another Unicode line break also starts a new numbered
+    line, and bytes the text codec rejects raise a FormatError on the line
+    that holds them.  The first block must be decoded; a caller that takes
+    a later block without decoding it adds its lines to `last_line`.
+    Iterating yields `(lineno, stripped_line)` for every data line.
+    Afterwards `tag` holds line 1 without its `# ` and `last_line` is the
+    number of the last line.
     """
 
     def __init__(self, path, kind: str | None):
@@ -120,31 +114,41 @@ class _Lines:
         self.meta: dict[str, str] = {}
         self.tag = ""
         self.last_line = 0
+        self._encoding = locale.getpreferredencoding(False)  # what open() decodes with
 
     def __iter__(self):
-        for linenos, lines in self.chunks():
-            yield from zip(linenos, lines)
+        for block in self.blocks():
+            yield from zip(*self.decode(block))
 
-    def chunks(self):
-        """Yield `(linenos, lines)`: the data lines of up to _CHUNK_LINES file lines."""
-        with open(self.path) as fh:
-            try:
-                lineno = 0
-                for raw in iter(lambda: list(islice(fh, _CHUNK_LINES)), []):
-                    lines = "".join(raw).splitlines()
-                    if not lineno:
-                        self._check_tag(lines[0])
-                        yield self._data(lines[1:], 2)
-                    else:
-                        yield self._data(lines, lineno + 1)
-                    lineno += len(lines)
-                if not lineno:
-                    self._check_tag("")
-            except UnicodeDecodeError as exc:
-                # The codec decodes whole chunks, so the line is found again.
-                bad = _undecodable_line(self.path, fh.encoding)
-                raise FormatError(f"undecodable bytes ({exc.reason})", bad) from None
-        self.last_line = lineno
+    def blocks(self):
+        with open(self.path, "rb") as fh:
+            rest = b""
+            size = min(_BLOCK_BYTES, 1 << 12)
+            while data := fh.read(max(size, len(rest))):  # so a long line takes few reads
+                buf = rest + data
+                cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, -1)) + 1
+                rest, size = buf[cut:], _BLOCK_BYTES
+                if cut:
+                    yield buf[:cut]
+            if rest:
+                yield rest  # a last line without a line break
+        if not self.last_line:
+            self._check_tag("")
+
+    def decode(self, block: bytes):
+        """`(linenos, stripped)` of the data lines of `block`, the block just yielded."""
+        try:
+            lines = block.decode(self._encoding).splitlines()
+        except UnicodeDecodeError as exc:
+            head = block[: exc.start].decode(self._encoding)
+            bad = self.last_line + len((head + "x").splitlines())
+            raise FormatError(f"undecodable bytes ({exc.reason})", bad) from None
+        first = self.last_line + 1
+        self.last_line += len(lines)
+        if first == 1:
+            self._check_tag(lines[0])
+            return self._data(lines[1:], 2)
+        return self._data(lines, first)
 
     def _check_tag(self, first: str) -> None:
         if not first.startswith("# optrace "):
@@ -226,23 +230,36 @@ def _raise_bad_row(linenos, fields: list[str], converters) -> None:
                 raise FormatError(str(exc), lineno) from None
 
 
-def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None):
-    """Check the column header line, then yield the rows of each chunk, converted in bulk.
+def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None, raw=None):
+    """Check the column header line, then yield the rows of each block, converted in bulk.
 
-    `converters` holds one function per column that converts a field or
-    raises a ValueError naming its problem.  A chunk's rows are
-    `bulk(fields)`, or without `bulk` a list of tuples of converted fields,
-    each converter mapped over its column.  If that fails, the converters
-    run row by row to report the first bad row.
+    `raw`, if given, converts the bytes of whole rows, each ending in LF, to
+    columns, or returns None when a row is off its form.  A block after the
+    column line that `raw` takes is never decoded.  Any other block is
+    decoded and its data lines, joined, go to `raw` once more; if it still
+    refuses them they are split into fields.  `converters` holds one
+    function per column that converts a field or raises a ValueError naming
+    its problem.  The fields' rows are `bulk(fields)`, or without `bulk` a
+    list of tuples of converted fields, each converter mapped over its
+    column.  If that fails, the converters run row by row to report the
+    first bad row.
     """
     width = len(columns)
     header = None
-    for linenos, chunk in lines.chunks():
+    for block in lines.blocks():
+        if header is not None and raw and (rows := raw(block)) is not None:
+            lines.last_line += len(rows[0])  # one row per line
+            yield rows
+            continue
+        linenos, chunk = lines.decode(block)
         if header is None and chunk:
             header = chunk[0]
             _check_columns(linenos[0], header, columns)
             linenos, chunk = linenos[1:], chunk[1:]
-        if chunk:
+        if not chunk:
+            continue
+        rows = raw(("\n".join(chunk) + "\n").encode()) if raw else None
+        if rows is None:
             fields, error = _fields(linenos, chunk, width)
             try:
                 if bulk:
@@ -254,7 +271,7 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None):
                 raise
             if error:  # a line after every converted row
                 raise error
-            yield rows
+        yield rows
     if header is None:
         _check_columns(None, "", columns)
 
@@ -342,13 +359,9 @@ def _trace_columns(fields: list[str]):
     return addr // PAGE_SIZE, mode, _ints(fields[2::4], 10), _ints(fields[3::4], 10)
 
 
-# A trace file in the writer's form: this tag line, `#` lines, this column
-# line, then rows matching `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
+# The writer's form of a trace row: `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
 # With at most 15 hex or 18 decimal digits no value can leave int64.
-_TRACE_TAG = b"# optrace trace v1\n"
-_TRACE_HEADER = ",".join(_TRACE_COLUMNS).encode("ascii") + b"\n"
 _MOST_DIGITS = {16: 15, 10: 18}
-_MAX_ROW_BYTES = len(b"-0x,R,-,-\n") + _MOST_DIGITS[16] + 2 * _MOST_DIGITS[10]
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
 _DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
 _DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
@@ -383,9 +396,11 @@ def _numbers(a: np.ndarray, digit: np.ndarray, start, end, base: int, prefix: by
 def _trace_block(buf):
     """Page, mode, pf and latency columns of `buf`'s rows; None if one is off the writer's form.
 
-    `buf` holds whole rows, each ending in a newline.  Every row must match
-    the writer's form (see _TRACE_TAG) and hold a page-aligned address.
+    Every row must match the writer's form, ending in LF, and hold a
+    page-aligned address.
     """
+    if buf[-1:] != b"\n":
+        return None
     a = np.frombuffer(buf, np.uint8)
     sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
     if len(sep) % 4:
@@ -408,65 +423,16 @@ def _trace_block(buf):
     return addr // PAGE_SIZE, mode, pf, latency
 
 
-def _trace_header(fh) -> dict[str, str] | None:
-    """Meta of a header in the writer's form, read from `fh` up to the column line; else None.
-
-    Between the tag and column lines only `#` lines of printable ASCII may
-    appear, so the text reader would see the same lines.
-    """
-    if fh.readline() != _TRACE_TAG:
-        return None
-    meta: dict[str, str] = {}
-    for line in iter(fh.readline, _TRACE_HEADER):
-        text = line[:-1].decode("latin-1")
-        if not (line[:1] == b"#" and line[-1:] == b"\n" and text.isascii() and text.isprintable()):
-            return None
-        _comment(meta, text)
-    return meta
-
-
-def _trace_bytes(path):
-    """Columns and meta of a trace file in the writer's form, or None for any other file.
-
-    The rows are read in binary, _BLOCK_BYTES at a time; each block is cut
-    after its last newline and the rest carries into the next block.
-    """
-    with open(path, "rb") as fh:
-        meta = _trace_header(fh)
-        if meta is None:
-            return None
-        parts = [_trace_block(b"")]
-        rest = b""
-        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
-            buf = rest + block
-            cut = buf.rfind(b"\n") + 1
-            rest = buf[cut:]
-            columns = _trace_block(memoryview(buf)[:cut])
-            if columns is None or len(rest) >= _MAX_ROW_BYTES:
-                return None
-            parts.append(columns)
-        if rest:  # no final newline
-            return None
-    return [np.concatenate(column) for column in zip(*parts)], meta
-
-
-def _trace_text(path):
-    """Columns and meta of any trace file, read as text _CHUNK_LINES lines at a time."""
-    lines = _Lines(path, "trace")
-    parts = [_trace_columns([]), *_table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_columns)]
-    return [np.concatenate(column) for column in zip(*parts)], lines.meta
-
-
 def read_trace(path) -> SideChannelTrace:
     """Read a trace file into columns.
 
-    A file in the writer's form (see _TRACE_TAG) is parsed as bytes, a block
-    at a time.  Any other file, well-formed or not, is read as text by the
-    CSV reader, which reports the first bad line; the file's bytes alone
-    decide which reader runs, and both give the same columns.
+    Blocks of rows in the writer's form are parsed as bytes; any other
+    block's rows go through the CSV reader, which reports the first bad line.
     """
-    (page, mode, pf, latency), meta = _trace_bytes(path) or _trace_text(path)
-    seed = meta.get("layout_seed")
+    lines = _Lines(path, "trace")
+    parts = _table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_columns, _trace_block)
+    page, mode, pf, latency = map(np.concatenate, zip(_trace_columns([]), *parts))
+    seed = lines.meta.get("layout_seed")
     try:
         layout_seed = int(seed) if seed is not None else None
     except ValueError:

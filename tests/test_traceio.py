@@ -158,12 +158,13 @@ _MUTATIONS = {
 @settings(max_examples=150, deadline=None)
 @given(
     rows=_ROWS,
-    chunk=st.integers(1, 5),
+    block=st.integers(1, 70),
     mutation=st.none() | st.tuples(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 99)),
 )
-def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
-    # Few lines per chunk, so rows, blank lines and comments straddle chunk
-    # boundaries; a quoted field sends its chunk through `csv` line by line.
+def test_read_trace_agrees_with_the_rows_written(rows, block, mutation):
+    # Blocks of a few bytes, so cuts land inside CRLF pairs, after lone CRs
+    # and inside header, comment and quoted lines; a quoted field sends its
+    # block through `csv` line by line.
     text = "# optrace trace v1\naddress,mode,pf_count,latency\n"
     lineno = 2
     linenos = []
@@ -180,7 +181,7 @@ def test_read_trace_agrees_with_the_rows_written(rows, chunk, mutation):
         lineno += 1 + (before != "")
         linenos.append(lineno)
     text += "# layout_seed=5\n"
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         path = Path(tmp) / "rows.trace"
         path.write_bytes(text.encode())
         if mutation and rows:
@@ -199,7 +200,7 @@ _PAGES = st.sampled_from([0, -1, 2**48 - 1, 1 - 2**48]) | st.integers(1 - 2**48,
 _NUMBERS = st.sampled_from([0, 10**18 - 1, 1 - 10**18]) | st.integers(1 - 10**18, 10**18 - 1)
 _FORM_ROWS = st.lists(st.tuples(_PAGES, st.sampled_from("RWE"), _NUMBERS, _NUMBERS), max_size=12)
 # A value past that form and the column it goes in: addresses of 16 hex
-# digits, numbers of 19 digits, to the ends of int64.  The text reader takes them.
+# digits, numbers of 19 digits, to the ends of int64.  The CSV reader takes them.
 _WIDE = st.sampled_from(
     [(0, page) for page in (2**48, -(2**48), 2**51 - 1, -(2**51))]
     + [(col, value) for col in (2, 3) for value in (10**18, -(10**18), 2**63 - 1, -(2**63))]
@@ -207,17 +208,40 @@ _WIDE = st.sampled_from(
 _COLUMN_DTYPES = [np.int64, np.uint8, np.int64, np.int64]
 
 
-def _assert_read_as_text(path) -> None:
-    """`read_trace(path)` gives the text reader's columns, or its FormatError and line."""
+def _columns(trace: SideChannelTrace) -> list[np.ndarray]:
+    return [trace.page, trace.mode, trace.pf, trace.latency]
+
+
+def _read_as_csv(path) -> SideChannelTrace:
+    """`read_trace(path)` with the byte converter refusing every block, so `csv` splits all rows."""
+    with mock.patch.object(traceio, "_trace_block", return_value=None):
+        return read_trace(path)
+
+
+def _assert_read_as_csv(path) -> None:
+    """`read_trace(path)` gives _read_as_csv's columns, dtypes and meta, or its error and line."""
     try:
-        want, _ = traceio._trace_text(path)
+        want = _read_as_csv(path)
     except FormatError as exc:
         with pytest.raises(FormatError) as info:
             read_trace(path)
         assert (str(info.value), info.value.line) == (str(exc), exc.line)
         return
     back = read_trace(path)
-    assert all(map(np.array_equal, (back.page, back.mode, back.pf, back.latency), want))
+    assert [column.dtype for column in _columns(back)] == _COLUMN_DTYPES
+    assert [column.dtype for column in _columns(want)] == _COLUMN_DTYPES
+    assert all(map(np.array_equal, _columns(back), _columns(want)))
+    assert back.layout_seed == want.layout_seed
+
+
+def _fields_lines(path) -> list[set[int]]:
+    """Read `path` as `read_trace` does; the line numbers of each block split by `_fields`."""
+    with mock.patch.object(traceio, "_fields", wraps=traceio._fields) as fields:
+        try:
+            read_trace(path)
+        except FormatError:
+            pass
+    return [set(call.args[0]) for call in fields.call_args_list]
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,31 +251,31 @@ def _assert_read_as_text(path) -> None:
     block=st.integers(1, 70),
     mutation=st.none() | st.tuples(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 99)),
 )
-def test_read_trace_parses_the_writers_rows_as_the_text_reader_does(rows, wide, block, mutation):
-    # Blocks of a few bytes, so rows straddle blocks.  Rows in the writer's
-    # form are parsed as bytes; any other file gives the text reader's
-    # columns or its FormatError, message and line alike.
+def test_read_trace_parses_the_writers_rows_as_the_csv_reader_does(rows, wide, block, mutation):
+    # Blocks of a few bytes, so rows straddle blocks.  Only blocks holding a
+    # row off the writer's form are split into fields, and every file gives
+    # the CSV reader's columns or its FormatError, message and line alike.
     rows = list(map(list, rows))
+    off = set()  # line numbers of the rows off the writer's form; rows start on line 4
     if wide and rows:
         (col, value), k = wide
         rows[k % len(rows)][col] = value
+        off.add(4 + k % len(rows))
     fields = [[f"{page * PAGE_SIZE:#x}", mode, str(pf), str(lat)] for page, mode, pf, lat in rows]
     if mutation and rows:
         bad = mutation[1] % len(rows)
         fields[bad] = _MUTATIONS[mutation[0]][0](fields[bad])
+        off.add(4 + bad)
     text = "# optrace trace v1\n# layout_seed=5\naddress,mode,pf_count,latency\n"
     text += "".join(",".join(row) + "\n" for row in fields)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         path = Path(tmp) / "rows.trace"
         path.write_bytes(text.encode())
-        parsed = traceio._trace_bytes(path)
-        assert (parsed is None) == bool(rows and (wide or mutation))
-        _assert_read_as_text(path)
-        if parsed is not None:
-            want, meta = traceio._trace_text(path)
-            assert [column.dtype for column in parsed[0]] == _COLUMN_DTYPES
-            assert [column.dtype for column in want] == _COLUMN_DTYPES
-            assert all(map(np.array_equal, parsed[0], want)) and parsed[1] == meta
+        split = _fields_lines(path)
+        assert all(lines & off for lines in split)
+        assert (min(off) in set().union(*split)) if off else not split
+        _assert_read_as_csv(path)
+        if not off:
             assert read_trace(path).layout_seed == 5
 
 
@@ -259,83 +283,167 @@ _TAG, _COLUMNS = "# optrace trace v1\n", "address,mode,pf_count,latency\n"
 
 
 @pytest.mark.parametrize(
-    "text,in_form",
+    "text,split",
     [
-        (f"{_TAG}# layout_seed=4\n# note\n{_COLUMNS}-0x0,R,-0,007\n", True),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1a,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1,1f\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,+1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0X1000,R,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1A000,R,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1_000,R,1,1_0\n", False),
-        (f"{_TAG}{_COLUMNS}0x,R,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,r,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,RW,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1,10,0x2000,R,1,10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1\n10\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1,-\n", False),
+        (f"{_TAG}# layout_seed=4\n# note\n{_COLUMNS}-0x0,R,-0,007\n", False),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1a,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,1f\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,+1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0X1000,R,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1A000,R,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1_000,R,1,1_0\n", True),
+        (f"{_TAG}{_COLUMNS}0x,R,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,r,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,RW,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,10,0x2000,R,1,10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1\n10\n", True),
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,-\n", True),
         (f"{_TAG}{_COLUMNS}0x1000,R,1,10 \n", False),
         (f"{_TAG}{_COLUMNS}0x1000,R,1,10\r\n", False),
         (f"{_TAG}{_COLUMNS}0x1000,R,1,10\x0c\n", False),
-        (f"{_TAG}{_COLUMNS}0x1000,R,1,1\u0660\n", False),  # an Arabic-Indic zero, which int() reads
+        (f"{_TAG}{_COLUMNS}0x1000,R,1,1\u0660\n", True),  # an Arabic-Indic zero, which int() reads
         (f"# optrace trace v1 \n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}\n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}# layout_seed=4\r\n{_COLUMNS}0x1000,R,1,10\n", False),
-        (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),
+        (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),  # `b=2` is the column line
         (f"{_TAG}# a=1\x85b=2\n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}address,mode,pf_count,latency \n0x1000,R,1,10\n", False),
     ],
 )
-def test_files_near_the_writers_form_read_as_the_text_reader_reads_them(tmp_path, text, in_form):
+def test_files_near_the_writers_form_read_as_the_csv_reader_reads_them(tmp_path, text, split):
+    # `split`: whether the block of rows goes to `_fields`.  Spaces round a
+    # line, CRLF, a form feed and odd header lines are gone once the block is
+    # decoded, so its data lines are rows in the writer's form again.
     path = tmp_path / "near.trace"
     path.write_bytes(text.encode())
-    assert (traceio._trace_bytes(path) is not None) == in_form
-    _assert_read_as_text(path)
+    assert bool(_fields_lines(path)) == split
+    _assert_read_as_csv(path)
 
 
-def test_a_line_longer_than_any_row_stops_the_byte_reader_within_a_row(tmp_path):
-    # The reader holds one block and the part row after it, never the file.
+@pytest.mark.parametrize("block", [1, 8, 64])
+def test_a_block_holds_at_most_one_read_and_twice_the_longest_line(tmp_path, block):
+    # The reader holds one block and the part line after it, never the file,
+    # and reads each byte once.
+    long_row = '"0x' + "0" * 10_000 + '1000",R,1,10\n'
+    row = "0x3000,E,3,30\r\n"
+    text = f"{_TAG}{_COLUMNS}0x2000,W,2,20\n{long_row}" + row * 1000
     path = tmp_path / "long.trace"
-    path.write_bytes(f"{_TAG}{_COLUMNS}{'1' * 10_000}\n".encode())
-    calls = mock.patch.object(traceio, "_trace_block", wraps=traceio._trace_block)
-    with calls as block_reader, mock.patch.object(traceio, "_BLOCK_BYTES", 8):
-        assert traceio._trace_bytes(path) is None
-    assert block_reader.call_count <= 2 + traceio._MAX_ROW_BYTES // 8  # the first call is empty
+    path.write_bytes(text.encode())
+    sizes = []
+    blocks = traceio._Lines.blocks
+
+    def spy(self):
+        for data in blocks(self):
+            sizes.append(len(data))
+            yield data
+
+    with mock.patch.object(traceio._Lines, "blocks", spy), mock.patch.object(
+        traceio, "_BLOCK_BYTES", block
+    ):
+        back = read_trace(path)
+    assert back.page.tolist() == [2, 1, *[3] * 1000]
+    assert sum(sizes) == len(text)
+    assert max(sizes) <= block + 2 * len(long_row)
+    assert max(sizes[-5:]) <= block + len(row)  # the rows after the long one
+
+
+@pytest.mark.parametrize(
+    "reader,kind,columns,row",
+    [
+        (read_trace, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
+        (read_truth, "truth", "boundary_index,label", "0,nop"),
+        (read_predictions, "predictions", "segment_id,label,score,margin", "0,nop,1.0,0.0"),
+        (read_db, "fingerprint-db", "entry x support=1\nmodes R\nclasses O", "pf 1\nlatency 1\nend"),
+        (trace_meta, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
+    ],
+    ids=["trace", "truth", "predictions", "db", "meta"],
+)
+@pytest.mark.parametrize(
+    "tail", ["", "\r\n# layout_seed=2\r\n", "\n\xff\n"], ids=["plain", "crlf", "bad"]
+)
+def test_every_reader_opens_its_file_once(tmp_path, reader, kind, columns, row, tail):
+    # Also when a late line is off the writer's form or undecodable.
+    path = tmp_path / "f"
+    path.write_bytes(f"# optrace {kind} v1\n{columns}\n{row}{tail}\n".encode("latin-1"))
+    with mock.patch.object(traceio, "open", wraps=open, create=True) as opened:
+        try:
+            reader(path)
+        except FormatError as exc:
+            assert tail == "\n\xff\n" and "undecodable bytes" in str(exc)
+    assert opened.call_count == 1
 
 
 @pytest.mark.parametrize("block", [1, 23, traceio._BLOCK_BYTES])
-def test_a_written_trace_is_read_without_the_text_reader(tmp_path, block):
-    # A silent fallback to the text reader would keep every other test green.
+def test_a_written_trace_is_read_without_the_csv_reader(tmp_path, block):
+    # A silent fallback to the CSV reader would keep every other test green.
     events = [StepEvent(-1, "R", 1, 10), StepEvent(0, "E", -3, 0), StepEvent(2**40, "W", 0, 5)]
     trace = SideChannelTrace.from_events([*small_trace()[1].events, *events], layout_seed=7)
     path = tmp_path / "t.trace"
     write_trace(path, trace, config_hash="cafe01234567")
-    text_reader = mock.patch.object(traceio, "_trace_text", side_effect=AssertionError)
-    with text_reader, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         back = read_trace(path)
     assert back.events == trace.events
     assert back.layout_seed == 7
 
 
-def test_a_header_only_trace_gives_empty_columns_from_the_byte_reader(tmp_path):
+def test_a_header_only_trace_gives_empty_columns_without_the_csv_reader(tmp_path):
     path = tmp_path / "empty.trace"
     write_trace(path, SideChannelTrace([], [], [], [], truth=None, layout_seed=3))
-    columns, meta = traceio._trace_bytes(path)
-    assert [column.dtype for column in columns] == _COLUMN_DTYPES
-    assert [len(column) for column in columns] == [0, 0, 0, 0]
-    assert meta == {"layout_seed": "3"}
-    with mock.patch.object(traceio, "_trace_text", side_effect=AssertionError):
-        assert len(read_trace(path)) == 0
+    with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
+        back = read_trace(path)
+    assert [column.dtype for column in _columns(back)] == _COLUMN_DTYPES
+    assert [len(column) for column in _columns(back)] == [0, 0, 0, 0]
+    assert back.layout_seed == 3
 
 
-def test_a_trace_without_a_final_newline_is_read_as_text(tmp_path):
+@pytest.mark.parametrize("block", [1, 7, traceio._BLOCK_BYTES])
+def test_a_trace_without_a_final_newline_is_read_without_the_csv_reader(tmp_path, block):
+    # The last row has no line break; once decoded it is in the writer's form.
     _, trace = small_trace()
     path = tmp_path / "t.trace"
     write_trace(path, trace)
     path.write_bytes(path.read_bytes().removesuffix(b"\n"))
-    with mock.patch.object(traceio, "_trace_text", wraps=traceio._trace_text) as text_reader:
+    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         back = read_trace(path)
-    assert text_reader.call_count == 1
+    assert back.events == trace.events
+
+
+def test_a_late_comment_is_decoded_in_its_block_alone(tmp_path):
+    # A file in the writer's form up to a `#` line between two rows and a
+    # `# layout_seed=1` line after the last: only the header's blocks and
+    # those holding the two lines are decoded, and no block is split into
+    # fields.
+    _, trace = small_trace(mnemonics=("i32.const", "i32.const", "i32.add", "drop") * 10)
+    path = tmp_path / "late.trace"
+    write_trace(path, trace)
+    lines = path.read_text().splitlines(keepends=True)
+    column_line = lines.index(_COLUMNS) + 1
+    middle = column_line + len(trace) // 2
+    lines.insert(middle, "# a note\n")
+    lines.append("# layout_seed=1\n")
+    path.write_text("".join(lines))
+    comments = {middle + 1, len(lines)}
+    decoded = []
+    decode = traceio._Lines.decode
+
+    def spy(self, block):
+        first = self.last_line + 1
+        decoded.append(set(range(first, first + len(block.decode().splitlines()))))
+        return decode(self, block)
+
+    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio._Lines, "decode", spy), mock.patch.object(
+        traceio, "_BLOCK_BYTES", 64
+    ):
+        back = read_trace(path)
+    assert all(min(block) <= column_line or block & comments for block in decoded)
+    assert comments <= set().union(*decoded)
+    assert len(decoded) <= 4 < len(path.read_bytes()) // 64 // 4
+    want = _read_as_csv(path)
+    assert all(map(np.array_equal, _columns(back), _columns(want)))
+    assert back.layout_seed == want.layout_seed == 1
     assert back.events == trace.events
 
 
@@ -400,12 +508,14 @@ def test_read_trace_rejects_non_integer_layout_seed(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("block", [1, 5, 40, traceio._BLOCK_BYTES])
 @pytest.mark.parametrize(
     "nl,extra,line",
     [(b"\n", b"", 4), (b"\r\n", b"", 4), (b"\r", b"", 4), (b"\n", b"\x0c", 5)],
     ids=["lf", "crlf", "cr", "form-feed"],
 )
-def test_read_trace_reports_undecodable_bytes_on_their_line(tmp_path, nl, extra, line):
+def test_read_trace_reports_undecodable_bytes_on_their_line(tmp_path, nl, extra, line, block):
+    # Small blocks put the bad bytes in a later block than the header's.
     path = tmp_path / "bytes.trace"
     path.write_bytes(
         b"# optrace trace v1" + nl + b"address,mode,pf_count,latency" + nl
@@ -413,8 +523,33 @@ def test_read_trace_reports_undecodable_bytes_on_their_line(tmp_path, nl, extra,
         + b"0x3000,R,1,10" + nl
     )
     with pytest.raises(FormatError, match="undecodable bytes") as info:
-        read_trace(path)
+        with mock.patch.object(traceio, "_BLOCK_BYTES", block):
+            read_trace(path)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16, 41])
+@pytest.mark.parametrize("bad", [None, "0x4000,Q,1,10"])
+def test_a_cr_only_trace_reads_alike_in_any_block_size(tmp_path, block, bad):
+    # No LF anywhere, so every cut falls after a CR that is not a block's last byte.
+    head = ["# optrace trace v1", "address,mode,pf_count,latency", "0x1000,R,1,10", ""]
+    rows = ["# layout_seed=6", "0x2000,W,2,20", *([bad] if bad else []), "0x3000,E,3,30"]
+    path = tmp_path / "cr.trace"
+    path.write_bytes("".join(line + "\r" for line in head + rows).encode())
+    small = mock.patch.object(traceio, "_BLOCK_BYTES", block)
+    if bad:
+        with pytest.raises(FormatError, match="bad access mode 'Q'") as want:
+            read_trace(path)
+        assert want.value.line == 7
+        with small, pytest.raises(FormatError) as info:
+            read_trace(path)
+        assert (str(info.value), info.value.line) == (str(want.value), 7)
+    else:
+        want = read_trace(path)
+        assert want.page.tolist() == [1, 2, 3] and want.layout_seed == 6
+        with small:
+            back = read_trace(path)
+        assert back.events == want.events and back.layout_seed == 6
 
 
 def test_read_trace_rejects_oversized_field(tmp_path):
@@ -603,12 +738,12 @@ _LABELED_KINDS = {
 @given(
     kind=st.sampled_from(sorted(_LABELED_KINDS)),
     rows=_LABELED_ROWS,
-    chunk=st.integers(1, 5),
+    block=st.integers(1, 70),
     mutation=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 99)),
 )
-def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, chunk, mutation):
-    # As for traces: rows, blank lines and comments straddle chunk boundaries,
-    # and a quoted label sends its chunk through `csv` line by line.
+def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, block, mutation):
+    # As for traces: rows, blank lines and comments straddle block boundaries,
+    # and a quoted label sends its block through `csv` line by line.
     reader, columns, width, mutations = _LABELED_KINDS[kind]
     text = f"# optrace {kind} v1\n# config_hash=ab12\n{columns}\n"
     lineno = 3
@@ -624,7 +759,7 @@ def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, chun
         text += before + ",".join(fields) + end
         lineno += 1 + (before != "")
         linenos.append(lineno)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         path = Path(tmp) / f"rows.{kind}"
         path.write_bytes(text.encode())
         if mutation and rows:
