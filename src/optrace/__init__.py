@@ -33,7 +33,7 @@ from .machine import (
     synthesize_trace,
 )
 from .handlers import apply_mitigation, default_handler_specs
-from .matcher import Channel, MatchError, Prediction, match_trace, score_segment
+from .matcher import Channel, MatchError, Prediction, Predictions, match_trace, score_segment
 from .metrics import RecallReport, align_free, classify_outcomes, recall_percent
 from .opcodes import OPCODES, opcode_by_mnemonic, opcode_family
 from .preprocess import (
@@ -77,6 +77,6 @@ __all__ = [
     "Fingerprint", "FingerprintDb", "ProfilingError", "build_fingerprint_db",
     "split_by_marker",
     # matching and metrics
-    "Channel", "MatchError", "Prediction", "match_trace", "score_segment",
+    "Channel", "MatchError", "Prediction", "Predictions", "match_trace", "score_segment",
     "RecallReport", "align_free", "classify_outcomes", "recall_percent",
 ]

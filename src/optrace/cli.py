@@ -345,7 +345,7 @@ def _cmd_ablate(args) -> int:
     lines = ["channels,recall_percent,n,correct,wrong,missed,inserted"]
     for channels in subsets:
         predictions = match_trace(segments, db, channels)
-        report = _evaluate([p.label for p in predictions], truth_labels, args.strict)
+        report = _evaluate(predictions.labels, truth_labels, args.strict)
         shown = "+".join(c.value for c in Channel if c in channels)
         lines.append(
             f"{shown},{report.recall:.3f},{report.n},{report.correct},"
@@ -387,9 +387,7 @@ def _cmd_end2end(args) -> int:
     report, segments, predictions = _attack(cfg, victim, db, channels, out / "predictions.csv")
 
     truth, _ = read_truth(out / "truth.csv")
-    result = _evaluate(
-        [p.label for p in predictions], [label for _, label in truth], args.strict
-    )
+    result = _evaluate(predictions.labels, [label for _, label in truth], args.strict)
     lines = [
         f"seed: {args.seed}",
         f"config_hash: {digest}",

@@ -7,6 +7,7 @@ numeric channels (fault counts, latency) score by correlation, which
 tolerates the additive jitter and quantization the timer applies.
 """
 
+from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -21,6 +22,8 @@ __all__ = [
     "DEFAULT_CHANNELS",
     "MatchError",
     "Prediction",
+    "Predictions",
+    "as_predictions",
     "pearson",
     "score_discrete",
     "score_numeric",
@@ -44,12 +47,73 @@ class MatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     segment_id: int
     label: str | None
     score: float
     margin: float
+
+
+class Predictions(MutableSequence):
+    """Predictions as columns: prediction i labels segment ids[i] as table[codes[i]], with
+    score[i] and margin[i].  An int index builds that Prediction; a slice, mask or index array
+    a Predictions sharing the table.  Assigned or inserted Predictions add new labels to it."""
+
+    def __init__(self, table: list, ids, codes, score, margin):
+        self.table, self.ids, self.codes = table, ids, codes
+        self.score, self.margin = score, margin
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return Predictions(self.table, *(c[i] for c in self._columns()))
+        segment_id, code, score, margin = (c[i].tolist() for c in self._columns())
+        return Prediction(segment_id, self.table[code], score, margin)
+
+    def __iter__(self):
+        columns = self.ids.tolist(), self.labels, self.score.tolist(), self.margin.tolist()
+        return map(Prediction, *columns)
+
+    def __setitem__(self, i, p: Prediction) -> None:
+        self.ids[i], self.codes[i], self.score[i], self.margin[i] = _row(self.table, p)
+
+    def __delitem__(self, i) -> None:
+        self.ids, self.codes, self.score, self.margin = (np.delete(c, i) for c in self._columns())
+
+    def insert(self, i, p: Prediction) -> None:
+        at = slice(i, i).indices(len(self))[0]  # where list.insert puts it
+        row = zip(self._columns(), _row(self.table, p))
+        self.ids, self.codes, self.score, self.margin = (np.insert(c, at, v) for c, v in row)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    @property
+    def labels(self) -> list:
+        """The label of every prediction, in order."""
+        return np.array(self.table, dtype=object)[self.codes].tolist()
+
+    def _columns(self):
+        return self.ids, self.codes, self.score, self.margin
+
+
+def _row(table: list, p: Prediction) -> tuple:
+    """The column values of `p`, its label coded as its index in `table`, appended if new."""
+    if p.label not in table:
+        table.append(p.label)
+    return p.segment_id, table.index(p.label), p.score, p.margin
+
+
+def as_predictions(predictions) -> Predictions:
+    """`predictions` itself if it is a Predictions, else its fields stacked in order."""
+    if isinstance(predictions, Predictions):
+        return predictions
+    table = []
+    rows = np.array([_row(table, p) for p in predictions], dtype=object).reshape(-1, 4)
+    return Predictions(table, *map(np.array, rows.T, (np.int64, np.int64, np.float64, np.float64)))
 
 
 def pearson(x, y) -> float:
@@ -332,7 +396,7 @@ def match_trace(
     segments: Segments | list[Segment],
     db: FingerprintDb,
     channels: frozenset[Channel] = DEFAULT_CHANNELS,
-) -> list[Prediction]:
+) -> Predictions:
     compiled = CompiledDb(db, channels)
     segs = as_segments(segments)
     best = np.empty(len(segs), dtype=np.int64)
@@ -341,6 +405,4 @@ def match_trace(
     for rows, slot, scores in compiled.score_blocks(segs):
         b, t, g = compiled.pick(scores)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
-    labels = [fp.label for fp in compiled.entries]
-    predicted = [labels[b] for b in best.tolist()]
-    return list(map(Prediction, range(len(segs)), predicted, top.tolist(), margin.tolist()))
+    return Predictions([fp.label for fp in db.entries], np.arange(len(segs)), best, top, margin)

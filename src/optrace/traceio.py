@@ -11,13 +11,13 @@ import hashlib
 import locale
 from dataclasses import fields
 from inspect import signature
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .machine import PAGE_SIZE, LayoutConfig, MitigationConfig, NoiseModel, SideChannelTrace
-from .matcher import Channel
+from .matcher import Channel, as_predictions
 from .preprocess import Segments, preprocess_trace
 from .profiler import Fingerprint, FingerprintDb
 
@@ -79,13 +79,6 @@ def _write_header(fh, kind: str, meta: dict[str, object], columns: tuple[str, ..
             fh.write(f"# {key}={value}\n")
     if columns:
         fh.write(",".join(columns) + "\n")
-
-
-def _write_lines(fh, lines) -> None:
-    """Write `lines`, each ending in a newline, _CHUNK_LINES of them per write."""
-    lines = iter(lines)
-    for text in iter(lambda: "".join(islice(lines, _CHUNK_LINES)), ""):
-        fh.write(text)
 
 
 class _Lines:
@@ -292,9 +285,10 @@ def _convert(convert, text: str, lineno: int):
 
 
 def _formatted(values: np.ndarray, fmt=str) -> list[str]:
-    """`fmt(value)` of every value, each distinct value formatted once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
+    """`fmt(value)` of every value, each distinct bit pattern (-0.0 is not 0.0) formatted once."""
+    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    formatted = map(fmt, distinct.view(values.dtype).tolist())
+    return np.array(list(formatted), dtype=object)[inverse].tolist()
 
 
 def _rows_text(trace: SideChannelTrace, rows, ids=None) -> str:
@@ -476,9 +470,9 @@ def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
         _write_header(fh, "truth", meta, _TRUTH_COLUMNS)
-        _write_lines(fh, (
-            f"{idx},{_NULL_LABEL if label is None else label}\n" for idx, label in trace.truth
-        ))
+        for start in range(0, len(trace.truth), _CHUNK_LINES):
+            rows = trace.truth[start : start + _CHUNK_LINES]
+            fh.write("".join(f"{i},{_NULL_LABEL if name is None else name}\n" for i, name in rows))
 
 
 def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
@@ -492,14 +486,20 @@ def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
 def write_predictions(
     path, predictions, config_hash: str | None = None, layout_seed: int | None = None
 ) -> None:
+    preds = as_predictions(predictions)
+    table = np.array([_NULL_LABEL if label is None else label for label in preds.table], object)
     with open(path, "w", newline="") as fh:
         meta = {"layout_seed": layout_seed, "config_hash": config_hash}
         _write_header(fh, "predictions", meta, _PREDICTION_COLUMNS)
-        _write_lines(fh, (
-            f"{p.segment_id},{_NULL_LABEL if p.label is None else p.label},"
-            f"{p.score:.6f},{p.margin:.6f}\n"
-            for p in predictions
-        ))
+        for start in range(0, len(preds), _CHUNK_LINES):
+            part = preds[start : start + _CHUNK_LINES]
+            columns = [
+                map(str, part.ids.tolist()),
+                table[part.codes].tolist(),
+                _formatted(part.score, "{:.6f}".format),
+                _formatted(part.margin, "{:.6f}".format),
+            ]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:

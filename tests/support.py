@@ -102,7 +102,7 @@ def attack_report(
     v = victim(seed, sigma, zero, nop_prob, iterations)
     db = profile_db(seed + PROFILE_SEED_OFFSET, sigma, zero)
     predictions = match_trace(list(v.segments), db, channels)
-    return classify_outcomes(v.truth, [p.label for p in predictions], strict=strict)
+    return classify_outcomes(v.truth, predictions.labels, strict=strict)
 
 
 def segment_events(trace, segment):

@@ -4,6 +4,7 @@ import itertools
 import random
 import statistics
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,9 @@ from optrace.matcher import (
     Channel,
     CompiledDb,
     MatchError,
+    Prediction,
+    Predictions,
+    as_predictions,
     match_trace,
     pearson,
     score_discrete,
@@ -503,3 +507,102 @@ def test_families_sharing_a_discrete_key_score_it_once():
 def test_empty_database_is_an_error():
     with pytest.raises(MatchError, match="empty"):
         match_trace([], db())
+
+
+# ------------------------------------------------------------ Predictions
+
+
+def prediction_columns():
+    """Four predictions over a table that holds label "x" twice, as a DB may."""
+    return Predictions(
+        ["x", None, "y", "x"],
+        np.array([0, 1, 2, 7]),
+        np.array([0, 1, 2, 3]),
+        np.array([0.5, 0.25, 1.0, -0.0]),
+        np.array([0.125, 0.0, 0.5, 0.0]),
+    )
+
+
+PREDICTION_ROWS = [
+    Prediction(0, "x", 0.5, 0.125),
+    Prediction(1, None, 0.25, 0.0),
+    Prediction(2, "y", 1.0, 0.5),
+    Prediction(7, "x", -0.0, 0.0),
+]
+
+
+def test_predictions_index_like_a_list():
+    preds, rows = prediction_columns(), PREDICTION_ROWS
+    assert list(preds) == rows
+    assert preds.labels == [p.label for p in rows]
+    for i in range(-len(rows), len(rows)):
+        assert preds[i] == preds[np.int64(i)] == rows[i]
+        assert type(preds[i].segment_id) is int and type(preds[i].score) is float
+    for i in (4, -5, np.int64(4)):
+        with pytest.raises(IndexError):
+            preds[i]
+    for part in (slice(1, 3), slice(None, None, -2), slice(5, 9)):
+        assert isinstance(preds[part], Predictions)
+        assert preds[part] == rows[part]
+    assert preds[np.array([3, 0])] == [rows[3], rows[0]]
+
+
+def test_predictions_compare_item_by_item():
+    preds, rows = prediction_columns(), PREDICTION_ROWS
+    assert preds == rows and rows == preds and preds == tuple(rows)
+    assert preds == as_predictions(rows) == prediction_columns()
+    assert preds != rows[:-1]
+    assert preds != [*rows[:-1], replace(rows[-1], margin=1.0)]
+    assert preds != 5
+
+
+def test_predictions_assignment_writes_into_the_columns():
+    preds, rows = prediction_columns(), list(PREDICTION_ROWS)
+    rows[1] = replace(rows[1], label="y", score=0.75)  # a label in the table
+    rows[-1] = replace(rows[-1], label="z", segment_id=9)  # a new label
+    preds[1], preds[-1] = rows[1], rows[-1]
+    assert preds == rows
+    assert preds.table == ["x", None, "y", "x", "z"]
+    view = preds[1:]  # a slice's columns are views sharing the table
+    view[0] = rows[1] = replace(rows[1], label="w")
+    assert preds == rows
+    assert preds.table == ["x", None, "y", "x", "z", "w"]
+
+
+def test_predictions_insert_and_delete_like_a_list():
+    preds, rows = prediction_columns(), list(PREDICTION_ROWS)
+    new = Prediction(5, "z", 0.0, 0.0)
+    for seq in (preds, rows):
+        seq.insert(100, new)
+        seq.insert(-2, new)
+        seq.insert(-100, replace(new, label=None))
+        del seq[1]
+        del seq[-3:-1]
+        seq.append(replace(new, label="x"))
+    assert preds == rows
+
+
+def old_prediction_list(segs, fps, channels):
+    """match_trace as it was: one Prediction built per segment from the picks."""
+    compiled = CompiledDb(db(*fps), channels)
+    best = np.zeros(len(segs), dtype=np.int64)
+    top, margin = np.zeros(len(segs)), np.zeros(len(segs))
+    for rows, slot, scores in compiled.score_blocks(segs):
+        b, t, g = compiled.pick(scores)
+        best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
+    predicted = [fps[b].label for b in best.tolist()]
+    return list(map(Prediction, range(len(segs)), predicted, top.tolist(), margin.tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fps=st.lists(fingerprints(), min_size=1, max_size=8),
+    segs=st.lists(segments(max_len=6), max_size=12),
+    channels=CHANNEL_SETS,
+)
+def test_predictions_items_are_the_old_prediction_list(fps, segs, channels):
+    preds = match_trace(segs, db(*fps), channels)
+    want = old_prediction_list(segs, fps, channels)
+    assert list(preds) == [preds[i] for i in range(len(preds))] == want
+    assert preds.labels == [p.label for p in want]
+    assert as_predictions(want) == preds

@@ -1,12 +1,13 @@
 """Serialization round-trips and format validation for every file kind."""
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optrace import traceio
@@ -21,7 +22,7 @@ from optrace.machine import (
     build_layout,
     synthesize_trace,
 )
-from optrace.matcher import Prediction
+from optrace.matcher import Prediction, as_predictions
 from optrace.opcodes import OPCODES
 from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
 from optrace.traceio import (
@@ -652,6 +653,45 @@ def test_write_truth_requires_ground_truth(tmp_path):
 # ------------------------------------------------------------ predictions
 
 
+def prediction_lines(preds) -> str:
+    """The row-by-row predictions writer: the byte oracle of the column writer."""
+    return "".join(
+        f"{p.segment_id},{'NULL' if p.label is None else p.label},{p.score:.6f},{p.margin:.6f}\n"
+        for p in preds
+    )
+
+
+# Floats whose text a value-keyed dedup or a rounding shortcut would get
+# wrong: both zeros, NaNs of either sign, and halves of the 6th decimal.
+SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    st.integers(-(10**7), 10**7).map(lambda k: (k + 0.5) / 1e6),
+    st.floats(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 2**62), st.sampled_from([None, "i32.add", "br_if"]), SCORES, SCORES),
+        max_size=30,
+    ),
+    chunk=st.integers(1, 8),
+)
+@example(rows=[], chunk=1)
+@example(rows=[(0, None, 0.0, -0.0), (1, "i32.add", -0.0, 0.0), (2, None, math.nan, -math.nan)], chunk=3)
+def test_column_writer_matches_the_row_by_row_oracle(rows, chunk):
+    # The list is stacked into columns first; a reversed view of those
+    # columns has negative strides.
+    preds = [Prediction(*r) for r in rows]
+    head = "# optrace predictions v1\n# layout_seed=4\nsegment_id,label,score,margin\n"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        path = Path(tmp) / "p"
+        for written, want in ((preds, preds), (as_predictions(preds)[::-1], preds[::-1])):
+            write_predictions(path, written, layout_seed=4)
+            assert path.read_bytes() == (head + prediction_lines(want)).encode()
+
+
 def test_predictions_round_trip(tmp_path):
     preds = [
         Prediction(segment_id=0, label="i32.add", score=0.25, margin=0.03125),
@@ -682,9 +722,7 @@ def test_truth_and_predictions_are_written_a_chunk_of_lines_at_a_time(rows, chun
     trace = SideChannelTrace([0], [ord("R")], [0], [0], tuple(r[:2] for r in rows), 4)
     preds = [Prediction(*r) for r in rows]
     truth_lines = "".join(f"{i},{'NULL' if l is None else l}\n" for i, l, _, _ in rows)
-    pred_lines = "".join(
-        f"{i},{'NULL' if l is None else l},{s:.6f},{m:.6f}\n" for i, l, s, m in rows
-    )
+    pred_lines = prediction_lines(preds)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
         write_truth(Path(tmp) / "t", trace, config_hash="ab12")
         write_predictions(Path(tmp) / "p", preds, config_hash="ab12", layout_seed=4)
