@@ -12,7 +12,6 @@ from .opcodes import (
     OPENERS,
     OpcodeId,
     opcode_family,  # re-exported as part of this module's surface
-    opcode_info,
 )
 
 __all__ = [
@@ -75,10 +74,6 @@ def _wrap(value: int, mask: int) -> int:
     return value - (mask + 1) if value & sign_bit else value
 
 
-def _to_unsigned(value: int, mask: int) -> int:
-    return value & mask
-
-
 def parse_flat_module(text: str) -> FlatModule:
     """Parse flat-module text into a validated FlatModule.
 
@@ -86,27 +81,28 @@ def parse_flat_module(text: str) -> FlatModule:
     '@label:' and 'mnemonic [immediates...]'.  'call' accepts either a
     numeric instruction index or '@label'.  Labels resolve at parse time
     and are not kept in the module.
-    """
-    instructions: list[tuple[int, str, list[str]]] = []  # (line_no, mnemonic, raw imms)
-    labels: dict[str, int] = {}
-    locals_count = 0
-    memory_pages = 0
-    depth = 0  # structured-control nesting while scanning
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    One walk: each distinct instruction text is parsed once (`_Text`), and
+    per instruction only the stack of open structures moves.
+    """
+    lines = text.splitlines()
+    labels: dict[str, int] = {}
+    directives = {".locals": 0, ".memory": 0}
+    distinct: dict[str, _Text] = {}  # in order of first line
+    texts: list[str] = []  # the text of each instruction
+    openers: list[str] = []  # families of the open structures; an if turns 'if+else'
+    nesting_error: ParseError | None = None  # the first else or branch the stack rejects
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("."):
+        if line[0] == ".":
             parts = line.split()
-            if parts[0] == ".locals":
-                locals_count = _parse_directive_int(parts, line_no, ".locals")
-            elif parts[0] == ".memory":
-                memory_pages = _parse_directive_int(parts, line_no, ".memory")
-            else:
+            if parts[0] not in directives:
                 raise ParseError(line_no, f"unknown directive {parts[0]!r}")
+            directives[parts[0]] = _parse_directive_int(parts, line_no, parts[0])
             continue
-        if line.startswith("@"):
+        if line[0] == "@":
             if not line.endswith(":"):
                 raise ParseError(line_no, "label line must end with ':'")
             name = line[1:-1]
@@ -114,38 +110,41 @@ def parse_flat_module(text: str) -> FlatModule:
                 raise ParseError(line_no, "empty label name")
             if name in labels:
                 raise ParseError(line_no, f"duplicate label @{name}")
-            if depth != 0:
+            if openers:
                 raise ParseError(line_no, "label inside an open control structure")
-            labels[name] = len(instructions)
+            labels[name] = len(texts)
             continue
-        parts = line.split()
-        mnemonic, raw_imms = parts[0], parts[1:]
-        info = OPCODE_INFO.get(mnemonic)
-        if info is None:
-            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
-        if len(raw_imms) != info.n_immediates:
-            raise ParseError(
-                line_no,
-                f"{mnemonic} takes {info.n_immediates} immediate(s), got {len(raw_imms)}",
-            )
-        family = info.opcode.family
+        entry = distinct.get(line)
+        if entry is None:
+            entry = distinct[line] = _Text(line, line_no)
+        family = entry.family
         if family in OPENERS:
-            depth += 1
+            openers.append(family)
         elif family == "end":
-            if depth == 0:
+            if not openers:
                 raise ParseError(line_no, "'end' without matching opener")
-            depth -= 1
-        instructions.append((line_no, mnemonic, raw_imms))
+            openers.pop()
+        elif nesting_error is not None:
+            pass  # only the first nesting fault can be raised
+        elif family == "else":
+            if openers and openers[-1] == "if":
+                openers[-1] = "if+else"
+            else:
+                nesting_error = ParseError(line_no, "'else' outside an if")
+        elif family in ("br", "br_if") and entry.fault is None and entry.imm >= len(openers):
+            nesting_error = ParseError(line_no, "branch depth exceeds nesting")
+        texts.append(line)
 
-    if depth != 0:
-        raise ParseError(len(text.splitlines()) or 1, "unclosed control structure at end of module")
-
-    resolved = _resolve(instructions, labels, locals_count)
-    return FlatModule(
-        instructions=resolved,
-        locals_count=locals_count,
-        initial_memory_pages=memory_pages,
-    )
+    # Every fault above wins over the faults below; of those, the earliest wins.
+    if openers:
+        raise ParseError(len(lines) or 1, "unclosed control structure at end of module")
+    locals_count, memory_pages = directives.values()
+    last = len(lines) if nesting_error is None else nesting_error.line
+    shared = {t: e.instruction(labels, locals_count, len(texts))
+              for t, e in distinct.items() if e.line <= last}
+    if nesting_error is not None:
+        raise nesting_error
+    return FlatModule(tuple(map(shared.__getitem__, texts)), locals_count, memory_pages)
 
 
 def _parse_directive_int(parts: list[str], line_no: int, name: str) -> int:
@@ -157,62 +156,54 @@ def _parse_directive_int(parts: list[str], line_no: int, name: str) -> int:
         raise ParseError(line_no, f"{name} argument must be an integer") from None
     if value < 0:
         raise ParseError(line_no, f"{name} argument must be non-negative")
+    if name == ".memory" and value > MAX_MEMORY_PAGES:
+        raise ParseError(line_no, f".memory argument exceeds {MAX_MEMORY_PAGES} pages")
     return value
 
 
-def _resolve(
-    raw: list[tuple[int, str, list[str]]],
-    labels: dict[str, int],
-    locals_count: int,
-) -> tuple[Instruction, ...]:
-    """Second pass: immediates, label targets, branch depths, else/if pairing."""
-    out: list[Instruction] = []
-    # stack of (family, line) for opener bookkeeping; 'if' entries flip to
-    # 'if+else' once an else is seen so a second else can be rejected.
-    openers: list[list] = []
-    n = len(raw)
-    for index, (line_no, mnemonic, raw_imms) in enumerate(raw):
-        info = OPCODE_INFO[mnemonic]
-        family = info.opcode.family
-        imms: list[int] = []
-        for text_imm in raw_imms:
-            if family == "call" and text_imm.startswith("@"):
-                name = text_imm[1:]
-                if name not in labels:
-                    raise ParseError(line_no, f"unknown label @{name}")
-                imms.append(labels[name])
-                continue
+class _Text:
+    """One distinct instruction text, parsed where it first appears: its opcode, its immediate
+    (the label name of 'call @label') and a `fault` that needs no context, raised only later."""
+
+    __slots__ = ("line", "opcode", "family", "imm", "fault")
+
+    def __init__(self, text: str, line: int):
+        mnemonic, *raw = text.split()
+        info = OPCODE_INFO.get(mnemonic)
+        if info is None:
+            raise ParseError(line, f"unknown mnemonic {mnemonic!r}")
+        if len(raw) != info.n_immediates:
+            raise ParseError(
+                line, f"{mnemonic} takes {info.n_immediates} immediate(s), got {len(raw)}"
+            )
+        self.line, self.opcode, self.family = line, info.opcode, info.opcode.family
+        self.imm = self.fault = None
+        if raw and self.family == "call" and raw[0].startswith("@"):
+            self.imm = raw[0][1:]
+        elif raw:
             try:
-                imms.append(int(text_imm))
+                self.imm = int(raw[0])
             except ValueError:
-                raise ParseError(line_no, f"bad immediate {text_imm!r}") from None
+                self.fault = f"bad immediate {raw[0]!r}"
+        if self.fault is None and self.family in ("br", "br_if") and self.imm < 0:
+            self.fault = "branch depth must be non-negative"
+        elif self.fault is None and self.family in ("global.get", "global.set") and self.imm < 0:
+            self.fault = "global index must be non-negative"
 
-        if family in ("local.get", "local.set", "local.tee"):
-            if imms[0] < 0 or imms[0] >= locals_count:
-                raise ParseError(line_no, f"local index {imms[0]} out of range")
-        elif family in ("global.get", "global.set"):
-            if imms[0] < 0:
-                raise ParseError(line_no, "global index must be non-negative")
-        elif family in ("br", "br_if"):
-            if imms[0] < 0:
-                raise ParseError(line_no, "branch depth must be non-negative")
-            if imms[0] >= len(openers):
-                raise ParseError(line_no, "branch depth exceeds nesting")
-        elif family == "call":
-            if not 0 <= imms[0] < n:
-                raise ParseError(line_no, f"call target {imms[0]} out of range")
-
-        if family in OPENERS:
-            openers.append([family, line_no])
-        elif family == "else":
-            if not openers or openers[-1][0] != "if":
-                raise ParseError(line_no, "'else' outside an if")
-            openers[-1][0] = "if+else"
-        elif family == "end":
-            openers.pop()
-
-        out.append(Instruction(info.opcode, tuple(imms)))
-    return tuple(out)
+    def instruction(self, labels: dict[str, int], locals_count: int, n: int) -> Instruction:
+        """The shared instruction, checked against the final labels, `.locals` and count."""
+        if self.fault is not None:
+            raise ParseError(self.line, self.fault)
+        imm, family = self.imm, self.family
+        if isinstance(imm, str):
+            if imm not in labels:
+                raise ParseError(self.line, f"unknown label @{imm}")
+            imm = labels[imm]
+        if family in ("local.get", "local.set", "local.tee") and not 0 <= imm < locals_count:
+            raise ParseError(self.line, f"local index {imm} out of range")
+        if family == "call" and not 0 <= imm < n:
+            raise ParseError(self.line, f"call target {imm} out of range")
+        return Instruction(self.opcode, () if imm is None else (imm,))
 
 
 def serialize_module(module: FlatModule) -> str:
@@ -327,7 +318,7 @@ class Interpreter:
             value, addr = self._pop(), self._pop()
             self._store(addr, value, 8 if is64 else 4, mask)
         elif family == "memory.grow":
-            delta = _to_unsigned(self._pop(), _I32_MASK)
+            delta = self._pop() & _I32_MASK
             current = len(self.memory) // PAGE_BYTES
             if current + delta > MAX_MEMORY_PAGES:
                 self._push(-1)
@@ -390,17 +381,17 @@ class Interpreter:
         return target.end + 1
 
     def _load(self, addr: int, size: int, mask: int) -> int:
-        addr = _to_unsigned(addr, _I32_MASK)
+        addr &= _I32_MASK
         if addr + size > len(self.memory):
             raise Trap("out-of-bounds memory read")
         raw = int.from_bytes(self.memory[addr : addr + size], "little")
         return _wrap(raw, mask)
 
     def _store(self, addr: int, value: int, size: int, mask: int) -> None:
-        addr = _to_unsigned(addr, _I32_MASK)
+        addr &= _I32_MASK
         if addr + size > len(self.memory):
             raise Trap("out-of-bounds memory write")
-        self.memory[addr : addr + size] = _to_unsigned(value, mask).to_bytes(size, "little")
+        self.memory[addr : addr + size] = (value & mask).to_bytes(size, "little")
 
 
 def _match_structures(

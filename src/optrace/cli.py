@@ -10,7 +10,9 @@ inconsistent data files, 4 pipeline failure (detection or matching).
 
 import argparse
 import dataclasses
+import locale
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .bytecode import ParseError, Trap, execute, parse_flat_module
@@ -118,15 +120,19 @@ def _build_module(args):
         module_path = Path(args.module)
         if not module_path.is_file():
             raise ConfigError(f"module file not found: {module_path}")
-        return parse_flat_module(module_path.read_text())
-    name = args.workload
-    if name == "benchmark":
+        data = module_path.read_bytes()
+        encoding = locale.getpreferredencoding(False)  # what read_text decodes with
+        try:
+            text = data.decode(encoding)
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode(encoding) + "x").splitlines())
+            raise ParseError(line, f"undecodable bytes ({exc.reason})") from None
+        return parse_flat_module(text)
+    if args.workload == "benchmark":
         return benchmark_module(args.seed, args.iterations)
-    if name == "reference":
+    if args.workload == "reference":
         return reference_module()
-    if name == "primes":
-        return primes_module()
-    raise ConfigError(f"unknown workload {name!r}")
+    return primes_module()  # "primes", the last choice --workload allows
 
 
 def _synthesize(cfg, seed, module, markers: bool, zero_noise: bool, step_limit: int):
@@ -404,6 +410,14 @@ def _cmd_end2end(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    with suppress(ValueError):
+        if int(text) > 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value settings file")
@@ -412,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     program.add_argument("--workload", default="benchmark",
                          choices=["benchmark", "reference", "primes"])
     program.add_argument("--module", metavar="FILE", help="flat module text to run instead")
-    program.add_argument("--iterations", type=int, default=55)
+    program.add_argument("--iterations", type=_positive_int, default=55)
     synthesis = argparse.ArgumentParser(add_help=False)
-    synthesis.add_argument("--step-limit", type=int, default=10_000_000)
+    synthesis.add_argument("--step-limit", type=_positive_int, default=10_000_000)
     synthesis.add_argument("--zero-noise", action="store_true")
     profiling = argparse.ArgumentParser(add_help=False)
-    profiling.add_argument("--repeats", type=int, default=32)
+    profiling.add_argument("--repeats", type=_positive_int, default=32)
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--strict", action="store_true",
                          help="exact mnemonics instead of opcode families")

@@ -7,7 +7,7 @@ numeric channels (fault counts, latency) score by correlation, which
 tolerates the additive jitter and quantization the timer applies.
 """
 
-from collections.abc import MutableSequence, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -55,10 +55,10 @@ class Prediction:
     margin: float
 
 
-class Predictions(MutableSequence):
+class Predictions(Sequence):
     """Predictions as columns: prediction i labels segment ids[i] as table[codes[i]], with
     score[i] and margin[i].  An int index builds that Prediction; a slice, mask or index array
-    a Predictions sharing the table.  Assigned or inserted Predictions add new labels to it."""
+    a Predictions sharing the table.  An assigned Prediction adds its label to it if new."""
 
     def __init__(self, table: list, ids, codes, score, margin):
         self.table, self.ids, self.codes = table, ids, codes
@@ -79,14 +79,6 @@ class Predictions(MutableSequence):
 
     def __setitem__(self, i, p: Prediction) -> None:
         self.ids[i], self.codes[i], self.score[i], self.margin[i] = _row(self.table, p)
-
-    def __delitem__(self, i) -> None:
-        self.ids, self.codes, self.score, self.margin = (np.delete(c, i) for c in self._columns())
-
-    def insert(self, i, p: Prediction) -> None:
-        at = slice(i, i).indices(len(self))[0]  # where list.insert puts it
-        row = zip(self._columns(), _row(self.table, p))
-        self.ids, self.codes, self.score, self.margin = (np.insert(c, at, v) for c, v in row)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)

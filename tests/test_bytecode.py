@@ -1,15 +1,27 @@
 """Parser and interpreter semantics, anchored to hand-derived oracles."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optrace.bytecode import (
+    MAX_MEMORY_PAGES,
+    FlatModule,
+    Instruction,
     Interpreter,
     ParseError,
     execute,
     parse_flat_module,
     serialize_module,
 )
-from optrace.workloads import benchmark_module, primes_module
+from optrace.opcodes import OPCODE_INFO, OPENERS
+from optrace.workloads import (
+    benchmark_module,
+    benchmark_text,
+    primes_module,
+    primes_text,
+    reference_text,
+)
 
 
 def run_and_get_local(body: str, locals_count: int = 1, memory: int = 0):
@@ -73,6 +85,7 @@ def test_serialize_round_trip_is_stable():
         (".bogus 3\n", "unknown directive"),
         (".locals\n", "takes one integer"),
         (".memory -1\n", "non-negative"),
+        (f".memory {MAX_MEMORY_PAGES + 1}\n", "exceeds 256 pages"),
         ("call @nowhere\nreturn\n", "unknown label"),
         ("call 99\n", "out of range"),
         ("block\n@inside:\nend\n", "label inside an open control structure"),
@@ -87,6 +100,219 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc_info:
         parse_flat_module("nop\nnop\ni32.frob\n")
     assert exc_info.value.line == 3
+
+
+def oracle_parse(text: str) -> FlatModule:
+    """The two-pass parser parse_flat_module replaced: a scan for directives, labels,
+    mnemonics, immediate counts and nesting depth, then a resolve pass over every
+    instruction.  Every scan fault wins over every resolve fault."""
+    instructions: list[tuple[int, str, list[str]]] = []  # (line_no, mnemonic, raw imms)
+    labels: dict[str, int] = {}
+    locals_count = 0
+    memory_pages = 0
+    depth = 0
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("."):
+            parts = line.split()
+            if parts[0] == ".locals":
+                locals_count = _oracle_directive_int(parts, line_no, ".locals")
+            elif parts[0] == ".memory":
+                memory_pages = _oracle_directive_int(parts, line_no, ".memory")
+            else:
+                raise ParseError(line_no, f"unknown directive {parts[0]!r}")
+            continue
+        if line.startswith("@"):
+            if not line.endswith(":"):
+                raise ParseError(line_no, "label line must end with ':'")
+            name = line[1:-1]
+            if not name:
+                raise ParseError(line_no, "empty label name")
+            if name in labels:
+                raise ParseError(line_no, f"duplicate label @{name}")
+            if depth != 0:
+                raise ParseError(line_no, "label inside an open control structure")
+            labels[name] = len(instructions)
+            continue
+        parts = line.split()
+        mnemonic, raw_imms = parts[0], parts[1:]
+        info = OPCODE_INFO.get(mnemonic)
+        if info is None:
+            raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
+        if len(raw_imms) != info.n_immediates:
+            raise ParseError(
+                line_no,
+                f"{mnemonic} takes {info.n_immediates} immediate(s), got {len(raw_imms)}",
+            )
+        family = info.opcode.family
+        if family in OPENERS:
+            depth += 1
+        elif family == "end":
+            if depth == 0:
+                raise ParseError(line_no, "'end' without matching opener")
+            depth -= 1
+        instructions.append((line_no, mnemonic, raw_imms))
+
+    if depth != 0:
+        raise ParseError(len(text.splitlines()) or 1, "unclosed control structure at end of module")
+    resolved = _oracle_resolve(instructions, labels, locals_count)
+    return FlatModule(resolved, locals_count, memory_pages)
+
+
+def _oracle_directive_int(parts: list[str], line_no: int, name: str) -> int:
+    if len(parts) != 2:
+        raise ParseError(line_no, f"{name} takes one integer argument")
+    try:
+        value = int(parts[1])
+    except ValueError:
+        raise ParseError(line_no, f"{name} argument must be an integer") from None
+    if value < 0:
+        raise ParseError(line_no, f"{name} argument must be non-negative")
+    return value
+
+
+def _oracle_resolve(raw, labels: dict[str, int], locals_count: int) -> tuple[Instruction, ...]:
+    out: list[Instruction] = []
+    openers: list[list] = []  # [family, line]; an 'if' flips to 'if+else' at its else
+    n = len(raw)
+    for line_no, mnemonic, raw_imms in raw:
+        info = OPCODE_INFO[mnemonic]
+        family = info.opcode.family
+        imms: list[int] = []
+        for text_imm in raw_imms:
+            if family == "call" and text_imm.startswith("@"):
+                name = text_imm[1:]
+                if name not in labels:
+                    raise ParseError(line_no, f"unknown label @{name}")
+                imms.append(labels[name])
+                continue
+            try:
+                imms.append(int(text_imm))
+            except ValueError:
+                raise ParseError(line_no, f"bad immediate {text_imm!r}") from None
+
+        if family in ("local.get", "local.set", "local.tee"):
+            if imms[0] < 0 or imms[0] >= locals_count:
+                raise ParseError(line_no, f"local index {imms[0]} out of range")
+        elif family in ("global.get", "global.set"):
+            if imms[0] < 0:
+                raise ParseError(line_no, "global index must be non-negative")
+        elif family in ("br", "br_if"):
+            if imms[0] < 0:
+                raise ParseError(line_no, "branch depth must be non-negative")
+            if imms[0] >= len(openers):
+                raise ParseError(line_no, "branch depth exceeds nesting")
+        elif family == "call":
+            if not 0 <= imms[0] < n:
+                raise ParseError(line_no, f"call target {imms[0]} out of range")
+
+        if family in OPENERS:
+            openers.append([family, line_no])
+        elif family == "else":
+            if not openers or openers[-1][0] != "if":
+                raise ParseError(line_no, "'else' outside an if")
+            openers[-1][0] = "if+else"
+        elif family == "end":
+            openers.pop()
+
+        out.append(Instruction(info.opcode, tuple(imms)))
+    return tuple(out)
+
+
+def outcome(parse, text: str):
+    """The module `parse` makes of `text`, or the line and message of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def _numbered(template: str, low: int, high: int):
+    return st.integers(low, high).map(template.format)
+
+
+# Lines a module is made of, valid and faulty alike.  '.memory' stays within
+# MAX_MEMORY_PAGES, which the oracle does not know about.
+LINES = st.one_of(
+    st.sampled_from([
+        "", "# note", "nop", "nop  # note", "  block", "loop", "if", "else", "end", "end",
+        "return", "drop", "select", "i32.add", "i64.eqz", "memory.grow", "i32.store",
+        "call  @a", "call @", "i32.const zzz", "br x", "local.get @a", "i32.frob",
+        "i32.const", "nop 4", "br 0 1", ".bogus 3", ".locals", ".memory x", "@broken", "@:",
+    ]),
+    _numbered("@l{}:", 0, 3),
+    _numbered("call @l{}", 0, 4),
+    _numbered("call {}", -1, 12),
+    _numbered("br {}", -1, 3),
+    _numbered("br_if {}", -1, 3),
+    _numbered("local.get {}", -1, 4),
+    _numbered("local.tee {}", -1, 4),
+    _numbered("global.set {}", -1, 2),
+    _numbered("i64.const {}", -5, 5),
+    _numbered(".locals {}", -1, 4),
+    _numbered(".memory {}", -1, MAX_MEMORY_PAGES),
+)
+
+WORKLOAD_TEXTS = [benchmark_text(3, 1), reference_text(1), primes_text(20)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LINES, max_size=40))
+def test_parse_matches_oracle_on_random_lines(lines):
+    text = "\n".join(lines)
+    assert outcome(parse_flat_module, text) == outcome(oracle_parse, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(WORKLOAD_TEXTS),
+    st.lists(st.tuples(st.floats(0, 1), LINES), max_size=4),
+)
+def test_parse_matches_oracle_on_workloads_with_bad_lines(text, inserts):
+    lines = text.splitlines()
+    for where, line in inserts:
+        lines.insert(int(where * len(lines)), line)
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_flat_module, text) == outcome(oracle_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text, line, fragment",
+    [
+        # a label on the last line points one past the last instruction
+        ("call @f\nreturn\n@f:\n", 1, "call target 2 out of range"),
+        # the final .locals counts, wherever it stands
+        ("local.get 1\n.locals 2\nlocal.get 2\n.locals 3\n", None, None),
+        ("local.get 1\n.locals 1\n", 1, "local index 1 out of range"),
+        # each spelling of an instruction is checked where it first appears
+        ("nop\ncall  @f\ncall @f\n", 2, "unknown label @f"),
+        ("call @f\ncall  @f\n@f:\nreturn\n", None, None),
+        ("i32.const 1\nif\nelse\nelse\nend\n", 4, "'else' outside an if"),
+        # a scan fault wins over an earlier resolve fault
+        ("i32.const zzz\nfoo\n", 2, "unknown mnemonic 'foo'"),
+        ("br 3\nblock\n", 2, "unclosed control structure"),
+        # of the resolve faults, the earliest wins
+        ("call @f\nbr 0\n", 1, "unknown label @f"),
+        ("br 0\ncall @f\n", 1, "branch depth exceeds nesting"),
+        ("br x\nbr x\n", 1, "bad immediate 'x'"),
+        (f".memory {MAX_MEMORY_PAGES}\n", None, None),
+    ],
+)
+def test_parse_edge_cases_match_oracle(text, line, fragment):
+    got = outcome(parse_flat_module, text)
+    assert got == outcome(oracle_parse, text)
+    if fragment is None:
+        assert isinstance(got, FlatModule)
+    else:
+        assert got[0] == line and fragment in got[1]
+
+
+def test_parse_shares_one_instruction_per_text():
+    module = parse_flat_module(".locals 1\nlocal.get 0\nnop\nlocal.get 0  # again\n")
+    assert module.instructions[0] is module.instructions[2]
 
 
 # ------------------------------------------------------------- arithmetic

@@ -257,6 +257,24 @@ def test_missing_module_file_is_a_usage_error(tmp_path, capsys):
     assert "module file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--workload", "primes", "--step-limit", "0"),
+        ("synth", "--iterations", "0"),
+        ("synth", "--iterations", "-1"),
+        ("profile", "--repeats", "0"),
+        ("profile", "--repeats", "-3"),
+    ],
+)
+def test_non_positive_count_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--out-trace" if argv[0] == "synth" else "--out", tmp_path / "x")
+    assert info.value.code == 2
+    assert f"expected a positive integer, got '{argv[-1]}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
@@ -399,6 +417,16 @@ def test_unreadable_trace_row_is_a_data_error(pipeline, tmp_path, capsys, row):
     assert run("attack", "--trace", bad, "--db", pipeline.db,
                "--out", tmp_path / "p.csv") == 3
     assert capsys.readouterr().err.startswith("error: line 6: ")
+
+
+def test_undecodable_module_is_a_data_error(tmp_path, capsys):
+    module = tmp_path / "bad.ot"
+    module.write_bytes(b"nop\n\xff\xfe\nreturn\n")
+    assert run(
+        "synth", "--module", module,
+        "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
+    ) == 3
+    assert capsys.readouterr().err.startswith("error: line 2: undecodable bytes")
 
 
 def test_missing_input_file_is_a_data_error(tmp_path, pipeline, capsys):

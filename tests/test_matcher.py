@@ -569,19 +569,6 @@ def test_predictions_assignment_writes_into_the_columns():
     assert preds.table == ["x", None, "y", "x", "z", "w"]
 
 
-def test_predictions_insert_and_delete_like_a_list():
-    preds, rows = prediction_columns(), list(PREDICTION_ROWS)
-    new = Prediction(5, "z", 0.0, 0.0)
-    for seq in (preds, rows):
-        seq.insert(100, new)
-        seq.insert(-2, new)
-        seq.insert(-100, replace(new, label=None))
-        del seq[1]
-        del seq[-3:-1]
-        seq.append(replace(new, label="x"))
-    assert preds == rows
-
-
 def old_prediction_list(segs, fps, channels):
     """match_trace as it was: one Prediction built per segment from the picks."""
     compiled = CompiledDb(db(*fps), channels)
