@@ -29,6 +29,8 @@ __all__ = [
 
 PAGE_BYTES = 65536  # one linear-memory page
 MAX_MEMORY_PAGES = 256
+MAX_LOCALS = 50_000  # the WebAssembly JS API's limit on a function's locals
+_DIRECTIVE_LIMITS = {".locals": (MAX_LOCALS, "locals"), ".memory": (MAX_MEMORY_PAGES, "pages")}
 
 _I32_MASK = 0xFFFFFFFF
 _I64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -156,8 +158,9 @@ def _parse_directive_int(parts: list[str], line_no: int, name: str) -> int:
         raise ParseError(line_no, f"{name} argument must be an integer") from None
     if value < 0:
         raise ParseError(line_no, f"{name} argument must be non-negative")
-    if name == ".memory" and value > MAX_MEMORY_PAGES:
-        raise ParseError(line_no, f".memory argument exceeds {MAX_MEMORY_PAGES} pages")
+    limit, unit = _DIRECTIVE_LIMITS[name]
+    if value > limit:
+        raise ParseError(line_no, f"{name} argument exceeds {limit} {unit}")
     return value
 
 

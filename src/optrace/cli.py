@@ -10,7 +10,6 @@ inconsistent data files, 4 pipeline failure (detection or matching).
 
 import argparse
 import dataclasses
-import locale
 import sys
 from contextlib import suppress
 from pathlib import Path
@@ -39,6 +38,7 @@ from .traceio import (
     ConfigError,
     FormatError,
     config_hash,
+    decode_text,
     load_config,
     read_db,
     read_predictions,
@@ -120,14 +120,7 @@ def _build_module(args):
         module_path = Path(args.module)
         if not module_path.is_file():
             raise ConfigError(f"module file not found: {module_path}")
-        data = module_path.read_bytes()
-        encoding = locale.getpreferredencoding(False)  # what read_text decodes with
-        try:
-            text = data.decode(encoding)
-        except UnicodeDecodeError as exc:
-            line = len((data[: exc.start].decode(encoding) + "x").splitlines())
-            raise ParseError(line, f"undecodable bytes ({exc.reason})") from None
-        return parse_flat_module(text)
+        return parse_flat_module(decode_text(module_path.read_bytes()))
     if args.workload == "benchmark":
         return benchmark_module(args.seed, args.iterations)
     if args.workload == "reference":
@@ -287,6 +280,8 @@ def _evaluate(pred_labels, truth_labels, strict: bool):
         raise EvalError(
             f"{len(pred_labels)} predictions vs {len(truth_labels)} truth labels"
         )
+    if not truth_labels:
+        raise EvalError("no predictions and no truth labels to score")
     return classify_outcomes(truth_labels, pred_labels, strict=strict)
 
 

@@ -11,7 +11,7 @@ import hashlib
 import locale
 from dataclasses import fields
 from inspect import signature
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,8 @@ _BLOCK_BYTES = 1 << 18
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _MODES = frozenset("RWE")
+# The letters a DB entry's `modes` and `classes` lines may hold: access modes and page classes.
+_DB_LETTERS = {"modes": ("mode", _MODES), "classes": ("class", frozenset("OSX"))}
 
 
 class FormatError(ValueError):
@@ -71,14 +73,32 @@ _TRUTH_COLUMNS = ("boundary_index", "label")
 _PREDICTION_COLUMNS = ("segment_id", "label", "score", "margin")
 
 
-def _write_header(fh, kind: str, meta: dict[str, object], columns: tuple[str, ...] = ()) -> None:
-    """Tag line, one `# key=value` line per meta value that is not None, column line."""
-    fh.write(f"# optrace {kind} v1\n")
-    for key, value in meta.items():
-        if value is not None:
-            fh.write(f"# {key}={value}\n")
-    if columns:
-        fh.write(",".join(columns) + "\n")
+def _write_table(path, kind: str, meta: dict[str, object], columns, count: int, text) -> None:
+    """Write a file of `count` rows: its header, then `text(chunk)` per slice of _CHUNK_LINES rows.
+
+    The header is the tag line, one `# key=value` line per meta value that
+    is not None, and the column line if `columns` is not empty.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# optrace {kind} v1\n")
+        for key, value in meta.items():
+            if value is not None:
+                fh.write(f"# {key}={value}\n")
+        if columns:
+            fh.write(",".join(columns) + "\n")
+        for start in range(0, count, _CHUNK_LINES):
+            fh.write(text(slice(start, start + _CHUNK_LINES)))
+
+
+def decode_text(data: bytes, lines_before: int = 0) -> str:
+    """`data` decoded as open() decodes text; a byte it rejects is a FormatError on its line,
+    counted by `str.splitlines` after `lines_before` lines."""
+    encoding = locale.getpreferredencoding(False)
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = lines_before + len((data[: exc.start].decode(encoding) + "x").splitlines())
+        raise FormatError(f"undecodable bytes ({exc.reason})", line) from None
 
 
 class _Lines:
@@ -107,7 +127,6 @@ class _Lines:
         self.meta: dict[str, str] = {}
         self.tag = ""
         self.last_line = 0
-        self._encoding = locale.getpreferredencoding(False)  # what open() decodes with
 
     def __iter__(self):
         for block in self.blocks():
@@ -130,12 +149,7 @@ class _Lines:
 
     def decode(self, block: bytes):
         """`(linenos, stripped)` of the data lines of `block`, the block just yielded."""
-        try:
-            lines = block.decode(self._encoding).splitlines()
-        except UnicodeDecodeError as exc:
-            head = block[: exc.start].decode(self._encoding)
-            bad = self.last_line + len((head + "x").splitlines())
-            raise FormatError(f"undecodable bytes ({exc.reason})", bad) from None
+        lines = decode_text(block, self.last_line).splitlines()
         first = self.last_line + 1
         self.last_line += len(lines)
         if first == 1:
@@ -217,14 +231,11 @@ def _raise_bad_row(linenos, fields: list[str], converters) -> None:
     width = len(converters)
     for lineno, start in zip(linenos, range(0, len(fields), width)):
         for convert, text in zip(converters, fields[start : start + width]):
-            try:
-                convert(text)
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno) from None
+            _convert(convert, text, lineno)
 
 
-def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None, raw=None):
-    """Check the column header line, then yield the rows of each block, converted in bulk.
+def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
+    """Check the column header line, then yield the rows of each block as columns.
 
     `raw`, if given, converts the bytes of whole rows, each ending in LF, to
     columns, or returns None when a row is off its form.  A block after the
@@ -232,17 +243,15 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None, raw=N
     decoded and its data lines, joined, go to `raw` once more; if it still
     refuses them they are split into fields.  `converters` holds one
     function per column that converts a field or raises a ValueError naming
-    its problem.  The fields' rows are `bulk(fields)`, or without `bulk` a
-    list of tuples of converted fields, each converter mapped over its
-    column.  If that fails, the converters run row by row to report the
-    first bad row.
+    its problem; each is mapped over its column into a list.  If that
+    fails, the converters run row by row to report the first bad row.
     """
     width = len(columns)
     header = None
     for block in lines.blocks():
-        if header is not None and raw and (rows := raw(block)) is not None:
-            lines.last_line += len(rows[0])  # one row per line
-            yield rows
+        if header is not None and raw and (table := raw(block)) is not None:
+            lines.last_line += len(table[0])  # one row per line
+            yield table
             continue
         linenos, chunk = lines.decode(block)
         if header is None and chunk:
@@ -251,20 +260,17 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, bulk=None, raw=N
             linenos, chunk = linenos[1:], chunk[1:]
         if not chunk:
             continue
-        rows = raw(("\n".join(chunk) + "\n").encode()) if raw else None
-        if rows is None:
+        table = raw(("\n".join(chunk) + "\n").encode()) if raw else None
+        if table is None:
             fields, error = _fields(linenos, chunk, width)
             try:
-                if bulk:
-                    rows = bulk(fields)
-                else:
-                    rows = list(zip(*(map(f, fields[k::width]) for k, f in enumerate(converters))))
-            except (ValueError, OverflowError):  # OverflowError: outside int64
+                table = [list(map(f, fields[k::width])) for k, f in enumerate(converters)]
+            except ValueError:
                 _raise_bad_row(linenos, fields, converters)
                 raise
             if error:  # a line after every converted row
                 raise error
-        yield rows
+        yield table
     if header is None:
         _check_columns(None, "", columns)
 
@@ -291,31 +297,25 @@ def _formatted(values: np.ndarray, fmt=str) -> list[str]:
     return np.array(list(formatted), dtype=object)[inverse].tolist()
 
 
-def _rows_text(trace: SideChannelTrace, rows, ids=None) -> str:
-    """Trace file lines of `rows` (not empty), each led by its id if given."""
-    columns = [
+def _joined(columns) -> str:
+    """Lines of the formatted fields in `columns` (not empty), one line per row."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _trace_fields(trace: SideChannelTrace, rows) -> list:
+    """The formatted address, mode, pf and latency fields of `rows`, a column each."""
+    return [
         _formatted(trace.page[rows], lambda page: f"{page * PAGE_SIZE:#x}"),
         trace.mode[rows].tobytes().decode("ascii"),
         _formatted(trace.pf[rows]),
         _formatted(trace.latency[rows]),
     ]
-    if ids is not None:
-        columns.insert(0, map(str, ids.tolist()))
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
-        _write_header(fh, "trace", meta, _TRACE_COLUMNS)
-        for start in range(0, len(trace), _CHUNK_LINES):
-            fh.write(_rows_text(trace, slice(start, start + _CHUNK_LINES)))
-
-
-def _ints(strings: list[str], base: int) -> np.ndarray:
-    """`int(s, base)` of every string, as int64; each distinct string is parsed once."""
-    values = {text: int(text, base) for text in set(strings)}
-    return np.fromiter(map(values.__getitem__, strings), np.int64, len(strings))
+    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+    _write_table(path, "trace", meta, _TRACE_COLUMNS, len(trace),
+                 lambda rows: _joined(_trace_fields(trace, rows)))
 
 
 def _int64(name: str, text: str, base: int = 10) -> int:
@@ -325,32 +325,23 @@ def _int64(name: str, text: str, base: int = 10) -> int:
     return value
 
 
-def _address(text: str) -> int:
+def _page(text: str) -> int:
     addr = _int64("address", text, 16)
     if addr % PAGE_SIZE:
         raise ValueError(f"address {addr:#x} not page aligned")
-    return addr
+    return addr // PAGE_SIZE
 
 
-def _mode(text: str) -> str:
+def _mode(text: str) -> int:
     if text not in _MODES:
         raise ValueError(f"bad access mode {text!r}")
-    return text
+    return ord(text)
 
 
 _TRACE_CONVERTERS = (
-    _address, _mode, lambda text: _int64("pf_count", text), lambda text: _int64("latency", text)
+    _page, _mode, lambda text: _int64("pf_count", text), lambda text: _int64("latency", text)
 )
-
-
-def _trace_columns(fields: list[str]):
-    """Page, mode, pf and latency columns of a chunk's trace rows."""
-    addr = _ints(fields[0::4], 16)
-    modes = fields[1::4]
-    if not _MODES.issuperset(modes) or (addr % PAGE_SIZE).any():
-        raise ValueError("bad mode or address")
-    mode = np.frombuffer("".join(modes).encode("ascii"), np.uint8)
-    return addr // PAGE_SIZE, mode, _ints(fields[2::4], 10), _ints(fields[3::4], 10)
+_NO_TRACE_ROWS = tuple(np.empty(0, dtype) for dtype in (np.int64, np.uint8, np.int64, np.int64))
 
 
 # The writer's form of a trace row: `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
@@ -424,8 +415,8 @@ def read_trace(path) -> SideChannelTrace:
     block's rows go through the CSV reader, which reports the first bad line.
     """
     lines = _Lines(path, "trace")
-    parts = _table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_columns, _trace_block)
-    page, mode, pf, latency = map(np.concatenate, zip(_trace_columns([]), *parts))
+    tables = _table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_block)
+    page, mode, pf, latency = map(np.concatenate, zip(_NO_TRACE_ROWS, *tables))
     seed = lines.meta.get("layout_seed")
     try:
         layout_seed = int(seed) if seed is not None else None
@@ -445,12 +436,12 @@ def write_segments(
     ids = np.repeat(np.arange(len(segments)), lengths)
     offsets = np.cumsum(lengths) - lengths
     rows = np.arange(len(ids)) + np.repeat(segments.starts - offsets, lengths)
-    with open(path, "w", newline="") as fh:
-        meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-        _write_header(fh, "segments", meta, ("segment_id", *_TRACE_COLUMNS))
-        for start in range(0, len(rows), _CHUNK_LINES):
-            chunk = slice(start, start + _CHUNK_LINES)
-            fh.write(_rows_text(segments.trace, rows[chunk], ids[chunk]))
+
+    def text(chunk: slice) -> str:
+        return _joined([map(str, ids[chunk].tolist()), *_trace_fields(segments.trace, rows[chunk])])
+
+    meta = {"layout_seed": layout_seed, "config_hash": config_hash}
+    _write_table(path, "segments", meta, ("segment_id", *_TRACE_COLUMNS), len(rows), text)
 
 
 def trace_meta(path) -> dict[str, str]:
@@ -467,17 +458,19 @@ def trace_meta(path) -> dict[str, str]:
 def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     if trace.truth is None:
         raise ValueError("trace carries no ground truth")
-    with open(path, "w", newline="") as fh:
-        meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
-        _write_header(fh, "truth", meta, _TRUTH_COLUMNS)
-        for start in range(0, len(trace.truth), _CHUNK_LINES):
-            rows = trace.truth[start : start + _CHUNK_LINES]
-            fh.write("".join(f"{i},{_NULL_LABEL if name is None else name}\n" for i, name in rows))
+
+    def text(chunk: slice) -> str:
+        rows = trace.truth[chunk]
+        return "".join(f"{i},{_NULL_LABEL if name is None else name}\n" for i, name in rows)
+
+    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+    _write_table(path, "truth", meta, _TRUTH_COLUMNS, len(trace.truth), text)
 
 
 def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
     lines = _Lines(path, "truth")
-    return list(chain.from_iterable(_table(lines, _TRUTH_COLUMNS, (int, _label)))), lines.meta
+    rows = [row for table in _table(lines, _TRUTH_COLUMNS, (int, _label)) for row in zip(*table)]
+    return rows, lines.meta
 
 
 # ----------------------------------------------------------- predictions
@@ -488,40 +481,40 @@ def write_predictions(
 ) -> None:
     preds = as_predictions(predictions)
     table = np.array([_NULL_LABEL if label is None else label for label in preds.table], object)
-    with open(path, "w", newline="") as fh:
-        meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-        _write_header(fh, "predictions", meta, _PREDICTION_COLUMNS)
-        for start in range(0, len(preds), _CHUNK_LINES):
-            part = preds[start : start + _CHUNK_LINES]
-            columns = [
-                map(str, part.ids.tolist()),
-                table[part.codes].tolist(),
-                _formatted(part.score, "{:.6f}".format),
-                _formatted(part.margin, "{:.6f}".format),
-            ]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+    def text(chunk: slice) -> str:
+        part = preds[chunk]
+        return _joined([
+            map(str, part.ids.tolist()),
+            table[part.codes].tolist(),
+            _formatted(part.score, "{:.6f}".format),
+            _formatted(part.margin, "{:.6f}".format),
+        ])
+
+    meta = {"layout_seed": layout_seed, "config_hash": config_hash}
+    _write_table(path, "predictions", meta, _PREDICTION_COLUMNS, len(preds), text)
 
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:
     lines = _Lines(path, "predictions")
-    rows = _table(lines, _PREDICTION_COLUMNS, (int, _label, float, float))
-    return list(chain.from_iterable(rows)), lines.meta
+    tables = _table(lines, _PREDICTION_COLUMNS, (int, _label, float, float))
+    return [row for table in tables for row in zip(*table)], lines.meta
 
 
 # --------------------------------------------------------- fingerprint DB
 
 
 def write_db(path, db: FingerprintDb) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "fingerprint-db", {key: db.meta[key] for key in sorted(db.meta)})
-        for fp in db.entries:
-            label = _NULL_LABEL if fp.label is None else fp.label
-            fh.write(f"entry {label} support={fp.support}\n")
-            fh.write(f"modes {fp.modes}\n")
-            fh.write(f"classes {fp.classes}\n")
-            fh.write(f"pf {','.join(str(v) for v in fp.pf)}\n")
-            fh.write(f"latency {','.join(f'{v:.6f}' for v in fp.latency)}\n")
-            fh.write("end\n")
+    def text(chunk: slice) -> str:
+        return "".join(
+            f"entry {_NULL_LABEL if fp.label is None else fp.label} support={fp.support}\n"
+            f"modes {fp.modes}\nclasses {fp.classes}\npf {','.join(map(str, fp.pf))}\n"
+            f"latency {','.join(f'{v:.6f}' for v in fp.latency)}\nend\n"
+            for fp in db.entries[chunk]
+        )
+
+    meta = {key: db.meta[key] for key in sorted(db.meta)}
+    _write_table(path, "fingerprint-db", meta, (), len(db.entries), text)
 
 
 def read_db(path) -> FingerprintDb:
@@ -536,40 +529,31 @@ def read_db(path) -> FingerprintDb:
             name, _, support_part = rest.partition(" ")
             if not support_part.startswith("support="):
                 raise FormatError("entry line needs 'support=<n>'", lineno)
-            current = {
-                "label": None if name == _NULL_LABEL else name,
-                "support": _convert(int, support_part.removeprefix("support="), lineno),
-            }
-        elif word in ("modes", "classes"):
-            if current is None:
-                raise FormatError(f"'{word}' outside entry", lineno)
+            support = _convert(int, support_part.removeprefix("support="), lineno)
+            current = {"label": _label(name), "support": support}
+            continue
+        if word not in ("modes", "classes", "pf", "latency", "end"):
+            raise FormatError(f"unknown directive {word!r}", lineno)
+        if current is None:
+            raise FormatError(f"'{word}' outside entry", lineno)
+        if word in _DB_LETTERS:
+            noun, letters = _DB_LETTERS[word]
             current[word] = rest.strip()
+            if bad := [c for c in current[word] if c not in letters]:
+                raise FormatError(f"bad {noun} letter {bad[0]!r}", lineno)
         elif word in ("pf", "latency"):
-            if current is None:
-                raise FormatError(f"'{word}' outside entry", lineno)
             convert = int if word == "pf" else float
             values = rest.split(",") if rest else ()
             current[word] = tuple(_convert(convert, v, lineno) for v in values)
-        elif word == "end":
-            if current is None:
-                raise FormatError("'end' outside entry", lineno)
+        else:  # end
             try:
-                fp = Fingerprint(
-                    label=current["label"],
-                    modes=current["modes"],
-                    classes=current["classes"],
-                    pf=current["pf"],
-                    latency=current["latency"],
-                    support=current["support"],
-                )
+                fp = Fingerprint(**{f.name: current[f.name] for f in fields(Fingerprint)})
             except KeyError as exc:
                 raise FormatError(f"entry missing field {exc}", lineno) from None
             if not (len(fp.modes) == len(fp.classes) == len(fp.pf) == len(fp.latency)):
                 raise FormatError("channel lengths disagree", lineno)
             entries.append(fp)
             current = None
-        else:
-            raise FormatError(f"unknown directive {word!r}", lineno)
     if current is not None:
         raise FormatError("unterminated entry", lines.last_line)
     return FingerprintDb(entries=tuple(entries), meta=lines.meta)
@@ -607,16 +591,12 @@ def _coerce(key: str, raw: str, default) -> object:
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    for kind, name in ((int, "an integer"), (float, "a number")):
+        if isinstance(default, kind):
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ConfigError(f"{key}: expected {name}, got {raw!r}") from None
     return raw
 
 

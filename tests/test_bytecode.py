@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optrace.bytecode import (
+    MAX_LOCALS,
     MAX_MEMORY_PAGES,
     FlatModule,
     Instruction,
@@ -86,6 +87,7 @@ def test_serialize_round_trip_is_stable():
         (".locals\n", "takes one integer"),
         (".memory -1\n", "non-negative"),
         (f".memory {MAX_MEMORY_PAGES + 1}\n", "exceeds 256 pages"),
+        (f".locals {MAX_LOCALS + 1}\n", "exceeds 50000 locals"),
         ("call @nowhere\nreturn\n", "unknown label"),
         ("call 99\n", "out of range"),
         ("block\n@inside:\nend\n", "label inside an open control structure"),
@@ -100,6 +102,13 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as exc_info:
         parse_flat_module("nop\nnop\ni32.frob\n")
     assert exc_info.value.line == 3
+
+
+def test_too_many_locals_is_a_parse_error_on_the_directive_line():
+    # The interpreter allocates every local up front, so the parser refuses
+    # a count it could not hold; no interpreter is built here.
+    with pytest.raises(ParseError, match=f"line 2: .locals argument exceeds {MAX_LOCALS}"):
+        parse_flat_module(f"nop\n.locals {MAX_LOCALS + 1}\nnop\n")
 
 
 def oracle_parse(text: str) -> FlatModule:

@@ -202,6 +202,15 @@ def test_eval_refuses_mismatched_runs(tmp_path, pipeline, capsys):
     assert "layout_seed mismatch" in capsys.readouterr().err
 
 
+def test_eval_of_header_only_files_is_a_data_error(tmp_path, capsys):
+    # Nothing to score is not a recall of 0 or 100: README promises exit 3.
+    preds, truth = tmp_path / "p.csv", tmp_path / "t.csv"
+    preds.write_text("# optrace predictions v1\n# layout_seed=3\nsegment_id,label,score,margin\n")
+    truth.write_text("# optrace truth v1\n# layout_seed=3\nboundary_index,label\n")
+    assert run("eval", "--predictions", preds, "--truth", truth) == 3
+    assert capsys.readouterr().err == "error: no predictions and no truth labels to score\n"
+
+
 def test_eval_force_overrides_header_check(tmp_path, pipeline):
     headerless = tmp_path / "stripped.truth"
     lines = [
@@ -398,6 +407,23 @@ def test_malformed_db_number_is_a_data_error(pipeline, tmp_path, capsys):
     assert run("attack", "--trace", pipeline.trace, "--db", bad,
                "--out", tmp_path / "p.csv") == 3
     assert capsys.readouterr().err.startswith(f"error: line {entry + 1}: ")
+
+
+@pytest.mark.parametrize("letter", ["Q", "\u00e9"], ids=["ascii", "non-ascii"])
+def test_db_mode_letter_outside_rwe_is_a_data_error(pipeline, tmp_path, capsys, letter):
+    # An entry's channels all lengthened by one, the mode's new letter off the alphabet.
+    lines = pipeline.db.read_text().splitlines()
+    entry = next(k for k, line in enumerate(lines) if line.startswith("modes "))
+    lines[entry] += letter
+    lines[entry + 1] += "O"
+    lines[entry + 2] += ",0"
+    lines[entry + 3] += ",0.000000"
+    bad = tmp_path / "bad.db"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("attack", "--trace", pipeline.trace, "--db", bad,
+               "--out", tmp_path / "p.csv") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line {entry + 1}: bad mode letter {letter!r}\n"
 
 
 @pytest.mark.parametrize(

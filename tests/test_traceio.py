@@ -24,6 +24,7 @@ from optrace.machine import (
 )
 from optrace.matcher import Prediction, as_predictions
 from optrace.opcodes import OPCODES
+from optrace.preprocess import Segments
 from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
 from optrace.traceio import (
     DEFAULT_CONFIG,
@@ -630,6 +631,46 @@ def test_write_segments_exports_annotated_rows(tmp_path):
     assert sorted(set(ids)) == list(range(len(segments)))
 
 
+def segment_lines(segments: Segments) -> str:
+    """The row-by-row segments writer: the byte oracle of the column writer."""
+    events = segments.trace.events
+    return "".join(
+        f"{k},{ev.page * PAGE_SIZE:#x},{ev.mode},{ev.pf_count},{ev.latency}\n"
+        for k, (start, end) in enumerate(zip(segments.starts.tolist(), segments.ends.tolist()))
+        for ev in events[start:end]
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(-(2**51), 2**51 - 1),
+            st.sampled_from("RWE"),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(-(2**63), 2**63 - 1),
+        ),
+        max_size=12,
+    ),
+    bounds=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6),
+)
+@example(rows=[(-1, "R", 0, -5), (0, "E", 1, 2)], bounds=[(0, 2), (1, 1), (2, 0), (0, 1)])
+def test_write_segments_matches_the_row_by_row_oracle(chunk, rows, bounds):
+    # Segments that skip rows, overlap, or hold none, with chunks cutting
+    # through and between them.
+    trace = SideChannelTrace.from_events([StepEvent(*row) for row in rows])
+    starts = np.array([min(a, b, len(rows)) for a, b in bounds], np.int64)
+    ends = np.array([min(max(a, b), len(rows)) for a, b in bounds], np.int64)
+    segments = Segments(trace, np.zeros(len(rows), np.uint8), starts, ends)
+    head = "# optrace segments v1\n# layout_seed=7\n# config_hash=abc\n"
+    head += "segment_id,address,mode,pf_count,latency\n"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        path = Path(tmp) / "s"
+        write_segments(path, segments, config_hash="abc", layout_seed=7)
+        assert path.read_bytes() == (head + segment_lines(segments)).encode()
+
+
 # ----------------------------------------------------------------- truth
 
 
@@ -887,6 +928,27 @@ def test_read_db_rejects_malformed_entries(tmp_path, body, message):
     path.write_text("# optrace fingerprint-db v1\n" + body)
     with pytest.raises(FormatError, match=message):
         read_db(path)
+
+
+@pytest.mark.parametrize(
+    "modes,classes,line,message",
+    [
+        ("RQ", "OX", 3, "bad mode letter 'Q'"),
+        ("R\u00e9", "OX", 3, "bad mode letter '\u00e9'"),
+        ("RE", "OZ", 4, "bad class letter 'Z'"),
+    ],
+    ids=["ascii-mode", "non-ascii-mode", "class"],
+)
+def test_read_db_rejects_letters_off_the_channel_alphabets(tmp_path, modes, classes, line, message):
+    # The matcher packs these letters as ASCII codes of R/W/E and O/S/X.
+    path = tmp_path / "bad.db"
+    path.write_text(
+        "# optrace fingerprint-db v1\nentry nop support=1\n"
+        f"modes {modes}\nclasses {classes}\npf 1,2\nlatency 1.0,2.0\nend\n"
+    )
+    with pytest.raises(FormatError, match=message) as info:
+        read_db(path)
+    assert info.value.line == line
 
 
 def test_read_db_requires_header(tmp_path):
