@@ -275,6 +275,21 @@ def _check_same_run(pred_meta, truth_meta, force: bool) -> None:
         )
 
 
+def _check_row_order(predictions, truth) -> None:
+    """Labels are compared by position: segment ids must run 0..n-1 and boundaries increase."""
+    for row, (segment_id, *_) in enumerate(predictions):
+        if segment_id != row:
+            raise EvalError(
+                f"predictions data row {row + 1}: segment_id {segment_id}, expected {row}"
+            )
+    for row in range(1, len(truth)):
+        if truth[row][0] <= truth[row - 1][0]:
+            raise EvalError(
+                f"truth data row {row + 1}: boundary_index {truth[row][0]} "
+                f"does not exceed {truth[row - 1][0]}"
+            )
+
+
 def _evaluate(pred_labels, truth_labels, strict: bool):
     if len(pred_labels) != len(truth_labels):
         raise EvalError(
@@ -301,6 +316,7 @@ def _cmd_eval(args) -> int:
     predictions, pred_meta = read_predictions(args.predictions)
     truth, truth_meta = read_truth(args.truth)
     _check_same_run(pred_meta, truth_meta, args.force)
+    _check_row_order(predictions, truth)
     report = _evaluate(
         [label for _, label, _, _ in predictions], [label for _, label in truth], args.strict
     )

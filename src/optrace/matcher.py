@@ -267,12 +267,12 @@ class CompiledDb:
 
         Segments are grouped by cut = min(length, width), the number of rows
         the scorer reads, and each group's channels are gathered once.  Each
-        distinct (length, mode, class and pf rows) key and each distinct
-        (length, latency rows) key is scored once, in blocks of at most
-        BLOCK_ELEMENTS segment-entry-position elements; a latency key whose
-        pairs span two blocks is scored in each.  A segment scores as the
-        product of its two keys' scores, the float operations of scoring its
-        channels in turn, formed once per distinct pair of keys.
+        distinct full key (length and every scored channel's rows) scores its
+        latency once, and each distinct discrete key among them (length, mode,
+        class and pf rows) its other channels once, in blocks of at most
+        BLOCK_ELEMENTS segment-entry-position elements.  A full key scores as
+        the product of the two, the float operations of scoring its channels
+        in turn.
         """
         segs = as_segments(segments)
         if not len(segs):
@@ -294,20 +294,15 @@ class CompiledDb:
             side = self._entry_side(cut)
             discrete = {ch: v for ch, v in x.items() if ch is not Channel.LATENCY}
             latency = {ch: v for ch, v in x.items() if ch is Channel.LATENCY}
-            dfirst, dslot = _distinct(L, *discrete.values())
-            dblocks = np.split(dfirst, range(per_block, len(dfirst), per_block))
+            keys, slot = _distinct(L, *x.values())
+            dfirst, dslot = _distinct(L[keys], *(v[keys] for v in discrete.values()))
+            dblocks = np.split(keys[dfirst], range(per_block, len(dfirst), per_block))
             dscores = np.concatenate([self._score_block(discrete, L, b, side) for b in dblocks])
-            lfirst, lslot = _distinct(L, *latency.values())
-            # Pairs in latency-key order, so a block of pairs reads a run of
-            # at most per_block latency keys, scored for that block only.
-            pairs = lslot * len(dfirst) + dslot
-            _, first, slot = np.unique(pairs, return_index=True, return_inverse=True)
-            for start in range(0, len(first), per_block):
-                block = first[start : start + per_block]
-                lo, hi = lslot[block[0]], lslot[block[-1]] + 1
-                lscores = self._score_block(latency, L, lfirst[lo:hi], side)
-                scores = dscores[dslot[block]] * lscores[lslot[block] - lo]
-                if len(first) <= per_block:
+            for start in range(0, len(keys), per_block):
+                block = slice(start, start + per_block)
+                lscores = self._score_block(latency, L, keys[block], side)
+                scores = dscores[dslot[block]] * lscores
+                if len(keys) <= per_block:
                     yield rows, slot, scores
                 else:
                     inside = (slot >= start) & (slot < start + per_block)

@@ -12,6 +12,7 @@ import locale
 from dataclasses import fields
 from inspect import signature
 from itertools import repeat
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,8 @@ def read_db(path) -> FingerprintDb:
             if not support_part.startswith("support="):
                 raise FormatError("entry line needs 'support=<n>'", lineno)
             support = _convert(int, support_part.removeprefix("support="), lineno)
+            if support < 1:
+                raise FormatError(f"support must be at least 1, got {support}", lineno)
             current = {"label": _label(name), "support": support}
             continue
         if word not in ("modes", "classes", "pf", "latency", "end"):
@@ -545,6 +548,8 @@ def read_db(path) -> FingerprintDb:
             convert = int if word == "pf" else float
             values = rest.split(",") if rest else ()
             current[word] = tuple(_convert(convert, v, lineno) for v in values)
+            if bad := [v for v in current[word] if not isfinite(v)]:
+                raise FormatError(f"non-finite {word} value {bad[0]!r}", lineno)
         else:  # end
             try:
                 fp = Fingerprint(**{f.name: current[f.name] for f in fields(Fingerprint)})

@@ -211,6 +211,44 @@ def test_eval_of_header_only_files_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no predictions and no truth labels to score\n"
 
 
+def with_data_rows(path, tmp_path, edit):
+    """A copy of `path` whose data rows, those after the column header, are `edit(rows)`."""
+    lines = path.read_text().splitlines()
+    head = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+    out = tmp_path / path.name
+    out.write_text("\n".join(lines[:head] + edit(lines[head:])) + "\n")
+    return out
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda rows: rows[::-1], "predictions data row 1: segment_id {last}, expected 0"),
+        (lambda rows: rows[:3] + rows[2:-1], "predictions data row 4: segment_id 2, expected 3"),
+        (lambda rows: rows[:3] + rows[4:], "predictions data row 4: segment_id 4, expected 3"),
+    ],
+    ids=["reversed", "duplicated", "missing"],
+)
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["checked", "forced"])
+def test_eval_refuses_predictions_out_of_segment_order(
+    tmp_path, pipeline, capsys, edit, message, force
+):
+    # Labels are compared by position, so data row k must be segment k-1;
+    # --force skips only the same-run header check.
+    preds = with_data_rows(pipeline.preds, tmp_path, edit)
+    last = pipeline.preds.read_text().splitlines()[-1].split(",")[0]
+    assert run("eval", "--predictions", preds, "--truth", pipeline.truth, *force) == 3
+    assert capsys.readouterr().err == f"error: {message.format(last=last)}\n"
+
+
+def test_eval_refuses_truth_boundaries_out_of_order(tmp_path, pipeline, capsys):
+    truth = with_data_rows(pipeline.truth, tmp_path, lambda r: [r[1], r[0], *r[2:]])
+    first, second = (row.split(",")[0] for row in pipeline.truth.read_text().splitlines()[4:6])
+    assert run("eval", "--predictions", pipeline.preds, "--truth", truth, "--force") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
+
+
 def test_eval_force_overrides_header_check(tmp_path, pipeline):
     headerless = tmp_path / "stripped.truth"
     lines = [
@@ -424,6 +462,19 @@ def test_db_mode_letter_outside_rwe_is_a_data_error(pipeline, tmp_path, capsys, 
                "--out", tmp_path / "p.csv") == 3
     err = capsys.readouterr().err
     assert err == f"error: line {entry + 1}: bad mode letter {letter!r}\n"
+
+
+def test_db_non_finite_latency_is_a_data_error(pipeline, tmp_path, capsys):
+    # Such an entry scores nan against every segment, and nan wins every pick.
+    lines = pipeline.db.read_text().splitlines()
+    entry = next(k for k, line in enumerate(lines) if line.startswith("latency "))
+    lines[entry] = "latency " + ",".join(["nan"] * len(lines[entry].split(",")))
+    bad = tmp_path / "bad.db"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("attack", "--trace", pipeline.trace, "--db", bad,
+               "--out", tmp_path / "p.csv") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line {entry + 1}: non-finite latency value nan\n"
 
 
 @pytest.mark.parametrize(

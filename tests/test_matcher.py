@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optrace import matcher
+from optrace.cli import PROFILE_SEED_OFFSET
 from optrace.matcher import (
     Channel,
     CompiledDb,
@@ -28,6 +29,8 @@ from optrace.matcher import (
 )
 from optrace.preprocess import Segment
 from optrace.profiler import Fingerprint, FingerprintDb
+
+from support import profile_db, victim
 
 
 def seg(modes, classes, pf, latency):
@@ -468,6 +471,12 @@ ALL_SUBSETS = [
 ]
 
 
+def key_of(segment, channels):
+    """The rows of `segment` that the scored `channels` read, in _CHANNELS order."""
+    attrs = [attr for ch, (attr, _) in matcher._CHANNELS.items() if ch in channels]
+    return tuple(getattr(segment, attr) for attr in attrs)
+
+
 def test_families_sharing_a_discrete_key_score_it_once():
     # {add, sub} and {and, or, xor} each share modes, classes and pf and
     # differ in latency only, as width twins do in a profiled DB.
@@ -483,6 +492,10 @@ def test_families_sharing_a_discrete_key_score_it_once():
     segs = [seg(*arith, latency(4)) for _ in range(30)]
     segs += [seg(*logic, latency(3)) for _ in range(20)]
     segs += [seg(*logic, (5000, 5000, 5000))] * 3
+    # One latency vector under two discrete keys that differ in every
+    # discrete channel: its latency is scored once per full key, so twice.
+    shared = latency(4)
+    segs += [seg(*arith, shared), seg("WRRE", "SOOX", (0, 2, 1, 0), shared)]
     real = CompiledDb._score_block
     for channels in ALL_SUBSETS:
         rows_in = Counter()  # rows each set of channels was scored on
@@ -499,9 +512,35 @@ def test_families_sharing_a_discrete_key_score_it_once():
         assert got == pytest.approx(scored, rel=1e-9, abs=1e-12)
         discrete = channels - {Channel.LATENCY}
         if discrete:
-            assert rows_in[discrete] == 2  # one discrete key per family group
+            # One discrete key per family group, and one for the odd segment.
+            assert rows_in[discrete] == 3
         if Channel.LATENCY in channels:
-            assert rows_in[frozenset({Channel.LATENCY})] == len({s.latency for s in segs})
+            full_keys = {key_of(s, channels) for s in segs}
+            assert rows_in[frozenset({Channel.LATENCY})] == len(full_keys)
+            if discrete:  # the shared vector is scored twice
+                assert len(full_keys) == len({s.latency for s in segs}) + 1
+
+
+def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
+    # A zero-noise victim replays each handler's events exactly, so its
+    # segments collapse to a few dozen full keys.
+    segs = list(victim(0, zero=True, iterations=5).segments)
+    fps = profile_db(PROFILE_SEED_OFFSET, zero=True).entries
+    width = max(len(entry) for entry in fps)
+    full_keys = {(len(s), *(rows[:width] for rows in vectors_of(s))) for s in segs}
+    latency_rows = []
+    real = CompiledDb._score_block
+
+    def spy(self, x, L, keys, side):
+        if Channel.LATENCY in x:
+            latency_rows.append(len(keys))
+        return real(self, x, L, keys, side)
+
+    with mock.patch.object(CompiledDb, "_score_block", spy):
+        preds = match_trace(segs, db(*fps))
+    assert sum(latency_rows) == len(full_keys)
+    assert 10 * len(full_keys) < len(segs)
+    assert_matches_scalar_oracle(preds, segs, fps, frozenset(Channel))
 
 
 def test_empty_database_is_an_error():

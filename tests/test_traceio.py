@@ -951,6 +951,26 @@ def test_read_db_rejects_letters_off_the_channel_alphabets(tmp_path, modes, clas
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "entry,latency,line,message",
+    [
+        ("entry nop support=1", "1.0,inf", 6, "non-finite latency value inf"),
+        ("entry nop support=0", "1.0,2.0", 2, "support must be at least 1, got 0"),
+    ],
+    ids=["inf-latency", "zero-support"],
+)
+def test_read_db_rejects_poisoned_entries(tmp_path, entry, latency, line, message):
+    # A non-finite latency makes every score against its entry nan, and nan wins each pick.
+    path = tmp_path / "bad.db"
+    path.write_text(
+        f"# optrace fingerprint-db v1\n{entry}\n"
+        f"modes RE\nclasses OX\npf 1,2\nlatency {latency}\nend\n"
+    )
+    with pytest.raises(FormatError, match=message) as info:
+        read_db(path)
+    assert info.value.line == line
+
+
 def test_read_db_requires_header(tmp_path):
     path = tmp_path / "bad.db"
     path.write_text("entry nop support=1\n")
