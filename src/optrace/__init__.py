@@ -35,12 +35,13 @@ from .machine import (
 from .handlers import apply_mitigation, default_handler_specs
 from .matcher import Channel, MatchError, Prediction, Predictions, match_trace, score_segment
 from .metrics import RecallReport, align_free, classify_outcomes, recall_percent
-from .opcodes import OPCODES, opcode_by_mnemonic, opcode_family
+from .opcodes import OPCODES, opcode_family
 from .preprocess import (
     DetectionError,
     PreprocessReport,
     Segment,
     SegmentationError,
+    Segments,
     detect_optable_page,
     detect_stack_pages,
     filter_redundant,
@@ -68,9 +69,9 @@ __all__ = [
     "build_layout", "synthesize_trace", "apply_mitigation",
     "default_handler_specs",
     # opcode registry
-    "OPCODES", "opcode_by_mnemonic", "opcode_family",
+    "OPCODES", "opcode_family",
     # preprocessing
-    "DetectionError", "PreprocessReport", "Segment", "SegmentationError",
+    "DetectionError", "PreprocessReport", "Segment", "SegmentationError", "Segments",
     "detect_optable_page", "detect_stack_pages", "filter_redundant",
     "preprocess_trace", "segment_trace",
     # profiling

@@ -195,22 +195,14 @@ def apply_mitigation(
     rng = np.random.default_rng(seed)
     out: dict[OpcodeId, HandlerSpec | tuple[HandlerSpec, ...]] = {}
     for op in sorted(specs, key=lambda o: o.mnemonic):
-        spec = specs[op]
-        if mitigation.variant_count == 1:
-            out[op] = (
-                _insert_nops(spec, rng, mitigation.nop_insertion_prob)
-                if mitigation.nop_insertion_prob > 0
-                else spec
-            )
-            continue
         variants = []
         for v in range(mitigation.variant_count):
-            variant = spec
+            variant = specs[op]
             if mitigation.nop_insertion_prob > 0:
                 variant = _insert_nops(variant, rng, mitigation.nop_insertion_prob)
             if v > 0:
                 # Equivalent recodings differ by a bit of register padding.
                 variant = _insert_nops(variant, rng, 0.0, forced=1 + v % 2)
             variants.append(variant)
-        out[op] = tuple(variants)
+        out[op] = variants[0] if len(variants) == 1 else tuple(variants)
     return out

@@ -282,18 +282,6 @@ class SideChannelTrace:
     def __len__(self) -> int:
         return len(self.page)
 
-    @classmethod
-    def from_events(cls, events, truth=None, layout_seed=None) -> "SideChannelTrace":
-        events = list(events)
-        return cls(
-            page=[ev.page for ev in events],
-            mode=[ord(ev.mode) for ev in events],
-            pf=[ev.pf_count for ev in events],
-            latency=[ev.latency for ev in events],
-            truth=truth,
-            layout_seed=layout_seed,
-        )
-
     @property
     def events(self) -> list[StepEvent]:
         """The rows as StepEvents, built on each access."""

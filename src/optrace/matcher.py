@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .preprocess import Segment, Segments, as_segments
+from .preprocess import Segment, Segments
 from .profiler import Fingerprint, FingerprintDb
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "MatchError",
     "Prediction",
     "Predictions",
-    "as_predictions",
     "pearson",
     "score_discrete",
     "score_numeric",
@@ -78,7 +77,10 @@ class Predictions(Sequence):
         return map(Prediction, *columns)
 
     def __setitem__(self, i, p: Prediction) -> None:
-        self.ids[i], self.codes[i], self.score[i], self.margin[i] = _row(self.table, p)
+        if p.label not in self.table:
+            self.table.append(p.label)
+        self.ids[i], self.codes[i] = p.segment_id, self.table.index(p.label)
+        self.score[i], self.margin[i] = p.score, p.margin
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -90,22 +92,6 @@ class Predictions(Sequence):
 
     def _columns(self):
         return self.ids, self.codes, self.score, self.margin
-
-
-def _row(table: list, p: Prediction) -> tuple:
-    """The column values of `p`, its label coded as its index in `table`, appended if new."""
-    if p.label not in table:
-        table.append(p.label)
-    return p.segment_id, table.index(p.label), p.score, p.margin
-
-
-def as_predictions(predictions) -> Predictions:
-    """`predictions` itself if it is a Predictions, else its fields stacked in order."""
-    if isinstance(predictions, Predictions):
-        return predictions
-    table = []
-    rows = np.array([_row(table, p) for p in predictions], dtype=object).reshape(-1, 4)
-    return Predictions(table, *map(np.array, rows.T, (np.int64, np.int64, np.float64, np.float64)))
 
 
 def pearson(x, y) -> float:
@@ -262,7 +248,7 @@ class CompiledDb:
                 sums[channel] = (masked, sy, n * syy - sy * sy)
         return m, mask[:, :cut], sums
 
-    def score_blocks(self, segments: Segments | list[Segment]):
+    def score_blocks(self, segments: Segments):
         """Yield `(rows, slot, scores)`: segment rows[k] scores as scores[slot[k]].
 
         Segments are grouped by cut = min(length, width), the number of rows
@@ -274,23 +260,22 @@ class CompiledDb:
         the product of the two, the float operations of scoring its channels
         in turn.
         """
-        segs = as_segments(segments)
-        if not len(segs):
+        if not len(segments):
             return
         columns = {
-            Channel.MODE: segs.trace.mode,
-            Channel.CLASS: segs.classes,
-            Channel.PF: segs.trace.pf,
-            Channel.LATENCY: segs.trace.latency,
+            Channel.MODE: segments.trace.mode,
+            Channel.CLASS: segments.classes,
+            Channel.PF: segments.trace.pf,
+            Channel.LATENCY: segments.trace.latency,
         }
-        lengths = segs.lengths
+        lengths = segments.lengths
         cuts = np.minimum(lengths, self.width)
         order = np.argsort(cuts, kind="stable")
         per_block = max(1, BLOCK_ELEMENTS // max(1, len(self.entries) * self.width))
         for rows in np.split(order, np.flatnonzero(np.diff(cuts[order])) + 1):
             cut = int(cuts[rows[0]])
             L = lengths[rows]
-            x = {ch: _gather(columns[ch], segs.starts[rows], cut) for ch in self.entry}
+            x = {ch: _gather(columns[ch], segments.starts[rows], cut) for ch in self.entry}
             side = self._entry_side(cut)
             discrete = {ch: v for ch, v in x.items() if ch is not Channel.LATENCY}
             latency = {ch: v for ch, v in x.items() if ch is Channel.LATENCY}
@@ -380,16 +365,12 @@ class CompiledDb:
 
 
 def match_trace(
-    segments: Segments | list[Segment],
-    db: FingerprintDb,
-    channels: frozenset[Channel] = DEFAULT_CHANNELS,
+    segments: Segments, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS
 ) -> Predictions:
     compiled = CompiledDb(db, channels)
-    segs = as_segments(segments)
-    best = np.empty(len(segs), dtype=np.int64)
-    top = np.empty(len(segs))
-    margin = np.empty(len(segs))
-    for rows, slot, scores in compiled.score_blocks(segs):
+    n = len(segments)
+    best, top, margin = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    for rows, slot, scores in compiled.score_blocks(segments):
         b, t, g = compiled.pick(scores)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
-    return Predictions([fp.label for fp in db.entries], np.arange(len(segs)), best, top, margin)
+    return Predictions([fp.label for fp in db.entries], np.arange(n), best, top, margin)

@@ -92,11 +92,6 @@ OPCODES: dict[str, OpcodeId] = {m: info.opcode for m, info in OPCODE_INFO.items(
 OPENERS = frozenset({"block", "loop", "if"})
 
 
-def opcode_by_mnemonic(mnemonic: str) -> OpcodeId:
-    """Look up an opcode; raises KeyError for unknown mnemonics."""
-    return OPCODES[mnemonic]
-
-
 def opcode_family(op: OpcodeId) -> str:
     """Width-insensitive family id (i32.add and i64.add both map to "add")."""
     return op.family

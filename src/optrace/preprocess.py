@@ -20,7 +20,6 @@ __all__ = [
     "PreprocessReport",
     "Segment",
     "Segments",
-    "as_segments",
     "detect_optable_page",
     "detect_stack_pages",
     "filter_redundant",
@@ -99,25 +98,6 @@ class Segments(Sequence):
     @property
     def lengths(self) -> np.ndarray:
         return self.ends - self.starts
-
-
-def as_segments(segments) -> Segments:
-    """`segments` itself if it is a Segments, else its channels stacked in order."""
-    if isinstance(segments, Segments):
-        return segments
-    segments = list(segments)
-    lengths = np.array([len(s) for s in segments], dtype=np.int64)
-    ends = np.cumsum(lengths)
-    trace = SideChannelTrace(
-        page=np.zeros(int(lengths.sum())),  # a segment holds no pages
-        mode=np.frombuffer("".join(s.modes for s in segments).encode("ascii"), np.uint8),
-        pf=[v for s in segments for v in s.pf],
-        latency=[v for s in segments for v in s.latency],
-        truth=None,
-        layout_seed=None,
-    )
-    classes = np.frombuffer("".join(s.classes for s in segments).encode("ascii"), np.uint8)
-    return Segments(trace, classes, ends - lengths, ends)
 
 
 def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:

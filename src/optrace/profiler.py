@@ -13,14 +13,13 @@ from itertools import compress
 import numpy as np
 
 from .machine import SideChannelTrace
-from .preprocess import Segment, Segments, as_segments, segment_trace
+from .preprocess import Segment, Segments, segment_trace
 
 __all__ = [
     "ProfilingError",
     "Fingerprint",
     "FingerprintDb",
     "split_by_marker",
-    "dedup_fingerprints",
     "build_fingerprint_db",
 ]
 
@@ -107,19 +106,12 @@ def split_by_marker(
     return list(zip(labels, segments))
 
 
-def dedup_fingerprints(
-    labeled_segments: list[tuple[str | None, Segment]],
-) -> list[Fingerprint]:
+def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]:
     """Merge slices that agree on label and every discrete channel.
 
     Latency, the only noisy channel, is averaged element-wise across the
     merged slices.  Entries come out sorted for stable serialization.
     """
-    labels = [label for label, _ in labeled_segments]
-    return _fingerprints(labels, as_segments(seg for _, seg in labeled_segments))
-
-
-def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]:
     modes = segs.trace.mode.tobytes()
     classes = segs.classes.tobytes()
     pf = segs.trace.pf.tobytes()

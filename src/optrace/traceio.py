@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .machine import PAGE_SIZE, LayoutConfig, MitigationConfig, NoiseModel, SideChannelTrace
-from .matcher import Channel, as_predictions
+from .matcher import Channel, Predictions
 from .preprocess import Segments, preprocess_trace
 from .profiler import Fingerprint, FingerprintDb
 
@@ -478,13 +478,13 @@ def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
 
 
 def write_predictions(
-    path, predictions, config_hash: str | None = None, layout_seed: int | None = None
+    path, predictions: Predictions, config_hash: str | None = None, layout_seed: int | None = None
 ) -> None:
-    preds = as_predictions(predictions)
-    table = np.array([_NULL_LABEL if label is None else label for label in preds.table], object)
+    table = [_NULL_LABEL if label is None else label for label in predictions.table]
+    table = np.array(table, object)
 
     def text(chunk: slice) -> str:
-        part = preds[chunk]
+        part = predictions[chunk]
         return _joined([
             map(str, part.ids.tolist()),
             table[part.codes].tolist(),
@@ -493,7 +493,7 @@ def write_predictions(
         ])
 
     meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-    _write_table(path, "predictions", meta, _PREDICTION_COLUMNS, len(preds), text)
+    _write_table(path, "predictions", meta, _PREDICTION_COLUMNS, len(predictions), text)
 
 
 def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:

@@ -13,6 +13,8 @@ from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 import optrace
 from optrace.bytecode import execute
 from optrace.cli import PROFILE_SEED_OFFSET
@@ -21,13 +23,14 @@ from optrace.machine import (
     LayoutConfig,
     MitigationConfig,
     NoiseModel,
+    SideChannelTrace,
     build_layout,
     synthesize_trace,
 )
-from optrace.matcher import Channel, match_trace
+from optrace.matcher import Channel, Predictions, match_trace
 from optrace.metrics import classify_outcomes
-from optrace.preprocess import preprocess_trace
-from optrace.profiler import build_fingerprint_db
+from optrace.preprocess import Segments, preprocess_trace
+from optrace.profiler import _fingerprints, build_fingerprint_db
 from optrace.workloads import benchmark_module, reference_module
 
 FULL_CHANNELS = frozenset(Channel)
@@ -83,7 +86,7 @@ def victim(
         layout=layout,
         trace=trace,
         report=report,
-        segments=tuple(segments),
+        segments=segments,
         truth=tuple(label for _, label in trace.truth),
     )
 
@@ -101,8 +104,57 @@ def attack_report(
     """Recall report for one profiled-then-attacked benchmark run."""
     v = victim(seed, sigma, zero, nop_prob, iterations)
     db = profile_db(seed + PROFILE_SEED_OFFSET, sigma, zero)
-    predictions = match_trace(list(v.segments), db, channels)
+    predictions = match_trace(v.segments, db, channels)
     return classify_outcomes(v.truth, predictions.labels, strict=strict)
+
+
+def trace_of(events, truth=None, layout_seed=None) -> SideChannelTrace:
+    """A trace whose rows are `events`, a list of `StepEvent`s, in order."""
+    events = list(events)
+    return SideChannelTrace(
+        page=[ev.page for ev in events],
+        mode=[ord(ev.mode) for ev in events],
+        pf=[ev.pf_count for ev in events],
+        latency=[ev.latency for ev in events],
+        truth=truth,
+        layout_seed=layout_seed,
+    )
+
+
+def segments_of(segments) -> Segments:
+    """`segments`, a list of `Segment`s, stacked in order as the row ranges of one trace."""
+    segments = list(segments)
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    trace = SideChannelTrace(
+        page=np.zeros(int(lengths.sum())),  # a segment holds no pages
+        mode=np.frombuffer("".join(s.modes for s in segments).encode("ascii"), np.uint8),
+        pf=[v for s in segments for v in s.pf],
+        latency=[v for s in segments for v in s.latency],
+        truth=None,
+        layout_seed=None,
+    )
+    classes = np.frombuffer("".join(s.classes for s in segments).encode("ascii"), np.uint8)
+    return Segments(trace, classes, ends - lengths, ends)
+
+
+def predictions_of(rows) -> Predictions:
+    """`rows`, a list of `Prediction`s, stacked in order; labels are coded as first seen."""
+    rows = list(rows)
+    table = list(dict.fromkeys(p.label for p in rows))
+    columns = (
+        [p.segment_id for p in rows],
+        [table.index(p.label) for p in rows],
+        [p.score for p in rows],
+        [p.margin for p in rows],
+    )
+    return Predictions(table, *map(np.array, columns, (np.int64, np.int64, np.float64, np.float64)))
+
+
+def dedup_fingerprints(labeled_segments):
+    """The profiler's merge of `(label, Segment)` pairs, the segments stacked in order."""
+    labels = [label for label, _ in labeled_segments]
+    return _fingerprints(labels, segments_of(seg for _, seg in labeled_segments))
 
 
 def segment_events(trace, segment):

@@ -20,7 +20,6 @@ from optrace.matcher import (
     MatchError,
     Prediction,
     Predictions,
-    as_predictions,
     match_trace,
     pearson,
     score_discrete,
@@ -30,7 +29,7 @@ from optrace.matcher import (
 from optrace.preprocess import Segment
 from optrace.profiler import Fingerprint, FingerprintDb
 
-from support import profile_db, victim
+from support import predictions_of, profile_db, segments_of, victim
 
 
 def seg(modes, classes, pf, latency):
@@ -207,7 +206,7 @@ CHANNEL_SETS = st.sets(
 def score_rows(compiled, segs):
     """Every entry's score for each of `segs`, assembled from the blocks."""
     out = np.full((len(segs), len(compiled.entries)), np.nan)
-    for rows, slot, block in compiled.score_blocks(segs):
+    for rows, slot, block in compiled.score_blocks(segments_of(segs)):
         out[rows] = block[slot]
     return out
 
@@ -312,7 +311,7 @@ def test_match_trace_batches_agree_with_scalar_oracle(
     width = max(len(entry) for entry in fps)
     budget = per_block * len(fps) * width
     with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
-        preds = match_trace(segs, db(*fps), channels)
+        preds = match_trace(segments_of(segs), db(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -340,9 +339,9 @@ def test_match_trace_spans_blocks_at_the_default_budget():
     segs = distinct + [rng.choice(distinct) for _ in range(50)]
     rng.shuffle(segs)
     channels = frozenset(Channel)
-    blocks = list(CompiledDb(db(*fps), channels).score_blocks(segs))
+    blocks = list(CompiledDb(db(*fps), channels).score_blocks(segments_of(segs)))
     assert any(len(scores) == per_block for _, _, scores in blocks)
-    preds = match_trace(segs, db(*fps), channels)
+    preds = match_trace(segments_of(segs), db(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -353,7 +352,7 @@ def test_tie_prefers_higher_support():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     low = fp("zz.rare", s.modes, s.classes, s.pf, s.latency, support=1)
     high = fp("aa.common", s.modes, s.classes, s.pf, s.latency, support=9)
-    preds = match_trace([s], db(low, high))
+    preds = match_trace(segments_of([s]), db(low, high))
     assert preds[0].label == "aa.common"
     assert preds[0].margin == pytest.approx(0.0)
 
@@ -362,7 +361,7 @@ def test_tie_prefers_lexicographically_smaller_label():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     b = fp("bbb", s.modes, s.classes, s.pf, s.latency)
     a = fp("aaa", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace([s], db(b, a))
+    preds = match_trace(segments_of([s]), db(b, a))
     assert preds[0].label == "aaa"
 
 
@@ -370,14 +369,14 @@ def test_tie_prefers_labeled_over_unlabeled():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     anon = fp(None, s.modes, s.classes, s.pf, s.latency)
     named = fp("zzz", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace([s], db(anon, named))
+    preds = match_trace(segments_of([s]), db(anon, named))
     assert preds[0].label == "zzz"
 
 
 def test_single_entry_margin_is_the_full_score():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     only = fp("one", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace([s], db(only))
+    preds = match_trace(segments_of([s]), db(only))
     assert preds[0].score == pytest.approx(1.0)
     assert preds[0].margin == pytest.approx(1.0)
 
@@ -390,7 +389,7 @@ def test_match_trace_enumerates_segments_in_order():
     s2 = seg("RW", "OS", (8, 9), (5548, 5409))
     e1 = fp("first", s1.modes, s1.classes, s1.pf, s1.latency)
     e2 = fp("second", s2.modes, s2.classes, s2.pf, s2.latency)
-    preds = match_trace([s1, s2], db(e1, e2))
+    preds = match_trace(segments_of([s1, s2]), db(e1, e2))
     assert [p.segment_id for p in preds] == [0, 1]
     assert [p.label for p in preds] == ["first", "second"]
 
@@ -416,14 +415,15 @@ def test_match_trace_is_deterministic():
         )
         for _ in range(10)
     ]
-    assert match_trace(segs, db(*entries)) == match_trace(segs, db(*entries))
+    stacked = segments_of(segs)
+    assert match_trace(stacked, db(*entries)) == match_trace(stacked, db(*entries))
 
 
 def test_database_of_empty_entries_still_scores_discrete_channels():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     empty = fp("none", "", "", (), ())
     channels = frozenset({Channel.MODE})
-    preds = match_trace([s], db(empty), channels)
+    preds = match_trace(segments_of([s]), db(empty), channels)
     assert preds[0].score == pytest.approx(score_segment(s, empty, channels))
 
 
@@ -436,7 +436,7 @@ def test_empty_entry_scores_like_the_oracle_on_numeric_channels():
     # The second database has width 0, so every segment's scored rows are empty.
     for fps in ([empty, pair], [empty]):
         for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
-            preds = match_trace(segs, db(*fps), frozenset(channels))
+            preds = match_trace(segments_of(segs), db(*fps), frozenset(channels))
             assert_matches_scalar_oracle(preds, segs, fps, frozenset(channels))
 
 
@@ -451,7 +451,7 @@ def test_segments_score_once_per_length_and_scored_rows():
     tail_differs = seg("RWEEE", "OSXXX", (1, 2, 3, 9, 9), (5000, 5010, 5005, 5009, 5009))
     segs = [base, longer, tail_differs]
     placed = {}
-    blocks = CompiledDb(db(*fps)).score_blocks(segs)
+    blocks = CompiledDb(db(*fps)).score_blocks(segments_of(segs))
     for block, (rows, slot, scores) in enumerate(blocks):
         for row, k in zip(rows.tolist(), slot.tolist()):
             placed[row] = (block, k, scores[k])
@@ -505,7 +505,7 @@ def test_families_sharing_a_discrete_key_score_it_once():
             return real(self, x, L, keys, side)
 
         with mock.patch.object(CompiledDb, "_score_block", spy):
-            preds = match_trace(segs, db(*fps), channels)
+            preds = match_trace(segments_of(segs), db(*fps), channels)
         assert_matches_scalar_oracle(preds, segs, fps, channels)
         scored = [score_segment(s, entry, channels) for s in segs for entry in fps]
         got = score_rows(CompiledDb(db(*fps), channels), segs).ravel()
@@ -524,7 +524,7 @@ def test_families_sharing_a_discrete_key_score_it_once():
 def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
     # A zero-noise victim replays each handler's events exactly, so its
     # segments collapse to a few dozen full keys.
-    segs = list(victim(0, zero=True, iterations=5).segments)
+    segs = victim(0, zero=True, iterations=5).segments
     fps = profile_db(PROFILE_SEED_OFFSET, zero=True).entries
     width = max(len(entry) for entry in fps)
     full_keys = {(len(s), *(rows[:width] for rows in vectors_of(s))) for s in segs}
@@ -545,7 +545,7 @@ def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
 
 def test_empty_database_is_an_error():
     with pytest.raises(MatchError, match="empty"):
-        match_trace([], db())
+        match_trace(segments_of([]), db())
 
 
 # ------------------------------------------------------------ Predictions
@@ -589,7 +589,7 @@ def test_predictions_index_like_a_list():
 def test_predictions_compare_item_by_item():
     preds, rows = prediction_columns(), PREDICTION_ROWS
     assert preds == rows and rows == preds and preds == tuple(rows)
-    assert preds == as_predictions(rows) == prediction_columns()
+    assert preds == predictions_of(rows) == prediction_columns()
     assert preds != rows[:-1]
     assert preds != [*rows[:-1], replace(rows[-1], margin=1.0)]
     assert preds != 5
@@ -613,7 +613,7 @@ def old_prediction_list(segs, fps, channels):
     compiled = CompiledDb(db(*fps), channels)
     best = np.zeros(len(segs), dtype=np.int64)
     top, margin = np.zeros(len(segs)), np.zeros(len(segs))
-    for rows, slot, scores in compiled.score_blocks(segs):
+    for rows, slot, scores in compiled.score_blocks(segments_of(segs)):
         b, t, g = compiled.pick(scores)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
     predicted = [fps[b].label for b in best.tolist()]
@@ -627,8 +627,8 @@ def old_prediction_list(segs, fps, channels):
     channels=CHANNEL_SETS,
 )
 def test_predictions_items_are_the_old_prediction_list(fps, segs, channels):
-    preds = match_trace(segs, db(*fps), channels)
+    preds = match_trace(segments_of(segs), db(*fps), channels)
     want = old_prediction_list(segs, fps, channels)
     assert list(preds) == [preds[i] for i in range(len(preds))] == want
     assert preds.labels == [p.label for p in want]
-    assert as_predictions(want) == preds
+    assert predictions_of(want) == preds

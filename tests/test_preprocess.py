@@ -9,7 +9,6 @@ from optrace.handlers import default_handler_specs
 from optrace.machine import (
     LayoutConfig,
     NoiseModel,
-    SideChannelTrace,
     StepEvent,
     build_layout,
     synthesize_trace,
@@ -27,7 +26,7 @@ from optrace.preprocess import (
 )
 from optrace.workloads import benchmark_module
 
-from support import segment_events
+from support import segment_events, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 BURSTY = NoiseModel(
@@ -87,20 +86,20 @@ def test_detection_survives_default_noise():
 
 
 def test_detection_needs_read_then_execute_pairs():
-    only_writes = SideChannelTrace.from_events(
+    only_writes = trace_of(
         events=[StepEvent(5, "W", 9, 100)] * 50, truth=None, layout_seed=0
     )
     with pytest.raises(DetectionError):
         detect_optable_page(only_writes)
     with pytest.raises(DetectionError):
-        detect_optable_page(SideChannelTrace.from_events(events=[], truth=None, layout_seed=0))
+        detect_optable_page(trace_of(events=[], truth=None, layout_seed=0))
 
 
 def test_detection_maps_through_page_relabeling():
     _, layout, trace = bench_trace()
     base_page, base_confidence = detect_optable_page(trace)
     for relabel in (lambda p: p + 17, lambda p: 2_000_000 - p):
-        mapped = SideChannelTrace.from_events(
+        mapped = trace_of(
             events=[
                 StepEvent(relabel(ev.page), ev.mode, ev.pf_count, ev.latency)
                 for ev in trace.events
@@ -119,7 +118,7 @@ def test_detection_tie_breaks_on_lowest_page():
     for _ in range(10):
         events += [StepEvent(30, "R", 8, 100), StepEvent(40, "E", 5, 100)]
         events += [StepEvent(20, "R", 8, 100), StepEvent(50, "E", 5, 100)]
-    trace = SideChannelTrace.from_events(events=events, truth=None, layout_seed=0)
+    trace = trace_of(events=events, truth=None, layout_seed=0)
     page, confidence = detect_optable_page(trace)
     assert page == 20
     assert confidence == 0.5
@@ -189,7 +188,7 @@ def test_filter_is_idempotent():
 
 
 def test_filter_handles_empty_trace():
-    empty = SideChannelTrace.from_events(events=[], truth=None, layout_seed=0)
+    empty = trace_of(events=[], truth=None, layout_seed=0)
     filtered, removed = filter_redundant(empty, 1, frozenset())
     assert filtered.events == []
     assert removed == 0
@@ -244,7 +243,7 @@ def test_segmentation_requires_two_boundaries():
         segment_trace(trace, layout.optable_page, frozenset())
     with pytest.raises(SegmentationError):
         segment_trace(
-            SideChannelTrace.from_events(events=[], truth=None, layout_seed=0), 1, frozenset()
+            trace_of(events=[], truth=None, layout_seed=0), 1, frozenset()
         )
 
 

@@ -7,20 +7,14 @@ from optrace.handlers import default_handler_specs
 from optrace.machine import (
     LayoutConfig,
     NoiseModel,
-    SideChannelTrace,
     build_layout,
     synthesize_trace,
 )
 from optrace.opcodes import OPCODES, all_opcodes
 from optrace.preprocess import Segment
-from optrace.profiler import (
-    ProfilingError,
-    build_fingerprint_db,
-    dedup_fingerprints,
-    split_by_marker,
-)
+from optrace.profiler import ProfilingError, build_fingerprint_db, split_by_marker
 
-from support import profile_db, segment_events
+from support import dedup_fingerprints, profile_db, segment_events, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -96,7 +90,7 @@ def test_split_strips_marker_events_from_slices():
     # must be those rows, which a slice holding a marker write would not be.
     unmarked = [ev for ev in trace.events if ev.page != layout.marker_page]
     for _, segment in slices:
-        rows = segment_events(SideChannelTrace.from_events(unmarked), segment)
+        rows = segment_events(trace_of(unmarked), segment)
         assert segment.modes == "".join(ev.mode for ev in rows)
         assert segment.pf == tuple(ev.pf_count for ev in rows)
         assert segment.latency == tuple(ev.latency for ev in rows)
@@ -104,7 +98,7 @@ def test_split_strips_marker_events_from_slices():
 
 def test_split_requires_ground_truth():
     layout, trace = marked(ops("nop", "nop"))
-    bare = SideChannelTrace.from_events(
+    bare = trace_of(
         events=trace.events, truth=None, layout_seed=trace.layout_seed
     )
     with pytest.raises(ProfilingError, match="ground-truth"):
@@ -126,7 +120,7 @@ def test_split_rejects_unmarked_trace():
 
 def test_split_rejects_marker_truth_count_mismatch():
     layout, trace = marked(ops("nop", "nop", "nop"))
-    doctored = SideChannelTrace.from_events(
+    doctored = trace_of(
         events=trace.events,
         truth=trace.truth + ((0, "drop"),),
         layout_seed=trace.layout_seed,

@@ -22,7 +22,7 @@ from optrace.machine import (
     build_layout,
     synthesize_trace,
 )
-from optrace.matcher import Prediction, as_predictions
+from optrace.matcher import Prediction
 from optrace.opcodes import OPCODES
 from optrace.preprocess import Segments
 from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
@@ -45,6 +45,8 @@ from optrace.traceio import (
     write_trace,
     write_truth,
 )
+
+from support import predictions_of, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -379,7 +381,7 @@ def test_every_reader_opens_its_file_once(tmp_path, reader, kind, columns, row, 
 def test_a_written_trace_is_read_without_the_csv_reader(tmp_path, block):
     # A silent fallback to the CSV reader would keep every other test green.
     events = [StepEvent(-1, "R", 1, 10), StepEvent(0, "E", -3, 0), StepEvent(2**40, "W", 0, 5)]
-    trace = SideChannelTrace.from_events([*small_trace()[1].events, *events], layout_seed=7)
+    trace = trace_of([*small_trace()[1].events, *events], layout_seed=7)
     path = tmp_path / "t.trace"
     write_trace(path, trace, config_hash="cafe01234567")
     no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
@@ -474,7 +476,7 @@ def test_read_trace_rejects_modes_that_only_add_up_to_one_per_row(tmp_path):
 
 
 def test_negative_page_round_trips(tmp_path):
-    trace = SideChannelTrace.from_events([StepEvent(-1, "R", 1, 10), StepEvent(2, "W", 0, 5)])
+    trace = trace_of([StepEvent(-1, "R", 1, 10), StepEvent(2, "W", 0, 5)])
     path = tmp_path / "neg.trace"
     write_trace(path, trace)
     assert path.read_text().splitlines()[-2:] == ["-0x1000,R,1,10", "0x2000,W,0,5"]
@@ -659,7 +661,7 @@ def segment_lines(segments: Segments) -> str:
 def test_write_segments_matches_the_row_by_row_oracle(chunk, rows, bounds):
     # Segments that skip rows, overlap, or hold none, with chunks cutting
     # through and between them.
-    trace = SideChannelTrace.from_events([StepEvent(*row) for row in rows])
+    trace = trace_of([StepEvent(*row) for row in rows])
     starts = np.array([min(a, b, len(rows)) for a, b in bounds], np.int64)
     ends = np.array([min(max(a, b), len(rows)) for a, b in bounds], np.int64)
     segments = Segments(trace, np.zeros(len(rows), np.uint8), starts, ends)
@@ -686,7 +688,7 @@ def test_truth_round_trip_preserves_null_labels(tmp_path):
 
 def test_write_truth_requires_ground_truth(tmp_path):
     _, trace = small_trace(markers=False)
-    bare = type(trace).from_events(events=trace.events, truth=None, layout_seed=None)
+    bare = trace_of(events=trace.events, truth=None, layout_seed=None)
     with pytest.raises(ValueError, match="ground truth"):
         write_truth(tmp_path / "t.truth", bare)
 
@@ -728,7 +730,8 @@ def test_column_writer_matches_the_row_by_row_oracle(rows, chunk):
     head = "# optrace predictions v1\n# layout_seed=4\nsegment_id,label,score,margin\n"
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
         path = Path(tmp) / "p"
-        for written, want in ((preds, preds), (as_predictions(preds)[::-1], preds[::-1])):
+        stacked = predictions_of(preds)
+        for written, want in ((stacked, preds), (stacked[::-1], preds[::-1])):
             write_predictions(path, written, layout_seed=4)
             assert path.read_bytes() == (head + prediction_lines(want)).encode()
 
@@ -739,7 +742,7 @@ def test_predictions_round_trip(tmp_path):
         Prediction(segment_id=1, label=None, score=1.0, margin=0.0),
     ]
     path = tmp_path / "p.predictions"
-    write_predictions(path, preds, config_hash="c0ffee", layout_seed=5)
+    write_predictions(path, predictions_of(preds), config_hash="c0ffee", layout_seed=5)
     rows, meta = read_predictions(path)
     assert rows == [(0, "i32.add", 0.25, 0.03125), (1, None, 1.0, 0.0)]
     assert meta["layout_seed"] == "5"
@@ -766,7 +769,7 @@ def test_truth_and_predictions_are_written_a_chunk_of_lines_at_a_time(rows, chun
     pred_lines = prediction_lines(preds)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_CHUNK_LINES", chunk):
         write_truth(Path(tmp) / "t", trace, config_hash="ab12")
-        write_predictions(Path(tmp) / "p", preds, config_hash="ab12", layout_seed=4)
+        write_predictions(Path(tmp) / "p", predictions_of(preds), config_hash="ab12", layout_seed=4)
         truth_text = (Path(tmp) / "t").read_text()
         pred_text = (Path(tmp) / "p").read_text()
     head = "# layout_seed=4\n# config_hash=ab12\n"
