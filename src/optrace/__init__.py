@@ -20,6 +20,7 @@ from .bytecode import (
     serialize_module,
 )
 from .machine import (
+    Labels,
     LayoutConfig,
     MemoryLayout,
     MitigationConfig,
@@ -64,7 +65,7 @@ __all__ = [
     "FlatModule", "Instruction", "Interpreter", "OpcodeTrace", "ParseError",
     "Trap", "execute", "parse_flat_module", "serialize_module",
     # machine model
-    "LayoutConfig", "MemoryLayout", "MitigationConfig", "NoiseModel",
+    "Labels", "LayoutConfig", "MemoryLayout", "MitigationConfig", "NoiseModel",
     "PageClass", "SideChannelTrace", "StepEvent", "StepKind", "SynthesisError",
     "build_layout", "synthesize_trace", "apply_mitigation",
     "default_handler_specs",

@@ -14,6 +14,8 @@ import sys
 from contextlib import suppress
 from pathlib import Path
 
+import numpy as np
+
 from .bytecode import ParseError, Trap, execute, parse_flat_module
 from .handlers import apply_mitigation, default_handler_specs
 from .machine import (
@@ -69,7 +71,7 @@ _PIPELINE_ERRORS = (
 
 
 class EvalError(ValueError):
-    """Prediction and truth files do not describe the same run."""
+    """Input files do not describe the same run, or their rows are out of order."""
 
 
 def _section(cfg, name: str) -> dict[str, object]:
@@ -192,10 +194,7 @@ def _cmd_profile(args) -> int:
         # Replay a marker-instrumented run captured earlier with
         # `synth --markers`; the layout seed travels in the trace header.
         bare = read_trace(args.trace)
-        truth, _ = read_truth(args.truth)
-        if bare.layout_seed is None:
-            raise FormatError("trace header lacks layout_seed")
-        trace = dataclasses.replace(bare, truth=tuple(truth))
+        trace = dataclasses.replace(bare, truth=_truth_of(bare, args.truth))
         layout = build_layout(bare.layout_seed, _layout_from_config(cfg))
         seed = bare.layout_seed
     else:
@@ -263,31 +262,35 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _check_same_run(pred_meta, truth_meta, force: bool) -> None:
-    a = pred_meta.get("layout_seed")
-    b = truth_meta.get("layout_seed")
-    if force:
-        return
-    if a is None or b is None or a != b:
+def _check_same_run(kind: str, seed, truth_meta, force: bool | None = None) -> None:
+    """The `kind` file's layout_seed `seed` must be the truth header's; `force`, eval's --force,
+    skips the check."""
+    theirs = truth_meta.get("layout_seed")
+    if not force and (seed is None or str(seed) != theirs):
+        hint = "" if force is None else "; pass --force to compare anyway"
+        raise EvalError(f"layout_seed mismatch between {kind} ({seed}) and truth ({theirs}){hint}")
+
+
+def _check_row_order(truth, predictions=None) -> None:
+    """Labels are compared by position: segment ids must run 0..n-1 and boundaries increase."""
+    ids = np.arange(0) if predictions is None else predictions.rows
+    if (off := ids != np.arange(len(ids))).any():
+        row = int(off.argmax())
+        raise EvalError(f"predictions data row {row + 1}: segment_id {ids[row]}, expected {row}")
+    rows = truth.rows
+    if (down := np.diff(rows) <= 0).any():
+        row = int(down.argmax()) + 1
         raise EvalError(
-            f"layout_seed mismatch between predictions ({a}) and truth ({b}); "
-            "pass --force to compare anyway"
+            f"truth data row {row + 1}: boundary_index {rows[row]} does not exceed {rows[row - 1]}"
         )
 
 
-def _check_row_order(predictions, truth) -> None:
-    """Labels are compared by position: segment ids must run 0..n-1 and boundaries increase."""
-    for row, (segment_id, *_) in enumerate(predictions):
-        if segment_id != row:
-            raise EvalError(
-                f"predictions data row {row + 1}: segment_id {segment_id}, expected {row}"
-            )
-    for row in range(1, len(truth)):
-        if truth[row][0] <= truth[row - 1][0]:
-            raise EvalError(
-                f"truth data row {row + 1}: boundary_index {truth[row][0]} "
-                f"does not exceed {truth[row - 1][0]}"
-            )
+def _truth_of(trace, path):
+    """The truth file at `path`, checked to come from the run of `trace` and to be in order."""
+    truth, meta = read_truth(path)
+    _check_same_run("trace", trace.layout_seed, meta)
+    _check_row_order(truth)
+    return truth
 
 
 def _evaluate(pred_labels, truth_labels, strict: bool):
@@ -315,11 +318,9 @@ def _write_confusion(path, confusion) -> None:
 def _cmd_eval(args) -> int:
     predictions, pred_meta = read_predictions(args.predictions)
     truth, truth_meta = read_truth(args.truth)
-    _check_same_run(pred_meta, truth_meta, args.force)
-    _check_row_order(predictions, truth)
-    report = _evaluate(
-        [label for _, label, _, _ in predictions], [label for _, label in truth], args.strict
-    )
+    _check_same_run("predictions", pred_meta.get("layout_seed"), truth_meta, args.force)
+    _check_row_order(truth, predictions)
+    report = _evaluate(predictions.labels, truth.labels, args.strict)
     print(f"recall: {report.recall:.3f}%")
     if args.counts:
         print(
@@ -353,8 +354,7 @@ def _cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     trace = read_trace(args.trace)
     db = read_db(args.db)
-    truth, _ = read_truth(args.truth)
-    truth_labels = [label for _, label in truth]
+    truth_labels = _truth_of(trace, args.truth).labels
     specs = args.subsets.split(";") if args.subsets else _ABLATION_SETS
     subsets = _dedup_subsets(specs)
     # Preprocessing ignores the channels: run it once for every subset.
@@ -404,7 +404,7 @@ def _cmd_end2end(args) -> int:
     report, segments, predictions = _attack(cfg, victim, db, channels, out / "predictions.csv")
 
     truth, _ = read_truth(out / "truth.csv")
-    result = _evaluate(predictions.labels, [label for _, label in truth], args.strict)
+    result = _evaluate(predictions.labels, truth.labels, args.strict)
     lines = [
         f"seed: {args.seed}",
         f"config_hash: {digest}",

@@ -16,6 +16,7 @@ tail (the interpreter exits instead of dispatching).
 """
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "HandlerSpec",
     "NoiseModel",
     "StepEvent",
+    "Labels",
     "SideChannelTrace",
     "MitigationConfig",
     "SynthesisError",
@@ -256,21 +258,52 @@ class StepEvent:
     latency: int
 
 
+class Labels(Sequence):
+    """A label stream as int64 columns: label i sits at row rows[i] and is table[codes[i]],
+    None standing for NULL.  Items are (row, label) pairs; a slice, mask or index array gives
+    the stream of the selected labels, sharing the table."""
+
+    def __init__(self, rows, codes, table: list):
+        self.rows, self.codes, self.table = rows, codes, table
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return next(iter(self._take([i])))
+        return self._take(i)
+
+    def __iter__(self):
+        return zip(self.rows.tolist(), self.labels)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    @property
+    def labels(self) -> list:
+        """The label of every row, in order."""
+        return np.array(self.table, dtype=object)[self.codes].tolist()
+
+    def _take(self, i) -> "Labels":
+        return Labels(self.rows[i], self.codes[i], self.table)
+
+
 @dataclass(eq=False)
 class SideChannelTrace:
     """A single-step trace as four columns with one row per observed step.
 
     `page` holds int64 page numbers, `mode` the uint8 ASCII codes of R, W and
     E, `pf` int64 page-fault counts and `latency` int64 latencies.  `truth`
-    holds one (row, label) pair per optable read of a synthesized trace; a
-    trace read from a file has None.
+    labels the row of each optable read of a synthesized trace; a trace read
+    from a file has None.
     """
 
     page: np.ndarray
     mode: np.ndarray
     pf: np.ndarray
     latency: np.ndarray
-    truth: tuple[tuple[int, str | None], ...] | None
+    truth: Labels | None
     layout_seed: int | None
 
     def __post_init__(self):
@@ -292,16 +325,15 @@ class SideChannelTrace:
     def take(self, rows) -> "SideChannelTrace":
         """The selected rows (a mask or a slice) as a new trace.
 
-        Each truth pair moves with its row; a pair whose row is dropped or
+        Each truth label moves with its row; a label whose row is dropped or
         out of range is dropped.
         """
         truth = self.truth
         if truth is not None:
-            n = len(self)
-            kept = np.zeros(n, dtype=bool)
-            kept[rows] = True
-            row = np.cumsum(kept) - 1
-            truth = tuple((int(row[i]), label) for i, label in truth if 0 <= i < n and kept[i])
+            kept = np.zeros(len(self) + 1, dtype=bool)  # the last row stands for out of range
+            kept[:-1][rows] = True
+            truth = truth[kept[np.clip(truth.rows, -1, len(self))]]
+            truth = Labels(np.cumsum(kept)[truth.rows] - 1, truth.codes, truth.table)
         return SideChannelTrace(
             self.page[rows], self.mode[rows], self.pf[rows], self.latency[rows],
             truth, self.layout_seed,
@@ -361,7 +393,8 @@ def _template(spec: HandlerSpec, markers: bool) -> list[tuple[int, int, int, int
 
 def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     """Page, mode, pf and base latency columns of the interpreter's rows, and
-    the rows of its optable reads with their labels.
+    the rows of its optable reads with their label codes: code i for opcode
+    distinct[i], len(distinct) for NULL.
 
     Each retired opcode runs a variant drawn uniformly from its `variants`.
     Unit 0 is the prologue, the tail of the first opcode's first variant;
@@ -417,8 +450,7 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     labeled = np.flatnonzero((src == _DISPATCH) | (src == _OPTABLE) & (mode == _R))
     null = len(distinct)
     code = np.where(src[labeled] == _DISPATCH, np.append(opi, null)[unit[labeled]], null)
-    names = np.array([op.mnemonic for op in distinct] + [None], dtype=object)
-    return page, mode, pf, latency, labeled, names[code]
+    return page, mode, pf, latency, labeled, code
 
 
 def _bursts(rng, count: int, noise: NoiseModel, layout: MemoryLayout):
@@ -456,8 +488,8 @@ def synthesize_trace(
     """Expand retired opcodes into one trace row per native instruction, plus truth.
 
     `specs` maps each opcode to its HandlerSpec or to a tuple of equivalent
-    variants.  Truth records one (row, label) pair per optable read: the
-    opcode it dispatches, or NULL (None) for the extra optable touches of
+    variants.  Truth labels the row of each optable read with the opcode
+    it dispatches, or NULL (None) for the extra optable touches of
     handlers like call and memory.grow.
 
     Noise comes from one generator seeded with `noise.rng_seed`, drawn in
@@ -476,11 +508,11 @@ def synthesize_trace(
     if missing:
         raise SynthesisError(f"no handler spec for: {', '.join(missing)}")
     if not ops:
-        return SideChannelTrace([], [], [], [], (), layout.seed)
+        return SideChannelTrace([], [], [], [], Labels(*np.empty((2, 0), int), []), layout.seed)
 
     rng = np.random.default_rng(noise.rng_seed)
     variants = [(s,) if isinstance(s := specs[op], HandlerSpec) else tuple(s) for op in distinct]
-    page, mode, pf, latency, labeled, labels = _interpreter_rows(
+    page, mode, pf, latency, labeled, codes = _interpreter_rows(
         rng, layout, distinct, variants, opi, profiling_markers
     )
 
@@ -507,9 +539,8 @@ def synthesize_trace(
         np.rint(x / step, out=x)
         latency[:] = np.maximum(x * step, step)
 
-    out = SideChannelTrace(
-        page, mode, pf, latency, tuple(zip(labeled.tolist(), labels.tolist())), layout.seed
-    )
+    table = [op.mnemonic for op in distinct] + [None]
+    out = SideChannelTrace(page, mode, pf, latency, Labels(labeled, codes, table), layout.seed)
     if noise.multistep_prob > 0:
         out = _merge_multisteps(rng, noise.multistep_prob, out)
     return out

@@ -7,13 +7,13 @@ numeric channels (fault counts, latency) score by correlation, which
 tolerates the additive jitter and quantization the timer applies.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
 import numpy as np
 
+from .machine import Labels
 from .preprocess import Segment, Segments
 from .profiler import Fingerprint, FingerprintDb
 
@@ -54,44 +54,27 @@ class Prediction:
     margin: float
 
 
-class Predictions(Sequence):
-    """Predictions as columns: prediction i labels segment ids[i] as table[codes[i]], with
-    score[i] and margin[i].  An int index builds that Prediction; a slice, mask or index array
-    a Predictions sharing the table.  An assigned Prediction adds its label to it if new."""
+class Predictions(Labels):
+    """Labels of segments, with scores: prediction i labels segment rows[i] as table[codes[i]],
+    with score[i] and margin[i].  Items are Prediction objects; a slice, mask or index array
+    gives a Predictions sharing the table.  An assigned Prediction adds its label if new."""
 
-    def __init__(self, table: list, ids, codes, score, margin):
-        self.table, self.ids, self.codes = table, ids, codes
+    def __init__(self, rows, codes, table: list, score, margin):
+        super().__init__(rows, codes, table)
         self.score, self.margin = score, margin
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i):
-        if not isinstance(i, (int, np.integer)):
-            return Predictions(self.table, *(c[i] for c in self._columns()))
-        segment_id, code, score, margin = (c[i].tolist() for c in self._columns())
-        return Prediction(segment_id, self.table[code], score, margin)
-
     def __iter__(self):
-        columns = self.ids.tolist(), self.labels, self.score.tolist(), self.margin.tolist()
+        columns = self.rows.tolist(), self.labels, self.score.tolist(), self.margin.tolist()
         return map(Prediction, *columns)
 
     def __setitem__(self, i, p: Prediction) -> None:
         if p.label not in self.table:
             self.table.append(p.label)
-        self.ids[i], self.codes[i] = p.segment_id, self.table.index(p.label)
+        self.rows[i], self.codes[i] = p.segment_id, self.table.index(p.label)
         self.score[i], self.margin[i] = p.score, p.margin
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    @property
-    def labels(self) -> list:
-        """The label of every prediction, in order."""
-        return np.array(self.table, dtype=object)[self.codes].tolist()
-
-    def _columns(self):
-        return self.ids, self.codes, self.score, self.margin
+    def _take(self, i) -> "Predictions":
+        return Predictions(self.rows[i], self.codes[i], self.table, self.score[i], self.margin[i])
 
 
 def pearson(x, y) -> float:
@@ -373,4 +356,4 @@ def match_trace(
     for rows, slot, scores in compiled.score_blocks(segments):
         b, t, g = compiled.pick(scores)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
-    return Predictions([fp.label for fp in db.entries], np.arange(n), best, top, margin)
+    return Predictions(np.arange(n), best, [fp.label for fp in db.entries], top, margin)

@@ -8,11 +8,10 @@ attack phase recovers, so fingerprints and observations compare one-to-one.
 """
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .machine import SideChannelTrace
+from .machine import Labels, SideChannelTrace
 from .preprocess import Segment, Segments, segment_trace
 
 __all__ = [
@@ -65,29 +64,32 @@ def _labeled_slices(
     marker_page: int,
     optable_page: int,
     stack_pages: frozenset[int],
-) -> tuple[list[str | None], Segments]:
-    """The slices of the marker-stripped trace and the truth label of each."""
+) -> tuple[Labels, Segments]:
+    """The marker-stripped trace's slices and the truth label of each."""
     if trace.truth is None:
         raise ProfilingError("profiling trace carries no ground-truth labels")
     is_marker = trace.page == marker_page
     marker_count = int(np.count_nonzero(is_marker & (trace.mode == ord("W"))))
     if marker_count == 0:
         raise ProfilingError("trace has no marker writes; synthesized without markers?")
-    labeled = sum(1 for _, label in trace.truth if label is not None)
+    null = np.array([label is None for label in trace.truth.table], dtype=bool)
+    labeled = len(trace.truth) - int(np.count_nonzero(null[trace.truth.codes]))
     if marker_count != labeled:
         raise ProfilingError(
             f"{marker_count} marker writes but {labeled} labeled dispatches"
         )
 
+    if (np.diff(trace.truth.rows) <= 0).any():  # each slice start is looked up among them
+        raise ProfilingError("ground-truth rows do not increase")
     stripped = trace.take(~is_marker)
-    label_at = dict(stripped.truth)
+    truth = stripped.truth
     segments = segment_trace(stripped, optable_page, stack_pages)
-    labels = []
-    for start in segments.starts.tolist():
-        if start not in label_at:
-            raise ProfilingError(f"dispatch at event {start} has no ground-truth label")
-        labels.append(label_at[start])
-    return labels, segments
+    at = np.searchsorted(truth.rows, segments.starts)
+    found = np.append(truth.rows, -1)[at] == segments.starts  # -1: no start is there
+    if not found.all():
+        start = segments.starts[np.argmin(found)]
+        raise ProfilingError(f"dispatch at event {start} has no ground-truth label")
+    return truth[at], segments
 
 
 def split_by_marker(
@@ -103,7 +105,7 @@ def split_by_marker(
     stripped, matching the attack-side segmentation geometry.
     """
     labels, segments = _labeled_slices(trace, marker_page, optable_page, stack_pages)
-    return list(zip(labels, segments))
+    return list(zip(labels.labels, segments))
 
 
 def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]:
@@ -160,6 +162,6 @@ def build_fingerprint_db(
     if not short.any():
         raise ProfilingError("every profiling slice exceeded max_slice_len")
     return FingerprintDb(
-        entries=tuple(_fingerprints(list(compress(labels, short)), segments[short])),
+        entries=tuple(_fingerprints(labels[short].labels, segments[short])),
         meta=dict(meta or {}),
     )

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .machine import PAGE_SIZE, LayoutConfig, MitigationConfig, NoiseModel, SideChannelTrace
+from .machine import PAGE_SIZE, Labels, LayoutConfig, MitigationConfig, NoiseModel
+from .machine import SideChannelTrace
 from .matcher import Channel, Predictions
 from .preprocess import Segments, preprocess_trace
 from .profiler import Fingerprint, FingerprintDb
@@ -53,7 +54,6 @@ _CHUNK_LINES = 1 << 14
 # and no less time).
 _BLOCK_BYTES = 1 << 18
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _MODES = frozenset("RWE")
 # The letters a DB entry's `modes` and `classes` lines may hold: access modes and page classes.
 _DB_LETTERS = {"modes": ("mode", _MODES), "classes": ("class", frozenset("OSX"))}
@@ -227,28 +227,33 @@ def _fields(linenos, lines: list[str], width: int) -> tuple[list[str], FormatErr
     return fields, None
 
 
-def _raise_bad_row(linenos, fields: list[str], converters) -> None:
+def _raise_bad_row(linenos, fields: list[str], columns, converters) -> None:
     """Raise a FormatError for the first row with a bad field, naming its leftmost bad field."""
     width = len(converters)
     for lineno, start in zip(linenos, range(0, len(fields), width)):
-        for convert, text in zip(converters, fields[start : start + width]):
-            _convert(convert, text, lineno)
+        for name, convert, text in zip(columns, converters, fields[start : start + width]):
+            try:
+                _convert(convert, [text], lineno)
+            except OverflowError:
+                raise FormatError(f"{name} {text!r} does not fit in int64", lineno) from None
 
 
 def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
-    """Check the column header line, then yield the rows of each block as columns.
+    """Yield a table of no rows, whose columns set the types of the columns concatenated,
+    then check the column header line and yield the rows of each block as columns.
 
     `raw`, if given, converts the bytes of whole rows, each ending in LF, to
     columns, or returns None when a row is off its form.  A block after the
     column line that `raw` takes is never decoded.  Any other block is
     decoded and its data lines, joined, go to `raw` once more; if it still
     refuses them they are split into fields.  `converters` holds one
-    function per column that converts a field or raises a ValueError naming
-    its problem; each is mapped over its column into a list.  If that
-    fails, the converters run row by row to report the first bad row.
+    function per column that converts a list of fields into the column or
+    raises a ValueError naming a problem (an OverflowError for a value off
+    int64).  If one fails, they run field by field to report the first bad row.
     """
     width = len(columns)
     header = None
+    yield [convert([]) for convert in converters]
     for block in lines.blocks():
         if header is not None and raw and (table := raw(block)) is not None:
             lines.last_line += len(table[0])  # one row per line
@@ -265,9 +270,9 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
         if table is None:
             fields, error = _fields(linenos, chunk, width)
             try:
-                table = [list(map(f, fields[k::width])) for k, f in enumerate(converters)]
-            except ValueError:
-                _raise_bad_row(linenos, fields, converters)
+                table = [convert(fields[k::width]) for k, convert in enumerate(converters)]
+            except (ValueError, OverflowError):
+                _raise_bad_row(linenos, fields, columns, converters)
                 raise
             if error:  # a line after every converted row
                 raise error
@@ -319,18 +324,16 @@ def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -
                  lambda rows: _joined(_trace_fields(trace, rows)))
 
 
-def _int64(name: str, text: str, base: int = 10) -> int:
-    value = int(text, base)
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise ValueError(f"{name} {text!r} does not fit in int64")
-    return value
+def _mapped(convert, dtype):
+    """A column converter: `convert` mapped over the fields, into an array of `dtype`."""
+    return lambda texts: np.array(list(map(convert, texts)), dtype)
 
 
-def _page(text: str) -> int:
-    addr = _int64("address", text, 16)
+def _address(text: str) -> int:
+    addr = int(text, 16)
     if addr % PAGE_SIZE:
         raise ValueError(f"address {addr:#x} not page aligned")
-    return addr // PAGE_SIZE
+    return addr
 
 
 def _mode(text: str) -> int:
@@ -339,10 +342,8 @@ def _mode(text: str) -> int:
     return ord(text)
 
 
-_TRACE_CONVERTERS = (
-    _page, _mode, lambda text: _int64("pf_count", text), lambda text: _int64("latency", text)
-)
-_NO_TRACE_ROWS = tuple(np.empty(0, dtype) for dtype in (np.int64, np.uint8, np.int64, np.int64))
+_INT64, _FLOAT64 = _mapped(int, np.int64), _mapped(float, np.float64)
+_TRACE_CONVERTERS = (_mapped(_address, np.int64), _mapped(_mode, np.uint8), _INT64, _INT64)
 
 
 # The writer's form of a trace row: `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
@@ -380,7 +381,7 @@ def _numbers(a: np.ndarray, digit: np.ndarray, start, end, base: int, prefix: by
 
 
 def _trace_block(buf):
-    """Page, mode, pf and latency columns of `buf`'s rows; None if one is off the writer's form.
+    """Address, mode, pf and latency columns of `buf`'s rows; None if one is off the writer's form.
 
     Every row must match the writer's form, ending in LF, and hold a
     page-aligned address.
@@ -406,7 +407,7 @@ def _trace_block(buf):
     latency = _numbers(a, digit, sep[:, 2] + 1, sep[:, 3], 10, b"")
     if addr is None or pf is None or latency is None or (addr % PAGE_SIZE).any():
         return None
-    return addr // PAGE_SIZE, mode, pf, latency
+    return addr, mode, pf, latency
 
 
 def read_trace(path) -> SideChannelTrace:
@@ -417,7 +418,8 @@ def read_trace(path) -> SideChannelTrace:
     """
     lines = _Lines(path, "trace")
     tables = _table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_block)
-    page, mode, pf, latency = map(np.concatenate, zip(_NO_TRACE_ROWS, *tables))
+    page, mode, pf, latency = map(np.concatenate, zip(*tables))
+    page //= PAGE_SIZE
     seed = lines.meta.get("layout_seed")
     try:
         layout_seed = int(seed) if seed is not None else None
@@ -456,22 +458,41 @@ def trace_meta(path) -> dict[str, str]:
 # ----------------------------------------------------------- truth labels
 
 
+def _write_labels(path, kind: str, columns, labels: Labels, layout_seed, config_hash, *floats):
+    """Write one row per label: its row, its label (NULL for None), then its value in each
+    column of `floats`, to six decimals."""
+    table = [_NULL_LABEL if label is None else label for label in labels.table]
+    texts = Labels(labels.rows, labels.codes, table).labels
+
+    def text(chunk: slice) -> str:
+        values = (_formatted(column[chunk], "{:.6f}".format) for column in floats)
+        return _joined([map(str, labels.rows[chunk].tolist()), texts[chunk], *values])
+
+    meta = {"layout_seed": layout_seed, "config_hash": config_hash}
+    _write_table(path, kind, meta, columns, len(labels), text)
+
+
+def _read_labels(path, make, kind: str, columns):
+    """`make(rows, codes, table, *floats)` of a truth or predictions file's int64 column, label
+    column and float64 columns, and the header meta.  Each distinct label text is read once."""
+    lines, index = _Lines(path, kind), {}
+
+    def coded(texts: list[str]) -> np.ndarray:
+        return np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
+
+    tables = _table(lines, columns, (_INT64, coded, *[_FLOAT64] * (len(columns) - 2)))
+    rows, codes, *floats = map(np.concatenate, zip(*tables))
+    return make(rows, codes, [_label(text) for text in index], *floats), lines.meta
+
+
 def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     if trace.truth is None:
         raise ValueError("trace carries no ground truth")
-
-    def text(chunk: slice) -> str:
-        rows = trace.truth[chunk]
-        return "".join(f"{i},{_NULL_LABEL if name is None else name}\n" for i, name in rows)
-
-    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
-    _write_table(path, "truth", meta, _TRUTH_COLUMNS, len(trace.truth), text)
+    _write_labels(path, "truth", _TRUTH_COLUMNS, trace.truth, trace.layout_seed, config_hash)
 
 
-def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
-    lines = _Lines(path, "truth")
-    rows = [row for table in _table(lines, _TRUTH_COLUMNS, (int, _label)) for row in zip(*table)]
-    return rows, lines.meta
+def read_truth(path) -> tuple[Labels, dict[str, str]]:
+    return _read_labels(path, Labels, "truth", _TRUTH_COLUMNS)
 
 
 # ----------------------------------------------------------- predictions
@@ -480,26 +501,12 @@ def read_truth(path) -> tuple[list[tuple[int, str | None]], dict[str, str]]:
 def write_predictions(
     path, predictions: Predictions, config_hash: str | None = None, layout_seed: int | None = None
 ) -> None:
-    table = [_NULL_LABEL if label is None else label for label in predictions.table]
-    table = np.array(table, object)
-
-    def text(chunk: slice) -> str:
-        part = predictions[chunk]
-        return _joined([
-            map(str, part.ids.tolist()),
-            table[part.codes].tolist(),
-            _formatted(part.score, "{:.6f}".format),
-            _formatted(part.margin, "{:.6f}".format),
-        ])
-
-    meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-    _write_table(path, "predictions", meta, _PREDICTION_COLUMNS, len(predictions), text)
+    _write_labels(path, "predictions", _PREDICTION_COLUMNS, predictions, layout_seed, config_hash,
+                  predictions.score, predictions.margin)
 
 
-def read_predictions(path) -> tuple[list[tuple[int, str | None, float, float]], dict[str, str]]:
-    lines = _Lines(path, "predictions")
-    tables = _table(lines, _PREDICTION_COLUMNS, (int, _label, float, float))
-    return [row for table in tables for row in zip(*table)], lines.meta
+def read_predictions(path) -> tuple[Predictions, dict[str, str]]:
+    return _read_labels(path, Predictions, "predictions", _PREDICTION_COLUMNS)
 
 
 # --------------------------------------------------------- fingerprint DB

@@ -20,6 +20,7 @@ from optrace.bytecode import execute
 from optrace.cli import PROFILE_SEED_OFFSET
 from optrace.handlers import apply_mitigation, default_handler_specs
 from optrace.machine import (
+    Labels,
     LayoutConfig,
     MitigationConfig,
     NoiseModel,
@@ -87,7 +88,7 @@ def victim(
         trace=trace,
         report=report,
         segments=segments,
-        truth=tuple(label for _, label in trace.truth),
+        truth=tuple(trace.truth.labels),
     )
 
 
@@ -138,17 +139,22 @@ def segments_of(segments) -> Segments:
     return Segments(trace, classes, ends - lengths, ends)
 
 
+def labels_of(pairs) -> Labels:
+    """`pairs`, a list of (row, label) pairs, as a Labels; labels are coded as first seen."""
+    pairs = list(pairs)
+    table = list(dict.fromkeys(label for _, label in pairs))
+    rows = np.array([row for row, _ in pairs], np.int64)
+    return Labels(rows, np.array([table.index(label) for _, label in pairs], np.int64), table)
+
+
 def predictions_of(rows) -> Predictions:
     """`rows`, a list of `Prediction`s, stacked in order; labels are coded as first seen."""
     rows = list(rows)
-    table = list(dict.fromkeys(p.label for p in rows))
-    columns = (
-        [p.segment_id for p in rows],
-        [table.index(p.label) for p in rows],
-        [p.score for p in rows],
-        [p.margin for p in rows],
+    labels = labels_of((p.segment_id, p.label) for p in rows)
+    score, margin = ([getattr(p, name) for p in rows] for name in ("score", "margin"))
+    return Predictions(
+        labels.rows, labels.codes, labels.table, np.array(score, float), np.array(margin, float)
     )
-    return Predictions(table, *map(np.array, columns, (np.int64, np.int64, np.float64, np.float64)))
 
 
 def dedup_fingerprints(labeled_segments):

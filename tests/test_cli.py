@@ -182,6 +182,35 @@ def test_attack_rejects_empty_channel_list(pipeline, tmp_path, capsys):
     assert "empty channel" in capsys.readouterr().err
 
 
+def synth_marked(tmp_path, seed, *noise):
+    """The trace and truth paths of a marker-instrumented primes run at layout seed `seed`."""
+    trace, truth = tmp_path / f"m{seed}.csv", tmp_path / f"m{seed}.truth"
+    assert run("synth", "--workload", "primes", "--markers", "--seed", seed, *noise,
+               "--out-trace", trace, "--out-truth", truth) == 0
+    return trace, truth
+
+
+@pytest.mark.parametrize("noise", [(), ("--zero-noise",)], ids=["noisy", "zero-noise"])
+def test_profile_refuses_truth_of_another_run(tmp_path, capsys, noise):
+    # With noise the seed-4 labels fall off the seed-0 dispatches (a pipeline
+    # failure); without, they fall on them and would build a wrong DB.
+    trace, _ = synth_marked(tmp_path, 0, *noise)
+    _, truth = synth_marked(tmp_path, 4, *noise)
+    assert run("profile", "--trace", trace, "--truth", truth, "--out", tmp_path / "x.txt") == 3
+    err = capsys.readouterr().err
+    assert err == "error: layout_seed mismatch between trace (0) and truth (4)\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_profile_refuses_truth_boundaries_out_of_order(tmp_path, capsys):
+    trace, truth = synth_marked(tmp_path, 0, "--zero-noise")
+    first, second = (row.split(",")[0] for row in truth.read_text().splitlines()[4:6])
+    swapped = with_data_rows(truth, tmp_path, lambda r: [r[1], r[0], *r[2:]])
+    assert run("profile", "--trace", trace, "--truth", swapped, "--out", tmp_path / "x.txt") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
+
+
 def test_preprocess_reports_structure(pipeline, tmp_path, capsys):
     seg_path = tmp_path / "segments.csv"
     assert run("preprocess", "--trace", pipeline.trace, "--out", seg_path) == 0
@@ -277,6 +306,29 @@ def test_ablate_emits_default_table(pipeline, capsys):
         "mode+pf+latency",
         "class+pf+latency",
     }
+
+
+def test_ablate_refuses_truth_of_another_run(tmp_path, pipeline, capsys):
+    other_truth = tmp_path / "other.truth"
+    run("synth", "--workload", "primes", "--zero-noise", "--seed", 4,
+        "--out-trace", tmp_path / "other.csv", "--out-truth", other_truth)
+    capsys.readouterr()
+    assert run("ablate", "--trace", pipeline.trace, "--db", pipeline.db,
+               "--truth", other_truth) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: layout_seed mismatch between trace (3) and truth (4)\n"
+    assert captured.out == ""
+
+
+def test_ablate_refuses_truth_boundaries_out_of_order(tmp_path, pipeline, capsys):
+    truth = with_data_rows(pipeline.truth, tmp_path, lambda r: [r[1], r[0], *r[2:]])
+    first, second = (row.split(",")[0] for row in pipeline.truth.read_text().splitlines()[4:6])
+    assert run("ablate", "--trace", pipeline.trace, "--db", pipeline.db, "--truth", truth) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
+    )
+    assert captured.out == ""
 
 
 def test_ablate_deduplicates_subsets(pipeline, tmp_path, capsys):

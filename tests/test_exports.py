@@ -21,4 +21,4 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_the_columnar_input_types_are_exported():
-    assert {"Segments", "Predictions", "match_trace"} <= set(optrace.__all__)
+    assert {"Segments", "Predictions", "Labels", "match_trace"} <= set(optrace.__all__)

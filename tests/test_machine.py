@@ -28,7 +28,7 @@ from optrace.opcodes import OPCODES, all_opcodes, opcode_info
 from optrace.preprocess import segment_trace
 from optrace.workloads import benchmark_module, reference_module
 
-from support import trace_of
+from support import labels_of, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -487,7 +487,7 @@ def test_bulk_multistep_merge_matches_the_event_by_event_walk(prob, seed):
 def test_take_moves_truth_pairs_with_their_rows():
     events = [StepEvent(page, "R", 0, 10 * page) for page in range(5)]
     truth = ((0, "a"), (2, "b"), (3, None), (4, "c"), (7, "out"), (-1, "neg"))
-    trace = trace_of(events, truth=truth, layout_seed=4)
+    trace = trace_of(events, truth=labels_of(truth), layout_seed=4)
 
     kept = trace.take(np.array([True, False, True, False, True]))
     assert [ev.page for ev in kept.events] == [0, 2, 4]

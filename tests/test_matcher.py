@@ -554,9 +554,9 @@ def test_empty_database_is_an_error():
 def prediction_columns():
     """Four predictions over a table that holds label "x" twice, as a DB may."""
     return Predictions(
-        ["x", None, "y", "x"],
         np.array([0, 1, 2, 7]),
         np.array([0, 1, 2, 3]),
+        ["x", None, "y", "x"],
         np.array([0.5, 0.25, 1.0, -0.0]),
         np.array([0.125, 0.0, 0.5, 0.0]),
     )

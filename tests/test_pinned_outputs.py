@@ -3,9 +3,9 @@
 Each case runs `optrace end2end`, then preprocesses the victim trace it wrote
 the way `attack` does.  The digests cover the detected dispatch page and its
 confidence, the stack pages, the removed-event count, every segment's start
-and four channels, and the predictions file, so a refactor of the trace
-representation, the reader, preprocessing or the matcher that changes any
-of them fails here.  On the `bursty` case, `attack --channels` is also
+and four channels, the truth file and the predictions file, so a refactor of
+the trace or label representation, the readers and writers, preprocessing or
+the matcher that changes any of them fails here.  On the `bursty` case, `attack --channels` is also
 pinned for every leave-one-out channel subset, so that the scorer's
 per-channel paths are covered one by one.
 """
@@ -23,16 +23,19 @@ CASES = {
         (),
         "169218ba4bdd93e4fd5974ae51d591db9f7b909c7e53e6a28dcdb81aef0c4f9a",
         "40c3378ccdf1e2b0745725a3ee0b66cbf7b7de4fc9eeb2a6816321c1b5da09b6",
+        "ed91ddf2f2a7cbf57e320a4d584107c664c0a863dc309f18f448b181dde90085",
     ),
     "bursty": (
         ("--config", "noise.ctx_switch_rate = 0.001953\n"),
         "ce930aa1e31c8e6642c39d65991f82d9b9bc270402986dad52a1777ec8be4ca8",
         "bb07246d5882b85e6e3933c63b763e16f6f46693e454256f2d6dcfd3525ee86a",
+        "1ac0bbc54a1620d72826ab8a172441aceb107014a5eadb1f69f1b1ecd70e866a",
     ),
     "zero-noise": (
         ("--zero-noise",),
         "71ab7c5f420c9e4f061e62d23c99ab2bbf6f4a02ad6eb8cc3309ca49e132c83f",
         "91a1ac698395d7f67939355f6ac239429a2574990aff789c6e6b2237933f3910",
+        "1f4ba954fb6abf90ff8b5f378c8e0114811fe8f789a9d6e94d3e685f8ddb0231",
     ),
 }
 
@@ -72,11 +75,12 @@ def sha256_of(path) -> str:
 
 @pytest.mark.parametrize("case", CASES)
 def test_small_runs_keep_their_pinned_outputs(tmp_path, capsys, case):
-    extra, want_preprocess, want_predictions = CASES[case]
+    extra, want_preprocess, want_predictions, want_truth = CASES[case]
     end2end(tmp_path, extra)
     capsys.readouterr()
     assert preprocess_digest(tmp_path / "victim.csv") == want_preprocess
     assert sha256_of(tmp_path / "predictions.csv") == want_predictions
+    assert sha256_of(tmp_path / "truth.csv") == want_truth
 
 
 # `attack --channels` predictions on the `bursty` case (DB width 17, 18 of

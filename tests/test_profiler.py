@@ -14,7 +14,7 @@ from optrace.opcodes import OPCODES, all_opcodes
 from optrace.preprocess import Segment
 from optrace.profiler import ProfilingError, build_fingerprint_db, split_by_marker
 
-from support import dedup_fingerprints, profile_db, segment_events, trace_of
+from support import dedup_fingerprints, labels_of, profile_db, segment_events, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -122,10 +122,23 @@ def test_split_rejects_marker_truth_count_mismatch():
     layout, trace = marked(ops("nop", "nop", "nop"))
     doctored = trace_of(
         events=trace.events,
-        truth=trace.truth + ((0, "drop"),),
+        truth=labels_of([*trace.truth, (0, "drop")]),
         layout_seed=trace.layout_seed,
     )
     with pytest.raises(ProfilingError, match="marker writes but"):
+        split_by_marker(doctored, layout.marker_page, layout.optable_page)
+
+
+def test_split_rejects_truth_rows_out_of_order():
+    # Each slice's label is looked up among the truth rows by a binary search.
+    layout, trace = marked(ops("nop", "i32.const", "drop"))
+    pairs = list(trace.truth)
+    doctored = trace_of(
+        events=trace.events,
+        truth=labels_of([pairs[1], pairs[0], *pairs[2:]]),
+        layout_seed=trace.layout_seed,
+    )
+    with pytest.raises(ProfilingError, match="rows do not increase"):
         split_by_marker(doctored, layout.marker_page, layout.optable_page)
 
 

@@ -15,6 +15,7 @@ from optrace.bytecode import OpcodeTrace
 from optrace.handlers import default_handler_specs
 from optrace.machine import (
     PAGE_SIZE,
+    Labels,
     LayoutConfig,
     NoiseModel,
     SideChannelTrace,
@@ -22,7 +23,7 @@ from optrace.machine import (
     build_layout,
     synthesize_trace,
 )
-from optrace.matcher import Prediction
+from optrace.matcher import Prediction, Predictions
 from optrace.opcodes import OPCODES
 from optrace.preprocess import Segments
 from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
@@ -46,7 +47,7 @@ from optrace.traceio import (
     write_truth,
 )
 
-from support import predictions_of, trace_of
+from support import labels_of, predictions_of, trace_of
 
 ZERO = NoiseModel.zero(rng_seed=0)
 
@@ -686,6 +687,22 @@ def test_truth_round_trip_preserves_null_labels(tmp_path):
     assert meta["config_hash"] == "beef"
 
 
+def test_read_truth_gives_back_the_columns_written(tmp_path):
+    # Bursts move the labeled rows off a plain stride; call adds NULL labels.
+    noise = NoiseModel(ctx_switch_rate=0.01, ctx_switch_extra_steps_mean=20.0, rng_seed=2)
+    layout = build_layout(3, LayoutConfig())
+    run = OpcodeTrace(tuple(OPCODES[n] for n in ["call", "i32.const", "drop"] * 30), False)
+    trace = synthesize_trace(run, layout, default_handler_specs(), noise)
+    path = tmp_path / "t.truth"
+    write_truth(path, trace)
+    truth, _ = read_truth(path)
+    assert isinstance(truth, Labels) and truth.rows.dtype == truth.codes.dtype == np.int64
+    assert np.array_equal(truth.rows, trace.truth.rows)
+    assert truth.labels == trace.truth.labels
+    assert None in truth.labels and len(set(np.diff(truth.rows).tolist())) > 2
+    assert len(truth.table) == len(set(truth.table))  # each label text coded once
+
+
 def test_write_truth_requires_ground_truth(tmp_path):
     _, trace = small_trace(markers=False)
     bare = trace_of(events=trace.events, truth=None, layout_seed=None)
@@ -743,8 +760,9 @@ def test_predictions_round_trip(tmp_path):
     ]
     path = tmp_path / "p.predictions"
     write_predictions(path, predictions_of(preds), config_hash="c0ffee", layout_seed=5)
-    rows, meta = read_predictions(path)
-    assert rows == [(0, "i32.add", 0.25, 0.03125), (1, None, 1.0, 0.0)]
+    back, meta = read_predictions(path)
+    assert isinstance(back, Predictions)
+    assert back == [Prediction(0, "i32.add", 0.25, 0.03125), Prediction(1, None, 1.0, 0.0)]
     assert meta["layout_seed"] == "5"
 
 
@@ -763,7 +781,7 @@ def test_predictions_round_trip(tmp_path):
 )
 def test_truth_and_predictions_are_written_a_chunk_of_lines_at_a_time(rows, chunk):
     # Whatever the chunk size, the bytes are one formatted line per row.
-    trace = SideChannelTrace([0], [ord("R")], [0], [0], tuple(r[:2] for r in rows), 4)
+    trace = SideChannelTrace([0], [ord("R")], [0], [0], labels_of(r[:2] for r in rows), 4)
     preds = [Prediction(*r) for r in rows]
     truth_lines = "".join(f"{i},{'NULL' if l is None else l}\n" for i, l, _, _ in rows)
     pred_lines = prediction_lines(preds)
@@ -801,19 +819,25 @@ _LABELED_ROWS = st.lists(
     ),
     max_size=14,
 )
-# Per kind: reader, column line, field count, and three ways to spoil a row.
+# Per kind: reader, column line, field count, the maker of the item a row
+# reads back as from its values, and three ways to spoil a row.
 _LABELED_KINDS = {
-    "truth": (read_truth, "boundary_index,label", 2, [
+    "truth": (read_truth, "boundary_index,label", 2, lambda *row: row, [
         (lambda f: ["x", *f[1:]], "invalid literal"),
         (lambda f: f[:1], "expected 2 fields"),
         (lambda f: [*f, "9"], "expected 2 fields"),
     ]),
-    "predictions": (read_predictions, "segment_id,label,score,margin", 4, [
+    "predictions": (read_predictions, "segment_id,label,score,margin", 4, Prediction, [
         (lambda f: ["x", *f[1:]], "invalid literal"),
         (lambda f: f[:3], "expected 4 fields"),
         (lambda f: [*f[:2], "high", f[3]], "could not convert string to float"),
     ]),
 }
+
+
+# Rows at both ends of int64 and one past each; the second spoils the file.
+_INT64_ENDS = [(v, "br_if", 0.5, 0.0, "\n", "", False) for v in (2**63 - 1, -(2**63))]
+_PAST_INT64 = [_INT64_ENDS[0], (2**63, "i32.add", 0.0, 1.0, "\r\n", "", True), _INT64_ENDS[1]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -823,38 +847,49 @@ _LABELED_KINDS = {
     block=st.integers(1, 70),
     mutation=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 99)),
 )
+@example(kind="truth", rows=_INT64_ENDS, block=70, mutation=None)
+@example(kind="predictions", rows=_INT64_ENDS, block=70, mutation=None)
+@example(kind="truth", rows=_PAST_INT64, block=70, mutation=None)
+@example(kind="predictions", rows=[*_PAST_INT64[:1], (-(2**63) - 1, *_PAST_INT64[1][1:])],
+         block=70, mutation=(2, 1))
 def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, block, mutation):
     # As for traces: rows, blank lines and comments straddle block boundaries,
-    # and a quoted label sends its block through `csv` line by line.
-    reader, columns, width, mutations = _LABELED_KINDS[kind]
+    # and a quoted label sends its block through `csv` line by line.  The
+    # first column is int64: a value outside it spoils its row, unless the
+    # row has a bad field count, which is found first.
+    reader, columns, width, item, mutations = _LABELED_KINDS[kind]
     text = f"# optrace {kind} v1\n# config_hash=ab12\n{columns}\n"
     lineno = 3
-    linenos = []
+    errors = []  # (line, message) of each spoiled row
     bad = mutation and rows and mutation[1] % len(rows)
     for k, (idx, label, score, margin, end, before, quoted) in enumerate(rows):
         fields = [str(idx), f'"{label}"' if quoted or "," in label else label]
         fields += [repr(score), repr(margin)][: width - 2]
+        message = ""
         if mutation and rows and k == bad:
-            fields = mutations[mutation[0]][0](fields)
+            fields, message = mutations[mutation[0]][0](fields), mutations[mutation[0]][1]
+        if fields[0] == str(idx) and not -(2**63) <= idx < 2**63 and "fields" not in message:
+            message = f"{columns.split(',')[0]} '{idx}' does not fit in int64"
         if before in (" ", "# note"):
             before += end  # a blank or comment line; never a bare LF, which would join a CR
         text += before + ",".join(fields) + end
         lineno += 1 + (before != "")
-        linenos.append(lineno)
+        if message:
+            errors.append((lineno, message))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         path = Path(tmp) / f"rows.{kind}"
         path.write_bytes(text.encode())
-        if mutation and rows:
-            with pytest.raises(FormatError, match=mutations[mutation[0]][1]) as info:
+        if errors:
+            with pytest.raises(FormatError, match=errors[0][1]) as info:
                 reader(path)
-            assert info.value.line == linenos[bad]
+            assert info.value.line == errors[0][0]
             return
         back, meta = reader(path)
     want = [
-        (idx, None if label == "NULL" else label, score, margin)[:width]
+        item(*(idx, None if label == "NULL" else label, score, margin)[:width])
         for idx, label, score, margin, *_ in rows
     ]
-    assert back == want
+    assert list(back) == want
     assert meta == {"config_hash": "ab12"}
 
 
