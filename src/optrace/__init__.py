@@ -34,9 +34,9 @@ from .machine import (
     synthesize_trace,
 )
 from .handlers import apply_mitigation, default_handler_specs
-from .matcher import Channel, MatchError, Prediction, Predictions, match_trace, score_segment
+from .matcher import Channel, MatchError, Prediction, Predictions, match_trace
 from .metrics import RecallReport, align_free, classify_outcomes, recall_percent
-from .opcodes import OPCODES, opcode_family
+from .opcodes import OPCODES
 from .preprocess import (
     DetectionError,
     PreprocessReport,
@@ -70,7 +70,7 @@ __all__ = [
     "build_layout", "synthesize_trace", "apply_mitigation",
     "default_handler_specs",
     # opcode registry
-    "OPCODES", "opcode_family",
+    "OPCODES",
     # preprocessing
     "DetectionError", "PreprocessReport", "Segment", "SegmentationError", "Segments",
     "detect_optable_page", "detect_stack_pages", "filter_redundant",
@@ -79,6 +79,6 @@ __all__ = [
     "Fingerprint", "FingerprintDb", "ProfilingError", "build_fingerprint_db",
     "split_by_marker",
     # matching and metrics
-    "Channel", "MatchError", "Prediction", "Predictions", "match_trace", "score_segment",
+    "Channel", "MatchError", "Prediction", "Predictions", "match_trace",
     "RecallReport", "align_free", "classify_outcomes", "recall_percent",
 ]

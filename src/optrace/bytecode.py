@@ -7,12 +7,7 @@ downstream stage is evaluated against.
 
 from dataclasses import dataclass, field
 
-from .opcodes import (
-    OPCODE_INFO,
-    OPENERS,
-    OpcodeId,
-    opcode_family,  # re-exported as part of this module's surface
-)
+from .opcodes import OPCODE_INFO, OPENERS, OpcodeId
 
 __all__ = [
     "FlatModule",
@@ -24,7 +19,6 @@ __all__ = [
     "parse_flat_module",
     "serialize_module",
     "execute",
-    "opcode_family",
 ]
 
 PAGE_BYTES = 65536  # one linear-memory page
@@ -56,7 +50,11 @@ class Instruction:
 
 @dataclass(frozen=True)
 class FlatModule:
+    """Instructions, and one (opener, else or None, end) triple of instruction indices per
+    block, loop or if, in the order the structures close."""
+
     instructions: tuple[Instruction, ...]
+    structure: tuple[tuple[int, int | None, int], ...]
     locals_count: int = 0
     initial_memory_pages: int = 0
 
@@ -85,14 +83,16 @@ def parse_flat_module(text: str) -> FlatModule:
     and are not kept in the module.
 
     One walk: each distinct instruction text is parsed once (`_Text`), and
-    per instruction only the stack of open structures moves.
+    per instruction only the stack of open structures moves.  That stack
+    pairs each opener with its else and end for `FlatModule.structure`.
     """
     lines = text.splitlines()
     labels: dict[str, int] = {}
     directives = {".locals": 0, ".memory": 0}
     distinct: dict[str, _Text] = {}  # in order of first line
     texts: list[str] = []  # the text of each instruction
-    openers: list[str] = []  # families of the open structures; an if turns 'if+else'
+    openers: list[list] = []  # [family, opener index, else index or None] of each open structure
+    structure: list[tuple[int, int | None, int]] = []
     nesting_error: ParseError | None = None  # the first else or branch the stack rejects
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -121,16 +121,17 @@ def parse_flat_module(text: str) -> FlatModule:
             entry = distinct[line] = _Text(line, line_no)
         family = entry.family
         if family in OPENERS:
-            openers.append(family)
+            openers.append([family, len(texts), None])
         elif family == "end":
             if not openers:
                 raise ParseError(line_no, "'end' without matching opener")
-            openers.pop()
+            _, opener, else_index = openers.pop()
+            structure.append((opener, else_index, len(texts)))
         elif nesting_error is not None:
             pass  # only the first nesting fault can be raised
         elif family == "else":
-            if openers and openers[-1] == "if":
-                openers[-1] = "if+else"
+            if openers and openers[-1][0] == "if" and openers[-1][2] is None:
+                openers[-1][2] = len(texts)
             else:
                 nesting_error = ParseError(line_no, "'else' outside an if")
         elif family in ("br", "br_if") and entry.fault is None and entry.imm >= len(openers):
@@ -146,7 +147,8 @@ def parse_flat_module(text: str) -> FlatModule:
               for t, e in distinct.items() if e.line <= last}
     if nesting_error is not None:
         raise nesting_error
-    return FlatModule(tuple(map(shared.__getitem__, texts)), locals_count, memory_pages)
+    instructions = tuple(map(shared.__getitem__, texts))
+    return FlatModule(instructions, tuple(structure), locals_count, memory_pages)
 
 
 def _parse_directive_int(parts: list[str], line_no: int, name: str) -> int:
@@ -227,10 +229,9 @@ def serialize_module(module: FlatModule) -> str:
 
 @dataclass
 class _ControlFrame:
-    family: str  # block | loop | if | if+else
+    family: str  # block | loop | if
     start: int  # instruction index of the opener
     end: int  # index of the matching 'end'
-    else_index: int | None
     stack_height: int
 
 
@@ -245,7 +246,7 @@ class Interpreter:
         self.memory = bytearray(module.initial_memory_pages * PAGE_BYTES)
         self.control: list[_ControlFrame] = []
         self.call_stack: list[tuple[int, int]] = []  # (return pc, control height)
-        self._structure = _match_structures(module.instructions)
+        self._structure = {opener: (else_, end) for opener, else_, end in module.structure}
 
     # -- value-stack helpers ------------------------------------------------
 
@@ -359,7 +360,7 @@ class Interpreter:
 
     def _enter(self, pc: int, family: str) -> int:
         else_index, end_index = self._structure[pc]
-        frame = _ControlFrame(family, pc, end_index, else_index, len(self.stack))
+        frame = _ControlFrame(family, pc, end_index, len(self.stack))
         if family == "if":
             cond = self._pop()
             frame.stack_height = len(self.stack)
@@ -395,25 +396,6 @@ class Interpreter:
         if addr + size > len(self.memory):
             raise Trap("out-of-bounds memory write")
         self.memory[addr : addr + size] = (value & mask).to_bytes(size, "little")
-
-
-def _match_structures(
-    instructions: tuple[Instruction, ...],
-) -> dict[int, tuple[int | None, int]]:
-    """Map each opener index to (else index or None, end index)."""
-    result: dict[int, tuple[int | None, int]] = {}
-    stack: list[tuple[int, int | None]] = []  # (opener index, else index)
-    for index, instr in enumerate(instructions):
-        family = instr.opcode.family
-        if family in OPENERS:
-            stack.append((index, None))
-        elif family == "else":
-            opener, _ = stack[-1]
-            stack[-1] = (opener, index)
-        elif family == "end":
-            opener, else_index = stack.pop()
-            result[opener] = (else_index, index)
-    return result
 
 
 def _div_s(lhs: int, rhs: int, mask: int, bits: int) -> int:

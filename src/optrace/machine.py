@@ -48,6 +48,14 @@ PAGE_SIZE = 4096
 # Operand-stack slots per page; depth beyond this spills to the next page.
 _SLOTS_PER_PAGE = 512
 
+# Burst pages lie in the _BURST_REACH pages above a layout's highest frame:
+# code pages in the lower half, data pages in the upper half.
+_BURST_REACH = 8192
+# The largest span whose pages, burst pages included, have int64 byte addresses.
+MAX_SPAN = 2**63 // PAGE_SIZE - _BURST_REACH
+# Bound on the timer jitter sigma and the APIC quantum, in cycles (see NoiseModel).
+MAX_TIMER_CYCLES = 2**32
+
 
 class PageClass(enum.Enum):
     OPTABLE = "OPTABLE"
@@ -153,6 +161,8 @@ class LayoutConfig:
     def __post_init__(self):
         if min(self.stack_pages, self.bytecode_pages, self.linear_pages) < 1:
             raise ValueError("page counts must be >= 1")
+        if self.span > MAX_SPAN:
+            raise ValueError(f"span must be <= {MAX_SPAN}")
         if self.frames > self.span:
             raise ValueError(f"layout needs {self.frames} frames but span is {self.span}")
 
@@ -164,7 +174,6 @@ class LayoutConfig:
 
 @dataclass(frozen=True)
 class MemoryLayout:
-    page_size: int
     optable_page: int
     handler_pages: dict[OpcodeId, int]
     stack_pages: tuple[int, ...]
@@ -192,7 +201,6 @@ def build_layout(seed: int, config: LayoutConfig | None = None) -> MemoryLayout:
     )
     handlers = {op: next(frames) for op in all_opcodes()}
     return MemoryLayout(
-        page_size=PAGE_SIZE,
         optable_page=optable,
         handler_pages=handlers,
         stack_pages=stacks,
@@ -223,6 +231,10 @@ class NoiseModel:
     trace and the memory synthesis needs grow with it, so a product above 16,
     where a trace is almost all bursts, is rejected.  The default gives 0.44
     and the `bursty` benchmark 4.4.
+
+    `latency_jitter_sigma` and `apic_quantum` lie in [0, MAX_TIMER_CYCLES],
+    2**32 cycles (over a second at 4 GHz), so that every jittered and
+    rounded latency fits in int64.
     """
 
     latency_jitter_sigma: float = 60.0
@@ -236,9 +248,11 @@ class NoiseModel:
         for name in ("ctx_switch_rate", "multistep_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("latency_jitter_sigma", "apic_quantum", "ctx_switch_extra_steps_mean"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("latency_jitter_sigma", "apic_quantum"):
+            if not 0 <= getattr(self, name) <= MAX_TIMER_CYCLES:
+                raise ValueError(f"{name} must be in [0, {MAX_TIMER_CYCLES}]")
+        if not self.ctx_switch_extra_steps_mean >= 0:
+            raise ValueError("ctx_switch_extra_steps_mean must be >= 0")
         if self.ctx_switch_rate * max(self.ctx_switch_extra_steps_mean, 1.0) > 16:
             raise ValueError(
                 "ctx_switch_rate * ctx_switch_extra_steps_mean must be <= 16"
@@ -463,8 +477,9 @@ def _bursts(rng, count: int, noise: NoiseModel, layout: MemoryLayout):
     """
     lengths = rng.geometric(1.0 / max(noise.ctx_switch_extra_steps_mean, 1.0), size=count)
     # Three code, then three data pages, above every frame of the layout.
-    pools = max(layout.all_pages()) + 1 + rng.integers(0, 4096, size=(count, 6))
-    pools[:, 3:] += 4096
+    half = _BURST_REACH // 2
+    pools = max(layout.all_pages()) + 1 + rng.integers(0, half, size=(count, 6))
+    pools[:, 3:] += half
     kind = np.searchsorted(_BURST_CUTS, rng.random(lengths.sum()), side="right").astype(np.uint8)
     pick = rng.integers(0, 3, size=len(kind), dtype=np.uint8)
     # A step runs on the code page of its burst's last jump, or on its first.

@@ -14,8 +14,8 @@ from math import sqrt
 import numpy as np
 
 from .machine import Labels
-from .preprocess import Segment, Segments
-from .profiler import Fingerprint, FingerprintDb
+from .preprocess import Segments
+from .profiler import FingerprintDb
 
 __all__ = [
     "Channel",
@@ -25,8 +25,6 @@ __all__ = [
     "Predictions",
     "pearson",
     "score_discrete",
-    "score_numeric",
-    "score_segment",
     "CompiledDb",
     "match_trace",
 ]
@@ -105,43 +103,6 @@ def score_discrete(a, b) -> float:
     return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
 
 
-def score_numeric(a, b) -> float:
-    """Correlation over the common prefix, scaled by the length ratio.
-
-    Constant vectors make correlation undefined, so they get their own
-    rules: two constants agree fully or not at all; a constant against a
-    varying vector falls back to Hamming-style counting.
-    """
-    if not a or not b:
-        return 1.0 if len(a) == len(b) else 0.0
-    m = min(len(a), len(b))
-    ax, bx = a[:m], b[:m]
-    a_const = all(v == ax[0] for v in ax)
-    b_const = all(v == bx[0] for v in bx)
-    if a_const and b_const:
-        return 1.0 if ax[0] == bx[0] else 0.0
-    if a_const or b_const:
-        mism = sum(1 for p, q in zip(ax, bx) if p != q)
-        return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
-    r = max(pearson(ax, bx), 0.0)
-    return r * (m / max(len(a), len(b)))
-
-
-def score_segment(
-    segment: Segment, fp: Fingerprint, channels: frozenset[Channel] = DEFAULT_CHANNELS
-) -> float:
-    score = 1.0
-    if Channel.MODE in channels:
-        score *= score_discrete(segment.modes, fp.modes)
-    if Channel.CLASS in channels:
-        score *= score_discrete(segment.classes, fp.classes)
-    if Channel.PF in channels:
-        score *= score_numeric(segment.pf, fp.pf)
-    if Channel.LATENCY in channels:
-        score *= score_numeric(segment.latency, fp.latency)
-    return score
-
-
 # Most S*E*W elements (segments x entries x width) scored in one block:
 # large enough to amortize per-block NumPy calls, small enough that the
 # block's temporaries stay in cache and add little to peak RSS.
@@ -189,9 +150,15 @@ def _discrete_scores(ent, seg, cut_mask, lendiff) -> np.ndarray:
 class CompiledDb:
     """Fingerprint entries packed into padded arrays for bulk scoring.
 
-    Produces the same scores as score_segment, many segments at a time;
-    ties broken in favor of higher support, then lexicographic label
-    (unlabeled entries last), then database order.
+    A segment scores against an entry as the product of its channel scores.
+    Mode and class score as score_discrete.  pf and latency score as their
+    correlation over the common prefix, clipped at 0 and scaled by the
+    shorter length over the longer.  Constant prefixes make correlation
+    undefined, so two agree fully or not at all, and one against a varying
+    prefix scores as score_discrete; an empty vector scores 1.0 against an
+    empty one and 0.0 otherwise.  Ties are broken in favor of higher
+    support, then lexicographic label (unlabeled entries last), then
+    database order.
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
@@ -270,11 +237,8 @@ class CompiledDb:
                 block = slice(start, start + per_block)
                 lscores = self._score_block(latency, L, keys[block], side)
                 scores = dscores[dslot[block]] * lscores
-                if len(keys) <= per_block:
-                    yield rows, slot, scores
-                else:
-                    inside = (slot >= start) & (slot < start + per_block)
-                    yield rows[inside], slot[inside] - start, scores
+                inside = (slot >= start) & (slot < start + per_block)
+                yield rows[inside], slot[inside] - start, scores
 
     def _score_block(self, x: dict[Channel, np.ndarray], L: np.ndarray, keys, side) -> np.ndarray:
         """(len(keys), E) product of the scores of rows `keys` of each channel in `x`."""
@@ -293,28 +257,26 @@ class CompiledDb:
         x = x.astype(np.float64)
         S, cut = x.shape
         if cut == 0:
-            # score_numeric on an empty vector: 1.0 against an empty one, else 0.0.
+            # An empty vector: 1.0 against an empty one, else 0.0.
             return (lendiff == 0).astype(np.float64)
         ent = self.entry[channel]
         m, cut_mask, sums = side
         masked, sy, vy = sums[channel]
-        # x holds integers, so prefix sums, squares and the pf cross sum
-        # are exact in float64 whatever the summation order.
+        # x holds integers, so prefix sums and squares are exact in float64
+        # whatever the summation order.
         csum = np.zeros((S, cut + 1))
         np.cumsum(x, axis=1, out=csum[:, 1:])
         sx = csum[:, m]
         np.cumsum(x * x, axis=1, out=csum[:, 1:])
         sxx = csum[:, m]
-        if channel is Channel.PF:
-            sxy = x @ masked[:, :cut].T
-        else:
-            # Latency entries are float means, so the summation order sets
-            # the last bits of sxy and can flip a near tie: sum the masked
-            # product along the full padded width, one contiguous row per
-            # pair, which keeps the labels of earlier releases.
-            xw = np.zeros((S, self.width))
-            xw[:, :cut] = x
-            sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
+        # pf entries are integers, so their cross sums are exact in any
+        # order.  Latency entries are float means, so the summation order
+        # sets the last bits of sxy and can flip a near tie: sum the masked
+        # product along the full padded width, one contiguous row per pair,
+        # which keeps the labels of earlier releases.
+        xw = np.zeros((S, self.width))
+        xw[:, :cut] = x
+        sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
         n = m.astype(np.float64)
         vx = n * sxx - sx * sx
         cov = n * sxy - sx * sy

@@ -92,11 +92,6 @@ OPCODES: dict[str, OpcodeId] = {m: info.opcode for m, info in OPCODE_INFO.items(
 OPENERS = frozenset({"block", "loop", "if"})
 
 
-def opcode_family(op: OpcodeId) -> str:
-    """Width-insensitive family id (i32.add and i64.add both map to "add")."""
-    return op.family
-
-
 def opcode_info(op: OpcodeId) -> OpcodeInfo:
     return OPCODE_INFO[op.mnemonic]
 

@@ -1,4 +1,4 @@
-"""Shared trace-pipeline builders for the test suite.
+"""Shared trace-pipeline builders and the scalar scoring oracle for the test suite.
 
 Synthesizing traces dominates test runtime, so every builder is memoized;
 tests that share a (seed, noise, mitigation) combination reuse one run.
@@ -28,10 +28,17 @@ from optrace.machine import (
     build_layout,
     synthesize_trace,
 )
-from optrace.matcher import Channel, Predictions, match_trace
+from optrace.matcher import (
+    DEFAULT_CHANNELS,
+    Channel,
+    Predictions,
+    match_trace,
+    pearson,
+    score_discrete,
+)
 from optrace.metrics import classify_outcomes
-from optrace.preprocess import Segments, preprocess_trace
-from optrace.profiler import _fingerprints, build_fingerprint_db
+from optrace.preprocess import Segment, Segments, preprocess_trace
+from optrace.profiler import Fingerprint, _fingerprints, build_fingerprint_db
 from optrace.workloads import benchmark_module, reference_module
 
 FULL_CHANNELS = frozenset(Channel)
@@ -166,6 +173,44 @@ def dedup_fingerprints(labeled_segments):
 def segment_events(trace, segment):
     """The StepEvents of a segment's rows in the trace it was cut from."""
     return trace.take(slice(segment.start_index, segment.start_index + len(segment))).events
+
+
+# The scalar scorer: one segment against one fingerprint, the oracle of CompiledDb's bulk scores.
+def score_numeric(a, b) -> float:
+    """Correlation over the common prefix, scaled by the length ratio.
+
+    Constant vectors make correlation undefined, so they get their own
+    rules: two constants agree fully or not at all; a constant against a
+    varying vector falls back to Hamming-style counting.
+    """
+    if not a or not b:
+        return 1.0 if len(a) == len(b) else 0.0
+    m = min(len(a), len(b))
+    ax, bx = a[:m], b[:m]
+    a_const = all(v == ax[0] for v in ax)
+    b_const = all(v == bx[0] for v in bx)
+    if a_const and b_const:
+        return 1.0 if ax[0] == bx[0] else 0.0
+    if a_const or b_const:
+        mism = sum(1 for p, q in zip(ax, bx) if p != q)
+        return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
+    r = max(pearson(ax, bx), 0.0)
+    return r * (m / max(len(a), len(b)))
+
+
+def score_segment(
+    segment: Segment, fp: Fingerprint, channels: frozenset[Channel] = DEFAULT_CHANNELS
+) -> float:
+    score = 1.0
+    if Channel.MODE in channels:
+        score *= score_discrete(segment.modes, fp.modes)
+    if Channel.CLASS in channels:
+        score *= score_discrete(segment.classes, fp.classes)
+    if Channel.PF in channels:
+        score *= score_numeric(segment.pf, fp.pf)
+    if Channel.LATENCY in channels:
+        score *= score_numeric(segment.latency, fp.latency)
+    return score
 
 
 def mean_recall(seeds, **kwargs) -> float:

@@ -167,8 +167,8 @@ def oracle_parse(text: str) -> FlatModule:
 
     if depth != 0:
         raise ParseError(len(text.splitlines()) or 1, "unclosed control structure at end of module")
-    resolved = _oracle_resolve(instructions, labels, locals_count)
-    return FlatModule(resolved, locals_count, memory_pages)
+    resolved, structure = _oracle_resolve(instructions, labels, locals_count)
+    return FlatModule(resolved, structure, locals_count, memory_pages)
 
 
 def _oracle_directive_int(parts: list[str], line_no: int, name: str) -> int:
@@ -183,11 +183,13 @@ def _oracle_directive_int(parts: list[str], line_no: int, name: str) -> int:
     return value
 
 
-def _oracle_resolve(raw, labels: dict[str, int], locals_count: int) -> tuple[Instruction, ...]:
+def _oracle_resolve(raw, labels: dict[str, int], locals_count: int):
+    """The instructions, and the (opener, else or None, end) index triples in closing order."""
     out: list[Instruction] = []
-    openers: list[list] = []  # [family, line]; an 'if' flips to 'if+else' at its else
+    openers: list[list] = []  # [family, index, else index]; an 'if' flips to 'if+else' at its else
+    structure: list[tuple] = []
     n = len(raw)
-    for line_no, mnemonic, raw_imms in raw:
+    for index, (line_no, mnemonic, raw_imms) in enumerate(raw):
         info = OPCODE_INFO[mnemonic]
         family = info.opcode.family
         imms: list[int] = []
@@ -219,16 +221,18 @@ def _oracle_resolve(raw, labels: dict[str, int], locals_count: int) -> tuple[Ins
                 raise ParseError(line_no, f"call target {imms[0]} out of range")
 
         if family in OPENERS:
-            openers.append([family, line_no])
+            openers.append([family, index, None])
         elif family == "else":
             if not openers or openers[-1][0] != "if":
                 raise ParseError(line_no, "'else' outside an if")
             openers[-1][0] = "if+else"
+            openers[-1][2] = index
         elif family == "end":
-            openers.pop()
+            _, opener, else_index = openers.pop()
+            structure.append((opener, else_index, index))
 
         out.append(Instruction(info.opcode, tuple(imms)))
-    return tuple(out)
+    return tuple(out), tuple(structure)
 
 
 def outcome(parse, text: str):
@@ -308,6 +312,8 @@ def test_parse_matches_oracle_on_workloads_with_bad_lines(text, inserts):
         ("br 0\ncall @f\n", 1, "branch depth exceeds nesting"),
         ("br x\nbr x\n", 1, "bad immediate 'x'"),
         (f".memory {MAX_MEMORY_PAGES}\n", None, None),
+        # nested structures pair in the order they close
+        ("i32.const 1\nif\nblock\nend\nelse\nloop\nbr 0\nend\nend\n", None, None),
     ],
 )
 def test_parse_edge_cases_match_oracle(text, line, fragment):
@@ -317,6 +323,18 @@ def test_parse_edge_cases_match_oracle(text, line, fragment):
         assert isinstance(got, FlatModule)
     else:
         assert got[0] == line and fragment in got[1]
+
+
+def test_parse_pairs_each_opener_with_its_else_and_end():
+    module = parse_flat_module(
+        "block\nloop\nend\nend\n"  # 0-3: a loop nested in a block
+        "i32.const 1\nif\ncall @f\nelse\nnop\nend\n"  # 4-9: an if with an else
+        "i32.const 0\nif\nnop\nend\n"  # 10-13: an if without one
+        "return\n"  # 14
+        "@f:\nblock\nend\nreturn\n"  # 15-17: the called function
+    )
+    assert module.instructions[6].immediates == (15,)
+    assert module.structure == ((1, None, 2), (0, None, 3), (5, 7, 9), (11, None, 13), (15, None, 16))
 
 
 def test_parse_shares_one_instruction_per_text():

@@ -391,11 +391,15 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         "mitigation.variant_count = 0",
         "mitigation.nop_insertion_prob = 1.5",
         "layout.span = 10",
+        "layout.span = 1152921504606846976",
         "noise.ctx_switch_rate = 2",
         "noise.ctx_switch_rate = 1",
         "noise.multistep_prob = -0.5",
         "noise.latency_jitter_sigma = -1",
+        "noise.latency_jitter_sigma = inf",
+        "noise.latency_jitter_sigma = 1e300",
         "noise.apic_quantum = -35",
+        "noise.apic_quantum = 10000000000000000000",
         "noise.ctx_switch_extra_steps_mean = -1",
     ],
 )

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from optrace.bytecode import OpcodeTrace, execute
 from optrace.handlers import BASE_LATENCY, apply_mitigation, default_handler_specs
 from optrace.machine import (
+    MAX_SPAN,
+    MAX_TIMER_CYCLES,
     HandlerSpec,
     LayoutConfig,
     MitigationConfig,
@@ -69,6 +71,17 @@ def test_layout_is_deterministic_and_seed_sensitive():
 def test_layout_rejects_overfull_span():
     with pytest.raises(ValueError, match="span"):
         build_layout(0, LayoutConfig(span=16))
+
+
+def test_layout_span_is_bounded_so_every_address_fits_in_int64():
+    # Burst pages reach 8,192 pages above the highest frame, which is below the span.
+    assert (MAX_SPAN - 1 + 8192) * 4096 <= 2**63 - 1 < (MAX_SPAN + 8192) * 4096
+    noise = NoiseModel(0.0, 0, 0.01, 50.0, 0.0, rng_seed=4)
+    config = LayoutConfig(span=MAX_SPAN)
+    layout, trace = synth(ops(*["i32.const", "drop"] * 200), noise=noise, config=config)
+    assert max(layout.all_pages()) < trace.page.max() <= max(layout.all_pages()) + 8192
+    with pytest.raises(ValueError, match=f"span must be <= {MAX_SPAN}"):
+        LayoutConfig(span=MAX_SPAN + 1)
 
 
 # ----------------------------------------------------- handler validation
@@ -424,13 +437,25 @@ def test_noise_leaves_the_interpreter_rows_in_place(seed, markers):
         ("multistep_prob", 1.5),
         ("latency_jitter_sigma", -1.0),
         ("latency_jitter_sigma", float("nan")),
+        ("latency_jitter_sigma", float("inf")),
+        ("latency_jitter_sigma", 1e300),
+        ("latency_jitter_sigma", MAX_TIMER_CYCLES * 1.0000001),
         ("apic_quantum", -35),
+        ("apic_quantum", 10**19),
+        ("apic_quantum", MAX_TIMER_CYCLES + 1),
         ("ctx_switch_extra_steps_mean", -1.0),
     ],
 )
 def test_noise_model_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
         NoiseModel(**{field: value})
+
+
+def test_timer_settings_at_their_bound_give_valid_latencies():
+    noise = NoiseModel(MAX_TIMER_CYCLES, MAX_TIMER_CYCLES, 0.0, 0.0, 0.0, rng_seed=3)
+    _, trace = synth(ops(*["i32.const", "drop"] * 200), noise=noise)
+    assert (trace.latency % MAX_TIMER_CYCLES == 0).all()
+    assert (trace.latency >= MAX_TIMER_CYCLES).all()
 
 
 def test_noise_model_bounds_burst_rows_per_interpreter_row():

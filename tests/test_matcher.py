@@ -23,13 +23,18 @@ from optrace.matcher import (
     match_trace,
     pearson,
     score_discrete,
-    score_numeric,
-    score_segment,
 )
 from optrace.preprocess import Segment
 from optrace.profiler import Fingerprint, FingerprintDb
 
-from support import predictions_of, profile_db, segments_of, victim
+from support import (
+    predictions_of,
+    profile_db,
+    score_numeric,
+    score_segment,
+    segments_of,
+    victim,
+)
 
 
 def seg(modes, classes, pf, latency):
