@@ -5,9 +5,9 @@ sequence of retired opcodes.  That sequence is the ground truth every
 downstream stage is evaluated against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .opcodes import OPCODE_INFO, OPENERS, OpcodeId
+from .opcodes import OPCODES, OPENERS, OpcodeId
 
 __all__ = [
     "FlatModule",
@@ -174,14 +174,14 @@ class _Text:
 
     def __init__(self, text: str, line: int):
         mnemonic, *raw = text.split()
-        info = OPCODE_INFO.get(mnemonic)
-        if info is None:
+        op = OPCODES.get(mnemonic)
+        if op is None:
             raise ParseError(line, f"unknown mnemonic {mnemonic!r}")
-        if len(raw) != info.n_immediates:
+        if len(raw) != op.n_immediates:
             raise ParseError(
-                line, f"{mnemonic} takes {info.n_immediates} immediate(s), got {len(raw)}"
+                line, f"{mnemonic} takes {op.n_immediates} immediate(s), got {len(raw)}"
             )
-        self.line, self.opcode, self.family = line, info.opcode, info.opcode.family
+        self.line, self.opcode, self.family = line, op, op.family
         self.imm = self.fault = None
         if raw and self.family == "call" and raw[0].startswith("@"):
             self.imm = raw[0][1:]

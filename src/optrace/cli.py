@@ -421,18 +421,23 @@ def _cmd_end2end(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    with suppress(ValueError):
-        if int(text) > 0:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, noun: str):
+    """argparse type: an integer of at least `low`, named `noun` when refused."""
+    def parse(text: str) -> int:
+        with suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {noun} integer, got {text!r}")
+    return parse
+
+
+_positive_int, _seed = _int_at_least(1, "positive"), _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value settings file")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     program = argparse.ArgumentParser(add_help=False)
     program.add_argument("--workload", default="benchmark",
                          choices=["benchmark", "reference", "primes"])

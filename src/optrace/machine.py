@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bytecode import OpcodeTrace
-from .opcodes import OPCODES, OpcodeId, all_opcodes, opcode_info
+from .opcodes import OPCODES, OpcodeId, all_opcodes
 
 __all__ = [
     "PageClass",
@@ -60,11 +60,9 @@ MAX_TIMER_CYCLES = 2**32
 class PageClass(enum.Enum):
     OPTABLE = "OPTABLE"
     STACK = "STACK"
-    HANDLER_CODE = "HANDLER_CODE"
     BYTECODE = "BYTECODE"
     MARKER = "MARKER"
     LINEAR_MEM = "LINEAR_MEM"
-    OTHER = "OTHER"
 
 
 class StepKind(enum.Enum):
@@ -131,16 +129,14 @@ class HandlerSpec:
                 f"{self.opcode.mnemonic}: optable loads ({optable_loads}) must equal "
                 f"1 + extra_optable_accesses ({self.extra_optable_accesses})"
             )
-        info = opcode_info(self.opcode)
         operand = [
             s.kind
             for s in self.steps
             if s.target_class is PageClass.STACK and s.stack_role is StackRole.OPERAND
         ]
-        if operand.count(StepKind.LOAD) > info.pops or operand.count(StepKind.STORE) > info.pushes:
-            raise ValueError(
-                f"{self.opcode.mnemonic}: operand-stack accesses exceed pop/push arity"
-            )
+        op = self.opcode
+        if operand.count(StepKind.LOAD) > op.pops or operand.count(StepKind.STORE) > op.pushes:
+            raise ValueError(f"{op.mnemonic}: operand-stack accesses exceed pop/push arity")
 
     @property
     def body(self) -> tuple[NativeStep, ...]:
@@ -439,8 +435,7 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     # Each opcode sets depth = max(depth - pops, 0) + pushes.  Its first term
     # is a running sum of pushes[i-1] - pops[i] clamped at 0, which is the
     # running sum less its running minimum (where that is below 0).
-    info = [opcode_info(op) for op in distinct]
-    pops, pushes = (np.array([getattr(i, k) for i in info])[opi] for k in ("pops", "pushes"))
+    pops, pushes = (np.array([getattr(op, k) for op in distinct])[opi] for k in ("pops", "pushes"))
     total = np.cumsum(np.concatenate(([0], pushes[:-1])) - pops)
     after = total - np.minimum(np.minimum.accumulate(total), 0) + pushes
     depth = np.concatenate(([0, 0], after[:-1]))  # as each unit starts
@@ -453,10 +448,7 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     unit_page[_OPERAND] = np.take(layout.stack_pages, 1 + depth // _SLOTS_PER_PAGE, mode="clip")
     # Unit u fetches after u dispatches, 4096 per bytecode page.
     unit_page[_BYTECODE] = np.take(layout.bytecode_pages, units // 4096, mode="wrap")
-    page = np.empty(len(src), dtype=np.int64)
-    for source in range(_LINEAR):
-        rows = src == source
-        page[rows] = unit_page[source, unit[rows]]
+    page = unit_page[src, unit]
     rows = src == _LINEAR
     page[rows] = np.take(layout.linear_mem_pages, np.arange(np.count_nonzero(rows)), mode="wrap")
 
@@ -571,15 +563,11 @@ def _merge_multisteps(rng, prob: float, trace: SideChannelTrace) -> SideChannelT
     draw gives the same merges as drawing event by event.
     """
     n = len(trace)
-    merged: list[int] = []
-    for draw in np.flatnonzero(rng.random(max(n - 1, 0)) < prob).tolist():
-        i = draw + len(merged)
-        if i + 1 >= n:
-            break
-        merged.append(i)
-    if not merged:
+    draws = np.flatnonzero(rng.random(max(n - 1, 0)) < prob)
+    at = draws + np.arange(len(draws))
+    at = at[at + 1 < n]
+    if not len(at):
         return trace
-    at = np.array(merged)
     keep = np.ones(n, dtype=bool)
     keep[at + 1] = False
     out = trace.take(keep)

@@ -10,16 +10,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True, slots=True)
 class OpcodeId:
+    """An opcode and the static properties the parser and interpreter use."""
+
     code: int
     mnemonic: str
     family: str
-
-
-@dataclass(frozen=True, slots=True)
-class OpcodeInfo:
-    """Static properties used by the parser and interpreter."""
-
-    opcode: OpcodeId
     n_immediates: int
     pops: int
     pushes: int
@@ -72,28 +67,21 @@ _PLAIN_OPS = [
 ]
 
 
-def _build_registry() -> dict[str, OpcodeInfo]:
-    table: dict[str, OpcodeInfo] = {}
+def _build_registry() -> dict[str, OpcodeId]:
+    table: dict[str, OpcodeId] = {}
     for base, code32, code64, imms, pops, pushes in _WIDTH_OPS:
         for prefix, code in (("i32", code32), ("i64", code64)):
             mnemonic = f"{prefix}.{base}"
-            op = OpcodeId(code=code, mnemonic=mnemonic, family=base)
-            table[mnemonic] = OpcodeInfo(op, imms, pops, pushes)
+            table[mnemonic] = OpcodeId(code, mnemonic, base, imms, pops, pushes)
     for mnemonic, code, imms, pops, pushes in _PLAIN_OPS:
-        op = OpcodeId(code=code, mnemonic=mnemonic, family=mnemonic)
-        table[mnemonic] = OpcodeInfo(op, imms, pops, pushes)
+        table[mnemonic] = OpcodeId(code, mnemonic, mnemonic, imms, pops, pushes)
     return table
 
 
-OPCODE_INFO: dict[str, OpcodeInfo] = _build_registry()
-OPCODES: dict[str, OpcodeId] = {m: info.opcode for m, info in OPCODE_INFO.items()}
+OPCODES: dict[str, OpcodeId] = _build_registry()
 
 # Opcodes whose retirement opens / closes a structured control scope.
 OPENERS = frozenset({"block", "loop", "if"})
-
-
-def opcode_info(op: OpcodeId) -> OpcodeInfo:
-    return OPCODE_INFO[op.mnemonic]
 
 
 def all_opcodes() -> list[OpcodeId]:

@@ -192,6 +192,7 @@ def filter_redundant(
     boundary indices are remapped.  Returns (filtered trace, removed count).
     """
     n = len(trace)
+    window = min(window, n)  # a window as long as the trace already reaches every row
     starts = _boundaries(trace, optable_page)
     # +1 where a boundary's window opens, -1 where it closes: rows with a
     # positive running sum lie within +-window of some boundary.

@@ -9,6 +9,7 @@ the page number is address / 4096.
 import csv
 import hashlib
 import locale
+from contextlib import suppress
 from dataclasses import fields
 from inspect import signature
 from itertools import repeat
@@ -200,42 +201,38 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
         raise FormatError(f"expected column header {','.join(columns)}", lineno)
 
 
-def _fields(linenos, lines: list[str], width: int) -> tuple[list[str], FormatError | None]:
-    """The fields of `lines`, row after row, in one flat list, and the error of a bad line.
-
-    A chunk with no quote, no line over `csv.field_size_limit()` and
-    `width - 1` commas on every line is split in one go.  Any other is read
-    with `csv` a line at a time, so a quoted field never spans lines; its
-    fields stop before the first line with a bad field count or size.
-    """
+def _fields(linenos, lines: list[str], width: int) -> list[str] | None:
+    """The fields of `lines`, numbered `linenos`, row after row in one flat list, by a plain
+    split: only if no line holds a quote or is over `csv.field_size_limit()` and every line
+    has `width - 1` commas; else None."""
     text = ",".join(lines)
-    if (
+    plain = (
         '"' not in text
         and max(map(len, lines)) <= csv.field_size_limit()
         and set(map(str.count, lines, repeat(","))) == {width - 1}
-    ):
-        return text.split(","), None
+    )
+    return text.split(",") if plain else None
+
+
+def _csv_columns(linenos, lines: list[str], columns, converters) -> list:
+    """The columns of `lines`, read with `csv` a line at a time (a quoted field never spans
+    lines); a FormatError names the first bad line and, within it, the leftmost bad field."""
+    width = len(columns)
     fields: list[str] = []
     for lineno, line in zip(linenos, lines):
         try:
             row = next(csv.reader((line,)))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            return fields, FormatError(str(exc), lineno)
+            raise FormatError(str(exc), lineno) from None
         if len(row) != width:
-            return fields, FormatError(f"expected {width} fields", lineno)
-        fields += row
-    return fields, None
-
-
-def _raise_bad_row(linenos, fields: list[str], columns, converters) -> None:
-    """Raise a FormatError for the first row with a bad field, naming its leftmost bad field."""
-    width = len(converters)
-    for lineno, start in zip(linenos, range(0, len(fields), width)):
-        for name, convert, text in zip(columns, converters, fields[start : start + width]):
+            raise FormatError(f"expected {width} fields", lineno)
+        for name, convert, text in zip(columns, converters, row):
             try:
                 _convert(convert, [text], lineno)
             except OverflowError:
                 raise FormatError(f"{name} {text!r} does not fit in int64", lineno) from None
+        fields += row
+    return [convert(fields[k::width]) for k, convert in enumerate(converters)]
 
 
 def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
@@ -249,7 +246,8 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
     refuses them they are split into fields.  `converters` holds one
     function per column that converts a list of fields into the column or
     raises a ValueError naming a problem (an OverflowError for a value off
-    int64).  If one fails, they run field by field to report the first bad row.
+    int64).  A block that does not split, or whose fields a converter
+    refuses, is read once more by `_csv_columns`, which reports its first bad line.
     """
     width = len(columns)
     header = None
@@ -267,16 +265,10 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
         if not chunk:
             continue
         table = raw(("\n".join(chunk) + "\n").encode()) if raw else None
-        if table is None:
-            fields, error = _fields(linenos, chunk, width)
-            try:
+        if table is None and (fields := _fields(linenos, chunk, width)) is not None:
+            with suppress(ValueError, OverflowError):
                 table = [convert(fields[k::width]) for k, convert in enumerate(converters)]
-            except (ValueError, OverflowError):
-                _raise_bad_row(linenos, fields, columns, converters)
-                raise
-            if error:  # a line after every converted row
-                raise error
-        yield table
+        yield _csv_columns(linenos, chunk, columns, converters) if table is None else table
     if header is None:
         _check_columns(None, "", columns)
 
@@ -421,11 +413,11 @@ def read_trace(path) -> SideChannelTrace:
     page, mode, pf, latency = map(np.concatenate, zip(*tables))
     page //= PAGE_SIZE
     seed = lines.meta.get("layout_seed")
-    try:
-        layout_seed = int(seed) if seed is not None else None
-    except ValueError:
-        raise FormatError(f"layout_seed {seed!r} is not an integer") from None
-    return SideChannelTrace(page, mode, pf, latency, truth=None, layout_seed=layout_seed)
+    with suppress(ValueError):
+        if seed is None or int(seed) >= 0:
+            layout_seed = None if seed is None else int(seed)
+            return SideChannelTrace(page, mode, pf, latency, truth=None, layout_seed=layout_seed)
+    raise FormatError(f"layout_seed {seed!r} is not a non-negative integer")
 
 
 def write_segments(
@@ -555,6 +547,8 @@ def read_db(path) -> FingerprintDb:
             convert = int if word == "pf" else float
             values = rest.split(",") if rest else ()
             current[word] = tuple(_convert(convert, v, lineno) for v in values)
+            if word == "pf" and (bad := [v for v in current[word] if not -(2**63) <= v < 2**63]):
+                raise FormatError(f"pf value {bad[0]} does not fit in int64", lineno)
             if bad := [v for v in current[word] if not isfinite(v)]:
                 raise FormatError(f"non-finite {word} value {bad[0]!r}", lineno)
         else:  # end

@@ -1,7 +1,8 @@
 """Shared trace-pipeline builders and the scalar scoring oracle for the test suite.
 
-Synthesizing traces dominates test runtime, so every builder is memoized;
-tests that share a (seed, noise, mitigation) combination reuse one run.
+`ops`, `synth` and `seg` build small runs, traces and segments.  Synthesizing
+the benchmark traces dominates test runtime, so the pipeline builders are
+memoized; tests that share a (seed, noise, mitigation) combination reuse one run.
 Seeds, noise values, and the profile-seed offset mirror the CLI defaults
 so pipeline-level expectations here match `optrace end2end` behavior.
 """
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import optrace
-from optrace.bytecode import execute
+from optrace.bytecode import OpcodeTrace, execute
 from optrace.cli import PROFILE_SEED_OFFSET
 from optrace.handlers import apply_mitigation, default_handler_specs
 from optrace.machine import (
@@ -37,6 +38,7 @@ from optrace.matcher import (
     score_discrete,
 )
 from optrace.metrics import classify_outcomes
+from optrace.opcodes import OPCODES
 from optrace.preprocess import Segment, Segments, preprocess_trace
 from optrace.profiler import Fingerprint, _fingerprints, build_fingerprint_db
 from optrace.workloads import benchmark_module, reference_module
@@ -44,6 +46,40 @@ from optrace.workloads import benchmark_module, reference_module
 FULL_CHANNELS = frozenset(Channel)
 NO_LATENCY = FULL_CHANNELS - {Channel.LATENCY}
 DEFAULT_SIGMA = 60.0
+ZERO = NoiseModel.zero(rng_seed=0)
+
+
+def ops(*mnemonics) -> OpcodeTrace:
+    """A run that retired `mnemonics`, in order."""
+    return OpcodeTrace(
+        executed=tuple(OPCODES[name] for name in mnemonics), step_limit_hit=False
+    )
+
+
+def synth(run, seed=0, noise=ZERO, markers=False, specs=None, config=None):
+    """The layout `build_layout(seed, config)` and the trace synthesized on it from `run`, an
+    `OpcodeTrace` or the mnemonics it retired, by `specs` (default: the default handler specs)."""
+    layout = build_layout(seed, config or LayoutConfig())
+    trace = synthesize_trace(
+        run if isinstance(run, OpcodeTrace) else ops(*run),
+        layout,
+        specs or default_handler_specs(),
+        noise,
+        profiling_markers=markers,
+    )
+    return layout, trace
+
+
+def seg(modes, classes, pf, latency) -> Segment:
+    """A segment at row 0 with the given channels, all of one length."""
+    assert len(modes) == len(classes) == len(pf) == len(latency)
+    return Segment(
+        start_index=0,
+        modes=modes,
+        classes=classes,
+        pf=tuple(pf),
+        latency=tuple(latency),
+    )
 
 
 def noise_model(seed: int, sigma: float = DEFAULT_SIGMA, zero: bool = False) -> NoiseModel:

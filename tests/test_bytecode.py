@@ -15,7 +15,7 @@ from optrace.bytecode import (
     parse_flat_module,
     serialize_module,
 )
-from optrace.opcodes import OPCODE_INFO, OPENERS
+from optrace.opcodes import OPCODES, OPENERS
 from optrace.workloads import (
     benchmark_module,
     benchmark_text,
@@ -148,7 +148,7 @@ def oracle_parse(text: str) -> FlatModule:
             continue
         parts = line.split()
         mnemonic, raw_imms = parts[0], parts[1:]
-        info = OPCODE_INFO.get(mnemonic)
+        info = OPCODES.get(mnemonic)
         if info is None:
             raise ParseError(line_no, f"unknown mnemonic {mnemonic!r}")
         if len(raw_imms) != info.n_immediates:
@@ -156,7 +156,7 @@ def oracle_parse(text: str) -> FlatModule:
                 line_no,
                 f"{mnemonic} takes {info.n_immediates} immediate(s), got {len(raw_imms)}",
             )
-        family = info.opcode.family
+        family = info.family
         if family in OPENERS:
             depth += 1
         elif family == "end":
@@ -190,8 +190,8 @@ def _oracle_resolve(raw, labels: dict[str, int], locals_count: int):
     structure: list[tuple] = []
     n = len(raw)
     for index, (line_no, mnemonic, raw_imms) in enumerate(raw):
-        info = OPCODE_INFO[mnemonic]
-        family = info.opcode.family
+        info = OPCODES[mnemonic]
+        family = info.family
         imms: list[int] = []
         for text_imm in raw_imms:
             if family == "call" and text_imm.startswith("@"):
@@ -231,7 +231,7 @@ def _oracle_resolve(raw, labels: dict[str, int], locals_count: int):
             _, opener, else_index = openers.pop()
             structure.append((opener, else_index, index))
 
-        out.append(Instruction(info.opcode, tuple(imms)))
+        out.append(Instruction(info, tuple(imms)))
     return tuple(out), tuple(structure)
 
 

@@ -138,6 +138,19 @@ def test_profile_needs_layout_seed_header(tmp_path, capsys):
     assert "layout_seed" in capsys.readouterr().err
 
 
+def test_profile_rejects_a_negative_layout_seed_header(tmp_path, capsys):
+    trace = tmp_path / "prof.csv"
+    truth = tmp_path / "prof.truth"
+    run("synth", "--workload", "primes", "--zero-noise", "--markers",
+        "--out-trace", trace, "--out-truth", truth)
+    for path in (trace, truth):
+        path.write_text(path.read_text().replace("# layout_seed=0\n", "# layout_seed=-1\n"))
+    assert run("profile", "--trace", trace, "--truth", truth,
+               "--out", tmp_path / "x.txt") == 3
+    assert "error: layout_seed '-1' is not a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
 # ----------------------------------------------------- attack + preprocess
 
 
@@ -374,6 +387,22 @@ def test_non_positive_count_is_a_usage_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--seed", "-1", "--workload", "primes", "--out-trace"),
+        ("profile", "--seed", "-3", "--out"),
+        ("end2end", "--seed", "-3", "--iterations", "2", "--out-dir"),
+    ],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(*argv, tmp_path / "x")
+    assert info.value.code == 2
+    assert f"expected a non-negative integer, got '{argv[2]}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense.key = 1\n")
@@ -434,6 +463,18 @@ def test_out_of_range_preprocess_setting_is_a_usage_error(pipeline, tmp_path, ca
     out = tmp_path / "e2e"
     assert run("end2end", "--iterations", 1, "--config", bad, "--out-dir", out) == 2
     assert not out.exists()
+
+
+def test_a_window_longer_than_any_trace_keeps_every_row(pipeline, tmp_path, capsys):
+    # A window past int64 reads as one as long as the trace: here 10**9 rows.
+    outputs = []
+    for window in (10**20, 10**9):
+        config = tmp_path / f"{window}.cfg"
+        config.write_text(f"preprocess.window = {window}\n")
+        assert run("preprocess", "--trace", pipeline.trace, "--config", config) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "events removed: 0\n" in outputs[0]
 
 
 def test_every_config_key_reaches_the_code_that_owns_it(tmp_path, monkeypatch):

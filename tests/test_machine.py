@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from optrace.bytecode import OpcodeTrace, execute
+from optrace.bytecode import execute
 from optrace.handlers import BASE_LATENCY, apply_mitigation, default_handler_specs
 from optrace.machine import (
     MAX_SPAN,
@@ -26,31 +26,11 @@ from optrace.machine import (
     shuffle_handler_pages,
     synthesize_trace,
 )
-from optrace.opcodes import OPCODES, all_opcodes, opcode_info
+from optrace.opcodes import OPCODES, all_opcodes
 from optrace.preprocess import segment_trace
 from optrace.workloads import benchmark_module, reference_module
 
-from support import labels_of, trace_of
-
-ZERO = NoiseModel.zero(rng_seed=0)
-
-
-def ops(*mnemonics):
-    return OpcodeTrace(
-        executed=tuple(OPCODES[name] for name in mnemonics), step_limit_hit=False
-    )
-
-
-def synth(opcode_trace, seed=0, noise=ZERO, markers=False, specs=None, config=None):
-    layout = build_layout(seed, config or LayoutConfig())
-    trace = synthesize_trace(
-        opcode_trace,
-        layout,
-        specs or default_handler_specs(),
-        noise,
-        profiling_markers=markers,
-    )
-    return layout, trace
+from support import ZERO, labels_of, ops, synth, trace_of
 
 
 # ----------------------------------------------------------------- layout
@@ -300,8 +280,7 @@ def reference_emission(opcode_trace, layout, specs, markers, picks=None):
                 emit(data_page(step), "W", step)
         if i + 1 < len(ops):
             emit_tail(spec, ops[i + 1])
-        info = opcode_info(op)
-        depth = max(depth - info.pops, 0) + info.pushes
+        depth = max(depth - op.pops, 0) + op.pushes
     return events, tuple(truth)
 
 

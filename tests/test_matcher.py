@@ -24,7 +24,6 @@ from optrace.matcher import (
     pearson,
     score_discrete,
 )
-from optrace.preprocess import Segment
 from optrace.profiler import Fingerprint, FingerprintDb
 
 from support import (
@@ -32,20 +31,10 @@ from support import (
     profile_db,
     score_numeric,
     score_segment,
+    seg,
     segments_of,
     victim,
 )
-
-
-def seg(modes, classes, pf, latency):
-    assert len(modes) == len(classes) == len(pf) == len(latency)
-    return Segment(
-        start_index=0,
-        modes=modes,
-        classes=classes,
-        pf=tuple(pf),
-        latency=tuple(latency),
-    )
 
 
 def fp(label, modes, classes, pf, latency, support=1):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optrace.bytecode import OpcodeTrace, execute
+from optrace.bytecode import execute
 from optrace.handlers import default_handler_specs
 from optrace.machine import (
     LayoutConfig,
@@ -13,7 +13,6 @@ from optrace.machine import (
     build_layout,
     synthesize_trace,
 )
-from optrace.opcodes import OPCODES, opcode_info
 from optrace.preprocess import (
     DEFAULT_WINDOW,
     DetectionError,
@@ -26,9 +25,8 @@ from optrace.preprocess import (
 )
 from optrace.workloads import benchmark_module
 
-from support import segment_events, trace_of
+from support import ZERO, segment_events, synth, trace_of
 
-ZERO = NoiseModel.zero(rng_seed=0)
 BURSTY = NoiseModel(
     latency_jitter_sigma=0.0,
     apic_quantum=0,
@@ -37,17 +35,6 @@ BURSTY = NoiseModel(
     multistep_prob=0.0,
     rng_seed=2,
 )
-
-
-def synth(mnemonics, seed=0, noise=ZERO, markers=False):
-    run = OpcodeTrace(
-        executed=tuple(OPCODES[m] for m in mnemonics), step_limit_hit=False
-    )
-    layout = build_layout(seed, LayoutConfig())
-    trace = synthesize_trace(
-        run, layout, default_handler_specs(), noise, profiling_markers=markers
-    )
-    return layout, trace
 
 
 def bench_trace(seed=0, noise=ZERO):
@@ -185,6 +172,19 @@ def test_filter_is_idempotent():
     assert removed_again == 0
     assert twice.events == once.events
     assert twice.truth == once.truth
+
+
+@pytest.mark.parametrize("window", [2**63 - 1, 10**20])
+def test_filter_caps_a_window_longer_than_the_trace(window):
+    # Such a window reaches every row, as one of the trace's length does;
+    # uncapped, 2**63 - 1 wraps in int64 and 10**20 does not fit in it.
+    _, layout, trace = bench_trace(noise=BURSTY)
+    stacks = frozenset(layout.stack_pages)
+    want, want_removed = filter_redundant(trace, layout.optable_page, stacks, len(trace))
+    got, removed = filter_redundant(trace, layout.optable_page, stacks, window)
+    assert removed == want_removed
+    assert got.events == want.events
+    assert got.truth == want.truth
 
 
 def test_filter_handles_empty_trace():

@@ -2,56 +2,26 @@
 
 import pytest
 
-from optrace.bytecode import OpcodeTrace
-from optrace.handlers import default_handler_specs
-from optrace.machine import (
-    LayoutConfig,
-    NoiseModel,
-    build_layout,
-    synthesize_trace,
-)
-from optrace.opcodes import OPCODES, all_opcodes
-from optrace.preprocess import Segment
+from optrace.opcodes import all_opcodes
 from optrace.profiler import ProfilingError, build_fingerprint_db, split_by_marker
 
-from support import dedup_fingerprints, labels_of, profile_db, segment_events, trace_of
-
-ZERO = NoiseModel.zero(rng_seed=0)
-
-
-def ops(*mnemonics):
-    return OpcodeTrace(
-        executed=tuple(OPCODES[name] for name in mnemonics), step_limit_hit=False
-    )
-
-
-def marked(opcode_trace, seed=0, noise=ZERO):
-    layout = build_layout(seed, LayoutConfig())
-    trace = synthesize_trace(
-        opcode_trace,
-        layout,
-        default_handler_specs(),
-        noise,
-        profiling_markers=True,
-    )
-    return layout, trace
-
-
-def seg(modes, classes, pf, latency):
-    return Segment(
-        start_index=0,
-        modes=modes,
-        classes=classes,
-        pf=tuple(pf),
-        latency=tuple(latency),
-    )
+from support import (
+    dedup_fingerprints,
+    labels_of,
+    ops,
+    profile_db,
+    seg,
+    segment_events,
+    synth,
+    trace_of,
+)
 
 
 # ------------------------------------------------------------------ split
 
 
 def test_split_yields_one_labeled_slice_per_dispatch():
-    layout, trace = marked(ops("i32.const", "i32.const", "i32.add", "drop"))
+    layout, trace = synth(ops("i32.const", "i32.const", "i32.add", "drop"), markers=True)
     slices = split_by_marker(
         trace, layout.marker_page, layout.optable_page, frozenset(layout.stack_pages)
     )
@@ -68,7 +38,7 @@ def test_split_yields_one_labeled_slice_per_dispatch():
 
 
 def test_split_marks_mid_handler_dispatch_reads_unlabeled():
-    layout, trace = marked(ops("i32.const", "call", "i32.const", "i32.add"))
+    layout, trace = synth(ops("i32.const", "call", "i32.const", "i32.add"), markers=True)
     slices = split_by_marker(
         trace, layout.marker_page, layout.optable_page, frozenset(layout.stack_pages)
     )
@@ -84,7 +54,7 @@ def test_split_marks_mid_handler_dispatch_reads_unlabeled():
 
 
 def test_split_strips_marker_events_from_slices():
-    layout, trace = marked(ops("nop", "nop", "nop"))
+    layout, trace = synth(ops("nop", "nop", "nop"), markers=True)
     slices = split_by_marker(trace, layout.marker_page, layout.optable_page)
     # Slices index the trace without its marker events: each slice's channels
     # must be those rows, which a slice holding a marker write would not be.
@@ -97,7 +67,7 @@ def test_split_strips_marker_events_from_slices():
 
 
 def test_split_requires_ground_truth():
-    layout, trace = marked(ops("nop", "nop"))
+    layout, trace = synth(ops("nop", "nop"), markers=True)
     bare = trace_of(
         events=trace.events, truth=None, layout_seed=trace.layout_seed
     )
@@ -106,20 +76,13 @@ def test_split_requires_ground_truth():
 
 
 def test_split_rejects_unmarked_trace():
-    layout = build_layout(0, LayoutConfig())
-    trace = synthesize_trace(
-        ops("nop", "nop"),
-        layout,
-        default_handler_specs(),
-        ZERO,
-        profiling_markers=False,
-    )
+    layout, trace = synth(ops("nop", "nop"))
     with pytest.raises(ProfilingError, match="marker"):
         split_by_marker(trace, layout.marker_page, layout.optable_page)
 
 
 def test_split_rejects_marker_truth_count_mismatch():
-    layout, trace = marked(ops("nop", "nop", "nop"))
+    layout, trace = synth(ops("nop", "nop", "nop"), markers=True)
     doctored = trace_of(
         events=trace.events,
         truth=labels_of([*trace.truth, (0, "drop")]),
@@ -131,7 +94,7 @@ def test_split_rejects_marker_truth_count_mismatch():
 
 def test_split_rejects_truth_rows_out_of_order():
     # Each slice's label is looked up among the truth rows by a binary search.
-    layout, trace = marked(ops("nop", "i32.const", "drop"))
+    layout, trace = synth(ops("nop", "i32.const", "drop"), markers=True)
     pairs = list(trace.truth)
     doctored = trace_of(
         events=trace.events,
@@ -179,7 +142,7 @@ def test_dedup_sorts_unlabeled_entries_last():
 
 
 def test_dedup_collapses_a_uniform_zero_noise_run():
-    layout, trace = marked(ops(*["nop"] * 5))
+    layout, trace = synth(ops(*["nop"] * 5), markers=True)
     slices = split_by_marker(trace, layout.marker_page, layout.optable_page)
     entries = dedup_fingerprints(slices)
     # Four identical full slices merge; the final one lacks the next
@@ -193,7 +156,7 @@ def test_dedup_collapses_a_uniform_zero_noise_run():
 
 
 def test_build_db_is_deterministic():
-    layout, trace = marked(ops("i32.const", "i32.const", "i32.add"))
+    layout, trace = synth(ops("i32.const", "i32.const", "i32.add"), markers=True)
     kwargs = dict(
         marker_page=layout.marker_page,
         optable_page=layout.optable_page,
@@ -205,7 +168,7 @@ def test_build_db_is_deterministic():
 
 
 def test_build_db_support_accounts_for_every_slice():
-    layout, trace = marked(ops("i32.const", "call", "drop", "nop"))
+    layout, trace = synth(ops("i32.const", "call", "drop", "nop"), markers=True)
     slices = split_by_marker(
         trace, layout.marker_page, layout.optable_page, frozenset(layout.stack_pages)
     )
@@ -219,7 +182,7 @@ def test_build_db_support_accounts_for_every_slice():
 
 
 def test_build_db_carries_meta():
-    layout, trace = marked(ops("nop", "nop"))
+    layout, trace = synth(ops("nop", "nop"), markers=True)
     db = build_fingerprint_db(
         trace,
         layout.marker_page,
@@ -232,7 +195,7 @@ def test_build_db_carries_meta():
 
 
 def test_build_db_drops_overlong_slices():
-    layout, trace = marked(ops("i32.const", "i32.const", "i32.add", "i32.add"))
+    layout, trace = synth(ops("i32.const", "i32.const", "i32.add", "i32.add"), markers=True)
     full = build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
     # i32.add expands to more native steps than i32.const; a cap between the
     # two lengths keeps only the shorter slices.
@@ -250,7 +213,7 @@ def test_build_db_drops_overlong_slices():
 
 
 def test_build_db_rejects_cap_that_drops_everything():
-    layout, trace = marked(ops("nop", "nop"))
+    layout, trace = synth(ops("nop", "nop"), markers=True)
     with pytest.raises(ProfilingError, match="max_slice_len"):
         build_fingerprint_db(
             trace, layout.marker_page, layout.optable_page, max_slice_len=0

@@ -11,20 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optrace import traceio
-from optrace.bytecode import OpcodeTrace
-from optrace.handlers import default_handler_specs
-from optrace.machine import (
-    PAGE_SIZE,
-    Labels,
-    LayoutConfig,
-    NoiseModel,
-    SideChannelTrace,
-    StepEvent,
-    build_layout,
-    synthesize_trace,
-)
+from optrace.machine import PAGE_SIZE, Labels, NoiseModel, SideChannelTrace, StepEvent
 from optrace.matcher import Prediction, Predictions
-from optrace.opcodes import OPCODES
 from optrace.preprocess import Segments
 from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
 from optrace.traceio import (
@@ -47,31 +35,16 @@ from optrace.traceio import (
     write_truth,
 )
 
-from support import labels_of, predictions_of, trace_of
+from support import labels_of, predictions_of, synth, trace_of
 
-ZERO = NoiseModel.zero(rng_seed=0)
-
-
-def small_trace(markers=False, mnemonics=("i32.const", "call", "i32.add")):
-    opcode_trace = OpcodeTrace(
-        executed=tuple(OPCODES[name] for name in mnemonics), step_limit_hit=False
-    )
-    layout = build_layout(3, LayoutConfig())
-    trace = synthesize_trace(
-        opcode_trace,
-        layout,
-        default_handler_specs(),
-        ZERO,
-        profiling_markers=markers,
-    )
-    return layout, trace
+SMALL = ("i32.const", "call", "i32.add")
 
 
 # ---------------------------------------------------------------- traces
 
 
 def test_trace_round_trip(tmp_path):
-    _, trace = small_trace()
+    _, trace = synth(SMALL, seed=3)
     path = tmp_path / "t.trace"
     write_trace(path, trace, config_hash="cafe01234567")
     back = read_trace(path)
@@ -85,7 +58,7 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_trace_addresses_are_page_aligned_hex(tmp_path):
-    _, trace = small_trace()
+    _, trace = synth(SMALL, seed=3)
     path = tmp_path / "t.trace"
     write_trace(path, trace)
     for line in path.read_text().splitlines():
@@ -96,7 +69,7 @@ def test_trace_addresses_are_page_aligned_hex(tmp_path):
 
 
 def test_read_trace_rejects_wrong_format_kind(tmp_path):
-    _, trace = small_trace(markers=True)
+    _, trace = synth(SMALL, seed=3, markers=True)
     path = tmp_path / "t.truth"
     write_truth(path, trace)
     with pytest.raises(FormatError, match="expected 'optrace trace v1'") as info:
@@ -382,7 +355,7 @@ def test_every_reader_opens_its_file_once(tmp_path, reader, kind, columns, row, 
 def test_a_written_trace_is_read_without_the_csv_reader(tmp_path, block):
     # A silent fallback to the CSV reader would keep every other test green.
     events = [StepEvent(-1, "R", 1, 10), StepEvent(0, "E", -3, 0), StepEvent(2**40, "W", 0, 5)]
-    trace = trace_of([*small_trace()[1].events, *events], layout_seed=7)
+    trace = trace_of([*synth(SMALL, seed=3)[1].events, *events], layout_seed=7)
     path = tmp_path / "t.trace"
     write_trace(path, trace, config_hash="cafe01234567")
     no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
@@ -405,7 +378,7 @@ def test_a_header_only_trace_gives_empty_columns_without_the_csv_reader(tmp_path
 @pytest.mark.parametrize("block", [1, 7, traceio._BLOCK_BYTES])
 def test_a_trace_without_a_final_newline_is_read_without_the_csv_reader(tmp_path, block):
     # The last row has no line break; once decoded it is in the writer's form.
-    _, trace = small_trace()
+    _, trace = synth(SMALL, seed=3)
     path = tmp_path / "t.trace"
     write_trace(path, trace)
     path.write_bytes(path.read_bytes().removesuffix(b"\n"))
@@ -420,7 +393,7 @@ def test_a_late_comment_is_decoded_in_its_block_alone(tmp_path):
     # `# layout_seed=1` line after the last: only the header's blocks and
     # those holding the two lines are decoded, and no block is split into
     # fields.
-    _, trace = small_trace(mnemonics=("i32.const", "i32.const", "i32.add", "drop") * 10)
+    _, trace = synth(("i32.const", "i32.const", "i32.add", "drop") * 10, seed=3)
     path = tmp_path / "late.trace"
     write_trace(path, trace)
     lines = path.read_text().splitlines(keepends=True)
@@ -619,9 +592,7 @@ def test_csv_readers_report_the_first_bad_line(tmp_path, reader, kind, columns, 
 def test_write_segments_exports_annotated_rows(tmp_path):
     from optrace.preprocess import preprocess_trace
 
-    layout, trace = small_trace(
-        mnemonics=("i32.const", "i32.const", "i32.add", "drop")
-    )
+    layout, trace = synth(("i32.const", "i32.const", "i32.add", "drop"), seed=3)
     _, _, segments = preprocess_trace(trace)
     path = tmp_path / "s.segments"
     write_segments(path, segments, config_hash="abc", layout_seed=7)
@@ -678,7 +649,7 @@ def test_write_segments_matches_the_row_by_row_oracle(chunk, rows, bounds):
 
 
 def test_truth_round_trip_preserves_null_labels(tmp_path):
-    _, trace = small_trace(markers=True)
+    _, trace = synth(SMALL, seed=3, markers=True)
     path = tmp_path / "t.truth"
     write_truth(path, trace, config_hash="beef")
     truth, meta = read_truth(path)
@@ -690,9 +661,7 @@ def test_truth_round_trip_preserves_null_labels(tmp_path):
 def test_read_truth_gives_back_the_columns_written(tmp_path):
     # Bursts move the labeled rows off a plain stride; call adds NULL labels.
     noise = NoiseModel(ctx_switch_rate=0.01, ctx_switch_extra_steps_mean=20.0, rng_seed=2)
-    layout = build_layout(3, LayoutConfig())
-    run = OpcodeTrace(tuple(OPCODES[n] for n in ["call", "i32.const", "drop"] * 30), False)
-    trace = synthesize_trace(run, layout, default_handler_specs(), noise)
+    _, trace = synth(["call", "i32.const", "drop"] * 30, seed=3, noise=noise)
     path = tmp_path / "t.truth"
     write_truth(path, trace)
     truth, _ = read_truth(path)
@@ -704,7 +673,7 @@ def test_read_truth_gives_back_the_columns_written(tmp_path):
 
 
 def test_write_truth_requires_ground_truth(tmp_path):
-    _, trace = small_trace(markers=False)
+    _, trace = synth(SMALL, seed=3)
     bare = trace_of(events=trace.events, truth=None, layout_seed=None)
     with pytest.raises(ValueError, match="ground truth"):
         write_truth(tmp_path / "t.truth", bare)
@@ -896,8 +865,8 @@ def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, bloc
 # ------------------------------------------------------------ fingerprints
 
 
-def make_db(noise=ZERO, mnemonics=("i32.const", "i32.const", "i32.add", "drop")):
-    layout, trace = small_trace(markers=True, mnemonics=mnemonics)
+def make_db(mnemonics=("i32.const", "i32.const", "i32.add", "drop")):
+    layout, trace = synth(mnemonics, seed=3, markers=True)
     return build_fingerprint_db(
         trace,
         layout.marker_page,
@@ -990,19 +959,22 @@ def test_read_db_rejects_letters_off_the_channel_alphabets(tmp_path, modes, clas
 
 
 @pytest.mark.parametrize(
-    "entry,latency,line,message",
+    "entry,pf,latency,line,message",
     [
-        ("entry nop support=1", "1.0,inf", 6, "non-finite latency value inf"),
-        ("entry nop support=0", "1.0,2.0", 2, "support must be at least 1, got 0"),
+        ("entry nop support=1", "1,2", "1.0,inf", 6, "non-finite latency value inf"),
+        ("entry nop support=0", "1,2", "1.0,2.0", 2, "support must be at least 1, got 0"),
+        ("entry nop support=1", f"1,1{'0' * 400}", "1.0,2.0", 5, "pf value 10+ does not fit"),
+        ("entry nop support=1", f"1,{10**20}", "1.0,2.0", 5, f"pf value {10**20} does not fit"),
     ],
-    ids=["inf-latency", "zero-support"],
+    ids=["inf-latency", "zero-support", "pf-off-float", "pf-off-int64"],
 )
-def test_read_db_rejects_poisoned_entries(tmp_path, entry, latency, line, message):
-    # A non-finite latency makes every score against its entry nan, and nan wins each pick.
+def test_read_db_rejects_poisoned_entries(tmp_path, entry, pf, latency, line, message):
+    # A non-finite latency makes every score against its entry nan, and nan wins each pick;
+    # a trace's pf_count is int64, so an entry's pf values must fit in it too.
     path = tmp_path / "bad.db"
     path.write_text(
         f"# optrace fingerprint-db v1\n{entry}\n"
-        f"modes RE\nclasses OX\npf 1,2\nlatency {latency}\nend\n"
+        f"modes RE\nclasses OX\npf {pf}\nlatency {latency}\nend\n"
     )
     with pytest.raises(FormatError, match=message) as info:
         read_db(path)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from optrace.bytecode import execute, parse_flat_module
+from optrace.bytecode import execute
 from optrace.opcodes import all_opcodes
 from optrace.workloads import (
     WORKLOADS,
