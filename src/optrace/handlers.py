@@ -93,65 +93,62 @@ def _binop_body(write_dlat: int, extra_regs: int = 1) -> list[NativeStep]:
     return body
 
 
-def _family_bodies() -> dict[str, tuple[list[NativeStep], int]]:
-    """family -> (body steps, extra optable accesses)."""
+def _family_bodies() -> dict[str, list[NativeStep]]:
+    """family -> body steps, ahead of the dispatch tail."""
     mem_r = _load(PageClass.LINEAR_MEM)
     mem_w = _store(PageClass.LINEAR_MEM)
     frame_r = _load(PageClass.STACK, StackRole.FRAME)
     frame_w = _store(PageClass.STACK, StackRole.FRAME)
     imm_r = _load(PageClass.BYTECODE)
 
-    bodies: dict[str, tuple[list[NativeStep], int]] = {
-        "nop": ([_reg()], 0),
-        "drop": ([_reg(), _pop_op(), _reg()], 0),
-        "const": ([_reg(), imm_r, _push_op()], 0),
+    bodies: dict[str, list[NativeStep]] = {
+        "nop": [_reg()],
+        "drop": [_reg(), _pop_op(), _reg()],
+        "const": [_reg(), imm_r, _push_op()],
         # Same shape, latency-separated: add/sub (slow RMW ALU step) and the
         # shift pair live a structural twin apart from each other.
-        "add": (_binop_body(881), 0),
-        "sub": (_binop_body(941), 0),
-        "shl": (_binop_body(100), 0),
-        "shr_s": (_binop_body(150), 0),
+        "add": _binop_body(881),
+        "sub": _binop_body(941),
+        "shl": _binop_body(100),
+        "shr_s": _binop_body(150),
         # Bitwise trio: one fewer register op, only latency splits the three.
-        "and": ([_reg(), _pop_op(), _push_op(0)], 0),
-        "or": ([_reg(), _pop_op(), _push_op(30)], 0),
-        "xor": ([_reg(), _pop_op(), _push_op(60)], 0),
-        "mul": ([_reg(), _reg(), _pop_op(), _reg(), _reg(dlat=320), _push_op()], 0),
-        "div_s": ([_reg(), _reg(), _pop_op(), _branch(), _reg(), _reg(dlat=650), _push_op(200)], 0),
-        "rem_s": (
-            [_reg(), _reg(), _pop_op(), _branch(), _reg(), _reg(dlat=650), _reg(), _push_op(200)],
-            0,
-        ),
-        "eq": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _push_op(0)], 0),
-        "ne": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _push_op(30)], 0),
-        "lt_s": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(0)], 0),
-        "gt_s": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(35)], 0),
-        "le_s": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(70)], 0),
-        "ge_s": ([_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(105)], 0),
-        "eqz": ([_reg(), _pop_op(), _reg(), _reg(), _push_op()], 0),
-        "load": ([_reg(), _pop_op(), _reg(), _branch(), mem_r, _push_op()], 0),
-        "store": ([_reg(), _pop_op(), _pop_op(), _reg(), mem_w], 0),
-        "local.get": ([_reg(), imm_r, frame_r, _push_op()], 0),
-        "local.set": ([_reg(), imm_r, _pop_op(), _reg(), frame_w], 0),
-        "local.tee": ([_reg(), imm_r, _reg(), _pop_op(), _reg(), frame_w], 0),
-        "global.get": ([_reg(), imm_r, _load(PageClass.LINEAR_MEM, dlat=45), _push_op()], 0),
-        "global.set": (
-            [_reg(), imm_r, _pop_op(), _reg(), _reg(), _reg(), _store(PageClass.LINEAR_MEM, dlat=60)],
-            0,
-        ),
-        "select": ([_reg(), _pop_op(), _reg(), _pop_op(), _pop_op(), _reg(), _push_op()], 0),
-        "block": ([_reg(), imm_r, _reg(), frame_w], 0),
-        "loop": ([_reg(), imm_r, _reg(), _reg(), frame_w], 0),
-        "if": ([_reg(), imm_r, _pop_op(), _reg(), _branch(), frame_w], 0),
-        "else": ([_reg(), _reg(), _branch()], 0),
-        "end": ([_reg(), frame_r, _reg(), _reg()], 0),
-        "br": ([_reg(), imm_r, _reg(), _branch()], 0),
-        "br_if": ([_reg(), imm_r, _pop_op(), _reg(), _branch(), _reg()], 0),
-        "call": ([_reg(), imm_r, _reg(), _load(PageClass.OPTABLE), _reg(), frame_w], 1),
-        "return": ([_reg(), frame_r, _reg(), _reg(), _branch()], 0),
-        "memory.grow": (
-            [_reg(), _pop_op(), _reg(), _load(PageClass.OPTABLE), _reg(), _reg(), mem_w, _push_op()],
-            1,
-        ),
+        "and": [_reg(), _pop_op(), _push_op(0)],
+        "or": [_reg(), _pop_op(), _push_op(30)],
+        "xor": [_reg(), _pop_op(), _push_op(60)],
+        "mul": [_reg(), _reg(), _pop_op(), _reg(), _reg(dlat=320), _push_op()],
+        "div_s": [_reg(), _reg(), _pop_op(), _branch(), _reg(), _reg(dlat=650), _push_op(200)],
+        "rem_s": [
+            _reg(), _reg(), _pop_op(), _branch(), _reg(), _reg(dlat=650), _reg(), _push_op(200),
+        ],
+        "eq": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _push_op(0)],
+        "ne": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _push_op(30)],
+        "lt_s": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(0)],
+        "gt_s": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(35)],
+        "le_s": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(70)],
+        "ge_s": [_reg(), _reg(), _pop_op(), _reg(), _reg(), _reg(), _reg(), _push_op(105)],
+        "eqz": [_reg(), _pop_op(), _reg(), _reg(), _push_op()],
+        "load": [_reg(), _pop_op(), _reg(), _branch(), mem_r, _push_op()],
+        "store": [_reg(), _pop_op(), _pop_op(), _reg(), mem_w],
+        "local.get": [_reg(), imm_r, frame_r, _push_op()],
+        "local.set": [_reg(), imm_r, _pop_op(), _reg(), frame_w],
+        "local.tee": [_reg(), imm_r, _reg(), _pop_op(), _reg(), frame_w],
+        "global.get": [_reg(), imm_r, _load(PageClass.LINEAR_MEM, dlat=45), _push_op()],
+        "global.set": [
+            _reg(), imm_r, _pop_op(), _reg(), _reg(), _reg(), _store(PageClass.LINEAR_MEM, dlat=60),
+        ],
+        "select": [_reg(), _pop_op(), _reg(), _pop_op(), _pop_op(), _reg(), _push_op()],
+        "block": [_reg(), imm_r, _reg(), frame_w],
+        "loop": [_reg(), imm_r, _reg(), _reg(), frame_w],
+        "if": [_reg(), imm_r, _pop_op(), _reg(), _branch(), frame_w],
+        "else": [_reg(), _reg(), _branch()],
+        "end": [_reg(), frame_r, _reg(), _reg()],
+        "br": [_reg(), imm_r, _reg(), _branch()],
+        "br_if": [_reg(), imm_r, _pop_op(), _reg(), _branch(), _reg()],
+        "call": [_reg(), imm_r, _reg(), _load(PageClass.OPTABLE), _reg(), frame_w],
+        "return": [_reg(), frame_r, _reg(), _reg(), _branch()],
+        "memory.grow": [
+            _reg(), _pop_op(), _reg(), _load(PageClass.OPTABLE), _reg(), _reg(), mem_w, _push_op(),
+        ],
     }
     return bodies
 
@@ -161,10 +158,7 @@ def default_handler_specs() -> dict[OpcodeId, HandlerSpec]:
     bodies = _family_bodies()
     specs: dict[OpcodeId, HandlerSpec] = {}
     for op in all_opcodes():
-        body, extra = bodies[op.family]
-        specs[op] = HandlerSpec(
-            opcode=op, steps=tuple(body) + _TAIL, extra_optable_accesses=extra
-        )
+        specs[op] = HandlerSpec(opcode=op, steps=tuple(bodies[op.family]) + _TAIL)
     return specs
 
 

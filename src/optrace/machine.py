@@ -109,7 +109,6 @@ class HandlerSpec:
 
     opcode: OpcodeId
     steps: tuple[NativeStep, ...]
-    extra_optable_accesses: int = 0
 
     def __post_init__(self):
         if len(self.steps) < 3:
@@ -121,14 +120,6 @@ class HandlerSpec:
             (StepKind.EXEC_BRANCH, None),
         ]:
             raise ValueError(f"{self.opcode.mnemonic}: handler must end with the dispatch tail")
-        optable_loads = sum(
-            1 for s in self.steps if s.kind is StepKind.LOAD and s.target_class is PageClass.OPTABLE
-        )
-        if optable_loads != 1 + self.extra_optable_accesses:
-            raise ValueError(
-                f"{self.opcode.mnemonic}: optable loads ({optable_loads}) must equal "
-                f"1 + extra_optable_accesses ({self.extra_optable_accesses})"
-            )
         operand = [
             s.kind
             for s in self.steps

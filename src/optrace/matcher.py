@@ -9,8 +9,6 @@ tolerates the additive jitter and quantization the timer applies.
 
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
-
 import numpy as np
 
 from .machine import Labels
@@ -75,6 +73,20 @@ class Predictions(Labels):
         return Predictions(self.rows[i], self.codes[i], self.table, self.score[i], self.margin[i])
 
 
+def _correlation(n, sx, sxx, sy, syy, sxy):
+    """Correlation r of n pairs from their sums, with each side's variance term.
+
+    Sums should be of values shifted to start at 0: the raw-sum form cancels
+    catastrophically once values are large next to their spread, and a
+    constant side then gives variance exactly 0.
+    """
+    vx = n * sxx - sx * sx
+    vy = n * syy - sy * sy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = (n * sxy - sx * sy) / np.sqrt(vx * vy)
+    return r, vx, vy
+
+
 def pearson(x, y) -> float:
     """Sample correlation; requires equal lengths and variance on both sides."""
     n = len(x)
@@ -82,18 +94,12 @@ def pearson(x, y) -> float:
         raise ValueError("length mismatch")
     if n < 2:
         raise ValueError("need at least 2 points")
-    sx = sy = sxx = syy = sxy = 0.0
-    for a, b in zip(x, y):
-        sx += a
-        sy += b
-        sxx += a * a
-        syy += b * b
-        sxy += a * b
-    vx = n * sxx - sx * sx
-    vy = n * syy - sy * sy
+    x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+    x, y = x - x[0], y - y[0]
+    r, vx, vy = _correlation(n, x.sum(), x @ x, y.sum(), y @ y, x @ y)
     if vx <= 0.0 or vy <= 0.0:
         raise ValueError("correlation undefined for constant input")
-    return (n * sxy - sx * sy) / sqrt(vx * vy)
+    return float(r)
 
 
 def score_discrete(a, b) -> float:
@@ -152,7 +158,7 @@ class CompiledDb:
 
     A segment scores against an entry as the product of its channel scores.
     Mode and class score as score_discrete.  pf and latency score as their
-    correlation over the common prefix, clipped at 0 and scaled by the
+    correlation over the common prefix, clipped to [0, 1] and scaled by the
     shorter length over the longer.  Constant prefixes make correlation
     undefined, so two agree fully or not at all, and one against a varying
     prefix scores as score_discrete; an empty vector scores 1.0 against an
@@ -182,20 +188,17 @@ class CompiledDb:
         """Entry-side terms shared by every segment of `cut` scored rows.
 
         Each entry's common prefix m with such a segment, the prefix mask,
-        and per numeric channel the masked entries, their sums sy and
-        variance vy.
+        and per numeric channel the masked entries less their first value,
+        with their sums sy and syy.
         """
         m = np.minimum(self.lens, cut)
-        n = m.astype(np.float64)
         mask = np.arange(self.width)[None, :] < m[:, None]
         sums = {}
         for channel in _NUMERIC:
             if channel in self.entry:
                 ent = self.entry[channel]
-                masked = ent * mask
-                sy = masked.sum(axis=1)
-                syy = (ent * ent * mask).sum(axis=1)
-                sums[channel] = (masked, sy, n * syy - sy * sy)
+                masked = (ent - ent[:, :1]) * mask
+                sums[channel] = (masked, masked.sum(axis=1), (masked * masked).sum(axis=1))
         return m, mask[:, :cut], sums
 
     def score_blocks(self, segments: Segments):
@@ -261,13 +264,15 @@ class CompiledDb:
             return (lendiff == 0).astype(np.float64)
         ent = self.entry[channel]
         m, cut_mask, sums = side
-        masked, sy, vy = sums[channel]
-        # x holds integers, so prefix sums and squares are exact in float64
-        # whatever the summation order.
+        masked, sy, syy = sums[channel]
+        # Both sides are shifted to start at 0, as _correlation needs.  x
+        # holds integers, so its prefix sums and squares are exact in float64
+        # whatever the summation order, while n * sum(x * x) < 2**53.
+        xs = x - x[:, :1]
         csum = np.zeros((S, cut + 1))
-        np.cumsum(x, axis=1, out=csum[:, 1:])
+        np.cumsum(xs, axis=1, out=csum[:, 1:])
         sx = csum[:, m]
-        np.cumsum(x * x, axis=1, out=csum[:, 1:])
+        np.cumsum(xs * xs, axis=1, out=csum[:, 1:])
         sxx = csum[:, m]
         # pf entries are integers, so their cross sums are exact in any
         # order.  Latency entries are float means, so the summation order
@@ -275,17 +280,12 @@ class CompiledDb:
         # product along the full padded width, one contiguous row per pair,
         # which keeps the labels of earlier releases.
         xw = np.zeros((S, self.width))
-        xw[:, :cut] = x
+        xw[:, :cut] = xs
         sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
-        n = m.astype(np.float64)
-        vx = n * sxx - sx * sx
-        cov = n * sxy - sx * sy
+        r, vx, vy = _correlation(m.astype(np.float64), sx, sxx, sy, syy, sxy)
         x_const = vx <= 0.0
         y_const = vy <= 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = cov / np.sqrt(vx * vy)
-        r = np.clip(r, 0.0, None)
-        corr_score = r * (m / np.maximum(self.lens, L[:, None]))
+        corr_score = np.clip(r, 0.0, 1.0) * (m / np.maximum(self.lens, L[:, None]))
         # Two constants agree fully or not at all; an empty entry agrees
         # with no segment, which here is never empty.
         agree = (ent[None, :, 0] == x[:, :1]) & (m > 0)

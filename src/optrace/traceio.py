@@ -201,10 +201,10 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
         raise FormatError(f"expected column header {','.join(columns)}", lineno)
 
 
-def _fields(linenos, lines: list[str], width: int) -> list[str] | None:
-    """The fields of `lines`, numbered `linenos`, row after row in one flat list, by a plain
-    split: only if no line holds a quote or is over `csv.field_size_limit()` and every line
-    has `width - 1` commas; else None."""
+def _fields(lines: list[str], width: int) -> list[str] | None:
+    """The fields of `lines`, row after row in one flat list, by a plain split: only if no
+    line holds a quote or is over `csv.field_size_limit()` and every line has `width - 1`
+    commas; else None."""
     text = ",".join(lines)
     plain = (
         '"' not in text
@@ -265,7 +265,7 @@ def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
         if not chunk:
             continue
         table = raw(("\n".join(chunk) + "\n").encode()) if raw else None
-        if table is None and (fields := _fields(linenos, chunk, width)) is not None:
+        if table is None and (fields := _fields(chunk, width)) is not None:
             with suppress(ValueError, OverflowError):
                 table = [convert(fields[k::width]) for k, convert in enumerate(converters)]
         yield _csv_columns(linenos, chunk, columns, converters) if table is None else table

@@ -8,6 +8,7 @@ so pipeline-level expectations here match `optrace end2end` behavior.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 from functools import lru_cache
@@ -34,7 +35,6 @@ from optrace.matcher import (
     Channel,
     Predictions,
     match_trace,
-    pearson,
     score_discrete,
 )
 from optrace.metrics import classify_outcomes
@@ -213,11 +213,13 @@ def segment_events(trace, segment):
 
 # The scalar scorer: one segment against one fingerprint, the oracle of CompiledDb's bulk scores.
 def score_numeric(a, b) -> float:
-    """Correlation over the common prefix, scaled by the length ratio.
+    """Correlation over the common prefix, clipped to [0, 1] and scaled by the length ratio.
 
     Constant vectors make correlation undefined, so they get their own
     rules: two constants agree fully or not at all; a constant against a
-    varying vector falls back to Hamming-style counting.
+    varying vector falls back to Hamming-style counting.  The correlation is
+    the stdlib's, which centers its sums, so the oracle shares no code with
+    the scorer's kernel.
     """
     if not a or not b:
         return 1.0 if len(a) == len(b) else 0.0
@@ -230,7 +232,7 @@ def score_numeric(a, b) -> float:
     if a_const or b_const:
         mism = sum(1 for p, q in zip(ax, bx) if p != q)
         return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
-    r = max(pearson(ax, bx), 0.0)
+    r = min(max(statistics.correlation(ax, bx), 0.0), 1.0)
     return r * (m / max(len(a), len(b)))
 
 

@@ -84,12 +84,10 @@ def test_handler_spec_requires_dispatch_tail():
         HandlerSpec(opcode=nop, steps=reversed_tail)
 
 
-def test_handler_spec_checks_optable_access_count():
+def test_handler_spec_accepts_extra_optable_loads():
     nop = OPCODES["nop"]
     extra = NativeStep(StepKind.LOAD, target_class=PageClass.OPTABLE, base_latency=10)
-    with pytest.raises(ValueError, match="optable loads"):
-        HandlerSpec(opcode=nop, steps=(extra,) + good_tail())
-    spec = HandlerSpec(opcode=nop, steps=(extra,) + good_tail(), extra_optable_accesses=1)
+    spec = HandlerSpec(opcode=nop, steps=(extra,) + good_tail())
     assert len(spec.body) == 1
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optrace import matcher
+from optrace.bytecode import execute
 from optrace.cli import PROFILE_SEED_OFFSET
+from optrace.machine import SideChannelTrace
 from optrace.matcher import (
     Channel,
     CompiledDb,
@@ -24,15 +26,19 @@ from optrace.matcher import (
     pearson,
     score_discrete,
 )
-from optrace.profiler import Fingerprint, FingerprintDb
+from optrace.preprocess import Segments
+from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
+from optrace.workloads import reference_module
 
 from support import (
+    noise_model,
     predictions_of,
     profile_db,
     score_numeric,
     score_segment,
     seg,
     segments_of,
+    synth,
     victim,
 )
 
@@ -81,6 +87,14 @@ def test_pearson_rejects_bad_input():
         pearson([1], [2])
     with pytest.raises(ValueError, match="constant"):
         pearson([5, 5, 5], [1, 2, 3])
+
+
+@pytest.mark.parametrize("offset", [10**8, 10**9, 10**10])
+@pytest.mark.parametrize("form", [tuple, lambda v: np.array(v, np.int64)])
+def test_pearson_ignores_large_offsets(offset, form):
+    # Raw sums of values this large cancel to noise; the correlation must not.
+    x = form((offset, offset + 35, offset + 70, offset + 35))
+    assert pearson(x, form((1, 2, 3, 2))) == pytest.approx(1.0)
 
 
 # --------------------------------------------------------- channel scores
@@ -432,6 +446,49 @@ def test_empty_entry_scores_like_the_oracle_on_numeric_channels():
         for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
             preds = match_trace(segments_of(segs), db(*fps), frozenset(channels))
             assert_matches_scalar_oracle(preds, segs, fps, frozenset(channels))
+
+
+def test_constant_non_integer_prefix_scores_as_discrete():
+    # A latency mean such as 5280 1/3 repeated is constant, so against a
+    # varying segment it falls back to score_discrete; raw sums of squares
+    # would leave it a small nonzero variance and score its correlation.
+    const = fp("const", "RWERW", "OSXOS", (1,) * 5, (15841 / 3,) * 5)
+    s = seg("RWERW", "OSXOS", (1,) * 5, (5000, 5010, 5005, 5001, 5002))
+    channels = frozenset({Channel.LATENCY})
+    want = score_numeric(s.latency, const.latency)
+    assert want == pytest.approx(1 / 6)
+    assert score_rows(CompiledDb(db(const), channels), [s])[0, 0] == pytest.approx(want)
+
+
+def offset_latency(trace: SideChannelTrace, offset: int) -> SideChannelTrace:
+    return SideChannelTrace(
+        trace.page, trace.mode, trace.pf, trace.latency + offset, trace.truth, trace.layout_seed
+    )
+
+
+@pytest.mark.parametrize("offset", [10**9, 10**10])
+def test_constant_latency_offsets_wash_out(offset):
+    # One offset added to every latency of the profile and of the victim, as
+    # a timer with another zero point reads them, leaves every label as is.
+    layout, profile = synth(
+        execute(reference_module(4), step_limit=10_000_000),
+        seed=PROFILE_SEED_OFFSET,
+        noise=noise_model(PROFILE_SEED_OFFSET + 1),
+        markers=True,
+    )
+    segs = victim(0, iterations=5).segments
+
+    def labels_at(b):
+        fps = build_fingerprint_db(
+            offset_latency(profile, b),
+            layout.marker_page,
+            layout.optable_page,
+            frozenset(layout.stack_pages),
+        )
+        shifted = Segments(offset_latency(segs.trace, b), segs.classes, segs.starts, segs.ends)
+        return match_trace(shifted, fps).labels
+
+    assert labels_at(offset) == labels_at(0)
 
 
 def test_segments_score_once_per_length_and_scored_rows():

@@ -213,13 +213,29 @@ def _assert_read_as_csv(path) -> None:
 
 
 def _fields_lines(path) -> list[set[int]]:
-    """Read `path` as `read_trace` does; the line numbers of each block split by `_fields`."""
-    with mock.patch.object(traceio, "_fields", wraps=traceio._fields) as fields:
+    """Read `path` as `read_trace` does; the line numbers of each block split by `_fields`,
+    which are the last numbers of the block decoded just before, one per line split."""
+    decode, fields = traceio._Lines.decode, traceio._fields
+    decoded, split = [], []
+
+    def spy_decode(self, block):
+        decoded.append(decode(self, block))
+        return decoded[-1]
+
+    def spy_fields(lines, width):
+        linenos, _ = decoded[-1]
+        split.append(set(linenos[-len(lines):]))
+        return fields(lines, width)
+
+    with (
+        mock.patch.object(traceio._Lines, "decode", spy_decode),
+        mock.patch.object(traceio, "_fields", spy_fields),
+    ):
         try:
             read_trace(path)
         except FormatError:
             pass
-    return [set(call.args[0]) for call in fields.call_args_list]
+    return split
 
 
 @settings(max_examples=300, deadline=None)
