@@ -25,10 +25,8 @@ from .machine import (
     MemoryLayout,
     MitigationConfig,
     NoiseModel,
-    PageClass,
     SideChannelTrace,
     StepEvent,
-    StepKind,
     SynthesisError,
     build_layout,
     synthesize_trace,
@@ -66,7 +64,7 @@ __all__ = [
     "Trap", "execute", "parse_flat_module", "serialize_module",
     # machine model
     "Labels", "LayoutConfig", "MemoryLayout", "MitigationConfig", "NoiseModel",
-    "PageClass", "SideChannelTrace", "StepEvent", "StepKind", "SynthesisError",
+    "SideChannelTrace", "StepEvent", "SynthesisError",
     "build_layout", "synthesize_trace", "apply_mitigation",
     "default_handler_specs",
     # opcode registry

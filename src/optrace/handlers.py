@@ -1,14 +1,17 @@
 """Default handler templates and compile-time mitigations.
 
 Templates model a threaded dispatch loop compiled at a fixed optimization
-level: every handler ends with the shared dispatch tail (bytecode fetch,
-optable lookup, indirect branch).  Body shapes differ per operation family;
-families whose handlers compile to identical memory-access shapes (e.g. the
-bitwise group) are told apart only by per-step latency offsets, which is what
-keeps recovery imperfect under measurement jitter.
+level: every handler body is followed by the shared dispatch tail (bytecode
+fetch, optable lookup, indirect branch), which the synthesizer appends.
+Body shapes differ per operation family; families whose handlers compile to
+identical memory-access shapes (e.g. the bitwise group) are told apart only
+by per-step latency offsets, which is what keeps recovery imperfect under
+measurement jitter.
 
-Width variants share one template: an i64.add handler is byte-for-byte the
-same shape as i32.add, which is exactly why evaluation groups families.
+A body step is a template row: (page source, mode, pf, base latency), the
+sources and modes being those of `optrace.machine`.  Width variants share
+one template: an i64.add handler is byte-for-byte the same shape as i32.add,
+which is exactly why evaluation groups families.
 """
 
 from dataclasses import replace
@@ -16,76 +19,54 @@ from dataclasses import replace
 import numpy as np
 
 from .machine import (
+    BYTECODE,
+    EXEC,
+    FRAME,
+    LINEAR,
+    OPERAND,
+    OPTABLE,
+    OWN,
+    READ,
+    WRITE,
     HandlerSpec,
     MitigationConfig,
-    NativeStep,
-    PageClass,
-    StackRole,
-    StepKind,
 )
 from .opcodes import OpcodeId, all_opcodes
 
 __all__ = ["default_handler_specs", "apply_mitigation", "BASE_LATENCY"]
 
-BASE_LATENCY = {
-    StepKind.REG_OP: 5280,
-    StepKind.LOAD: 5540,
-    StepKind.STORE: 5400,
-    StepKind.EXEC_BRANCH: 5309,
-}
+BASE_LATENCY = {"reg": 5280, "load": 5540, "store": 5400, "branch": 5309}
 
 _PF_EXEC = 5
-_PF_READ = {
-    PageClass.STACK: 7,
-    PageClass.LINEAR_MEM: 7,
-    PageClass.BYTECODE: 8,
-    PageClass.OPTABLE: 8,
-}
+_PF_READ = {OPERAND: 7, FRAME: 7, LINEAR: 7, BYTECODE: 8, OPTABLE: 8}
 _PF_WRITE = 9
 
 
-def _reg(dlat: int = 0) -> NativeStep:
-    return NativeStep(StepKind.REG_OP, base_latency=BASE_LATENCY[StepKind.REG_OP] + dlat, pf_count=_PF_EXEC)
+def _reg(dlat: int = 0) -> tuple:
+    return OWN, EXEC, _PF_EXEC, BASE_LATENCY["reg"] + dlat
 
 
-def _branch(dlat: int = 0) -> NativeStep:
-    return NativeStep(
-        StepKind.EXEC_BRANCH, base_latency=BASE_LATENCY[StepKind.EXEC_BRANCH] + dlat, pf_count=_PF_EXEC
-    )
+def _branch(dlat: int = 0) -> tuple:
+    return OWN, EXEC, _PF_EXEC, BASE_LATENCY["branch"] + dlat
 
 
-def _load(cls: PageClass, role: StackRole | None = None, dlat: int = 0) -> NativeStep:
-    return NativeStep(
-        StepKind.LOAD,
-        target_class=cls,
-        stack_role=role,
-        base_latency=BASE_LATENCY[StepKind.LOAD] + dlat,
-        pf_count=_PF_READ[cls],
-    )
+def _load(source: int, dlat: int = 0) -> tuple:
+    return source, READ, _PF_READ[source], BASE_LATENCY["load"] + dlat
 
 
-def _store(cls: PageClass, role: StackRole | None = None, dlat: int = 0) -> NativeStep:
-    return NativeStep(
-        StepKind.STORE,
-        target_class=cls,
-        stack_role=role,
-        base_latency=BASE_LATENCY[StepKind.STORE] + dlat,
-        pf_count=_PF_WRITE,
-    )
+def _store(source: int, dlat: int = 0) -> tuple:
+    return source, WRITE, _PF_WRITE, BASE_LATENCY["store"] + dlat
 
 
-def _pop_op(dlat: int = 0) -> NativeStep:
-    return _load(PageClass.STACK, StackRole.OPERAND, dlat)
+def _pop_op(dlat: int = 0) -> tuple:
+    return _load(OPERAND, dlat)
 
 
-def _push_op(dlat: int = 0) -> NativeStep:
-    return _store(PageClass.STACK, StackRole.OPERAND, dlat)
+def _push_op(dlat: int = 0) -> tuple:
+    return _store(OPERAND, dlat)
 
 
-_TAIL = (_load(PageClass.BYTECODE), _load(PageClass.OPTABLE), _branch())
-
-
-def _binop_body(write_dlat: int, extra_regs: int = 1) -> list[NativeStep]:
+def _binop_body(write_dlat: int, extra_regs: int = 1) -> list[tuple]:
     """pop one operand, combine in place with the stack top (read-modify-write)."""
     body = [_reg(), _reg(), _pop_op()]
     body += [_reg() for _ in range(extra_regs)]
@@ -93,15 +74,15 @@ def _binop_body(write_dlat: int, extra_regs: int = 1) -> list[NativeStep]:
     return body
 
 
-def _family_bodies() -> dict[str, list[NativeStep]]:
-    """family -> body steps, ahead of the dispatch tail."""
-    mem_r = _load(PageClass.LINEAR_MEM)
-    mem_w = _store(PageClass.LINEAR_MEM)
-    frame_r = _load(PageClass.STACK, StackRole.FRAME)
-    frame_w = _store(PageClass.STACK, StackRole.FRAME)
-    imm_r = _load(PageClass.BYTECODE)
+def _family_bodies() -> dict[str, list[tuple]]:
+    """family -> body steps."""
+    mem_r = _load(LINEAR)
+    mem_w = _store(LINEAR)
+    frame_r = _load(FRAME)
+    frame_w = _store(FRAME)
+    imm_r = _load(BYTECODE)
 
-    bodies: dict[str, list[NativeStep]] = {
+    bodies: dict[str, list[tuple]] = {
         "nop": [_reg()],
         "drop": [_reg(), _pop_op(), _reg()],
         "const": [_reg(), imm_r, _push_op()],
@@ -132,9 +113,9 @@ def _family_bodies() -> dict[str, list[NativeStep]]:
         "local.get": [_reg(), imm_r, frame_r, _push_op()],
         "local.set": [_reg(), imm_r, _pop_op(), _reg(), frame_w],
         "local.tee": [_reg(), imm_r, _reg(), _pop_op(), _reg(), frame_w],
-        "global.get": [_reg(), imm_r, _load(PageClass.LINEAR_MEM, dlat=45), _push_op()],
+        "global.get": [_reg(), imm_r, _load(LINEAR, dlat=45), _push_op()],
         "global.set": [
-            _reg(), imm_r, _pop_op(), _reg(), _reg(), _reg(), _store(PageClass.LINEAR_MEM, dlat=60),
+            _reg(), imm_r, _pop_op(), _reg(), _reg(), _reg(), _store(LINEAR, dlat=60),
         ],
         "select": [_reg(), _pop_op(), _reg(), _pop_op(), _pop_op(), _reg(), _push_op()],
         "block": [_reg(), imm_r, _reg(), frame_w],
@@ -144,10 +125,10 @@ def _family_bodies() -> dict[str, list[NativeStep]]:
         "end": [_reg(), frame_r, _reg(), _reg()],
         "br": [_reg(), imm_r, _reg(), _branch()],
         "br_if": [_reg(), imm_r, _pop_op(), _reg(), _branch(), _reg()],
-        "call": [_reg(), imm_r, _reg(), _load(PageClass.OPTABLE), _reg(), frame_w],
+        "call": [_reg(), imm_r, _reg(), _load(OPTABLE), _reg(), frame_w],
         "return": [_reg(), frame_r, _reg(), _reg(), _branch()],
         "memory.grow": [
-            _reg(), _pop_op(), _reg(), _load(PageClass.OPTABLE), _reg(), _reg(), mem_w, _push_op(),
+            _reg(), _pop_op(), _reg(), _load(OPTABLE), _reg(), _reg(), mem_w, _push_op(),
         ],
     }
     return bodies
@@ -158,20 +139,20 @@ def default_handler_specs() -> dict[OpcodeId, HandlerSpec]:
     bodies = _family_bodies()
     specs: dict[OpcodeId, HandlerSpec] = {}
     for op in all_opcodes():
-        specs[op] = HandlerSpec(opcode=op, steps=tuple(bodies[op.family]) + _TAIL)
+        specs[op] = HandlerSpec(opcode=op, body=tuple(bodies[op.family]))
     return specs
 
 
 def _insert_nops(spec: HandlerSpec, rng, prob: float, forced: int = 0) -> HandlerSpec:
-    """Insert nop register steps at random body slots, ahead of the tail."""
+    """Insert nop register steps at random body slots."""
     body = list(spec.body)
-    slots = len(body) + 1  # before each body step and right before the tail
+    slots = len(body) + 1  # before each body step and after the last
     inserted_at = [i for i in range(slots) if rng.random() < prob]
     while len(inserted_at) < forced:
         inserted_at.append(int(rng.integers(0, slots)))
     for slot in sorted(inserted_at, reverse=True):
         body.insert(slot, _reg())
-    return replace(spec, steps=tuple(body) + spec.tail)
+    return replace(spec, body=tuple(body))
 
 
 def apply_mitigation(

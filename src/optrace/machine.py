@@ -9,13 +9,13 @@ to the branch-target page, which is what makes the read-then-execute
 dispatch pattern visible downstream.
 
 Per handler the emission order is: body steps, then the shared dispatch tail
-(bytecode read, optable read, dispatch branch).  The optable read of a tail
-fetches the *next* opcode, so truth labels attach there.  A dispatch prologue
-is emitted before the first opcode and the final handler stops before its
-tail (the interpreter exits instead of dispatching).
+(bytecode read, marker write when profiling, optable read, dispatch branch).
+Handler specs hold only their bodies; the tail is the machine's `_TAIL`.
+The optable read of a tail fetches the *next* opcode, so truth labels attach
+there.  A dispatch prologue is emitted before the first opcode and the final
+handler stops before its tail (the interpreter exits instead of dispatching).
 """
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -25,12 +25,8 @@ from .bytecode import OpcodeTrace
 from .opcodes import OPCODES, OpcodeId, all_opcodes
 
 __all__ = [
-    "PageClass",
-    "StepKind",
-    "StackRole",
     "MemoryLayout",
     "LayoutConfig",
-    "NativeStep",
     "HandlerSpec",
     "NoiseModel",
     "StepEvent",
@@ -55,99 +51,77 @@ _BURST_REACH = 8192
 MAX_SPAN = 2**63 // PAGE_SIZE - _BURST_REACH
 # Bound on the timer jitter sigma and the APIC quantum, in cycles (see NoiseModel).
 MAX_TIMER_CYCLES = 2**32
-
-
-class PageClass(enum.Enum):
-    OPTABLE = "OPTABLE"
-    STACK = "STACK"
-    BYTECODE = "BYTECODE"
-    MARKER = "MARKER"
-    LINEAR_MEM = "LINEAR_MEM"
-
-
-class StepKind(enum.Enum):
-    REG_OP = "REG_OP"
-    LOAD = "LOAD"
-    STORE = "STORE"
-    EXEC_BRANCH = "EXEC_BRANCH"
-
-
-class StackRole(enum.Enum):
-    """Which part of the interpreter stack region a STACK access targets."""
-
-    OPERAND = "OPERAND"
-    FRAME = "FRAME"
+# Bound on each region's page count (see LayoutConfig).
+MAX_REGION_PAGES = 2**16
+# Bound on the handler variants per opcode (see MitigationConfig).
+MAX_VARIANTS = 1000
 
 
 class SynthesisError(ValueError):
     """Inconsistent synthesis inputs (e.g. opcode without a handler spec)."""
 
 
-@dataclass(frozen=True, slots=True)
-class NativeStep:
-    kind: StepKind
-    target_class: PageClass | None = None
-    stack_role: StackRole | None = None
-    base_latency: int = 0
-    pf_count: int = 1
+# Page sources of template rows: own handler, next handler, optable (an extra
+# read, labeled NULL), labeled dispatch read, marker, frame, operand page at
+# the current depth, bytecode page at the dispatch count, linear memory in turn.
+OWN, NEXT, OPTABLE, DISPATCH, MARKER, FRAME, OPERAND, BYTECODE, LINEAR = range(9)
+# Access modes, as the ASCII codes of the mode column.
+READ, WRITE, EXEC = b"RWE"
+_BODY_SOURCES = (OWN, OPTABLE, FRAME, OPERAND, BYTECODE, LINEAR)
 
-    def __post_init__(self):
-        data = self.kind in (StepKind.LOAD, StepKind.STORE)
-        if data and self.target_class is None:
-            raise ValueError("LOAD/STORE steps need a target class")
-        if not data and self.target_class is not None:
-            raise ValueError("only LOAD/STORE steps carry a target class")
-        if self.base_latency <= 0:
-            raise ValueError("base latency must be positive")
-        if self.pf_count < 1:
-            raise ValueError("pf_count must be >= 1")
+# The dispatch tail that follows every handler body: bytecode fetch, marker
+# write (when profiling), labeled optable read of the next opcode, branch to
+# its handler.  Rows are (page source, mode, pf, base latency).
+_TAIL = ((BYTECODE, READ, 8, 5540), (MARKER, WRITE, 9, 5400), (DISPATCH, READ, 8, 5540),
+         (NEXT, EXEC, 5, 5309))
 
 
 @dataclass(frozen=True)
 class HandlerSpec:
-    """Native-step template for one opcode's interpreter handler."""
+    """One opcode's interpreter handler body, ahead of the dispatch tail, as template rows:
+    (page source, mode, pf, base latency), one per native instruction."""
 
     opcode: OpcodeId
-    steps: tuple[NativeStep, ...]
+    body: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        if len(self.steps) < 3:
-            raise ValueError("handler needs at least the dispatch tail")
-        tail = [(s.kind, s.target_class) for s in self.steps[-3:]]
-        if tail != [
-            (StepKind.LOAD, PageClass.BYTECODE),
-            (StepKind.LOAD, PageClass.OPTABLE),
-            (StepKind.EXEC_BRANCH, None),
-        ]:
-            raise ValueError(f"{self.opcode.mnemonic}: handler must end with the dispatch tail")
-        operand = [
-            s.kind
-            for s in self.steps
-            if s.target_class is PageClass.STACK and s.stack_role is StackRole.OPERAND
-        ]
         op = self.opcode
-        if operand.count(StepKind.LOAD) > op.pops or operand.count(StepKind.STORE) > op.pushes:
+        for source, mode, pf, latency in self.body:
+            if source not in _BODY_SOURCES:
+                raise ValueError(f"{op.mnemonic}: page source {source} is not a body source"
+                                 " (the next handler, dispatch read and marker are the tail's)")
+            if mode not in (READ, WRITE, EXEC) or (mode == EXEC) != (source == OWN):
+                raise ValueError(f"{op.mnemonic}: execute steps, and only they, run on the"
+                                 " handler's own page")
+            if latency <= 0:
+                raise ValueError(f"{op.mnemonic}: base latency must be positive")
+            if pf < 1:
+                raise ValueError(f"{op.mnemonic}: pf must be >= 1")
+        operand = [mode for source, mode, *_ in self.body if source == OPERAND]
+        if operand.count(READ) > op.pops or operand.count(WRITE) > op.pushes:
             raise ValueError(f"{op.mnemonic}: operand-stack accesses exceed pop/push arity")
-
-    @property
-    def body(self) -> tuple[NativeStep, ...]:
-        return self.steps[:-3]
-
-    @property
-    def tail(self) -> tuple[NativeStep, ...]:
-        return self.steps[-3:]
 
 
 @dataclass(frozen=True)
 class LayoutConfig:
+    """Page counts of the stack, bytecode and linear-memory regions, and the span
+    their frames are drawn from.
+
+    `build_layout` draws every frame, so a page count is bounded by
+    MAX_REGION_PAGES, 65,536 pages (256 MiB), and not only by the span: a
+    million pages take most of a second and over 100 MB to draw.  The bound is
+    16 times the most linear memory a program can grow to (256 Wasm pages).
+    """
+
     stack_pages: int = 2
     bytecode_pages: int = 2
     linear_pages: int = 2
     span: int = 1 << 20  # page-frame numbers are drawn from [0, span)
 
     def __post_init__(self):
-        if min(self.stack_pages, self.bytecode_pages, self.linear_pages) < 1:
-            raise ValueError("page counts must be >= 1")
+        for name in ("stack_pages", "bytecode_pages", "linear_pages"):
+            if not 1 <= getattr(self, name) <= MAX_REGION_PAGES:
+                raise ValueError(f"{name} must be in [1, {MAX_REGION_PAGES}]")
         if self.span > MAX_SPAN:
             raise ValueError(f"span must be <= {MAX_SPAN}")
         if self.frames > self.span:
@@ -343,6 +317,14 @@ class SideChannelTrace:
 
 @dataclass(frozen=True)
 class MitigationConfig:
+    """Hardened-build options (see handlers.apply_mitigation).
+
+    `variant_count` is at most MAX_VARIANTS, 1,000: every variant is a handler
+    spec per opcode and a template per opcode a run retires, so time and memory
+    grow linearly with it.  Synthesizing the `primes` workload takes about
+    1 s and 70 MB with 1,000 variants, and 19 s and 490 MB with 10,000.
+    """
+
     nop_insertion_prob: float = 0.0
     shuffle_handlers: bool = False
     variant_count: int = 1
@@ -350,46 +332,17 @@ class MitigationConfig:
     def __post_init__(self):
         if not 0.0 <= self.nop_insertion_prob <= 1.0:
             raise ValueError("nop_insertion_prob must be in [0, 1]")
-        if self.variant_count < 1:
-            raise ValueError("variant_count must be >= 1")
+        if not 1 <= self.variant_count <= MAX_VARIANTS:
+            raise ValueError(f"variant_count must be in [1, {MAX_VARIANTS}]")
 
-
-# Page sources of template rows: own handler, next handler, optable (an extra
-# read, labeled NULL), labeled dispatch read, marker, frame, operand page at
-# the current depth, bytecode page at the dispatch count, linear memory in turn.
-_OWN, _NEXT, _OPTABLE, _DISPATCH, _MARKER, _FRAME, _OPERAND, _BYTECODE, _LINEAR = range(9)
-_R, _W, _E = b"RWE"
-_DATA = {PageClass.OPTABLE: _OPTABLE, PageClass.BYTECODE: _BYTECODE, PageClass.LINEAR_MEM: _LINEAR}
 
 # A burst row jumps to one of its burst's three code pages, reads or writes
 # one of its three data pages, or steps on its current code page: a uniform
 # draw below each cut picks that kind.  Mode, pf and base latency per kind:
 _BURST_CUTS = (0.04, 0.10, 0.16)
-_BURST_ROWS = np.array([(_E, 5, 5280), (_R, 7, 5540), (_W, 9, 5400), (_E, 5, 5280)], np.int16)
-
-
-def _template(spec: HandlerSpec, markers: bool) -> list[tuple[int, int, int, int]]:
-    """(page source, mode, pf, base latency) rows of one handler: body, then tail."""
-    rows = []
-    for step in spec.body:
-        cls = step.target_class
-        if cls is None:  # in-handler branches land on the handler's own page
-            source = _OWN
-        elif cls is PageClass.STACK:
-            source = _FRAME if step.stack_role is StackRole.FRAME else _OPERAND
-        elif cls in _DATA:
-            source = _DATA[cls]
-        else:
-            raise SynthesisError(f"unexpected data class {cls}")
-        mode = _E if cls is None else _R if step.kind is StepKind.LOAD else _W
-        rows.append((source, mode, step.pf_count, step.base_latency))
-    fetch, lookup, branch = spec.tail
-    rows.append((_BYTECODE, _R, fetch.pf_count, fetch.base_latency))
-    if markers:
-        rows.append((_MARKER, _W, 9, 5400))
-    rows.append((_DISPATCH, _R, lookup.pf_count, lookup.base_latency))
-    rows.append((_NEXT, _E, branch.pf_count, branch.base_latency))
-    return rows
+_BURST_ROWS = np.array(
+    [(EXEC, 5, 5280), (READ, 7, 5540), (WRITE, 9, 5400), (EXEC, 5, 5280)], np.int16
+)
 
 
 def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
@@ -398,11 +351,13 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     distinct[i], len(distinct) for NULL.
 
     Each retired opcode runs a variant drawn uniformly from its `variants`.
-    Unit 0 is the prologue, the tail of the first opcode's first variant;
-    unit u > 0 runs retired opcode u - 1, and the last unit stops before its
-    tail.  Each unit is a run of template-table rows, gathered all at once.
+    A template is a variant's body, then the dispatch tail.  Unit 0 is the
+    prologue, the tail alone; unit u > 0 runs retired opcode u - 1, and the
+    last unit stops before its tail.  Each unit is a run of template-table
+    rows, gathered all at once.
     """
-    flat = [_template(spec, markers) for specs in variants for spec in specs]
+    tail = _TAIL if markers else tuple(row for row in _TAIL if row[0] != MARKER)
+    flat = [spec.body + tail for specs in variants for spec in specs]
     t_len = np.array([len(rows) for rows in flat])
     t_start = np.cumsum(t_len) - t_len
     sizes = np.array([len(specs) for specs in variants])
@@ -410,11 +365,9 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     pick = rng.integers(0, count) if (count > 1).any() else np.zeros_like(count)
     tmpl = (np.cumsum(sizes) - sizes)[opi] + pick
     src_t, mode_t, pf_t, lat_t = np.array([row for rows in flat for row in rows]).T
-    tail = 4 if markers else 3
-    prologue = tmpl[0] - pick[0]
-    start = np.concatenate(([t_start[prologue] + t_len[prologue] - tail], t_start[tmpl]))
-    length = np.concatenate(([tail], t_len[tmpl]))
-    length[-1] -= tail
+    start = np.concatenate(([t_len[0] - len(tail)], t_start[tmpl]))
+    length = np.concatenate(([len(tail)], t_len[tmpl]))
+    length[-1] -= len(tail)
     idx = np.repeat((start - np.cumsum(length) + length).astype(np.int32), length)
     idx += np.arange(len(idx), dtype=np.int32)
     src, mode = src_t.astype(np.uint8)[idx], mode_t.astype(np.uint8)[idx]
@@ -432,21 +385,21 @@ def _interpreter_rows(rng, layout, distinct, variants, opi, markers):
     depth = np.concatenate(([0, 0], after[:-1]))  # as each unit starts
     handler = np.array([layout.handler_pages[op] for op in distinct])[opi]
     unit_page = np.zeros((9, len(units)), dtype=np.int64)
-    unit_page[_OWN, 1:] = unit_page[_NEXT, :-1] = handler
-    unit_page[[_OPTABLE, _DISPATCH]] = layout.optable_page
-    unit_page[_MARKER] = layout.marker_page
-    unit_page[_FRAME] = layout.stack_pages[0]
-    unit_page[_OPERAND] = np.take(layout.stack_pages, 1 + depth // _SLOTS_PER_PAGE, mode="clip")
+    unit_page[OWN, 1:] = unit_page[NEXT, :-1] = handler
+    unit_page[[OPTABLE, DISPATCH]] = layout.optable_page
+    unit_page[MARKER] = layout.marker_page
+    unit_page[FRAME] = layout.stack_pages[0]
+    unit_page[OPERAND] = np.take(layout.stack_pages, 1 + depth // _SLOTS_PER_PAGE, mode="clip")
     # Unit u fetches after u dispatches, 4096 per bytecode page.
-    unit_page[_BYTECODE] = np.take(layout.bytecode_pages, units // 4096, mode="wrap")
+    unit_page[BYTECODE] = np.take(layout.bytecode_pages, units // 4096, mode="wrap")
     page = unit_page[src, unit]
-    rows = src == _LINEAR
+    rows = src == LINEAR
     page[rows] = np.take(layout.linear_mem_pages, np.arange(np.count_nonzero(rows)), mode="wrap")
 
     # Unit u dispatches retired opcode u; extra optable reads are NULL.
-    labeled = np.flatnonzero((src == _DISPATCH) | (src == _OPTABLE) & (mode == _R))
+    labeled = np.flatnonzero((src == DISPATCH) | (src == OPTABLE) & (mode == READ))
     null = len(distinct)
-    code = np.where(src[labeled] == _DISPATCH, np.append(opi, null)[unit[labeled]], null)
+    code = np.where(src[labeled] == DISPATCH, np.append(opi, null)[unit[labeled]], null)
     return page, mode, pf, latency, labeled, code
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "benchmark_module",
     "primes_text",
     "primes_module",
-    "WORKLOADS",
 ]
 
 _WIDTH_BINOPS = [
@@ -334,10 +333,3 @@ return
 
 def primes_module(limit: int = 50) -> FlatModule:
     return parse_flat_module(primes_text(limit))
-
-
-WORKLOADS = {
-    "reference": reference_module,
-    "benchmark": benchmark_module,
-    "primes": primes_module,
-}

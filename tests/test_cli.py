@@ -417,7 +417,9 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     "setting",
     [
         "layout.stack_pages = 0",
+        "layout.stack_pages = 1000000000\nlayout.span = 1099511627776",
         "mitigation.variant_count = 0",
+        "mitigation.variant_count = 1000000000",
         "mitigation.nop_insertion_prob = 1.5",
         "layout.span = 10",
         "layout.span = 1152921504606846976",

@@ -10,17 +10,27 @@ from hypothesis import strategies as st
 from optrace.bytecode import execute
 from optrace.handlers import BASE_LATENCY, apply_mitigation, default_handler_specs
 from optrace.machine import (
+    BYTECODE,
+    DISPATCH,
+    EXEC,
+    FRAME,
+    LINEAR,
+    MARKER,
+    MAX_REGION_PAGES,
     MAX_SPAN,
     MAX_TIMER_CYCLES,
+    MAX_VARIANTS,
+    NEXT,
+    OPERAND,
+    OPTABLE,
+    OWN,
+    READ,
+    WRITE,
     HandlerSpec,
     LayoutConfig,
     MitigationConfig,
-    NativeStep,
     NoiseModel,
-    PageClass,
-    StackRole,
     StepEvent,
-    StepKind,
     _merge_multisteps,
     build_layout,
     shuffle_handler_pages,
@@ -64,54 +74,59 @@ def test_layout_span_is_bounded_so_every_address_fits_in_int64():
         LayoutConfig(span=MAX_SPAN + 1)
 
 
+@pytest.mark.parametrize("field", ["stack_pages", "bytecode_pages", "linear_pages"])
+def test_layout_bounds_each_region_page_count(field):
+    # A span of 2**40 has room for them, but every frame is drawn.
+    span = 2**40
+    assert MAX_REGION_PAGES == 65536
+    for count in (0, MAX_REGION_PAGES + 1, 10**9):
+        with pytest.raises(ValueError, match=f"{field} must be in \\[1, 65536\\]"):
+            LayoutConfig(**{field: count, "span": span})
+    config = LayoutConfig(**{field: MAX_REGION_PAGES, "span": span})
+    assert len(build_layout(0, config).all_pages()) == config.frames
+
+
 # ----------------------------------------------------- handler validation
 
 
-def good_tail():
-    return (
-        NativeStep(StepKind.LOAD, target_class=PageClass.BYTECODE, base_latency=10),
-        NativeStep(StepKind.LOAD, target_class=PageClass.OPTABLE, base_latency=10),
-        NativeStep(StepKind.EXEC_BRANCH, base_latency=10),
-    )
-
-
-def test_handler_spec_requires_dispatch_tail():
-    nop = OPCODES["nop"]
-    with pytest.raises(ValueError, match="dispatch tail"):
-        HandlerSpec(opcode=nop, steps=good_tail()[:2])
-    reversed_tail = (good_tail()[1], good_tail()[0], good_tail()[2])
-    with pytest.raises(ValueError, match="dispatch tail"):
-        HandlerSpec(opcode=nop, steps=reversed_tail)
-
-
 def test_handler_spec_accepts_extra_optable_loads():
-    nop = OPCODES["nop"]
-    extra = NativeStep(StepKind.LOAD, target_class=PageClass.OPTABLE, base_latency=10)
-    spec = HandlerSpec(opcode=nop, steps=(extra,) + good_tail())
+    spec = HandlerSpec(opcode=OPCODES["nop"], body=((OPTABLE, READ, 8, 10),))
     assert len(spec.body) == 1
 
 
 def test_handler_spec_rejects_stack_traffic_beyond_arity():
-    nop = OPCODES["nop"]  # pops 0, pushes 0
-    pop = NativeStep(
-        StepKind.LOAD,
-        target_class=PageClass.STACK,
-        stack_role=StackRole.OPERAND,
-        base_latency=10,
-    )
+    nop, const = OPCODES["nop"], OPCODES["i32.const"]  # nop pops 0, pushes 0; const pushes 1
     with pytest.raises(ValueError, match="arity"):
-        HandlerSpec(opcode=nop, steps=(pop,) + good_tail())
+        HandlerSpec(opcode=nop, body=((OPERAND, READ, 7, 10),))
+    with pytest.raises(ValueError, match="arity"):
+        HandlerSpec(opcode=const, body=((OPERAND, WRITE, 9, 10),) * 2)
+    HandlerSpec(opcode=const, body=((OPERAND, WRITE, 9, 10), (FRAME, READ, 7, 10)))
 
 
-def test_native_step_field_validation():
-    with pytest.raises(ValueError, match="target class"):
-        NativeStep(StepKind.LOAD, base_latency=10)
-    with pytest.raises(ValueError, match="target class"):
-        NativeStep(StepKind.REG_OP, target_class=PageClass.STACK, base_latency=10)
-    with pytest.raises(ValueError, match="latency"):
-        NativeStep(StepKind.REG_OP, base_latency=0)
-    with pytest.raises(ValueError, match="pf_count"):
-        NativeStep(StepKind.REG_OP, base_latency=10, pf_count=0)
+@pytest.mark.parametrize(
+    "row", [(OWN, READ, 7, 10), (OWN, WRITE, 9, 10), (FRAME, EXEC, 5, 10),
+            (LINEAR, EXEC, 5, 10), (OPTABLE, EXEC, 5, 10), (OWN, ord("X"), 5, 10)],
+)
+def test_handler_spec_runs_execute_steps_only_on_its_own_page(row):
+    with pytest.raises(ValueError, match="own page"):
+        HandlerSpec(opcode=OPCODES["nop"], body=(row,))
+
+
+@pytest.mark.parametrize("row", [(NEXT, EXEC, 5, 10), (DISPATCH, READ, 8, 10),
+                                 (MARKER, WRITE, 9, 10), (9, READ, 7, 10)])
+def test_handler_spec_leaves_the_tail_sources_to_the_tail(row):
+    with pytest.raises(ValueError, match="not a body source"):
+        HandlerSpec(opcode=OPCODES["nop"], body=((OWN, EXEC, 5, 10), row))
+
+
+def test_handler_spec_step_field_validation():
+    nop = OPCODES["nop"]
+    for latency in (0, -5):
+        with pytest.raises(ValueError, match="latency"):
+            HandlerSpec(opcode=nop, body=((OWN, EXEC, 5, latency),))
+    with pytest.raises(ValueError, match="pf"):
+        HandlerSpec(opcode=nop, body=((BYTECODE, READ, 0, 10),))
+    HandlerSpec(opcode=nop, body=((OWN, EXEC, 1, 1),))
 
 
 # ------------------------------------------------------- emission geometry
@@ -181,13 +196,10 @@ def test_zero_noise_latencies_equal_base_values():
     specs = default_handler_specs()
     layout, trace = synth(ops("nop", "nop", "nop"))
     nop_spec = specs[OPCODES["nop"]]
-    reg_latency = BASE_LATENCY[StepKind.REG_OP]
-    assert nop_spec.body[0].base_latency == reg_latency
+    reg_latency = BASE_LATENCY["reg"]
+    assert nop_spec.body == ((OWN, EXEC, 5, reg_latency),)
     body_events = [ev for ev in trace.events if ev.mode == "E" and ev.pf_count == 5]
-    assert all(
-        ev.latency in (reg_latency, BASE_LATENCY[StepKind.EXEC_BRANCH])
-        for ev in body_events
-    )
+    assert all(ev.latency in (reg_latency, BASE_LATENCY["branch"]) for ev in body_events)
 
 
 def test_width_twins_share_handler_shape():
@@ -195,18 +207,14 @@ def test_width_twins_share_handler_shape():
     for mnemonic in ("add", "sub", "and", "eq", "lt_s", "load", "store", "const"):
         a = specs[OPCODES[f"i32.{mnemonic}"]]
         b = specs[OPCODES[f"i64.{mnemonic}"]]
-        assert a.steps == b.steps
+        assert a.body == b.body
 
 
 def test_distinct_families_differ_in_some_channel():
     specs = default_handler_specs()
     shapes = {}
     for op, spec in specs.items():
-        key = tuple(
-            (s.kind, s.target_class, s.stack_role, s.pf_count, s.base_latency)
-            for s in spec.steps
-        )
-        shapes.setdefault(key, set()).add(op.family)
+        shapes.setdefault(spec.body, set()).add(op.family)
     for families in shapes.values():
         assert len(families) == 1
 
@@ -223,61 +231,57 @@ def reference_emission(opcode_trace, layout, specs, markers, picks=None):
     opcode (bytecode fetch, marker write when profiling, labeled optable
     read, branch to the next handler); a prologue tail dispatches the first
     opcode and the last opcode stops before its tail.  `picks` holds the
-    variant each retired opcode runs (the first one by default).
+    variant each retired opcode runs (the first one by default).  The tail's
+    rows and each page source's page are spelled out here, not taken from
+    the synthesizer.
     """
     events, truth = [], []
     depth = linear = fetched = 0
 
-    def emit(page, mode, step, label=_NO_LABEL):
+    def emit(page, mode, pf, latency, label=_NO_LABEL):
         if label is not _NO_LABEL:
             truth.append((len(events), label))
-        events.append(StepEvent(page, mode, step.pf_count, step.base_latency))
+        events.append(StepEvent(page, mode, pf, latency))
 
-    def data_page(step):
+    def bytecode_page():
+        return layout.bytecode_pages[fetched // 4096 % len(layout.bytecode_pages)]
+
+    def body_page(op, source):
         nonlocal linear
-        cls = step.target_class
-        if cls is PageClass.OPTABLE:
+        if source == OWN:  # register ops and in-handler branches
+            return layout.handler_pages[op]
+        if source == OPTABLE:
             return layout.optable_page
-        if cls is PageClass.STACK:
-            if step.stack_role is StackRole.FRAME or len(layout.stack_pages) == 1:
-                return layout.stack_pages[0]
-            index = min(1 + depth // 512, len(layout.stack_pages) - 1)
-            return layout.stack_pages[index]
-        if cls is PageClass.BYTECODE:
-            return layout.bytecode_pages[fetched // 4096 % len(layout.bytecode_pages)]
+        if source == FRAME:
+            return layout.stack_pages[0]
+        if source == OPERAND:
+            return layout.stack_pages[min(1 + depth // 512, len(layout.stack_pages) - 1)]
+        if source == BYTECODE:
+            return bytecode_page()
+        assert source == LINEAR
         page = layout.linear_mem_pages[linear % len(layout.linear_mem_pages)]
         linear += 1
         return page
 
-    def emit_tail(spec, dispatched):
+    def emit_tail(dispatched):
         nonlocal fetched
-        fetch, lookup, branch = spec.tail
-        emit(data_page(fetch), "R", fetch)
+        emit(bytecode_page(), "R", 8, 5540)
         fetched += 1
         if markers:
-            emit(layout.marker_page, "W", NativeStep(StepKind.STORE, PageClass.MARKER,
-                                                     base_latency=5400, pf_count=9))
-        emit(layout.optable_page, "R", lookup, dispatched.mnemonic)
-        emit(layout.handler_pages[dispatched], "E", branch)
-
-    def variants(op):
-        return (specs[op],) if isinstance(specs[op], HandlerSpec) else specs[op]
+            emit(layout.marker_page, "W", 9, 5400)
+        emit(layout.optable_page, "R", 8, 5540, dispatched.mnemonic)
+        emit(layout.handler_pages[dispatched], "E", 5, 5309)
 
     ops = opcode_trace.executed
     if ops:
-        emit_tail(variants(ops[0])[0], ops[0])
+        emit_tail(ops[0])
     for i, op in enumerate(ops):
-        spec = variants(op)[0 if picks is None else picks[i]]
-        for step in spec.body:
-            if step.kind in (StepKind.REG_OP, StepKind.EXEC_BRANCH):
-                emit(layout.handler_pages[op], "E", step)
-            elif step.kind is StepKind.LOAD:
-                label = None if step.target_class is PageClass.OPTABLE else _NO_LABEL
-                emit(data_page(step), "R", step, label)
-            else:
-                emit(data_page(step), "W", step)
+        variants = (specs[op],) if isinstance(specs[op], HandlerSpec) else specs[op]
+        for source, mode, pf, latency in variants[0 if picks is None else picks[i]].body:
+            label = None if (source, mode) == (OPTABLE, READ) else _NO_LABEL
+            emit(body_page(op, source), chr(mode), pf, latency, label)
         if i + 1 < len(ops):
-            emit_tail(spec, ops[i + 1])
+            emit_tail(ops[i + 1])
         depth = max(depth - op.pops, 0) + op.pushes
     return events, tuple(truth)
 
@@ -353,7 +357,7 @@ def test_jitter_spreads_latency_around_base():
         rng_seed=3,
     )
     _, trace = synth(ops(*["nop"] * 400), noise=noise)
-    load = BASE_LATENCY[StepKind.LOAD]
+    load = BASE_LATENCY["load"]
     # every pf-8 read (bytecode fetch, dispatch lookup) shares one base latency
     lats = [ev.latency for ev in trace.events if ev.mode == "R" and ev.pf_count == 8]
     mean = sum(lats) / len(lats)
@@ -532,7 +536,6 @@ def test_nop_insertion_pads_handler_bodies():
     for op, original in specs.items():
         new = padded[op]
         assert isinstance(new, HandlerSpec)
-        assert new.tail == original.tail
         assert len(new.body) >= len(original.body)
         grew += len(new.body) - len(original.body)
     assert grew > 0
@@ -543,7 +546,7 @@ def test_variant_mitigation_yields_distinct_templates():
     varied = apply_mitigation(specs, MitigationConfig(variant_count=3), seed=1)
     entry = varied[OPCODES["i32.add"]]
     assert isinstance(entry, tuple) and len(entry) == 3
-    lengths = {len(v.steps) for v in entry}
+    lengths = {len(v.body) for v in entry}
     assert len(lengths) > 1
 
 
@@ -558,8 +561,10 @@ def test_shuffle_handlers_permutes_page_assignment():
 def test_mitigation_config_validation():
     with pytest.raises(ValueError):
         MitigationConfig(nop_insertion_prob=1.5)
-    with pytest.raises(ValueError):
-        MitigationConfig(variant_count=0)
+    for count in (0, MAX_VARIANTS + 1, 10**9):
+        with pytest.raises(ValueError, match="variant_count must be in \\[1, 1000\\]"):
+            MitigationConfig(variant_count=count)
+    MitigationConfig(variant_count=MAX_VARIANTS)
 
 
 def test_stack_depth_spills_to_next_operand_page():

@@ -7,7 +7,6 @@ import pytest
 from optrace.bytecode import execute
 from optrace.opcodes import all_opcodes
 from optrace.workloads import (
-    WORKLOADS,
     benchmark_module,
     benchmark_text,
     primes_module,
@@ -104,13 +103,3 @@ def test_primes_uses_a_small_fixed_vocabulary():
     assert "i32.rem_s" in executed
     assert "br_if" in executed
     assert len(executed) <= 20
-
-
-# --------------------------------------------------------------- registry
-
-
-def test_workload_registry_builds_modules():
-    assert set(WORKLOADS) == {"reference", "benchmark", "primes"}
-    for name, factory in WORKLOADS.items():
-        module = factory(2)  # repeats / seed / limit respectively
-        assert len(execute(module, step_limit=200_000).executed) > 0
