@@ -37,6 +37,7 @@ from .preprocess import (
 )
 from .profiler import ProfilingError, build_fingerprint_db
 from .traceio import (
+    _NULL_LABEL,
     ConfigError,
     FormatError,
     config_hash,
@@ -305,7 +306,7 @@ def _evaluate(pred_labels, truth_labels, strict: bool):
 
 def _write_confusion(path, confusion) -> None:
     def name(label):
-        return "NULL" if label is None else label
+        return _NULL_LABEL if label is None else label
 
     with open(path, "w", newline="") as fh:
         fh.write("truth,predicted,count\n")

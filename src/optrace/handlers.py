@@ -8,62 +8,29 @@ identical memory-access shapes (e.g. the bitwise group) are told apart only
 by per-step latency offsets, which is what keeps recovery imperfect under
 measurement jitter.
 
-A body step is a template row: (page source, mode, pf, base latency), the
-sources and modes being those of `optrace.machine`.  Width variants share
-one template: an i64.add handler is byte-for-byte the same shape as i32.add,
-which is exactly why evaluation groups families.
+A body step is a template row: (page source, mode, pf, base latency), built
+by `optrace.machine.step` from the machine's step calibration.  Width
+variants share one template: an i64.add handler is byte-for-byte the same
+shape as i32.add, which is exactly why evaluation groups families.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .machine import (
-    BYTECODE,
-    EXEC,
-    FRAME,
-    LINEAR,
-    OPERAND,
-    OPTABLE,
-    OWN,
-    READ,
-    WRITE,
-    HandlerSpec,
-    MitigationConfig,
-)
+from .machine import BYTECODE, FRAME, LINEAR, OPERAND, OPTABLE, OWN, HandlerSpec, MitigationConfig
+from .machine import step
 from .opcodes import OpcodeId, all_opcodes
 
-__all__ = ["default_handler_specs", "apply_mitigation", "BASE_LATENCY"]
+__all__ = ["default_handler_specs", "apply_mitigation"]
 
-BASE_LATENCY = {"reg": 5280, "load": 5540, "store": 5400, "branch": 5309}
-
-_PF_EXEC = 5
-_PF_READ = {OPERAND: 7, FRAME: 7, LINEAR: 7, BYTECODE: 8, OPTABLE: 8}
-_PF_WRITE = 9
-
-
-def _reg(dlat: int = 0) -> tuple:
-    return OWN, EXEC, _PF_EXEC, BASE_LATENCY["reg"] + dlat
-
-
-def _branch(dlat: int = 0) -> tuple:
-    return OWN, EXEC, _PF_EXEC, BASE_LATENCY["branch"] + dlat
-
-
-def _load(source: int, dlat: int = 0) -> tuple:
-    return source, READ, _PF_READ[source], BASE_LATENCY["load"] + dlat
-
-
-def _store(source: int, dlat: int = 0) -> tuple:
-    return source, WRITE, _PF_WRITE, BASE_LATENCY["store"] + dlat
-
-
-def _pop_op(dlat: int = 0) -> tuple:
-    return _load(OPERAND, dlat)
-
-
-def _push_op(dlat: int = 0) -> tuple:
-    return _store(OPERAND, dlat)
+_reg = partial(step, "reg", OWN)
+_branch = partial(step, "branch", OWN)
+_load = partial(step, "load")
+_store = partial(step, "store")
+_pop_op = partial(step, "load", OPERAND)
+_push_op = partial(step, "store", OPERAND)
 
 
 def _binop_body(write_dlat: int, extra_regs: int = 1) -> list[tuple]:

@@ -14,6 +14,8 @@ Handler specs hold only their bodies; the tail is the machine's `_TAIL`.
 The optable read of a tail fetches the *next* opcode, so truth labels attach
 there.  A dispatch prologue is emitted before the first opcode and the final
 handler stops before its tail (the interpreter exits instead of dispatching).
+Body, tail and burst rows alike take their mode, pf and base latency from
+one step table, `STEPS`.
 """
 
 from collections.abc import Sequence
@@ -36,6 +38,8 @@ __all__ = [
     "SynthesisError",
     "build_layout",
     "shuffle_handler_pages",
+    "step",
+    "STEPS",
     "synthesize_trace",
 ]
 
@@ -69,11 +73,26 @@ OWN, NEXT, OPTABLE, DISPATCH, MARKER, FRAME, OPERAND, BYTECODE, LINEAR = range(9
 READ, WRITE, EXEC = b"RWE"
 _BODY_SOURCES = (OWN, OPTABLE, FRAME, OPERAND, BYTECODE, LINEAR)
 
+# The calibration of every native step, by kind: (mode, pf, base latency).
+STEPS = {"reg": (EXEC, 5, 5280), "branch": (EXEC, 5, 5309),
+         "load": (READ, 7, 5540), "store": (WRITE, 9, 5400)}
+
+
+def step(kind: str, source: int, dlat: int = 0) -> tuple[int, int, int, int]:
+    """The template row (page source, mode, pf, base latency) of a `kind` step on
+    `source`'s page, `dlat` cycles slower than its base.  A read of the bytecode,
+    the optable or the dispatch source takes one more fault than other reads."""
+    mode, pf, latency = STEPS[kind]
+    if mode == READ and source in (BYTECODE, OPTABLE, DISPATCH):
+        pf += 1
+    return source, mode, pf, latency + dlat
+
+
 # The dispatch tail that follows every handler body: bytecode fetch, marker
 # write (when profiling), labeled optable read of the next opcode, branch to
-# its handler.  Rows are (page source, mode, pf, base latency).
-_TAIL = ((BYTECODE, READ, 8, 5540), (MARKER, WRITE, 9, 5400), (DISPATCH, READ, 8, 5540),
-         (NEXT, EXEC, 5, 5309))
+# its handler.
+_TAIL = (step("load", BYTECODE), step("store", MARKER), step("load", DISPATCH),
+         step("branch", NEXT))
 
 
 @dataclass(frozen=True)
@@ -338,11 +357,9 @@ class MitigationConfig:
 
 # A burst row jumps to one of its burst's three code pages, reads or writes
 # one of its three data pages, or steps on its current code page: a uniform
-# draw below each cut picks that kind.  Mode, pf and base latency per kind:
+# draw below each cut picks that kind, whose step gives its mode, pf and base latency.
 _BURST_CUTS = (0.04, 0.10, 0.16)
-_BURST_ROWS = np.array(
-    [(EXEC, 5, 5280), (READ, 7, 5540), (WRITE, 9, 5400), (EXEC, 5, 5280)], np.int16
-)
+_BURST_ROWS = np.array([STEPS[kind] for kind in ("reg", "load", "store", "reg")], np.int16)
 
 
 def _interpreter_rows(rng, layout, distinct, variants, opi, markers):

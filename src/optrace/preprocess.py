@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import SideChannelTrace
+from .machine import EXEC, READ, WRITE, SideChannelTrace
 
 __all__ = [
     "DetectionError",
@@ -26,13 +26,15 @@ __all__ = [
     "segment_trace",
     "check_settings",
     "preprocess_trace",
+    "OPTABLE_CLASS", "STACK_CLASS", "OTHER_CLASS",
 ]
 
 DEFAULT_COVERAGE_TARGET = 0.95
 DEFAULT_WINDOW = 16
 DEFAULT_MIN_RW_FRAC = 0.005
 
-_R, _W, _E = b"RWE"  # ASCII codes in the mode column
+# Page classes, as the ASCII codes of the class column: optable, stack, everything else.
+OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS = b"OSX"
 
 
 class DetectionError(ValueError):
@@ -110,12 +112,12 @@ def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:
     lowest page.
     """
     page, mode = trace.page, trace.mode
-    is_exec = mode == _E
+    is_exec = mode == EXEC
     # Row of the last execute event at or before each row (-1: none yet).
     last_exec = np.maximum.accumulate(np.where(is_exec, np.arange(len(mode)), -1))
     prev = last_exec[:-1]
     fresh = (prev < 0) | (page[1:] != page[np.maximum(prev, 0)])
-    hits = page[:-1][(mode[:-1] == _R) & is_exec[1:] & fresh]
+    hits = page[:-1][(mode[:-1] == READ) & is_exec[1:] & fresh]
     if not len(hits):
         raise DetectionError("no read-then-execute pairs in trace")
     pages, counts = np.unique(hits, return_counts=True)
@@ -125,7 +127,7 @@ def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:
 
 def _boundaries(trace: SideChannelTrace, optable_page: int) -> np.ndarray:
     """Rows of the optable reads, each the start of one dispatch region."""
-    return np.flatnonzero((trace.mode == _R) & (trace.page == optable_page))
+    return np.flatnonzero((trace.mode == READ) & (trace.page == optable_page))
 
 
 def detect_stack_pages(
@@ -146,12 +148,12 @@ def detect_stack_pages(
     starts = _boundaries(trace, optable_page)
     if not len(starts):
         return frozenset()
-    data = np.flatnonzero((trace.mode == _R) | (trace.mode == _W))
+    data = np.flatnonzero((trace.mode == READ) | (trace.mode == WRITE))
     pages, code = np.unique(trace.page[data], return_inverse=True)
     mode = trace.mode[data]
     off_table = pages[code] != optable_page
-    reads = np.bincount(code[off_table & (mode == _R)], minlength=len(pages))
-    writes = np.bincount(code[off_table & (mode == _W)], minlength=len(pages))
+    reads = np.bincount(code[off_table & (mode == READ)], minlength=len(pages))
+    writes = np.bincount(code[off_table & (mode == WRITE)], minlength=len(pages))
 
     # Distinct (region, page) pairs of data accesses inside regions, for
     # spread and coverage; region k runs from starts[k] to starts[k + 1].
@@ -218,9 +220,9 @@ def segment_trace(
     starts = _boundaries(trace, optable_page)
     if len(starts) < 2:
         raise SegmentationError("need at least 2 dispatch boundaries to segment")
-    classes = np.full(len(trace), ord("X"), dtype=np.uint8)
-    classes[np.isin(trace.page, np.array(sorted(stack_pages), dtype=np.int64))] = ord("S")
-    classes[trace.page == optable_page] = ord("O")
+    classes = np.full(len(trace), OTHER_CLASS, dtype=np.uint8)
+    classes[np.isin(trace.page, np.array(sorted(stack_pages), dtype=np.int64))] = STACK_CLASS
+    classes[trace.page == optable_page] = OPTABLE_CLASS
     return Segments(trace, classes, starts, np.append(starts[1:], len(trace)))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import Labels, SideChannelTrace
+from .machine import WRITE, Labels, SideChannelTrace
 from .preprocess import Segment, Segments, segment_trace
 
 __all__ = [
@@ -69,7 +69,7 @@ def _labeled_slices(
     if trace.truth is None:
         raise ProfilingError("profiling trace carries no ground-truth labels")
     is_marker = trace.page == marker_page
-    marker_count = int(np.count_nonzero(is_marker & (trace.mode == ord("W"))))
+    marker_count = int(np.count_nonzero(is_marker & (trace.mode == WRITE)))
     if marker_count == 0:
         raise ProfilingError("trace has no marker writes; synthesized without markers?")
     null = np.array([label is None for label in trace.truth.table], dtype=bool)

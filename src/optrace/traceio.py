@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .machine import PAGE_SIZE, Labels, LayoutConfig, MitigationConfig, NoiseModel
-from .machine import SideChannelTrace
+from .machine import EXEC, PAGE_SIZE, READ, WRITE, Labels, LayoutConfig, MitigationConfig
+from .machine import NoiseModel, SideChannelTrace
 from .matcher import Channel, Predictions
-from .preprocess import Segments, preprocess_trace
+from .preprocess import OPTABLE_CLASS, OTHER_CLASS, STACK_CLASS, Segments, preprocess_trace
 from .profiler import Fingerprint, FingerprintDb
 
 __all__ = [
@@ -55,9 +55,10 @@ _CHUNK_LINES = 1 << 14
 # and no less time).
 _BLOCK_BYTES = 1 << 18
 
-_MODES = frozenset("RWE")
-# The letters a DB entry's `modes` and `classes` lines may hold: access modes and page classes.
-_DB_LETTERS = {"modes": ("mode", _MODES), "classes": ("class", frozenset("OSX"))}
+# Access-mode and page-class letters; a DB entry's `modes` and `classes` lines hold only these.
+_MODES = frozenset(map(chr, (READ, WRITE, EXEC)))
+_CLASSES = frozenset(map(chr, (OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS)))
+_DB_LETTERS = {"modes": ("mode", _MODES), "classes": ("class", _CLASSES)}
 
 
 class FormatError(ValueError):
@@ -345,7 +346,7 @@ _ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
 _DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
 _DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 _IS_MODE = np.zeros(256, bool)
-_IS_MODE[np.frombuffer(b"RWE", np.uint8)] = True
+_IS_MODE[[READ, WRITE, EXEC]] = True
 
 
 def _numbers(a: np.ndarray, digit: np.ndarray, start, end, base: int, prefix: bytes):
@@ -547,10 +548,11 @@ def read_db(path) -> FingerprintDb:
             convert = int if word == "pf" else float
             values = rest.split(",") if rest else ()
             current[word] = tuple(_convert(convert, v, lineno) for v in values)
-            if word == "pf" and (bad := [v for v in current[word] if not -(2**63) <= v < 2**63]):
-                raise FormatError(f"pf value {bad[0]} does not fit in int64", lineno)
-            if bad := [v for v in current[word] if not isfinite(v)]:
-                raise FormatError(f"non-finite {word} value {bad[0]!r}", lineno)
+            # A trace's pf and latency columns are int64, so a DB mean of them is in its range.
+            if word == "latency" and (bad := [v for v in current[word] if not isfinite(v)]):
+                raise FormatError(f"non-finite latency value {bad[0]!r}", lineno)
+            if bad := [v for v in current[word] if not -(2**63) <= v < 2**63]:
+                raise FormatError(f"{word} value {bad[0]} does not fit in int64", lineno)
         else:  # end
             try:
                 fp = Fingerprint(**{f.name: current[f.name] for f in fields(Fingerprint)})

@@ -19,6 +19,3 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)] == []
 
-
-def test_the_columnar_input_types_are_exported():
-    assert {"Segments", "Predictions", "Labels", "match_trace"} <= set(optrace.__all__)

@@ -6,11 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# `__init__.py` imports names to re-export them.
-FILES = sorted(
-    path for path in [*(ROOT / "src" / "optrace").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if path.name != "__init__.py"
-)
+FILES = sorted([*(ROOT / "src" / "optrace").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def _annotations(tree: ast.AST):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optrace.bytecode import execute
-from optrace.handlers import BASE_LATENCY, apply_mitigation, default_handler_specs
+from optrace.handlers import apply_mitigation, default_handler_specs
 from optrace.machine import (
     BYTECODE,
     DISPATCH,
@@ -25,6 +25,7 @@ from optrace.machine import (
     OPTABLE,
     OWN,
     READ,
+    STEPS,
     WRITE,
     HandlerSpec,
     LayoutConfig,
@@ -34,6 +35,7 @@ from optrace.machine import (
     _merge_multisteps,
     build_layout,
     shuffle_handler_pages,
+    step,
     synthesize_trace,
 )
 from optrace.opcodes import OPCODES, all_opcodes
@@ -196,10 +198,10 @@ def test_zero_noise_latencies_equal_base_values():
     specs = default_handler_specs()
     layout, trace = synth(ops("nop", "nop", "nop"))
     nop_spec = specs[OPCODES["nop"]]
-    reg_latency = BASE_LATENCY["reg"]
+    reg_latency = STEPS["reg"][2]
     assert nop_spec.body == ((OWN, EXEC, 5, reg_latency),)
     body_events = [ev for ev in trace.events if ev.mode == "E" and ev.pf_count == 5]
-    assert all(ev.latency in (reg_latency, BASE_LATENCY["branch"]) for ev in body_events)
+    assert all(ev.latency in (reg_latency, STEPS["branch"][2]) for ev in body_events)
 
 
 def test_width_twins_share_handler_shape():
@@ -357,7 +359,7 @@ def test_jitter_spreads_latency_around_base():
         rng_seed=3,
     )
     _, trace = synth(ops(*["nop"] * 400), noise=noise)
-    load = BASE_LATENCY["load"]
+    load = STEPS["load"][2]
     # every pf-8 read (bytecode fetch, dispatch lookup) shares one base latency
     lats = [ev.latency for ev in trace.events if ev.mode == "R" and ev.pf_count == 8]
     mean = sum(lats) / len(lats)
@@ -381,6 +383,39 @@ def test_context_switch_bursts_visit_foreign_pages():
     foreign = [ev for ev in trace.events if ev.page not in known]
     assert foreign
     assert {ev.mode for ev in foreign} <= {"R", "W", "E"}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_burst_and_tail_rows_carry_their_step_calibration(seed):
+    # Without jitter or rounding every row keeps its step's base latency.
+    noise = NoiseModel(
+        latency_jitter_sigma=0.0,
+        apic_quantum=0,
+        ctx_switch_rate=0.01,
+        ctx_switch_extra_steps_mean=20.0,
+        multistep_prob=0.0,
+        rng_seed=seed,
+    )
+    layout, trace = synth(execute(reference_module(1)), seed=seed, noise=noise, markers=True)
+    ours = np.isin(trace.page, list(layout.all_pages()))
+    foreign = np.stack([trace.mode, trace.pf, trace.latency], axis=1)[~ours]
+    assert set(map(tuple, foreign.tolist())) == {STEPS[kind] for kind in ("reg", "load", "store")}
+
+    kept = trace.take(ours)
+    dispatched = [(row, label) for row, label in kept.truth if label is not None]
+    dispatch = np.array([row for row, _ in dispatched])
+    handlers = [layout.handler_pages[OPCODES[label]] for _, label in dispatched]
+    tail = [
+        (step("load", BYTECODE), np.isin(kept.page[dispatch - 2], layout.bytecode_pages)),
+        (step("store", MARKER), kept.page[dispatch - 1] == layout.marker_page),
+        (step("load", DISPATCH), kept.page[dispatch] == layout.optable_page),
+        (step("branch", NEXT), kept.page[dispatch + 1] == handlers),
+    ]
+    for at, ((_, mode, pf, latency), on_its_page) in enumerate(tail, start=-2):
+        assert on_its_page.all()
+        assert (kept.mode[dispatch + at] == mode).all()
+        assert (kept.pf[dispatch + at] == pf).all()
+        assert (kept.latency[dispatch + at] == latency).all()
 
 
 @pytest.mark.parametrize("markers", [False, True])

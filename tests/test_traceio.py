@@ -981,12 +981,14 @@ def test_read_db_rejects_letters_off_the_channel_alphabets(tmp_path, modes, clas
         ("entry nop support=0", "1,2", "1.0,2.0", 2, "support must be at least 1, got 0"),
         ("entry nop support=1", f"1,1{'0' * 400}", "1.0,2.0", 5, "pf value 10+ does not fit"),
         ("entry nop support=1", f"1,{10**20}", "1.0,2.0", 5, f"pf value {10**20} does not fit"),
+        ("entry nop support=1", "1,2", "1.0,1e308", 6, r"latency value 1e\+308 does not fit"),
     ],
-    ids=["inf-latency", "zero-support", "pf-off-float", "pf-off-int64"],
+    ids=["inf-latency", "zero-support", "pf-off-float", "pf-off-int64", "latency-off-int64"],
 )
 def test_read_db_rejects_poisoned_entries(tmp_path, entry, pf, latency, line, message):
     # A non-finite latency makes every score against its entry nan, and nan wins each pick;
-    # a trace's pf_count is int64, so an entry's pf values must fit in it too.
+    # a trace's pf_count and latency are int64, so an entry's pf and latency values must fit
+    # in it too (a latency of 1e308 overflows the scorer's sums of squares into nan).
     path = tmp_path / "bad.db"
     path.write_text(
         f"# optrace fingerprint-db v1\n{entry}\n"
