@@ -146,10 +146,15 @@ def _distinct(*columns: np.ndarray):
     return first, slot
 
 
-def _discrete_scores(ent, seg, cut_mask, lendiff) -> np.ndarray:
-    """(S, E) score_discrete: mismatches inside each pair's common prefix."""
-    cut = seg.shape[1]
-    mism = ((ent[None, :, :cut] != seg[:, None, :]) & cut_mask[None]).sum(axis=2)
+def _ragged(count: np.ndarray):
+    """Key and position of each pair, key k having count[k] pairs, key by key."""
+    key = np.repeat(np.arange(len(count)), count)
+    return key, np.arange(len(key)) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _discrete_scores(ent, entry, seg, cut_mask, lendiff) -> np.ndarray:
+    """score_discrete of each pair p, seg[p] against the row entry[p] of `ent`."""
+    mism = ((ent[entry, : seg.shape[1]] != seg) & cut_mask[entry]).sum(axis=1)
     return 1.0 / (1.0 + mism + lendiff)
 
 
@@ -164,7 +169,11 @@ class CompiledDb:
     prefix scores as score_discrete; an empty vector scores 1.0 against an
     empty one and 0.0 otherwise.  Ties are broken in favor of higher
     support, then lexicographic label (unlabeled entries last), then
-    database order.
+    database order.  Every channel score lies in [0, 1], and d * l <= d
+    holds in floating point for such l, so an entry scores at most its
+    discrete score d, the product of its mode, class and pf scores: one
+    whose d is below a segment's runner-up cannot change its label, score
+    or margin, and its latency is not scored.
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
@@ -202,16 +211,18 @@ class CompiledDb:
         return m, mask[:, :cut], sums
 
     def score_blocks(self, segments: Segments):
-        """Yield `(rows, slot, scores)`: segment rows[k] scores as scores[slot[k]].
+        """Yield `(rows, slot, key, entry, score)`: segment rows[k] is key slot[k] of the
+        block, and key key[p] scores score[p] against entry entry[p], key by key.
 
         Segments are grouped by cut = min(length, width), the number of rows
         the scorer reads, and each group's channels are gathered once.  Each
-        distinct full key (length and every scored channel's rows) scores its
-        latency once, and each distinct discrete key among them (length, mode,
-        class and pf rows) its other channels once, in blocks of at most
-        BLOCK_ELEMENTS segment-entry-position elements.  A full key scores as
-        the product of the two, the float operations of scoring its channels
-        in turn.
+        distinct discrete key (length, mode, class and pf rows) scores d
+        against every entry once.  Each distinct full key among them then
+        scores latency against its two entries of highest d, and against each
+        entry whose d reaches s2, the lower of those two scores: its best and
+        runner-up are among these pairs, ties included.  A pair scores d times
+        latency, the float operations of scoring its channels in turn.
+        Blocks hold at most BLOCK_ELEMENTS pair-position elements.
         """
         if not len(segments):
             return
@@ -224,7 +235,8 @@ class CompiledDb:
         lengths = segments.lengths
         cuts = np.minimum(lengths, self.width)
         order = np.argsort(cuts, kind="stable")
-        per_block = max(1, BLOCK_ELEMENTS // max(1, len(self.entries) * self.width))
+        E = len(self.entries)
+        per_block = max(1, BLOCK_ELEMENTS // max(1, E * self.width))
         for rows in np.split(order, np.flatnonzero(np.diff(cuts[order])) + 1):
             cut = int(cuts[rows[0]])
             L = lengths[rows]
@@ -235,28 +247,46 @@ class CompiledDb:
             keys, slot = _distinct(L, *x.values())
             dfirst, dslot = _distinct(L[keys], *(v[keys] for v in discrete.values()))
             dblocks = np.split(keys[dfirst], range(per_block, len(dfirst), per_block))
-            dscores = np.concatenate([self._score_block(discrete, L, b, side) for b in dblocks])
+            grid = [self._score_pairs(discrete, L, b, *_ragged(np.full(len(b), E)), side)
+                    for b in dblocks]
+            d = np.concatenate(grid).reshape(len(dfirst), E)
+            by_d = np.argsort(-d, axis=1, kind="stable")  # each discrete key's entries
+            # Discrete key j's -d, ascending, as j - d * 1j: complex numbers sort by their
+            # real part, then their imaginary part, so one search serves every key.
+            ranked = (np.arange(len(d))[:, None] - 1j * np.take_along_axis(d, by_d, 1)).ravel()
             for start in range(0, len(keys), per_block):
                 block = slice(start, start + per_block)
-                lscores = self._score_block(latency, L, keys[block], side)
-                scores = dscores[dslot[block]] * lscores
+                kd, lat = dslot[block], (latency, L, keys[block])
+                key, pos = _ragged(np.full(len(kd), min(2, E)))
+                entry = by_d[kd[key], pos]
+                first = d[kd[key], entry] * self._score_pairs(*lat, key, entry, side)
+                s2 = first.reshape(len(kd), -1).min(axis=1)
+                # The entries of each key's discrete key with d >= s2.
+                count = np.searchsorted(ranked, kd - 1j * s2, side="right") - kd * E
+                key, pos = _ragged(count)
+                entry = by_d[kd[key], pos]
+                score, more = d[kd[key], entry], pos >= 2
+                score[~more] = first
+                score[more] *= self._score_pairs(*lat, key[more], entry[more], side)
                 inside = (slot >= start) & (slot < start + per_block)
-                yield rows[inside], slot[inside] - start, scores
+                yield rows[inside], slot[inside] - start, key, entry, score
 
-    def _score_block(self, x: dict[Channel, np.ndarray], L: np.ndarray, keys, side) -> np.ndarray:
-        """(len(keys), E) product of the scores of rows `keys` of each channel in `x`."""
+    def _score_pairs(self, x: dict[Channel, np.ndarray], L: np.ndarray, rows, key, entry, side):
+        """Per pair p, the product of the scores of row rows[key[p]] of each channel in `x`,
+        of length L[rows[key[p]]], against entry entry[p]."""
         _, cut_mask, sums = side
-        L = L[keys]
-        lendiff = np.abs(self.lens - L[:, None])
-        scores = np.ones((len(L), len(self.entries)), dtype=np.float64)
+        L = L[rows]
+        lendiff = np.abs(self.lens[entry] - L[key])
+        scores = np.ones(len(key))
         for channel, values in x.items():
             if channel in sums:
-                scores *= self._numeric_scores(channel, values[keys], L, lendiff, side)
+                scores *= self._numeric_scores(channel, values[rows], L, key, entry, lendiff, side)
             else:
-                scores *= _discrete_scores(self.entry[channel], values[keys], cut_mask, lendiff)
+                ent = self.entry[channel]
+                scores *= _discrete_scores(ent, entry, values[rows[key]], cut_mask, lendiff)
         return scores
 
-    def _numeric_scores(self, channel: Channel, x, L, lendiff, side) -> np.ndarray:
+    def _numeric_scores(self, channel: Channel, x, L, key, entry, lendiff, side) -> np.ndarray:
         x = x.astype(np.float64)
         S, cut = x.shape
         if cut == 0:
@@ -265,15 +295,16 @@ class CompiledDb:
         ent = self.entry[channel]
         m, cut_mask, sums = side
         masked, sy, syy = sums[channel]
+        m = m[entry]
         # Both sides are shifted to start at 0, as _correlation needs.  x
         # holds integers, so its prefix sums and squares are exact in float64
         # whatever the summation order, while n * sum(x * x) < 2**53.
         xs = x - x[:, :1]
         csum = np.zeros((S, cut + 1))
         np.cumsum(xs, axis=1, out=csum[:, 1:])
-        sx = csum[:, m]
+        sx = csum[key, m]
         np.cumsum(xs * xs, axis=1, out=csum[:, 1:])
-        sxx = csum[:, m]
+        sxx = csum[key, m]
         # pf entries are integers, so their cross sums are exact in any
         # order.  Latency entries are float means, so the summation order
         # sets the last bits of sxy and can flip a near tie: sum the masked
@@ -281,32 +312,27 @@ class CompiledDb:
         # which keeps the labels of earlier releases.
         xw = np.zeros((S, self.width))
         xw[:, :cut] = xs
-        sxy = (xw[:, None, :] * masked[None]).sum(axis=2)
-        r, vx, vy = _correlation(m.astype(np.float64), sx, sxx, sy, syy, sxy)
-        x_const = vx <= 0.0
-        y_const = vy <= 0.0
-        corr_score = np.clip(r, 0.0, 1.0) * (m / np.maximum(self.lens, L[:, None]))
+        sxy = (xw[key] * masked[entry]).sum(axis=1)
+        r, vx, vy = _correlation(m.astype(np.float64), sx, sxx, sy[entry], syy[entry], sxy)
+        corr_score = np.clip(r, 0.0, 1.0) * (m / np.maximum(self.lens[entry], L[key]))
         # Two constants agree fully or not at all; an empty entry agrees
         # with no segment, which here is never empty.
-        agree = (ent[None, :, 0] == x[:, :1]) & (m > 0)
-        both = x_const & y_const
-        one = x_const ^ y_const
-        out = np.where(both, np.where(agree, 1.0, 0.0), corr_score)
-        if one.any():
-            fallback = _discrete_scores(ent, x, cut_mask, lendiff)
-            out = np.where(one, fallback, out)
+        agree = (ent[entry, 0] == x[key, 0]) & (m > 0)
+        out = np.where((vx <= 0.0) & (vy <= 0.0), np.where(agree, 1.0, 0.0), corr_score)
+        one = np.flatnonzero((vx <= 0.0) ^ (vy <= 0.0))
+        if len(one):
+            out[one] = _discrete_scores(ent, entry[one], x[key[one]], cut_mask, lendiff[one])
         return out
 
-    def pick(self, scores: np.ndarray):
-        """Per row of `scores`: winning entry, its score, margin to runner-up."""
-        top = scores.max(axis=1)
-        tied_rank = np.where(scores == top[:, None], self.rank, len(self.rank))
-        best = tied_rank.argmin(axis=1)
-        if scores.shape[1] > 1:
-            second = np.partition(scores, -2, axis=1)[:, -2]
-        else:
-            second = np.zeros(len(scores))
-        return best, top, top - second
+    def pick(self, key, entry, score):
+        """Per key of pairs that come key by key: winning entry, its score, margin to runner-up."""
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        top = np.maximum.reduceat(score, starts)
+        tied_rank = np.where(score == top[key], self.rank[entry], len(self.rank))
+        win = tied_rank == np.minimum.reduceat(tied_rank, starts)[key]
+        # Scores are >= 0, so a lone pair's runner-up scores 0.
+        second = np.maximum.reduceat(np.where(win, 0.0, score), starts)
+        return entry[win], top, top - second
 
 
 def match_trace(
@@ -315,7 +341,7 @@ def match_trace(
     compiled = CompiledDb(db, channels)
     n = len(segments)
     best, top, margin = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
-    for rows, slot, scores in compiled.score_blocks(segments):
-        b, t, g = compiled.pick(scores)
+    for rows, slot, key, entry, score in compiled.score_blocks(segments):
+        b, t, g = compiled.pick(key, entry, score)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
     return Predictions(np.arange(n), best, [fp.label for fp in db.entries], top, margin)

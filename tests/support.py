@@ -7,10 +7,11 @@ Seeds, noise values, and the profile-seed offset mirror the CLI defaults
 so pipeline-level expectations here match `optrace end2end` behavior.
 """
 
+import math
 import os
-import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -212,14 +213,27 @@ def segment_events(trace, segment):
 
 
 # The scalar scorer: one segment against one fingerprint, the oracle of CompiledDb's bulk scores.
+def sqrt_of(q: Fraction) -> float:
+    """sqrt(q) correctly rounded, for a Fraction q > 0."""
+    n, d = q.numerator, q.denominator
+    # s = floor(sqrt(q) * 2**k) has at least 60 bits, and its last bit is set
+    # when the root is inexact, so one correctly rounded division rounds it.
+    k = 60 + d.bit_length()
+    s = math.isqrt((n << 2 * k) // d)
+    if s * s * d != n << 2 * k:
+        s |= 1
+    return s / (1 << k)
+
+
 def score_numeric(a, b) -> float:
     """Correlation over the common prefix, clipped to [0, 1] and scaled by the length ratio.
 
     Constant vectors make correlation undefined, so they get their own
     rules: two constants agree fully or not at all; a constant against a
     varying vector falls back to Hamming-style counting.  The correlation is
-    the stdlib's, which centers its sums, so the oracle shares no code with
-    the scorer's kernel.
+    computed exactly in rationals and rounded once, so exactly equal
+    correlations give equal floats, and the oracle shares no code with the
+    scorer's kernel.
     """
     if not a or not b:
         return 1.0 if len(a) == len(b) else 0.0
@@ -232,7 +246,12 @@ def score_numeric(a, b) -> float:
     if a_const or b_const:
         mism = sum(1 for p, q in zip(ax, bx) if p != q)
         return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
-    r = min(max(statistics.correlation(ax, bx), 0.0), 1.0)
+    fa, fb = [Fraction(v) for v in ax], [Fraction(v) for v in bx]
+    sa, sb = sum(fa), sum(fb)
+    cov = m * sum(p * q for p, q in zip(fa, fb)) - sa * sb
+    va = m * sum(p * p for p in fa) - sa * sa
+    vb = m * sum(q * q for q in fb) - sb * sb
+    r = sqrt_of(cov * cov / (va * vb)) if cov > 0 else 0.0
     return r * (m / max(len(a), len(b)))
 
 

@@ -211,12 +211,29 @@ CHANNEL_SETS = st.sets(
 ).map(frozenset)
 
 
-def score_rows(compiled, segs):
-    """Every entry's score for each of `segs`, assembled from the blocks."""
-    out = np.full((len(segs), len(compiled.entries)), np.nan)
-    for rows, slot, block in compiled.score_blocks(segments_of(segs)):
-        out[rows] = block[slot]
+def scored_pairs(compiled, segs):
+    """For each of `segs`, its exactly scored entries as {entry: score}, from the blocks."""
+    out = [None] * len(segs)
+    for rows, slot, key, entry, score in compiled.score_blocks(segments_of(segs)):
+        for row, k in zip(rows.tolist(), slot.tolist()):
+            out[row] = dict(zip(entry[key == k].tolist(), score[key == k].tolist()))
     return out
+
+
+def assert_pairs_match_scalar_oracle(compiled, segs, fps, channels):
+    """Each exactly scored pair scores as score_segment; each other pair's bound, its
+    discrete score, is at least its score and below the segment's runner-up."""
+    discrete = channels - {Channel.LATENCY}
+    for segment, pairs in zip(segs, scored_pairs(compiled, segs)):
+        scalar = [score_segment(segment, entry, channels) for entry in fps]
+        runner_up = sorted(scalar)[-2] if len(fps) > 1 else 0.0
+        for i, entry in enumerate(fps):
+            if i in pairs:
+                assert pairs[i] == pytest.approx(scalar[i], rel=1e-9, abs=1e-12)
+                assert 0.0 <= pairs[i] <= 1.0 + 1e-12
+            else:
+                bound = score_segment(segment, entry, discrete)
+                assert scalar[i] <= bound < runner_up
 
 
 def tie_break(fps, tied):
@@ -233,12 +250,7 @@ def tie_break(fps, tied):
     channels=CHANNEL_SETS,
 )
 def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
-    compiled = CompiledDb(db(*fps), channels)
-    bulk = score_rows(compiled, [segment])[0]
-    for entry, got in zip(fps, bulk):
-        want = score_segment(segment, entry, channels)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-        assert 0.0 <= got <= 1.0 + 1e-12
+    assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), [segment], fps, channels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,15 +261,17 @@ def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
 )
 def test_best_applies_the_documented_tie_break(fps, segment, channels):
     compiled = CompiledDb(db(*fps), channels)
-    scores = score_rows(compiled, [segment])[0]
-    (idx,), (top,), (margin,) = compiled.pick(scores[None, :])
-    assert top == pytest.approx(float(scores.max()))
-    tied = [i for i, s in enumerate(scores) if s == scores.max()]
-    want = tie_break(fps, tied)
-    assert idx == want
+    ((_, _, key, entry, scores),) = compiled.score_blocks(segments_of([segment]))
+    (idx,), (top,), (margin,) = compiled.pick(key, entry, scores)
+    assert top == float(scores.max())
+    tied = [i for i, s in zip(entry.tolist(), scores) if s == scores.max()]
+    assert idx == tie_break(fps, tied)
     ranked = sorted(scores, reverse=True)
     second = ranked[1] if len(ranked) > 1 else 0.0
-    assert margin == pytest.approx(top - second)
+    assert margin == top - second
+    # The runner-up among the scored pairs is the runner-up among all entries.
+    scalar = sorted(score_segment(segment, e, channels) for e in fps)
+    assert second == pytest.approx(scalar[-2] if len(fps) > 1 else 0.0, rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,9 +280,10 @@ def test_best_applies_the_documented_tie_break(fps, segment, channels):
     segment=segments(),
 )
 def test_adding_channels_never_raises_a_score(fps, segment):
-    full = score_rows(CompiledDb(db(*fps), frozenset(Channel)), [segment])
-    partial = score_rows(CompiledDb(db(*fps), frozenset({Channel.MODE})), [segment])
-    assert (full <= partial + 1e-12).all()
+    (full,) = scored_pairs(CompiledDb(db(*fps), frozenset(Channel)), [segment])
+    (partial,) = scored_pairs(CompiledDb(db(*fps), frozenset({Channel.MODE})), [segment])
+    assert all(full[i] <= partial[i] + 1e-12 for i in full.keys() & partial.keys())
+    assert max(full.values()) <= max(partial.values()) + 1e-12
 
 
 def vectors_of(segment):
@@ -348,8 +363,58 @@ def test_match_trace_spans_blocks_at_the_default_budget():
     rng.shuffle(segs)
     channels = frozenset(Channel)
     blocks = list(CompiledDb(db(*fps), channels).score_blocks(segments_of(segs)))
-    assert any(len(scores) == per_block for _, _, scores in blocks)
+    assert any(key[-1] + 1 == per_block for _, _, key, _, _ in blocks)
     preds = match_trace(segments_of(segs), db(*fps), channels)
+    assert_matches_scalar_oracle(preds, segs, fps, channels)
+
+
+def test_exactly_equal_correlations_tie_to_the_tie_break():
+    # Both pf prefixes correlate with the segment's at exactly 0.5, so the
+    # two entries tie at 0.1875 and higher support wins.
+    add = fp("i32.add", "RRRR", "OOOO", (1, 0, 1, 0), (5000,) * 4)
+    sub = fp("i32.sub", "RRRR", "OOOO", (8, 8, 1, 0), (5000,) * 4, support=2)
+    s = seg("RRR", "OOO", (3, 0, 0), (5000,) * 3)
+    channels = frozenset({Channel.MODE, Channel.PF})
+    assert score_segment(s, add, channels) == score_segment(s, sub, channels) == 0.1875
+    preds = match_trace(segments_of([s]), db(add, sub), channels)
+    assert list(preds) == [Prediction(0, "i32.sub", 0.1875, 0.0)]
+    assert_matches_scalar_oracle(preds, [s], [add, sub], channels)
+
+
+@st.composite
+def latency_families(draw):
+    """Entries in families that share one discrete fingerprint and differ in latency only,
+    drawn from a few vectors, so that discrete scores and totals tie exactly; and segments
+    on the same fingerprints, with latencies from the same vectors."""
+    n = draw(st.integers(1, 4))
+    bases = draw(st.lists(channel_vectors(n, n), min_size=1, max_size=3))
+    pool = draw(st.lists(channel_vectors(n, n), min_size=1, max_size=3))
+    fps, segs = [], []
+    for modes, classes, pf, _ in bases:
+        for _ in range(draw(st.integers(2, 8))):
+            latency = draw(st.sampled_from(pool))[3]
+            fps.append(fp(draw(LABELS), modes, classes, pf, latency, draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(1, 4))):
+            segs.append(seg(modes, classes, pf, draw(st.sampled_from(pool))[3]))
+    return fps, segs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    families=latency_families(),
+    others=st.lists(fingerprints(), max_size=4),
+    extra=st.lists(segments(), max_size=4),
+    per_block=st.integers(1, 3),
+    channels=CHANNEL_SETS,
+)
+def test_pruned_latency_agrees_with_scalar_oracle(families, others, extra, per_block, channels):
+    fps, segs = families
+    fps, segs = fps + others, segs + extra
+    width = max(len(entry) for entry in fps)
+    budget = per_block * len(fps) * width
+    with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
+        preds = match_trace(segments_of(segs), db(*fps), channels)
+        assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), segs, fps, channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -457,7 +522,7 @@ def test_constant_non_integer_prefix_scores_as_discrete():
     channels = frozenset({Channel.LATENCY})
     want = score_numeric(s.latency, const.latency)
     assert want == pytest.approx(1 / 6)
-    assert score_rows(CompiledDb(db(const), channels), [s])[0, 0] == pytest.approx(want)
+    assert scored_pairs(CompiledDb(db(const), channels), [s])[0][0] == pytest.approx(want)
 
 
 def offset_latency(trace: SideChannelTrace, offset: int) -> SideChannelTrace:
@@ -502,17 +567,16 @@ def test_segments_score_once_per_length_and_scored_rows():
     tail_differs = seg("RWEEE", "OSXXX", (1, 2, 3, 9, 9), (5000, 5010, 5005, 5009, 5009))
     segs = [base, longer, tail_differs]
     placed = {}
-    blocks = CompiledDb(db(*fps)).score_blocks(segments_of(segs))
-    for block, (rows, slot, scores) in enumerate(blocks):
+    compiled = CompiledDb(db(*fps))
+    blocks = compiled.score_blocks(segments_of(segs))
+    for block, (rows, slot, key, entry, score) in enumerate(blocks):
         for row, k in zip(rows.tolist(), slot.tolist()):
-            placed[row] = (block, k, scores[k])
+            placed[row] = (block, k, dict(zip(entry[key == k].tolist(), score[key == k].tolist())))
     assert sorted(placed) == [0, 1, 2]
     assert placed[0][:2] == placed[2][:2]
     assert placed[0][:2] != placed[1][:2]
-    assert (placed[0][2] != placed[1][2]).any()
-    for row, segment in enumerate(segs):
-        want = [score_segment(segment, entry) for entry in fps]
-        assert placed[row][2] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert placed[0][2] != placed[1][2]
+    assert_pairs_match_scalar_oracle(compiled, segs, fps, frozenset(Channel))
 
 
 ALL_SUBSETS = [
@@ -526,6 +590,34 @@ def key_of(segment, channels):
     """The rows of `segment` that the scored `channels` read, in _CHANNELS order."""
     attrs = [attr for ch, (attr, _) in matcher._CHANNELS.items() if ch in channels]
     return tuple(getattr(segment, attr) for attr in attrs)
+
+
+def spy_on_pairs(rows_in, latency_pairs):
+    """A stand-in for CompiledDb._score_pairs that counts, per set of channels scored, the
+    rows it was given, and each (length, latency rows, entry) pair whose latency it scored."""
+    real = CompiledDb._score_pairs
+
+    def spy(self, x, L, rows, key, entry, side):
+        rows_in[frozenset(x)] += len(rows)
+        if Channel.LATENCY in x:
+            latency = x[Channel.LATENCY][rows].tolist()
+            latency_pairs.update(
+                (int(L[rows[k]]), tuple(latency[k]), e)
+                for k, e in zip(key.tolist(), entry.tolist())
+            )
+        return real(self, x, L, rows, key, entry, side)
+
+    return mock.patch.object(CompiledDb, "_score_pairs", spy)
+
+
+def assert_latency_scored_once_per_pair(latency_pairs, full_keys, n_entries):
+    """Each (full key, entry) pair's latency was scored at most once, and each full key's
+    against at least its two entries of highest discrete score.  A full key is a tuple of
+    the segment length, then the rows read, latency last."""
+    per_latency = Counter((key[0], tuple(key[-1])) for key in full_keys)
+    for (length, rows, _), times in latency_pairs.items():
+        assert times <= per_latency[length, rows]
+    assert sum(latency_pairs.values()) >= min(2, n_entries) * len(full_keys)
 
 
 def test_families_sharing_a_discrete_key_score_it_once():
@@ -544,31 +636,24 @@ def test_families_sharing_a_discrete_key_score_it_once():
     segs += [seg(*logic, latency(3)) for _ in range(20)]
     segs += [seg(*logic, (5000, 5000, 5000))] * 3
     # One latency vector under two discrete keys that differ in every
-    # discrete channel: its latency is scored once per full key, so twice.
+    # discrete channel: its latency is scored once per full key, so twice
+    # against an entry that both keys score exactly.
     shared = latency(4)
     segs += [seg(*arith, shared), seg("WRRE", "SOOX", (0, 2, 1, 0), shared)]
-    real = CompiledDb._score_block
     for channels in ALL_SUBSETS:
-        rows_in = Counter()  # rows each set of channels was scored on
-
-        def spy(self, x, L, keys, side):
-            rows_in[frozenset(x)] += len(keys)
-            return real(self, x, L, keys, side)
-
-        with mock.patch.object(CompiledDb, "_score_block", spy):
+        rows_in, latency_pairs = Counter(), Counter()
+        with spy_on_pairs(rows_in, latency_pairs):
             preds = match_trace(segments_of(segs), db(*fps), channels)
         assert_matches_scalar_oracle(preds, segs, fps, channels)
-        scored = [score_segment(s, entry, channels) for s in segs for entry in fps]
-        got = score_rows(CompiledDb(db(*fps), channels), segs).ravel()
-        assert got == pytest.approx(scored, rel=1e-9, abs=1e-12)
+        assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), segs, fps, channels)
         discrete = channels - {Channel.LATENCY}
         if discrete:
             # One discrete key per family group, and one for the odd segment.
             assert rows_in[discrete] == 3
         if Channel.LATENCY in channels:
-            full_keys = {key_of(s, channels) for s in segs}
-            assert rows_in[frozenset({Channel.LATENCY})] == len(full_keys)
-            if discrete:  # the shared vector is scored twice
+            full_keys = {(len(s), *key_of(s, channels)) for s in segs}
+            assert_latency_scored_once_per_pair(latency_pairs, full_keys, len(fps))
+            if discrete:  # the shared vector belongs to two full keys
                 assert len(full_keys) == len({s.latency for s in segs}) + 1
 
 
@@ -579,17 +664,12 @@ def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
     fps = profile_db(PROFILE_SEED_OFFSET, zero=True).entries
     width = max(len(entry) for entry in fps)
     full_keys = {(len(s), *(rows[:width] for rows in vectors_of(s))) for s in segs}
-    latency_rows = []
-    real = CompiledDb._score_block
-
-    def spy(self, x, L, keys, side):
-        if Channel.LATENCY in x:
-            latency_rows.append(len(keys))
-        return real(self, x, L, keys, side)
-
-    with mock.patch.object(CompiledDb, "_score_block", spy):
+    rows_in, latency_pairs = Counter(), Counter()
+    with spy_on_pairs(rows_in, latency_pairs):
         preds = match_trace(segs, db(*fps))
-    assert sum(latency_rows) == len(full_keys)
+    assert_latency_scored_once_per_pair(latency_pairs, full_keys, len(fps))
+    # Latency is scored for only a few entries of each full key.
+    assert sum(latency_pairs.values()) < len(full_keys) * len(fps) / 4
     assert 10 * len(full_keys) < len(segs)
     assert_matches_scalar_oracle(preds, segs, fps, frozenset(Channel))
 
@@ -664,8 +744,8 @@ def old_prediction_list(segs, fps, channels):
     compiled = CompiledDb(db(*fps), channels)
     best = np.zeros(len(segs), dtype=np.int64)
     top, margin = np.zeros(len(segs)), np.zeros(len(segs))
-    for rows, slot, scores in compiled.score_blocks(segments_of(segs)):
-        b, t, g = compiled.pick(scores)
+    for rows, slot, key, entry, score in compiled.score_blocks(segments_of(segs)):
+        b, t, g = compiled.pick(key, entry, score)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
     predicted = [fps[b].label for b in best.tolist()]
     return list(map(Prediction, range(len(segs)), predicted, top.tolist(), margin.tolist()))

@@ -7,16 +7,22 @@ and four channels, the truth file and the predictions file, so a refactor of
 the trace or label representation, the readers and writers, preprocessing or
 the matcher that changes any of them fails here.  On the `bursty` case, `attack --channels` is also
 pinned for every leave-one-out channel subset, so that the scorer's
-per-channel paths are covered one by one.
+per-channel paths are covered one by one; the codes, scores and margins of
+`match_trace` are pinned for all 15 channel subsets; and the share of pairs
+whose latency the matcher scores is bounded, so that it cannot fall back to
+dense scoring.
 """
 
 import hashlib
+import itertools
+from unittest import mock
 
 import pytest
 
 from optrace.cli import main
+from optrace.matcher import Channel, CompiledDb, match_trace
 from optrace.preprocess import preprocess_trace
-from optrace.traceio import read_trace
+from optrace.traceio import read_db, read_trace
 
 CASES = {
     "default-noise": (
@@ -110,3 +116,51 @@ def test_channel_subsets_keep_their_pinned_predictions(bursty_run, tmp_path, cap
     ]) == 0
     capsys.readouterr()
     assert sha256_of(out) == SUBSET_PREDICTIONS[left_out]
+
+
+@pytest.fixture(scope="module")
+def bursty_inputs(bursty_run):
+    """The `bursty` case's segments, preprocessed as `attack` does, and its DB."""
+    out_dir, _ = bursty_run
+    _, _, segments = preprocess_trace(read_trace(out_dir / "victim.csv"))
+    return segments, read_db(out_dir / "db.txt")
+
+
+# `match_trace` codes, scores and margins on the `bursty` case, over every
+# channel subset in turn.
+ALL_SUBSETS_SCORES = "1637ad72cfac9ed8d503ca9a386b1aa0e687b20c7c3655bb2c2b628422e9bb47"
+
+
+def test_every_channel_subset_keeps_its_pinned_scores(bursty_inputs):
+    segments, db = bursty_inputs
+    h = hashlib.sha256()
+    for k in range(1, len(Channel) + 1):
+        for subset in itertools.combinations(Channel, k):
+            predictions = match_trace(segments, db, frozenset(subset))
+            for column in (predictions.codes, predictions.score, predictions.margin):
+                h.update(column.tobytes())
+    assert h.hexdigest() == ALL_SUBSETS_SCORES
+
+
+def test_latency_is_scored_for_few_pairs(bursty_inputs):
+    # 8.7% of the distinct segment keys x entries when written; dense
+    # scoring would be 100%.
+    segments, db = bursty_inputs
+    scored, keys = [], []
+    real_pairs, real_blocks = CompiledDb._score_pairs, CompiledDb.score_blocks
+
+    def score_pairs(self, x, L, rows, key, entry, side):
+        if Channel.LATENCY in x:
+            scored.append(len(key))
+        return real_pairs(self, x, L, rows, key, entry, side)
+
+    def score_blocks(self, segments):
+        for rows, slot, key, entry, score in real_blocks(self, segments):
+            keys.append(int(key[-1]) + 1)
+            yield rows, slot, key, entry, score
+
+    with mock.patch.object(CompiledDb, "_score_pairs", score_pairs), \
+            mock.patch.object(CompiledDb, "score_blocks", score_blocks):
+        match_trace(segments, db)
+    assert sum(keys) > 1000
+    assert sum(scored) <= 0.15 * sum(keys) * len(db.entries)
