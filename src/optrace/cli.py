@@ -308,7 +308,7 @@ def _write_confusion(path, confusion) -> None:
     def name(label):
         return _NULL_LABEL if label is None else label
 
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("truth,predicted,count\n")
         for (truth, pred), count in sorted(
             confusion.items(), key=lambda kv: (name(kv[0][0]), name(kv[0][1]))

@@ -1,18 +1,17 @@
 """File formats: traces, truth labels, predictions, fingerprint DBs, config.
 
-Every format is line-oriented text with `#` comment headers.  The first
-line always names the format and version so files cannot be fed to the
-wrong reader.  Addresses are page-aligned byte addresses in lowercase hex;
-the page number is address / 4096.
+Every format is UTF-8 text whose lines end in LF, CRLF or CR, with `#`
+comment headers.  The first line always names the format and version so
+files cannot be fed to the wrong reader.  Addresses are page-aligned byte
+addresses in lowercase hex; the page number is address / 4096.
 """
 
 import csv
 import hashlib
-import locale
 from contextlib import suppress
 from dataclasses import fields
+from functools import partial
 from inspect import signature
-from itertools import repeat
 from math import isfinite
 from pathlib import Path
 
@@ -71,7 +70,6 @@ class ConfigError(ValueError):
     pass
 
 
-_TRACE_COLUMNS = ("address", "mode", "pf_count", "latency")
 _TRUTH_COLUMNS = ("boundary_index", "label")
 _PREDICTION_COLUMNS = ("segment_id", "label", "score", "margin")
 
@@ -82,7 +80,7 @@ def _write_table(path, kind: str, meta: dict[str, object], columns, count: int, 
     The header is the tag line, one `# key=value` line per meta value that
     is not None, and the column line if `columns` is not empty.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# optrace {kind} v1\n")
         for key, value in meta.items():
             if value is not None:
@@ -93,47 +91,50 @@ def _write_table(path, kind: str, meta: dict[str, object], columns, count: int, 
             fh.write(text(slice(start, start + _CHUNK_LINES)))
 
 
-def decode_text(data: bytes, lines_before: int = 0) -> str:
-    """`data` decoded as open() decodes text; a byte it rejects is a FormatError on its line,
-    counted by `str.splitlines` after `lines_before` lines."""
-    encoding = locale.getpreferredencoding(False)
+def decode_text(data: bytes, line: int = 1) -> str:
+    """`data`, whose first line is line `line` of its file, decoded as UTF-8; a byte it rejects
+    is a FormatError on its line, lines counted by `bytes.splitlines`."""
     try:
-        return data.decode(encoding)
+        return data.decode()
     except UnicodeDecodeError as exc:
-        line = lines_before + len((data[: exc.start].decode(encoding) + "x").splitlines())
+        line += len((data[: exc.start] + b"x").splitlines()) - 1
         raise FormatError(f"undecodable bytes ({exc.reason})", line) from None
+
+
+def _text(line: bytes, lineno: int) -> str:
+    """Line `lineno`, `line`, decoded and stripped; a line break `str.splitlines` finds inside
+    it, such as a form feed, is a FormatError, so no line reads as two."""
+    text = decode_text(line, lineno).strip()
+    if len(text.splitlines()) > 1:
+        raise FormatError("line break other than LF or CR inside the line", lineno)
+    return text
 
 
 class _Lines:
     """The lines of one optrace file, read in binary a block at a time.
 
     `blocks()` reads _BLOCK_BYTES at a time (at most 4 KiB for the first
-    block, which is always decoded; as much as it holds of a longer line)
-    and yields each block cut after its last LF or its last CR that cannot
-    start a CRLF, whichever is later.  So a block holds whole lines, and
-    at most _BLOCK_BYTES plus twice the longest line.
-    `decode(block)` gives the data lines of the block just yielded: line 1
-    must be `# optrace <kind> v1` (any kind when `kind` is None),
-    `# key=value` lines go into `meta` wherever they appear, other comments
-    and blank lines are skipped.  Lines are split with `str.splitlines`, so
-    a form feed or another Unicode line break also starts a new numbered
-    line, and bytes the text codec rejects raise a FormatError on the line
-    that holds them.  The first block must be decoded; a caller that takes
-    a later block without decoding it adds its lines to `last_line`.
-    Iterating yields `(lineno, stripped_line)` for every data line.
-    Afterwards `tag` holds line 1 without its `# ` and `last_line` is the
-    number of the last line.
+    block; as much as it holds of a longer line) and yields each block cut
+    after its last LF or its last CR that cannot start a CRLF, whichever is
+    later: whole lines, at most _BLOCK_BYTES plus twice the longest line.
+    `rows(block)` gives the data lines of the block just yielded, split by
+    `bytes.splitlines` and stripped of ASCII whitespace: line 1 must be
+    `# optrace <kind> v1`, `# key=value` lines go into `meta` wherever they
+    appear, other `#` lines and blank lines are skipped.  The first block
+    must go to `rows`; a caller that takes a later block without it adds
+    its lines to `last_line`.  Iterating yields `(lineno, _text(line))` for
+    every data line.
     """
 
-    def __init__(self, path, kind: str | None):
+    def __init__(self, path, kind: str):
         self.path, self.kind = path, kind
         self.meta: dict[str, str] = {}
-        self.tag = ""
         self.last_line = 0
 
     def __iter__(self):
         for block in self.blocks():
-            yield from zip(*self.decode(block))
+            for lineno, line in zip(*self.rows(block)):
+                yield lineno, _text(line, lineno)
 
     def blocks(self):
         with open(self.path, "rb") as fh:
@@ -145,52 +146,33 @@ class _Lines:
                 rest, size = buf[cut:], _BLOCK_BYTES
                 if cut:
                     yield buf[:cut]
-            if rest:
-                yield rest  # a last line without a line break
-        if not self.last_line:
-            self._check_tag("")
+            if rest or not self.last_line:
+                yield rest  # a last line without a line break; b"" for an empty file
 
-    def decode(self, block: bytes):
-        """`(linenos, stripped)` of the data lines of `block`, the block just yielded."""
-        lines = decode_text(block, self.last_line).splitlines()
+    def rows(self, block: bytes):
+        """`(linenos, rows)` of the data lines of `block`, the block just yielded."""
+        lines = block.splitlines()
         first = self.last_line + 1
         self.last_line += len(lines)
-        if first == 1:
-            self._check_tag(lines[0])
-            return self._data(lines[1:], 2)
-        return self._data(lines, first)
-
-    def _check_tag(self, first: str) -> None:
-        if not first.startswith("# optrace "):
-            raise FormatError("missing '# optrace <kind> <version>' header", 1)
-        self.tag = first[2:].strip()
-        want = f"optrace {self.kind} v1"
-        if self.kind is not None and self.tag != want:
-            raise FormatError(f"expected '{want}', found '{self.tag}'", 1)
-
-    def _data(self, lines: list[str], first: int):
-        """`(linenos, stripped)` of the data lines among `lines`, numbered from `first`."""
-        stripped = list(map(str.strip, lines))
-        if "" not in stripped and "\n#" not in "\n" + "\n".join(stripped):
-            return range(first, first + len(stripped)), stripped
-        linenos, data = [], []
-        for lineno, line in enumerate(stripped, start=first):
-            if not line:
-                continue
-            if line.startswith("#"):
-                _comment(self.meta, line)
-                continue
-            linenos.append(lineno)
-            data.append(line)
-        return linenos, data
-
-
-def _comment(meta: dict[str, str], line: str) -> None:
-    """Record a `# key=value` line in `meta`; any other comment line says nothing."""
-    body = line.lstrip("#").strip()
-    if "=" in body:
-        key, _, value = body.partition("=")
-        meta[key.strip()] = value.strip()
+        if first == 1:  # the tag line, a `#` line
+            tag, want = lines[0] if lines else b"", f"optrace {self.kind} v1"
+            if not tag.startswith(b"# optrace "):
+                raise FormatError("missing '# optrace <kind> <version>' header", 1)
+            if (found := _text(tag[2:], 1)) != want:
+                raise FormatError(f"expected '{want}', found '{found}'", 1)
+        lines = list(map(bytes.strip, lines))
+        if b"" not in lines and b"\n#" not in b"\n" + b"\n".join(lines):
+            return range(first, first + len(lines)), lines
+        linenos, rows = [], []
+        for lineno, line in enumerate(lines, start=first):
+            if line.startswith(b"#"):  # a `# key=value` line or a comment
+                key, equals, value = _text(line, lineno).lstrip("#").partition("=")
+                if equals:
+                    self.meta[key.strip()] = value.strip()
+            elif line:
+                linenos.append(lineno)
+                rows.append(line)
+        return linenos, rows
 
 
 def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> None:
@@ -202,76 +184,137 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
         raise FormatError(f"expected column header {','.join(columns)}", lineno)
 
 
-def _fields(lines: list[str], width: int) -> list[str] | None:
-    """The fields of `lines`, row after row in one flat list, by a plain split: only if no
-    line holds a quote or is over `csv.field_size_limit()` and every line has `width - 1`
-    commas; else None."""
-    text = ",".join(lines)
-    plain = (
-        '"' not in text
-        and max(map(len, lines)) <= csv.field_size_limit()
-        and set(map(str.count, lines, repeat(","))) == {width - 1}
-    )
-    return text.split(",") if plain else None
+# The writer's form of each column kind, which `_parse` reads from bytes: an
+# address `-?0x[0-9a-f]{1,15}`, page aligned; a decimal `-?[0-9]{1,18}`; a mode
+# letter `[RWE]`; a label token of printable UTF-8 without a space, quote or
+# comma; a six-decimal float `-?[0-9]{1,10}\.[0-9]{6}` whose mantissa (its digits
+# as one integer) is below 2**53.  So no integer leaves int64, and a mantissa
+# and 10**6 are exact doubles: their one rounded quotient is float(field).
+_DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
+_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+_IS_MODE = np.zeros(256, bool)
+_IS_MODE[[READ, WRITE, EXEC]] = True
 
 
-def _csv_columns(linenos, lines: list[str], columns, converters) -> list:
-    """The columns of `lines`, read with `csv` a line at a time (a quoted field never spans
-    lines); a FormatError names the first bad line and, within it, the leftmost bad field."""
-    width = len(columns)
-    fields: list[str] = []
+def _digits(digit: np.ndarray, start, end, base: int, most: int):
+    """Values of the fields `digit[start:end]`, each of 1 to `most` digits in `base`, or None."""
+    count = end - start
+    if count.min() < 1 or count.max() > most:
+        return None
+    value = np.zeros(len(count), np.int64)
+    for k in range(count.max()):
+        d = np.where(k < count, digit.take(end - 1 - k, mode="clip"), 0)
+        if (d >= base).any():
+            return None
+        value += d * np.int64(base**k)
+    return value
+
+
+def _hex_address(a, digit, start, end):
+    neg = a[start] == ord("-")
+    if (a[start + neg] != ord("0")).any() or (a[start + neg + 1] != ord("x")).any():
+        return None
+    value = _digits(digit, start + neg + 2, end, 16, 15)
+    return None if value is None or (value % PAGE_SIZE).any() else np.where(neg, -value, value)
+
+
+def _decimal(a, digit, start, end):
+    neg = a[start] == ord("-")
+    value = _digits(digit, start + neg, end, 10, 18)
+    return None if value is None else np.where(neg, -value, value)
+
+
+def _mode_letter(a, digit, start, end):
+    mode = a[start]
+    return mode if (end == start + 1).all() and _IS_MODE[mode].all() else None
+
+
+def _six_decimals(a, digit, start, end):
+    neg = a[start] == ord("-")
+    whole = _digits(digit, start + neg, end - 7, 10, 10)
+    fraction = _digits(digit, end - 6, end, 10, 6)
+    if whole is None or fraction is None or (a[end - 7] != ord(".")).any():
+        return None
+    mantissa = whole * 10**6 + fraction
+    return None if (mantissa >= 2**53).any() else np.where(neg, -1.0, 1.0) * (mantissa / 1e6)
+
+
+def _tokens(coded, a, digit, start, end):
+    """`coded` of the fields `a[start:end]` decoded; None unless every one is a label token."""
+    buf = a.tobytes()
+    with suppress(UnicodeDecodeError):
+        texts = [buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist())]
+        if all(t.isprintable() and " " not in t and '"' not in t for t in set(texts)):
+            return coded(texts)
+    return None
+
+
+def _parse(buf: bytes, kinds):
+    """The columns of `buf`'s rows, each ending in LF, of one field per `(parse, _)` kind in
+    `kinds`; None if a field is off the writer's form of its kind."""
+    a = np.frombuffer(buf, np.uint8)
+    sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+    row = np.frombuffer(b"," * (len(kinds) - 1) + b"\n", np.uint8)  # a row's separators
+    if buf[-1:] != b"\n" or len(sep) % len(kinds) or (a[sep].reshape(-1, len(row)) != row).any():
+        return None
+    sep, start = sep.reshape(-1, len(kinds)), np.zeros(len(sep), sep.dtype)
+    np.add(sep.ravel()[:-1], 1, out=start[1:])  # a field starts after the separator before it
+    start = start.reshape(sep.shape)
+    digit, columns = _DIGIT.take(a), []
+    for k, (parse, _) in enumerate(kinds.values()):  # left to right: no label is coded off a row
+        columns.append(parse(a, digit, start[:, k], sep[:, k]))
+        if columns[-1] is None:
+            return None
+    return columns
+
+
+def _csv_columns(linenos, lines: list[bytes], kinds) -> list:
+    """The columns of `lines`, each read by `_text` and `csv` a line at a time (a quoted field
+    never spans lines); a FormatError names the first bad line and, within it, the leftmost bad
+    field."""
+    values = []  # a one-value column per field
     for lineno, line in zip(linenos, lines):
         try:
-            row = next(csv.reader((line,)))
+            row = next(csv.reader((_text(line, lineno),)))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise FormatError(str(exc), lineno) from None
-        if len(row) != width:
-            raise FormatError(f"expected {width} fields", lineno)
-        for name, convert, text in zip(columns, converters, row):
+        if len(row) != len(kinds):
+            raise FormatError(f"expected {len(kinds)} fields", lineno)
+        for (name, (_, convert)), text in zip(kinds.items(), row):
             try:
-                _convert(convert, [text], lineno)
+                values.append(_convert(convert, [text], lineno))
             except OverflowError:
                 raise FormatError(f"{name} {text!r} does not fit in int64", lineno) from None
-        fields += row
-    return [convert(fields[k::width]) for k, convert in enumerate(converters)]
+    return [np.concatenate(values[k :: len(kinds)]) for k in range(len(kinds))]
 
 
-def _table(lines: _Lines, columns: tuple[str, ...], converters, raw=None):
+def _table(lines: _Lines, kinds: dict):
     """Yield a table of no rows, whose columns set the types of the columns concatenated,
     then check the column header line and yield the rows of each block as columns.
 
-    `raw`, if given, converts the bytes of whole rows, each ending in LF, to
-    columns, or returns None when a row is off its form.  A block after the
-    column line that `raw` takes is never decoded.  Any other block is
-    decoded and its data lines, joined, go to `raw` once more; if it still
-    refuses them they are split into fields.  `converters` holds one
-    function per column that converts a list of fields into the column or
-    raises a ValueError naming a problem (an OverflowError for a value off
-    int64).  A block that does not split, or whose fields a converter
-    refuses, is read once more by `_csv_columns`, which reports its first bad line.
+    `kinds` maps each column's name to a `(parse, convert)` pair: a column
+    kind of `_parse`, and a function that converts a list of fields into the
+    column or raises a ValueError naming a problem (an OverflowError for a
+    value off int64).  A block after the column line that `_parse` takes is
+    read as it is; the data lines of any other go to `_parse` once more,
+    then to `_csv_columns`, which reports the first bad line.
     """
-    width = len(columns)
     header = None
-    yield [convert([]) for convert in converters]
+    yield [convert([]) for _, convert in kinds.values()]
     for block in lines.blocks():
-        if header is not None and raw and (table := raw(block)) is not None:
+        if header is not None and (table := _parse(block, kinds)) is not None:
             lines.last_line += len(table[0])  # one row per line
             yield table
             continue
-        linenos, chunk = lines.decode(block)
-        if header is None and chunk:
-            header = chunk[0]
-            _check_columns(linenos[0], header, columns)
-            linenos, chunk = linenos[1:], chunk[1:]
-        if not chunk:
-            continue
-        table = raw(("\n".join(chunk) + "\n").encode()) if raw else None
-        if table is None and (fields := _fields(chunk, width)) is not None:
-            with suppress(ValueError, OverflowError):
-                table = [convert(fields[k::width]) for k, convert in enumerate(converters)]
-        yield _csv_columns(linenos, chunk, columns, converters) if table is None else table
+        linenos, rows = lines.rows(block)
+        if header is None and rows:
+            header = _text(rows[0], linenos[0])
+            _check_columns(linenos[0], header, tuple(kinds))
+            linenos, rows = linenos[1:], rows[1:]
+        if rows:
+            yield _parse(b"\n".join(rows) + b"\n", kinds) or _csv_columns(linenos, rows, kinds)
     if header is None:
-        _check_columns(None, "", columns)
+        _check_columns(None, "", tuple(kinds))
 
 
 def _label(text: str) -> str | None:
@@ -284,6 +327,14 @@ def _convert(convert, text: str, lineno: int):
         return convert(text)
     except ValueError as exc:
         raise FormatError(str(exc), lineno) from None
+
+
+def _mapped(convert, dtype):
+    """A column converter: `convert` mapped over the fields, into an array of `dtype`."""
+    return lambda texts: np.array(list(map(convert, texts)), dtype)
+
+
+_DECIMAL = (_decimal, _mapped(int, np.int64))
 
 
 # ---------------------------------------------------------------- traces
@@ -311,17 +362,6 @@ def _trace_fields(trace: SideChannelTrace, rows) -> list:
     ]
 
 
-def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
-    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
-    _write_table(path, "trace", meta, _TRACE_COLUMNS, len(trace),
-                 lambda rows: _joined(_trace_fields(trace, rows)))
-
-
-def _mapped(convert, dtype):
-    """A column converter: `convert` mapped over the fields, into an array of `dtype`."""
-    return lambda texts: np.array(list(map(convert, texts)), dtype)
-
-
 def _address(text: str) -> int:
     addr = int(text, 16)
     if addr % PAGE_SIZE:
@@ -335,72 +375,18 @@ def _mode(text: str) -> int:
     return ord(text)
 
 
-_INT64, _FLOAT64 = _mapped(int, np.int64), _mapped(float, np.float64)
-_TRACE_CONVERTERS = (_mapped(_address, np.int64), _mapped(_mode, np.uint8), _INT64, _INT64)
+_TRACE_COLUMNS = {
+    "address": (_hex_address, _mapped(_address, np.int64)),
+    "mode": (_mode_letter, _mapped(_mode, np.uint8)),
+    "pf_count": _DECIMAL,
+    "latency": _DECIMAL,
+}
 
 
-# The writer's form of a trace row: `-?0x[0-9a-f]{1,15},[RWE],-?[0-9]{1,18},-?[0-9]{1,18}\n`.
-# With at most 15 hex or 18 decimal digits no value can leave int64.
-_MOST_DIGITS = {16: 15, 10: 18}
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)
-_DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
-_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
-_IS_MODE = np.zeros(256, bool)
-_IS_MODE[[READ, WRITE, EXEC]] = True
-
-
-def _numbers(a: np.ndarray, digit: np.ndarray, start, end, base: int, prefix: bytes):
-    """Values of the fields `a[start:end]`, each `-?<prefix><digits>`, or None.
-
-    A field has 1 to _MOST_DIGITS[base] digits, taken into int64 one
-    right-aligned digit position at a time.
-    """
-    neg = a[start] == ord("-")
-    start = start + neg
-    for k, byte in enumerate(prefix):
-        if (a[start + k] != byte).any():
-            return None
-    count = end - start - len(prefix)
-    if len(count) and (count.min() < 1 or count.max() > _MOST_DIGITS[base]):
-        return None
-    value = np.zeros(len(count), np.int64)
-    for k in range(count.max(initial=0)):
-        live = k < count
-        d = np.where(live, digit.take(end - 1 - k, mode="clip"), 0)
-        if (d >= base).any():
-            return None
-        value += d * np.int64(base**k)
-    return np.where(neg, -value, value)
-
-
-def _trace_block(buf):
-    """Address, mode, pf and latency columns of `buf`'s rows; None if one is off the writer's form.
-
-    Every row must match the writer's form, ending in LF, and hold a
-    page-aligned address.
-    """
-    if buf[-1:] != b"\n":
-        return None
-    a = np.frombuffer(buf, np.uint8)
-    sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
-    if len(sep) % 4:
-        return None
-    sep = sep.reshape(-1, 4)
-    if (a[sep] != _ROW_SEPARATORS).any():
-        return None
-    at = sep[:, 0] + 1
-    mode = a[at]
-    if (sep[:, 1] != at + 1).any() or not _IS_MODE[mode].all():
-        return None
-    starts = np.roll(sep[:, 3] + 1, 1)
-    starts[:1] = 0
-    digit = _DIGIT[a]
-    addr = _numbers(a, digit, starts, sep[:, 0], 16, b"0x")
-    pf = _numbers(a, digit, sep[:, 1] + 1, sep[:, 2], 10, b"")
-    latency = _numbers(a, digit, sep[:, 2] + 1, sep[:, 3], 10, b"")
-    if addr is None or pf is None or latency is None or (addr % PAGE_SIZE).any():
-        return None
-    return addr, mode, pf, latency
+def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
+    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+    _write_table(path, "trace", meta, _TRACE_COLUMNS, len(trace),
+                 lambda rows: _joined(_trace_fields(trace, rows)))
 
 
 def read_trace(path) -> SideChannelTrace:
@@ -410,8 +396,7 @@ def read_trace(path) -> SideChannelTrace:
     block's rows go through the CSV reader, which reports the first bad line.
     """
     lines = _Lines(path, "trace")
-    tables = _table(lines, _TRACE_COLUMNS, _TRACE_CONVERTERS, _trace_block)
-    page, mode, pf, latency = map(np.concatenate, zip(*tables))
+    page, mode, pf, latency = map(np.concatenate, zip(*_table(lines, _TRACE_COLUMNS)))
     page //= PAGE_SIZE
     seed = lines.meta.get("layout_seed")
     with suppress(ValueError):
@@ -440,14 +425,6 @@ def write_segments(
     _write_table(path, "segments", meta, ("segment_id", *_TRACE_COLUMNS), len(rows), text)
 
 
-def trace_meta(path) -> dict[str, str]:
-    """Header key=value pairs of any trace-family file, without the rows."""
-    lines = _Lines(path, None)
-    for _ in lines:
-        pass
-    return {**lines.meta, "format": lines.tag}
-
-
 # ----------------------------------------------------------- truth labels
 
 
@@ -467,15 +444,17 @@ def _write_labels(path, kind: str, columns, labels: Labels, layout_seed, config_
 
 def _read_labels(path, make, kind: str, columns):
     """`make(rows, codes, table, *floats)` of a truth or predictions file's int64 column, label
-    column and float64 columns, and the header meta.  Each distinct label text is read once."""
+    column and float64 columns, and the header meta.  Labels are coded in order of appearance."""
     lines, index = _Lines(path, kind), {}
 
     def coded(texts: list[str]) -> np.ndarray:
         return np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
 
-    tables = _table(lines, columns, (_INT64, coded, *[_FLOAT64] * (len(columns) - 2)))
-    rows, codes, *floats = map(np.concatenate, zip(*tables))
-    return make(rows, codes, [_label(text) for text in index], *floats), lines.meta
+    first, label, *floats = columns
+    kinds = {first: _DECIMAL, label: (partial(_tokens, coded), coded)}
+    kinds.update(dict.fromkeys(floats, (_six_decimals, _mapped(float, np.float64))))
+    rows, codes, *values = map(np.concatenate, zip(*_table(lines, kinds)))
+    return make(rows, codes, [_label(text) for text in index], *values), lines.meta
 
 
 def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
@@ -609,8 +588,9 @@ def _coerce(key: str, raw: str, default) -> object:
 
 
 def parse_config_text(text: str) -> dict[str, object]:
+    """The settings of `text`, whose lines end in LF, CRLF or CR, over the defaults."""
     config = dict(DEFAULT_CONFIG)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -627,11 +607,14 @@ def parse_config_text(text: str) -> dict[str, object]:
 def load_config(path=None) -> dict[str, object]:
     if path is None:
         return dict(DEFAULT_CONFIG)
-    return parse_config_text(Path(path).read_text())
+    try:
+        return parse_config_text(decode_text(Path(path).read_bytes()))
+    except FormatError as exc:  # an undecodable byte
+        raise ConfigError(str(exc)) from None
 
 
 def write_config(path, config: dict[str, object]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(config):
             fh.write(f"{key} = {config[key]}\n")
 

@@ -166,6 +166,17 @@ def trace_of(events, truth=None, layout_seed=None) -> SideChannelTrace:
     )
 
 
+def trace_meta(path) -> dict[str, str]:
+    """The `# key=value` lines of an optrace file, and its first line without `# ` as `format`."""
+    first, *lines = Path(path).read_bytes().splitlines()
+    meta = {"format": first.decode()[2:].strip()}
+    for line in filter(lambda line: line.startswith(b"#"), lines):
+        key, equals, value = line.decode().lstrip("#").partition("=")
+        if equals:
+            meta[key.strip()] = value.strip()
+    return meta
+
+
 def segments_of(segments) -> Segments:
     """`segments`, a list of `Segment`s, stacked in order as the row ranges of one trace."""
     segments = list(segments)

@@ -8,9 +8,9 @@ from optrace import cli
 from optrace.cli import main
 from optrace.machine import LayoutConfig, MitigationConfig, NoiseModel
 from optrace.matcher import Channel
-from optrace.traceio import load_config, read_db, trace_meta
+from optrace.traceio import load_config, read_db
 
-from support import run_optrace
+from support import run_optrace, trace_meta
 
 
 def run(*argv):
@@ -177,6 +177,25 @@ def test_eval_writes_confusion_table(pipeline, tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "truth,predicted,count"
     assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
+
+
+def test_eval_writes_a_non_ascii_label_in_an_ascii_locale(tmp_path, monkeypatch):
+    # The confusion table is UTF-8 like every optrace file, in the ASCII `C`
+    # locale too (with Python's UTF-8 mode and locale coercion off).
+    truth, preds = tmp_path / "t.truth", tmp_path / "p.predictions"
+    head = "# layout_seed=1\n"
+    truth.write_bytes(f"# optrace truth v1\n{head}boundary_index,label\n0,café\n".encode())
+    preds.write_bytes(
+        f"# optrace predictions v1\n{head}segment_id,label,score,margin\n0,café,1.0,0.0\n".encode()
+    )
+    for name, value in (("LC_ALL", "C"), ("PYTHONUTF8", "0"), ("PYTHONCOERCECLOCALE", "0")):
+        monkeypatch.setenv(name, value)
+    proc = run_optrace(
+        "eval", "--truth", truth, "--predictions", preds, "--strict",
+        "--out-confusion", tmp_path / "c.csv", cwd=tmp_path, hash_seed="0",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c.csv").read_bytes() == "truth,predicted,count\ncafé,café,1\n".encode()
 
 
 def test_attack_rejects_unknown_channel(pipeline, tmp_path, capsys):
@@ -411,6 +430,18 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
         "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
     ) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_a_config_byte_off_utf8_is_a_usage_error_on_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"noise.apic_quantum = 35\n# caf\xe9\n")
+    assert run(
+        "synth", "--workload", "primes", "--config", bad,
+        "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
+    ) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: undecodable bytes (invalid continuation byte)\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,13 @@
 """Serialization round-trips and format validation for every file kind."""
 
+import ast
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +32,6 @@ from optrace.traceio import (
     read_predictions,
     read_trace,
     read_truth,
-    trace_meta,
     write_config,
     write_db,
     write_predictions,
@@ -35,7 +40,7 @@ from optrace.traceio import (
     write_truth,
 )
 
-from support import labels_of, predictions_of, synth, trace_of
+from support import labels_of, predictions_of, synth, trace_meta, trace_of
 
 SMALL = ("i32.const", "call", "i32.add")
 
@@ -120,7 +125,7 @@ _ROWS = st.lists(
         st.integers(-(2**63), 2**63 - 1),
         st.integers(-(2**63), 2**63 - 1),
         st.sampled_from(["\n", "\r\n", "\r"]),  # line ending
-        st.sampled_from(["", "\x0c", " ", "# note"]),  # a line break or a line before it
+        st.sampled_from(["", "\x0c", " ", "# note"]),  # a form feed or a line before it
         st.booleans(),  # quote the address field
     ),
     max_size=14,
@@ -156,7 +161,7 @@ def test_read_trace_agrees_with_the_rows_written(rows, block, mutation):
         if before in (" ", "# note"):
             before += end  # a blank or comment line; never a bare LF, which would join a CR
         text += before + ",".join(fields) + end
-        lineno += 1 + (before != "")
+        lineno += 1 + (before not in ("", "\x0c"))  # a form feed starts no line
         linenos.append(lineno)
     text += "# layout_seed=5\n"
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
@@ -190,52 +195,52 @@ def _columns(trace: SideChannelTrace) -> list[np.ndarray]:
     return [trace.page, trace.mode, trace.pf, trace.latency]
 
 
-def _read_as_csv(path) -> SideChannelTrace:
-    """`read_trace(path)` with the byte converter refusing every block, so `csv` splits all rows."""
-    with mock.patch.object(traceio, "_trace_block", return_value=None):
-        return read_trace(path)
+def _read_as_csv(path, reader=read_trace):
+    """`reader(path)` with the byte parser refusing every block, so `csv` splits all rows."""
+    with mock.patch.object(traceio, "_parse", return_value=None):
+        return reader(path)
 
 
-def _assert_read_as_csv(path) -> None:
-    """`read_trace(path)` gives _read_as_csv's columns, dtypes and meta, or its error and line."""
+def _bits(read) -> tuple:
+    """What a reader gave: each column's dtype and bytes (-0.0 is not 0.0), then its label
+    table and meta."""
+    if isinstance(read, SideChannelTrace):
+        return [(c.dtype, c.tobytes()) for c in _columns(read)], read.layout_seed
+    items, meta = read
+    floats = [getattr(items, name) for name in ("score", "margin") if hasattr(items, name)]
+    columns = [items.rows, items.codes, *floats]
+    return [(c.dtype, c.tobytes()) for c in columns], items.table, meta
+
+
+def _assert_read_as_csv(path, reader=read_trace) -> None:
+    """`reader(path)` gives _read_as_csv's columns, dtypes and meta, or its error and line."""
     try:
-        want = _read_as_csv(path)
+        want = _read_as_csv(path, reader)
     except FormatError as exc:
         with pytest.raises(FormatError) as info:
-            read_trace(path)
+            reader(path)
         assert (str(info.value), info.value.line) == (str(exc), exc.line)
         return
-    back = read_trace(path)
-    assert [column.dtype for column in _columns(back)] == _COLUMN_DTYPES
-    assert [column.dtype for column in _columns(want)] == _COLUMN_DTYPES
-    assert all(map(np.array_equal, _columns(back), _columns(want)))
-    assert back.layout_seed == want.layout_seed
+    back = reader(path)
+    if reader is read_trace:
+        assert [column.dtype for column in _columns(back)] == _COLUMN_DTYPES
+    assert _bits(back) == _bits(want)
 
 
-def _fields_lines(path) -> list[set[int]]:
-    """Read `path` as `read_trace` does; the line numbers of each block split by `_fields`,
-    which are the last numbers of the block decoded just before, one per line split."""
-    decode, fields = traceio._Lines.decode, traceio._fields
-    decoded, split = [], []
+def _csv_lines(path, reader=read_trace) -> list[set[int]]:
+    """Read `path` with `reader`; the line numbers of each block that goes to the CSV fallback."""
+    csv_columns, fallen = traceio._csv_columns, []
 
-    def spy_decode(self, block):
-        decoded.append(decode(self, block))
-        return decoded[-1]
+    def spy(linenos, lines, kinds):
+        fallen.append(set(linenos))
+        return csv_columns(linenos, lines, kinds)
 
-    def spy_fields(lines, width):
-        linenos, _ = decoded[-1]
-        split.append(set(linenos[-len(lines):]))
-        return fields(lines, width)
-
-    with (
-        mock.patch.object(traceio._Lines, "decode", spy_decode),
-        mock.patch.object(traceio, "_fields", spy_fields),
-    ):
+    with mock.patch.object(traceio, "_csv_columns", spy):
         try:
-            read_trace(path)
+            reader(path)
         except FormatError:
             pass
-    return split
+    return fallen
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,7 +252,7 @@ def _fields_lines(path) -> list[set[int]]:
 )
 def test_read_trace_parses_the_writers_rows_as_the_csv_reader_does(rows, wide, block, mutation):
     # Blocks of a few bytes, so rows straddle blocks.  Only blocks holding a
-    # row off the writer's form are split into fields, and every file gives
+    # row off the writer's form go to the CSV fallback, and every file gives
     # the CSV reader's columns or its FormatError, message and line alike.
     rows = list(map(list, rows))
     off = set()  # line numbers of the rows off the writer's form; rows start on line 4
@@ -265,7 +270,7 @@ def test_read_trace_parses_the_writers_rows_as_the_csv_reader_does(rows, wide, b
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         path = Path(tmp) / "rows.trace"
         path.write_bytes(text.encode())
-        split = _fields_lines(path)
+        split = _csv_lines(path)
         assert all(lines & off for lines in split)
         assert (min(off) in set().union(*split)) if off else not split
         _assert_read_as_csv(path)
@@ -299,18 +304,20 @@ _TAG, _COLUMNS = "# optrace trace v1\n", "address,mode,pf_count,latency\n"
         (f"# optrace trace v1 \n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}\n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}# layout_seed=4\r\n{_COLUMNS}0x1000,R,1,10\n", False),
-        (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),  # `b=2` is the column line
+        (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),  # `b=2` is in the comment
         (f"{_TAG}# a=1\x85b=2\n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}address,mode,pf_count,latency \n0x1000,R,1,10\n", False),
     ],
 )
 def test_files_near_the_writers_form_read_as_the_csv_reader_reads_them(tmp_path, text, split):
-    # `split`: whether the block of rows goes to `_fields`.  Spaces round a
-    # line, CRLF, a form feed and odd header lines are gone once the block is
-    # decoded, so its data lines are rows in the writer's form again.
+    # `split`: whether the block of rows goes to the CSV fallback.  Spaces
+    # round a line, CRLF, a form feed and odd header lines are gone once the
+    # block is split into lines, so its data lines are rows in the writer's
+    # form again.  A form feed or U+0085 inside a comment line is part of
+    # it, and makes it malformed before any row is read.
     path = tmp_path / "near.trace"
     path.write_bytes(text.encode())
-    assert bool(_fields_lines(path)) == split
+    assert bool(_csv_lines(path)) == split
     _assert_read_as_csv(path)
 
 
@@ -348,9 +355,8 @@ def test_a_block_holds_at_most_one_read_and_twice_the_longest_line(tmp_path, blo
         (read_truth, "truth", "boundary_index,label", "0,nop"),
         (read_predictions, "predictions", "segment_id,label,score,margin", "0,nop,1.0,0.0"),
         (read_db, "fingerprint-db", "entry x support=1\nmodes R\nclasses O", "pf 1\nlatency 1\nend"),
-        (trace_meta, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
     ],
-    ids=["trace", "truth", "predictions", "db", "meta"],
+    ids=["trace", "truth", "predictions", "db"],
 )
 @pytest.mark.parametrize(
     "tail", ["", "\r\n# layout_seed=2\r\n", "\n\xff\n"], ids=["plain", "crlf", "bad"]
@@ -374,7 +380,7 @@ def test_a_written_trace_is_read_without_the_csv_reader(tmp_path, block):
     trace = trace_of([*synth(SMALL, seed=3)[1].events, *events], layout_seed=7)
     path = tmp_path / "t.trace"
     write_trace(path, trace, config_hash="cafe01234567")
-    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
     with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         back = read_trace(path)
     assert back.events == trace.events
@@ -384,7 +390,7 @@ def test_a_written_trace_is_read_without_the_csv_reader(tmp_path, block):
 def test_a_header_only_trace_gives_empty_columns_without_the_csv_reader(tmp_path):
     path = tmp_path / "empty.trace"
     write_trace(path, SideChannelTrace([], [], [], [], truth=None, layout_seed=3))
-    with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
+    with mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError):
         back = read_trace(path)
     assert [column.dtype for column in _columns(back)] == _COLUMN_DTYPES
     assert [len(column) for column in _columns(back)] == [0, 0, 0, 0]
@@ -398,7 +404,7 @@ def test_a_trace_without_a_final_newline_is_read_without_the_csv_reader(tmp_path
     path = tmp_path / "t.trace"
     write_trace(path, trace)
     path.write_bytes(path.read_bytes().removesuffix(b"\n"))
-    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
     with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
         back = read_trace(path)
     assert back.events == trace.events
@@ -407,8 +413,8 @@ def test_a_trace_without_a_final_newline_is_read_without_the_csv_reader(tmp_path
 def test_a_late_comment_is_decoded_in_its_block_alone(tmp_path):
     # A file in the writer's form up to a `#` line between two rows and a
     # `# layout_seed=1` line after the last: only the header's blocks and
-    # those holding the two lines are decoded, and no block is split into
-    # fields.
+    # those holding the two lines are split into lines, and no block goes to
+    # the CSV fallback.
     _, trace = synth(("i32.const", "i32.const", "i32.add", "drop") * 10, seed=3)
     path = tmp_path / "late.trace"
     write_trace(path, trace)
@@ -420,15 +426,15 @@ def test_a_late_comment_is_decoded_in_its_block_alone(tmp_path):
     path.write_text("".join(lines))
     comments = {middle + 1, len(lines)}
     decoded = []
-    decode = traceio._Lines.decode
+    rows = traceio._Lines.rows
 
     def spy(self, block):
         first = self.last_line + 1
-        decoded.append(set(range(first, first + len(block.decode().splitlines()))))
-        return decode(self, block)
+        decoded.append(set(range(first, first + len(block.splitlines()))))
+        return rows(self, block)
 
-    no_csv = mock.patch.object(traceio, "_fields", side_effect=AssertionError)
-    with no_csv, mock.patch.object(traceio._Lines, "decode", spy), mock.patch.object(
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio._Lines, "rows", spy), mock.patch.object(
         traceio, "_BLOCK_BYTES", 64
     ):
         back = read_trace(path)
@@ -502,10 +508,31 @@ def test_read_trace_rejects_non_integer_layout_seed(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "reader,kind,body,line",
+    [
+        (read_trace, "trace", "address,mode,pf_count,latency\n0x1000,R,1,1\x0c0\n", 3),
+        (read_truth, "truth", "boundary_index,label\n0,a\x0cb\n", 3),
+        (read_predictions, "predictions", "segment_id,label,score,margin\n0,a\x85b,1.0,0.0\n", 3),
+        (read_db, "fingerprint-db", "entry a\u2028b support=1\n", 2),
+        (read_truth, "truth", "# layout_seed=1\x0c2\nboundary_index,label\n", 2),
+    ],
+    ids=["trace", "truth", "predictions", "db", "meta"],
+)
+def test_a_line_break_inside_a_line_is_a_format_error_on_it(tmp_path, reader, kind, body, line):
+    # Lines end only in LF, CRLF or CR, so a form feed or a Unicode line break
+    # inside a row, directive or meta line makes it malformed, not two lines.
+    path = tmp_path / "f"
+    path.write_bytes(f"# optrace {kind} v1\n{body}".encode())
+    with pytest.raises(FormatError, match="line break other than LF or CR") as info:
+        reader(path)
+    assert info.value.line == line
+
+
 @pytest.mark.parametrize("block", [1, 5, 40, traceio._BLOCK_BYTES])
 @pytest.mark.parametrize(
     "nl,extra,line",
-    [(b"\n", b"", 4), (b"\r\n", b"", 4), (b"\r", b"", 4), (b"\n", b"\x0c", 5)],
+    [(b"\n", b"", 4), (b"\r\n", b"", 4), (b"\r", b"", 4), (b"\n", b"\x0c", 4)],
     ids=["lf", "crlf", "cr", "form-feed"],
 )
 def test_read_trace_reports_undecodable_bytes_on_their_line(tmp_path, nl, extra, line, block):
@@ -799,7 +826,7 @@ _LABELED_ROWS = st.lists(
         st.floats(allow_nan=False),
         st.floats(allow_nan=False),
         st.sampled_from(["\n", "\r\n", "\r"]),  # line ending
-        st.sampled_from(["", "\x0c", " ", "# note"]),  # a line break or a line before it
+        st.sampled_from(["", "\x0c", " ", "# note"]),  # a form feed or a line before it
         st.booleans(),  # quote the label field
     ),
     max_size=14,
@@ -858,7 +885,7 @@ def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, bloc
         if before in (" ", "# note"):
             before += end  # a blank or comment line; never a bare LF, which would join a CR
         text += before + ",".join(fields) + end
-        lineno += 1 + (before != "")
+        lineno += 1 + (before not in ("", "\x0c"))  # a form feed starts no line
         if message:
             errors.append((lineno, message))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
@@ -876,6 +903,174 @@ def test_read_truth_and_predictions_agree_with_the_rows_written(kind, rows, bloc
     ]
     assert list(back) == want
     assert meta == {"config_hash": "ab12"}
+
+
+# Labels in the writer's form, NULL and a non-ASCII one among them, and off
+# it: a space, a quote, a form feed.  Six-decimal values by mantissa, both
+# zeros and 2**53 - 1, 2**53 and 2**53 + 1 among them; one of 17 digits has
+# a whole part of 11 digits.
+_FORM_LABELS = st.sampled_from(["NULL", "i32.add", "br_if", "café", "", "a b", 'a"b', "a\x0cb"])
+_MANTISSAS = st.sampled_from([0, 2**53 - 1, 2**53, 2**53 + 1, 10**16]) | st.integers(0, 2**54)
+_FORM_LABELED_ROWS = st.lists(
+    st.tuples(_NUMBERS, _FORM_LABELS, *[_MANTISSAS, st.booleans()] * 2), max_size=12
+)
+
+
+def _six_decimals(mantissa: int, negative: bool) -> str:
+    return f"{'-' * negative}{mantissa // 10**6}.{mantissa % 10**6:06d}"
+
+
+def _in_writers_form(fields: list[str], width: int) -> bool:
+    """Whether a truth (`width` 2) or predictions (4) row of `fields` is in the writer's form."""
+    label = fields[1] if len(fields) > 1 else ""
+    floats = fields[2:]
+    return (
+        len(fields) == width
+        and re.fullmatch(r"-?[0-9]{1,18}", fields[0]) is not None
+        and label.isprintable() and not set(' ",') & set(label)
+        and all(re.fullmatch(r"-?[0-9]{1,10}\.[0-9]{6}", f) for f in floats)
+        and all(int(f.lstrip("-").replace(".", "")) < 2**53 for f in floats)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_LABELED_KINDS)),
+    rows=_FORM_LABELED_ROWS,
+    block=st.integers(1, 70),
+    mutation=st.none() | st.tuples(st.integers(0, 6), st.integers(0, 99)),
+)
+@example(kind="predictions", rows=[(1, "NULL", 0, True, 2**53 - 1, False)], block=70, mutation=None)
+@example(kind="predictions", rows=[(1, "café", 2**53, False, 2**53 + 1, True)], block=70,
+         mutation=None)
+def test_read_truth_and_predictions_parse_the_writers_rows_as_the_csv_reader_does(
+    kind, rows, block, mutation
+):
+    # As for traces: only blocks holding a row off the writer's form go to the
+    # CSV fallback, and every file gives the CSV reader's columns, codes, label
+    # table and meta, bit for bit, or its FormatError, message and line alike.
+    # A mutation is one of `_MUTATIONS` that applies to the row, or one of the
+    # kind's own.
+    reader, columns, width, _, spoilers = _LABELED_KINDS[kind]
+    mutations = [change for change, _ in [*_MUTATIONS.values(), *spoilers]]
+    fields = [
+        [str(idx), label, _six_decimals(score, neg), _six_decimals(margin, neg_margin)][:width]
+        for idx, label, score, neg, margin, neg_margin in rows
+    ]
+    if mutation and rows:
+        bad = mutation[1] % len(rows)
+        with suppress(IndexError):  # a trace mutation that does not apply to the row
+            fields[bad] = mutations[mutation[0]](fields[bad])
+    off = {4 + k for k, row in enumerate(fields) if not _in_writers_form(row, width)}
+    text = f"# optrace {kind} v1\n# layout_seed=5\n{columns}\n"
+    text += "".join(",".join(row) + "\n" for row in fields)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        path = Path(tmp) / f"rows.{kind}"
+        path.write_bytes(text.encode())
+        split = _csv_lines(path, reader)
+        assert all(lines & off for lines in split)
+        assert (min(off) in set().union(*split)) if off else not split
+        _assert_read_as_csv(path, reader)
+        if not off:
+            back, meta = reader(path)
+            assert meta == {"layout_seed": "5"}
+            assert back.labels == [None if row[1] == "NULL" else row[1] for row in fields]
+            for k, column in enumerate(("score", "margin")[: width - 2]):
+                assert getattr(back, column).tolist() == [float(row[2 + k]) for row in fields]
+
+
+@pytest.mark.parametrize("block", [1, 8, 64])
+def test_a_comment_holding_a_comma_adds_no_label(tmp_path, block):
+    # A block holding `# note,b` splits into fields like a row of two; its
+    # "label" must not reach the label table before the row is refused.
+    path = tmp_path / "t.truth"
+    path.write_bytes(b"# optrace truth v1\nboundary_index,label\n0,a\n# note,b\n1,c\n")
+    with mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        truth, _ = read_truth(path)
+        _assert_read_as_csv(path, read_truth)
+    assert truth.table == ["a", "c"]
+
+
+@pytest.mark.parametrize("block", [1, 23, traceio._BLOCK_BYTES])
+def test_a_written_truth_is_read_without_the_csv_reader(tmp_path, block):
+    # A silent fallback to the CSV reader would keep every other test green.
+    pairs = [(1, "i32.const"), (4, None), (9, "café"), (10**18 - 2, "br_if"), (10**18 - 1, None)]
+    trace = SideChannelTrace([0], [ord("R")], [0], [0], labels_of(pairs * 300), 4)
+    path = tmp_path / "t.truth"
+    write_truth(path, trace, config_hash="ab12")
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        back, meta = read_truth(path)
+    assert np.array_equal(back.rows, trace.truth.rows)
+    assert back.labels == trace.truth.labels
+    assert meta == {"layout_seed": "4", "config_hash": "ab12"}
+
+
+@pytest.mark.parametrize("block", [1, 23, traceio._BLOCK_BYTES])
+def test_a_written_predictions_is_read_without_the_csv_reader(tmp_path, block):
+    # Scores of both signs and zeros, and near the largest whole part of the
+    # writer's form; each reads back as float() of its six decimals.
+    rows = [
+        Prediction(0, "i32.add", 0.25, -0.0),
+        Prediction(1, None, 1.0, 0.0),
+        Prediction(2, "café", -1e-9, 0.1234565),
+        Prediction(3, "br_if", 9007199254.5, -9007199253.25),
+    ]
+    preds = predictions_of(rows * 300)
+    path = tmp_path / "p.predictions"
+    write_predictions(path, preds, config_hash="ab12", layout_seed=4)
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio, "_BLOCK_BYTES", block):
+        back, meta = read_predictions(path)
+    assert np.array_equal(back.rows, preds.rows)
+    assert back.labels == preds.labels
+    for column in ("score", "margin"):
+        want = np.array([float(f"{v:.6f}") for v in getattr(preds, column).tolist()])
+        assert getattr(back, column).tobytes() == want.tobytes()
+    assert math.copysign(1, back.score[2]) == -1  # -0.000000 reads as -0.0
+    assert meta == {"layout_seed": "4", "config_hash": "ab12"}
+
+
+# Read a truth file and write predictions, as a child process does it.
+_CHILD = """
+import locale, sys
+import numpy as np
+from optrace.matcher import Predictions
+from optrace.traceio import read_truth, write_predictions
+truth, meta = read_truth(sys.argv[1])
+table = ["caf\\u00e9", None]
+write_predictions(sys.argv[2], Predictions(
+    np.array([0, 1]), np.array([0, 1]), table, np.array([0.5, 1.0]), np.array([0.25, 0.0])
+), layout_seed=1)
+print(ascii([locale.getpreferredencoding(False), truth.labels, meta]))
+"""
+
+
+def test_files_mean_the_same_in_an_ascii_locale(tmp_path):
+    # The files are UTF-8 whatever the reader's locale.  The locales here are
+    # C, C.utf8 and POSIX, so the ASCII `C` locale, with Python's UTF-8 mode
+    # and locale coercion off, is the one non-UTF-8 locale to run a child in.
+    truth = tmp_path / "t.truth"
+    truth.write_bytes("# optrace truth v1\n# note café\nboundary_index,label\n0,nop\n".encode())
+    here = tmp_path / "here.predictions"
+    table = ["café", None]
+    write_predictions(here, Predictions(
+        np.array([0, 1]), np.array([0, 1]), table, np.array([0.5, 1.0]), np.array([0.25, 0.0])
+    ), layout_seed=1)
+    src = str(Path(traceio.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, truth, tmp_path / "there.predictions"],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    encoding, labels, meta = ast.literal_eval(child.stdout)
+    assert encoding != "UTF-8"
+    truth_here, meta_here = read_truth(truth)
+    assert (labels, meta) == (truth_here.labels, meta_here) == (["nop"], {})
+    assert (tmp_path / "there.predictions").read_bytes() == here.read_bytes()
+    assert "café".encode() in here.read_bytes()
 
 
 # ------------------------------------------------------------ fingerprints
@@ -1081,6 +1276,23 @@ def test_write_config_round_trips_through_parser(tmp_path):
     cfg["match.channels"] = "mode,latency"
     path = tmp_path / "run.config"
     write_config(path, cfg)
+    assert load_config(path) == cfg
+
+
+def test_config_files_are_utf8_whose_lines_end_in_lf_crlf_or_cr(tmp_path):
+    path = tmp_path / "c.config"
+    path.write_bytes("# café\r\nlayout.stack_pages = 4\rlayout.span = 8192\n".encode())
+    cfg = load_config(path)
+    assert (cfg["layout.stack_pages"], cfg["layout.span"]) == (4, 8192)
+    path.write_bytes(b"layout.stack_pages = 4\x0clayout.span = 8192\n")  # one line
+    with pytest.raises(ConfigError, match=r"^layout.stack_pages: expected an integer"):
+        load_config(path)
+    path.write_bytes(b"layout.stack_pages = 4\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"^line 2: undecodable bytes"):
+        load_config(path)
+    cfg["match.channels"] = "café"
+    write_config(path, cfg)
+    assert b"match.channels = caf\xc3\xa9\n" in path.read_bytes()
     assert load_config(path) == cfg
 
 
