@@ -112,7 +112,8 @@ def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]
     """Merge slices that agree on label and every discrete channel.
 
     Latency, the only noisy channel, is averaged element-wise across the
-    merged slices.  Entries come out sorted for stable serialization.
+    merged slices; a latency sum that reaches 2**50 in magnitude is a
+    ProfilingError.  Entries come out sorted for stable serialization.
     """
     modes = segs.trace.mode.tobytes()
     classes = segs.classes.tobytes()
@@ -126,7 +127,12 @@ def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]
     entries = []
     for (label, modes_b, classes_b, _), starts in groups.items():
         rows = np.array(starts)[:, None] + np.arange(len(modes_b))
-        latency = segs.trace.latency[rows].sum(axis=0) / len(starts)
+        latency = segs.trace.latency[rows]
+        # Below 2**50 a sum is far inside int64, and the DB file's rint(mean * support) gives
+        # it back exactly; the float64 sum, unlike the int64 one, cannot wrap.
+        if (np.abs(latency.sum(axis=0, dtype=np.float64)) >= 2.0**50).any():
+            raise ProfilingError(f"a latency sum of {label!r} slices reaches 2**50")
+        latency = latency.sum(axis=0) / len(starts)
         entries.append(
             Fingerprint(
                 label=label,

@@ -12,7 +12,6 @@ from contextlib import suppress
 from dataclasses import fields
 from functools import partial
 from inspect import signature
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +53,6 @@ _CHUNK_LINES = 1 << 14
 # and no less time).
 _BLOCK_BYTES = 1 << 18
 
-# Access-mode and page-class letters; a DB entry's `modes` and `classes` lines hold only these.
-_MODES = frozenset(map(chr, (READ, WRITE, EXEC)))
-_CLASSES = frozenset(map(chr, (OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS)))
-_DB_LETTERS = {"modes": ("mode", _MODES), "classes": ("class", _CLASSES)}
-
 
 class FormatError(ValueError):
     def __init__(self, msg: str, line: int | None = None):
@@ -72,21 +66,21 @@ class ConfigError(ValueError):
 
 _TRUTH_COLUMNS = ("boundary_index", "label")
 _PREDICTION_COLUMNS = ("segment_id", "label", "score", "margin")
+_DB_COLUMNS = ("entry", "label", "support", "mode", "class", "pf", "latency_sum")
 
 
 def _write_table(path, kind: str, meta: dict[str, object], columns, count: int, text) -> None:
     """Write a file of `count` rows: its header, then `text(chunk)` per slice of _CHUNK_LINES rows.
 
     The header is the tag line, one `# key=value` line per meta value that
-    is not None, and the column line if `columns` is not empty.
+    is not None, and the column line.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# optrace {kind} v1\n")
         for key, value in meta.items():
             if value is not None:
                 fh.write(f"# {key}={value}\n")
-        if columns:
-            fh.write(",".join(columns) + "\n")
+        fh.write(",".join(columns) + "\n")
         for start in range(0, count, _CHUNK_LINES):
             fh.write(text(slice(start, start + _CHUNK_LINES)))
 
@@ -122,19 +116,13 @@ class _Lines:
     `# optrace <kind> v1`, `# key=value` lines go into `meta` wherever they
     appear, other `#` lines and blank lines are skipped.  The first block
     must go to `rows`; a caller that takes a later block without it adds
-    its lines to `last_line`.  Iterating yields `(lineno, _text(line))` for
-    every data line.
+    its lines to `last_line`.
     """
 
     def __init__(self, path, kind: str):
         self.path, self.kind = path, kind
         self.meta: dict[str, str] = {}
         self.last_line = 0
-
-    def __iter__(self):
-        for block in self.blocks():
-            for lineno, line in zip(*self.rows(block)):
-                yield lineno, _text(line, lineno)
 
     def blocks(self):
         with open(self.path, "rb") as fh:
@@ -185,15 +173,13 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
 
 
 # The writer's form of each column kind, which `_parse` reads from bytes: an
-# address `-?0x[0-9a-f]{1,15}`, page aligned; a decimal `-?[0-9]{1,18}`; a mode
-# letter `[RWE]`; a label token of printable UTF-8 without a space, quote or
+# address `-?0x[0-9a-f]{1,15}`, page aligned; a decimal `-?[0-9]{1,18}`; a letter
+# `[RWE]` or `[OSX]`; a label token of printable UTF-8 without a space, quote or
 # comma; a six-decimal float `-?[0-9]{1,10}\.[0-9]{6}` whose mantissa (its digits
 # as one integer) is below 2**53.  So no integer leaves int64, and a mantissa
 # and 10**6 are exact doubles: their one rounded quotient is float(field).
 _DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
 _DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
-_IS_MODE = np.zeros(256, bool)
-_IS_MODE[[READ, WRITE, EXEC]] = True
 
 
 def _digits(digit: np.ndarray, start, end, base: int, most: int):
@@ -222,11 +208,6 @@ def _decimal(a, digit, start, end):
     neg = a[start] == ord("-")
     value = _digits(digit, start + neg, end, 10, 18)
     return None if value is None else np.where(neg, -value, value)
-
-
-def _mode_letter(a, digit, start, end):
-    mode = a[start]
-    return mode if (end == start + 1).all() and _IS_MODE[mode].all() else None
 
 
 def _six_decimals(a, digit, start, end):
@@ -282,9 +263,11 @@ def _csv_columns(linenos, lines: list[bytes], kinds) -> list:
             raise FormatError(f"expected {len(kinds)} fields", lineno)
         for (name, (_, convert)), text in zip(kinds.items(), row):
             try:
-                values.append(_convert(convert, [text], lineno))
+                values.append(convert([text]))
             except OverflowError:
                 raise FormatError(f"{name} {text!r} does not fit in int64", lineno) from None
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno) from None
     return [np.concatenate(values[k :: len(kinds)]) for k in range(len(kinds))]
 
 
@@ -295,14 +278,16 @@ def _table(lines: _Lines, kinds: dict):
     `kinds` maps each column's name to a `(parse, convert)` pair: a column
     kind of `_parse`, and a function that converts a list of fields into the
     column or raises a ValueError naming a problem (an OverflowError for a
-    value off int64).  A block after the column line that `_parse` takes is
-    read as it is; the data lines of any other go to `_parse` once more,
-    then to `_csv_columns`, which reports the first bad line.
+    value off int64).  A block after the column line that `_parse` takes once
+    its CRLF and CR line ends are made LF is read as it is; the data lines of
+    any other go to `_parse` once more, then to `_csv_columns`, which reports
+    the first bad line.
     """
     header = None
     yield [convert([]) for _, convert in kinds.values()]
     for block in lines.blocks():
-        if header is not None and (table := _parse(block, kinds)) is not None:
+        lf = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
+        if header is not None and (table := _parse(lf, kinds)) is not None:
             lines.last_line += len(table[0])  # one row per line
             yield table
             continue
@@ -317,16 +302,11 @@ def _table(lines: _Lines, kinds: dict):
         _check_columns(None, "", tuple(kinds))
 
 
-def _label(text: str) -> str | None:
-    return None if text == _NULL_LABEL else text
-
-
-def _convert(convert, text: str, lineno: int):
-    """`convert(text)`, with its ValueError raised as a FormatError on `lineno`."""
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+def _data_line(path, kind: str, row: int) -> int:
+    """The line number of data row `row` of a CSV file, row 0 being the one after the column
+    line."""
+    lines = _Lines(path, kind)
+    return [n for block in lines.blocks() for n in lines.rows(block)[0]][row + 1]
 
 
 def _mapped(convert, dtype):
@@ -335,6 +315,26 @@ def _mapped(convert, dtype):
 
 
 _DECIMAL = (_decimal, _mapped(int, np.int64))
+
+
+def _letter(noun: str, letters: bytes):
+    """The column kind of a one-letter field of `letters`, read as its ASCII code."""
+    is_letter = np.zeros(256, bool)
+    is_letter[list(letters)] = True
+
+    def parse(a, digit, start, end):
+        return a[start] if (end == start + 1).all() and is_letter[a[start]].all() else None
+
+    def convert(text: str) -> int:
+        if len(text) != 1 or text not in letters.decode():
+            raise ValueError(f"bad {noun} {text!r}")
+        return ord(text)
+
+    return parse, _mapped(convert, np.uint8)
+
+
+_MODE = _letter("access mode", bytes((READ, WRITE, EXEC)))
+_CLASS = _letter("page class", bytes((OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS)))
 
 
 # ---------------------------------------------------------------- traces
@@ -369,15 +369,9 @@ def _address(text: str) -> int:
     return addr
 
 
-def _mode(text: str) -> int:
-    if text not in _MODES:
-        raise ValueError(f"bad access mode {text!r}")
-    return ord(text)
-
-
 _TRACE_COLUMNS = {
     "address": (_hex_address, _mapped(_address, np.int64)),
-    "mode": (_mode_letter, _mapped(_mode, np.uint8)),
+    "mode": _MODE,
     "pf_count": _DECIMAL,
     "latency": _DECIMAL,
 }
@@ -442,19 +436,28 @@ def _write_labels(path, kind: str, columns, labels: Labels, layout_seed, config_
     _write_table(path, kind, meta, columns, len(labels), text)
 
 
-def _read_labels(path, make, kind: str, columns):
-    """`make(rows, codes, table, *floats)` of a truth or predictions file's int64 column, label
-    column and float64 columns, and the header meta.  Labels are coded in order of appearance."""
+def _read_columns(path, kind: str, kinds: dict):
+    """The columns of a CSV file of `kinds`, whose `label` column (its kind a placeholder) is
+    read as codes into a table of the label texts in order of appearance (None for NULL); then
+    that table and the meta."""
     lines, index = _Lines(path, kind), {}
 
     def coded(texts: list[str]) -> np.ndarray:
         return np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
 
-    first, label, *floats = columns
-    kinds = {first: _DECIMAL, label: (partial(_tokens, coded), coded)}
+    kinds = {**kinds, "label": (partial(_tokens, coded), coded)}
+    columns = list(map(np.concatenate, zip(*_table(lines, kinds))))
+    return columns, [None if text == _NULL_LABEL else text for text in index], lines.meta
+
+
+def _read_labels(path, make, kind: str, columns):
+    """`make(rows, codes, table, *floats)` of a truth or predictions file's int64 column, label
+    column and float64 columns, and the header meta."""
+    first, _, *floats = columns
+    kinds = {first: _DECIMAL, "label": None}
     kinds.update(dict.fromkeys(floats, (_six_decimals, _mapped(float, np.float64))))
-    rows, codes, *values = map(np.concatenate, zip(*_table(lines, kinds)))
-    return make(rows, codes, [_label(text) for text in index], *values), lines.meta
+    (rows, codes, *values), table, meta = _read_columns(path, kind, kinds)
+    return make(rows, codes, table, *values), meta
 
 
 def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
@@ -485,65 +488,49 @@ def read_predictions(path) -> tuple[Predictions, dict[str, str]]:
 
 
 def write_db(path, db: FingerprintDb) -> None:
-    def text(chunk: slice) -> str:
-        return "".join(
-            f"entry {_NULL_LABEL if fp.label is None else fp.label} support={fp.support}\n"
-            f"modes {fp.modes}\nclasses {fp.classes}\npf {','.join(map(str, fp.pf))}\n"
-            f"latency {','.join(f'{v:.6f}' for v in fp.latency)}\nend\n"
-            for fp in db.entries[chunk]
-        )
-
+    """One row per entry position.  `latency_sum` is the latency mean times the support, an
+    integer below 2**50 in magnitude whose quotient by the support is the mean, so the file
+    reads back exactly."""
+    rows = []
+    for k, fp in enumerate(db.entries):
+        if not len(fp):
+            raise ValueError(f"fingerprint-db entry {k} has no rows")
+        sums = np.rint(np.array(fp.latency, np.float64) * fp.support)
+        if not ((sums / fp.support == fp.latency) & (np.abs(sums) < 2.0**50)).all():
+            raise ValueError(f"a latency of fingerprint-db entry {k} is not a sum below 2**50")
+        label = _NULL_LABEL if fp.label is None else fp.label
+        fields = zip(fp.modes, fp.classes, fp.pf, sums.astype(np.int64).tolist(), strict=True)
+        rows += [f"{k},{label},{fp.support},{m},{c},{p},{s}\n" for m, c, p, s in fields]
     meta = {key: db.meta[key] for key in sorted(db.meta)}
-    _write_table(path, "fingerprint-db", meta, (), len(db.entries), text)
+    _write_table(path, "fingerprint-db", meta, _DB_COLUMNS, len(rows),
+                 lambda chunk: "".join(rows[chunk]))
 
 
 def read_db(path) -> FingerprintDb:
-    lines = _Lines(path, "fingerprint-db")
-    entries: list[Fingerprint] = []
-    current: dict[str, object] | None = None
-    for lineno, line in lines:
-        word, _, rest = line.partition(" ")
-        if word == "entry":
-            if current is not None:
-                raise FormatError("entry before previous 'end'", lineno)
-            name, _, support_part = rest.partition(" ")
-            if not support_part.startswith("support="):
-                raise FormatError("entry line needs 'support=<n>'", lineno)
-            support = _convert(int, support_part.removeprefix("support="), lineno)
-            if support < 1:
-                raise FormatError(f"support must be at least 1, got {support}", lineno)
-            current = {"label": _label(name), "support": support}
-            continue
-        if word not in ("modes", "classes", "pf", "latency", "end"):
-            raise FormatError(f"unknown directive {word!r}", lineno)
-        if current is None:
-            raise FormatError(f"'{word}' outside entry", lineno)
-        if word in _DB_LETTERS:
-            noun, letters = _DB_LETTERS[word]
-            current[word] = rest.strip()
-            if bad := [c for c in current[word] if c not in letters]:
-                raise FormatError(f"bad {noun} letter {bad[0]!r}", lineno)
-        elif word in ("pf", "latency"):
-            convert = int if word == "pf" else float
-            values = rest.split(",") if rest else ()
-            current[word] = tuple(_convert(convert, v, lineno) for v in values)
-            # A trace's pf and latency columns are int64, so a DB mean of them is in its range.
-            if word == "latency" and (bad := [v for v in current[word] if not isfinite(v)]):
-                raise FormatError(f"non-finite latency value {bad[0]!r}", lineno)
-            if bad := [v for v in current[word] if not -(2**63) <= v < 2**63]:
-                raise FormatError(f"{word} value {bad[0]} does not fit in int64", lineno)
-        else:  # end
-            try:
-                fp = Fingerprint(**{f.name: current[f.name] for f in fields(Fingerprint)})
-            except KeyError as exc:
-                raise FormatError(f"entry missing field {exc}", lineno) from None
-            if not (len(fp.modes) == len(fp.classes) == len(fp.pf) == len(fp.latency)):
-                raise FormatError("channel lengths disagree", lineno)
-            entries.append(fp)
-            current = None
-    if current is not None:
-        raise FormatError("unterminated entry", lines.last_line)
-    return FingerprintDb(entries=tuple(entries), meta=lines.meta)
+    """A fingerprint DB whose entries are the runs of rows of one `entry` number, which starts
+    at 0 and steps by 0 or 1; each mean latency is `latency_sum / support`, as the profiler's."""
+    kinds = (_DECIMAL, None, _DECIMAL, _MODE, _CLASS, _DECIMAL, _DECIMAL)
+    columns, table, meta = _read_columns(path, "fingerprint-db", dict(zip(_DB_COLUMNS, kinds)))
+    entry, codes, support, modes, classes, pf, sums = columns
+    new = np.diff(entry, prepend=-1) != 0
+    new[:1] = True  # the first row starts entry 0
+    starts, number = np.flatnonzero(new), np.cumsum(new) - 1  # each row's entry, if well numbered
+    for problem, bad in (
+        ("entry numbers must start at 0 and step by 0 or 1", entry != number),
+        ("label and support must not change within an entry",
+         (codes != codes[starts[number]]) | (support != support[starts[number]])),
+        ("support must be at least 1", support < 1),
+        ("latency_sum must be below 2**50 in magnitude", (sums <= -(2**50)) | (sums >= 2**50)),
+    ):
+        if bad.any():
+            raise FormatError(problem, _data_line(path, "fingerprint-db", int(np.argmax(bad))))
+    channels = (np.split(column, starts[1:]) for column in (modes, classes, pf, sums / support))
+    entries = tuple(
+        Fingerprint(table[c], m.tobytes().decode(), k.tobytes().decode(), tuple(p.tolist()),
+                    tuple(latency.tolist()), int(s))
+        for c, s, m, k, p, latency in zip(codes[starts], support[starts], *channels)
+    )
+    return FingerprintDb(entries=entries, meta=meta)
 
 
 # ----------------------------------------------------------------- config

@@ -71,6 +71,18 @@ def synth(run, seed=0, noise=ZERO, markers=False, specs=None, config=None):
     return layout, trace
 
 
+def fp(label, modes, classes, pf, latency, support=1) -> Fingerprint:
+    assert len(modes) == len(classes) == len(pf) == len(latency)
+    return Fingerprint(
+        label=label,
+        modes=modes,
+        classes=classes,
+        pf=tuple(pf),
+        latency=tuple(float(v) for v in latency),
+        support=support,
+    )
+
+
 def seg(modes, classes, pf, latency) -> Segment:
     """A segment at row 0 with the given channels, all of one length."""
     assert len(modes) == len(classes) == len(pf) == len(latency)

@@ -2,13 +2,16 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from optrace import cli
 from optrace.cli import main
 from optrace.machine import LayoutConfig, MitigationConfig, NoiseModel
-from optrace.matcher import Channel
-from optrace.traceio import load_config, read_db
+from optrace.matcher import Channel, match_trace
+from optrace.preprocess import preprocess_trace
+from optrace.traceio import load_config, read_db, read_trace
+from optrace.workloads import reference_module
 
 from support import run_optrace, trace_meta
 
@@ -149,6 +152,20 @@ def test_profile_rejects_a_negative_layout_seed_header(tmp_path, capsys):
                "--out", tmp_path / "x.txt") == 3
     assert "error: layout_seed '-1' is not a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+def test_profile_refuses_a_latency_sum_the_db_file_cannot_carry(tmp_path, capsys):
+    # In int64, sums of latencies of 2**62 wrap, and the mean they gave was nonsense.
+    trace, truth, out = tmp_path / "prof.csv", tmp_path / "prof.truth", tmp_path / "db.txt"
+    assert run("synth", "--workload", "primes", "--iterations", 2, "--zero-noise", "--markers",
+               "--out-trace", trace, "--out-truth", truth) == 0
+    rows = trace.read_text().splitlines()
+    start = rows.index("address,mode,pf_count,latency") + 1
+    rows[start:] = [row.rpartition(",")[0] + f",{2**62}" for row in rows[start:]]
+    trace.write_text("\n".join(rows) + "\n")
+    assert run("profile", "--trace", trace, "--truth", truth, "--out", out) == 4
+    assert capsys.readouterr().err == "error: a latency sum of 'i32.const' slices reaches 2**50\n"
+    assert not out.exists()
 
 
 # ----------------------------------------------------- attack + preprocess
@@ -566,45 +583,28 @@ def test_malformed_trace_file_is_a_data_error(pipeline, tmp_path, capsys):
     assert "expected 'optrace trace v1'" in capsys.readouterr().err
 
 
-def test_malformed_db_number_is_a_data_error(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (6, str(2**63), f"latency_sum '{2**63}' does not fit in int64"),
+        (2, "many", "invalid literal for int() with base 10: 'many'"),
+        (3, "Q", "bad access mode 'Q'"),
+        (3, "\u00e9", "bad access mode '\u00e9'"),
+    ],
+    ids=["latency-sum-off-int64", "malformed-number", "ascii-mode", "non-ascii-mode"],
+)
+def test_a_malformed_db_row_is_a_data_error(pipeline, tmp_path, capsys, field, value, message):
+    # One field of a row off its column kind stops attack on that line.
     lines = pipeline.db.read_text().splitlines()
-    entry = next(i for i, line in enumerate(lines) if line.startswith("entry "))
-    lines[entry] = lines[entry].split("support=")[0] + "support=many"
+    row = lines.index("entry,label,support,mode,class,pf,latency_sum") + 5
+    fields = lines[row].split(",")
+    fields[field] = value
+    lines[row] = ",".join(fields)
     bad = tmp_path / "bad.db"
     bad.write_text("\n".join(lines) + "\n")
     assert run("attack", "--trace", pipeline.trace, "--db", bad,
                "--out", tmp_path / "p.csv") == 3
-    assert capsys.readouterr().err.startswith(f"error: line {entry + 1}: ")
-
-
-@pytest.mark.parametrize("letter", ["Q", "\u00e9"], ids=["ascii", "non-ascii"])
-def test_db_mode_letter_outside_rwe_is_a_data_error(pipeline, tmp_path, capsys, letter):
-    # An entry's channels all lengthened by one, the mode's new letter off the alphabet.
-    lines = pipeline.db.read_text().splitlines()
-    entry = next(k for k, line in enumerate(lines) if line.startswith("modes "))
-    lines[entry] += letter
-    lines[entry + 1] += "O"
-    lines[entry + 2] += ",0"
-    lines[entry + 3] += ",0.000000"
-    bad = tmp_path / "bad.db"
-    bad.write_text("\n".join(lines) + "\n")
-    assert run("attack", "--trace", pipeline.trace, "--db", bad,
-               "--out", tmp_path / "p.csv") == 3
-    err = capsys.readouterr().err
-    assert err == f"error: line {entry + 1}: bad mode letter {letter!r}\n"
-
-
-def test_db_non_finite_latency_is_a_data_error(pipeline, tmp_path, capsys):
-    # Such an entry scores nan against every segment, and nan wins every pick.
-    lines = pipeline.db.read_text().splitlines()
-    entry = next(k for k, line in enumerate(lines) if line.startswith("latency "))
-    lines[entry] = "latency " + ",".join(["nan"] * len(lines[entry].split(",")))
-    bad = tmp_path / "bad.db"
-    bad.write_text("\n".join(lines) + "\n")
-    assert run("attack", "--trace", pipeline.trace, "--db", bad,
-               "--out", tmp_path / "p.csv") == 3
-    err = capsys.readouterr().err
-    assert err == f"error: line {entry + 1}: non-finite latency value nan\n"
+    assert capsys.readouterr().err == f"error: line {row + 1}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -683,3 +683,34 @@ def test_end2end_is_byte_reproducible(tmp_path, capsys):
     for name in ("victim.csv", "truth.csv", "db.txt", "predictions.csv",
                  "report.txt", "config.txt"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_the_cli_chain_replays_end2end_byte_for_byte(tmp_path, capsys):
+    # On seed 11, attack on end2end's DB file changed scores while the file rounded latency
+    # means to six decimals.
+    here, there = tmp_path / "chain", tmp_path / "end2end"
+    here.mkdir()
+    assert run("end2end", "--seed", 11, "--out-dir", there) == 0
+    capsys.readouterr()
+    assert run("synth", "--seed", 11, "--out-trace", here / "victim.csv",
+               "--out-truth", here / "truth.csv", "--out-config", here / "config.txt") == 0
+    assert run("profile", "--seed", 11 + cli.PROFILE_SEED_OFFSET, "--out", here / "db.txt") == 0
+    assert run("attack", "--trace", here / "victim.csv", "--db", here / "db.txt",
+               "--out", here / "predictions.csv") == 0
+    capsys.readouterr()
+    assert run("eval", "--predictions", here / "predictions.csv", "--truth", here / "truth.csv",
+               "--counts") == 0
+    report = (there / "report.txt").read_text().splitlines()
+    assert capsys.readouterr().out.splitlines() == report[-2:]  # recall and counts
+    for name in ("victim.csv", "truth.csv", "config.txt", "db.txt", "predictions.csv"):
+        assert (here / name).read_bytes() == (there / name).read_bytes(), name
+
+    # The DB read back is end2end's in-memory DB, and scores as it does.
+    cfg, seed = load_config(None), 11 + cli.PROFILE_SEED_OFFSET
+    _, layout, trace = cli._synthesize(cfg, seed, reference_module(32), True, False, 10**7)
+    db, back = cli._profile_db(cfg, trace, layout, seed), read_db(there / "db.txt")
+    assert back == db
+    _, _, segments = preprocess_trace(read_trace(there / "victim.csv"))
+    want, got = match_trace(segments, db), match_trace(segments, back)
+    for column in ("codes", "score", "margin"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column

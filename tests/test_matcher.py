@@ -27,10 +27,11 @@ from optrace.matcher import (
     score_discrete,
 )
 from optrace.preprocess import Segments
-from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
+from optrace.profiler import FingerprintDb, build_fingerprint_db
 from optrace.workloads import reference_module
 
 from support import (
+    fp,
     noise_model,
     predictions_of,
     profile_db,
@@ -41,18 +42,6 @@ from support import (
     synth,
     victim,
 )
-
-
-def fp(label, modes, classes, pf, latency, support=1):
-    assert len(modes) == len(classes) == len(pf) == len(latency)
-    return Fingerprint(
-        label=label,
-        modes=modes,
-        classes=classes,
-        pf=tuple(pf),
-        latency=tuple(float(v) for v in latency),
-        support=support,
-    )
 
 
 def db(*fps):

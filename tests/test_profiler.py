@@ -1,5 +1,8 @@
 """Profiling: marker-delimited slicing, labeling, and fingerprint dedup."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from optrace.opcodes import all_opcodes
@@ -218,6 +221,21 @@ def test_build_db_rejects_cap_that_drops_everything():
         build_fingerprint_db(
             trace, layout.marker_page, layout.optable_page, max_slice_len=0
         )
+
+
+@pytest.mark.parametrize("latency", [2**48, 2**49, 2**62])
+def test_build_db_refuses_latency_sums_that_reach_2_to_the_50(latency):
+    # `nop` slices merge three to an entry here.  In int64 three latencies of 2**62 summed to a
+    # mean of -1.5e18; 2**50 keeps every sum exact through the DB file's latency_sum column.
+    layout, trace = synth(ops(*["nop"] * 4), seed=3, markers=True)
+    trace = replace(trace, latency=np.full(len(trace), latency, np.int64))
+    if 3 * latency < 2**50:
+        db = build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
+        assert [fp.support for fp in db.entries] == [1, 3]
+        assert {v for fp in db.entries for v in fp.latency} == {latency}
+    else:
+        with pytest.raises(ProfilingError, match=r"a latency sum of 'nop' slices reaches 2\*\*50"):
+            build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
 
 
 # ------------------------------------------------------- reference corpus

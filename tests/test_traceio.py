@@ -20,7 +20,7 @@ from optrace import traceio
 from optrace.machine import PAGE_SIZE, Labels, NoiseModel, SideChannelTrace, StepEvent
 from optrace.matcher import Prediction, Predictions
 from optrace.preprocess import Segments
-from optrace.profiler import Fingerprint, FingerprintDb, build_fingerprint_db
+from optrace.profiler import FingerprintDb, build_fingerprint_db
 from optrace.traceio import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -40,7 +40,7 @@ from optrace.traceio import (
     write_truth,
 )
 
-from support import labels_of, predictions_of, synth, trace_meta, trace_of
+from support import fp, labels_of, predictions_of, synth, trace_meta, trace_of
 
 SMALL = ("i32.const", "call", "i32.add")
 
@@ -279,6 +279,8 @@ def test_read_trace_parses_the_writers_rows_as_the_csv_reader_does(rows, wide, b
 
 
 _TAG, _COLUMNS = "# optrace trace v1\n", "address,mode,pf_count,latency\n"
+_DB_TAG = "# optrace fingerprint-db v1\n"
+_DB_COLUMNS = "entry,label,support,mode,class,pf,latency_sum\n"
 
 
 @pytest.mark.parametrize(
@@ -354,7 +356,7 @@ def test_a_block_holds_at_most_one_read_and_twice_the_longest_line(tmp_path, blo
         (read_trace, "trace", "address,mode,pf_count,latency", "0x1000,R,1,10"),
         (read_truth, "truth", "boundary_index,label", "0,nop"),
         (read_predictions, "predictions", "segment_id,label,score,margin", "0,nop,1.0,0.0"),
-        (read_db, "fingerprint-db", "entry x support=1\nmodes R\nclasses O", "pf 1\nlatency 1\nend"),
+        (read_db, "fingerprint-db", _DB_COLUMNS.strip(), "0,x,1,R,O,1,1"),
     ],
     ids=["trace", "truth", "predictions", "db"],
 )
@@ -514,7 +516,7 @@ def test_read_trace_rejects_non_integer_layout_seed(tmp_path):
         (read_trace, "trace", "address,mode,pf_count,latency\n0x1000,R,1,1\x0c0\n", 3),
         (read_truth, "truth", "boundary_index,label\n0,a\x0cb\n", 3),
         (read_predictions, "predictions", "segment_id,label,score,margin\n0,a\x85b,1.0,0.0\n", 3),
-        (read_db, "fingerprint-db", "entry a\u2028b support=1\n", 2),
+        (read_db, "fingerprint-db", f"{_DB_COLUMNS}0,a\u2028b,1,R,O,1,1\n", 3),
         (read_truth, "truth", "# layout_seed=1\x0c2\nboundary_index,label\n", 2),
     ],
     ids=["trace", "truth", "predictions", "db", "meta"],
@@ -1091,19 +1093,7 @@ def test_db_round_trip(tmp_path):
     db = make_db()
     path = tmp_path / "f.db"
     write_db(path, db)
-    back = read_db(path)
-    assert back.meta == db.meta
-    assert len(back) == len(db)
-    for got, want in zip(back.entries, db.entries):
-        assert (got.label, got.modes, got.classes, got.pf) == (
-            want.label,
-            want.modes,
-            want.classes,
-            want.pf,
-        )
-        assert got.support == want.support
-        for a, b in zip(got.latency, want.latency):
-            assert a == pytest.approx(b, abs=1e-6)
+    assert read_db(path) == db
 
 
 def test_db_serialization_is_byte_stable(tmp_path):
@@ -1123,99 +1113,135 @@ def test_db_null_label_round_trips(tmp_path):
     assert None in read_db(path).labels()
 
 
-@pytest.mark.parametrize(
-    "body,message",
-    [
-        ("entry nop support=1\nentry drop support=1\n", "before previous"),
-        ("modes RE\n", "outside entry"),
-        ("entry nop support=1\nmodes RE\nclasses OX\npf 1,2\nend\n", "missing field"),
-        (
-            "entry nop support=1\nmodes RE\nclasses OX\npf 1\nlatency 1.0\nend\n",
-            "lengths disagree",
-        ),
-        ("wat 5\n", "unknown directive"),
-        ("entry nop support=1\nmodes RE\n", "unterminated"),
-        ("entry nop 1\n", "support="),
-        ("entry nop support=many\n", "invalid literal"),
-        ("entry nop support=1\nmodes R\nclasses O\npf 8,x\n", "invalid literal"),
-        ("entry nop support=1\nlatency 1.0,fast\n", "could not convert"),
-    ],
-)
-def test_read_db_rejects_malformed_entries(tmp_path, body, message):
-    path = tmp_path / "bad.db"
-    path.write_text("# optrace fingerprint-db v1\n" + body)
-    with pytest.raises(FormatError, match=message):
-        read_db(path)
-
-
-@pytest.mark.parametrize(
-    "modes,classes,line,message",
-    [
-        ("RQ", "OX", 3, "bad mode letter 'Q'"),
-        ("R\u00e9", "OX", 3, "bad mode letter '\u00e9'"),
-        ("RE", "OZ", 4, "bad class letter 'Z'"),
-    ],
-    ids=["ascii-mode", "non-ascii-mode", "class"],
-)
-def test_read_db_rejects_letters_off_the_channel_alphabets(tmp_path, modes, classes, line, message):
-    # The matcher packs these letters as ASCII codes of R/W/E and O/S/X.
-    path = tmp_path / "bad.db"
-    path.write_text(
-        "# optrace fingerprint-db v1\nentry nop support=1\n"
-        f"modes {modes}\nclasses {classes}\npf 1,2\nlatency 1.0,2.0\nend\n"
+def test_db_rows_are_entry_positions_with_integer_latency_sums(tmp_path):
+    db = FingerprintDb(
+        (fp("x", "RE", "OX", (8, -5), (5549.0, 1 / 3), 3), fp(None, "W", "S", (0,), (-2.5,), 2)),
+        {"profile_seed": "3"},
     )
+    path = tmp_path / "f.db"
+    write_db(path, db)
+    assert path.read_text().splitlines()[1:] == [
+        "# profile_seed=3", _DB_COLUMNS.strip(),
+        "0,x,3,R,O,8,16647", "0,x,3,E,X,-5,1", "1,NULL,2,W,S,0,-5",
+    ]
+    assert read_db(path) == db
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**50) + 1, 2**50 - 1), st.integers(1, 10**6))
+@example(2**50 - 1, 716)
+@example(-(2**50) + 1, 999_999)
+def test_every_latency_sum_below_2_to_the_50_reads_back_as_written(total, support):
+    # The profiler's mean is total / support; rint(mean * support) must give total back.
+    db = FingerprintDb((fp("x", "R", "O", (8,), (np.int64(total) / support,), support),), {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.db"
+        write_db(path, db)
+        assert path.read_text().splitlines()[-1] == f"0,x,{support},R,O,8,{total}"
+        assert read_db(path) == db
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (fp("x", "", "", (), ()), "entry 0 has no rows"),
+        (fp("x", "R", "O", (8,), (1.5,)), "entry 0 is not a sum below 2\\*\\*50"),
+        (fp("x", "R", "O", (8,), (math.nan,)), "entry 0 is not a sum"),
+        (fp("x", "R", "O", (8,), (math.inf,)), "entry 0 is not a sum"),
+        (fp("x", "R", "O", (8,), (2.0**50,)), "entry 0 is not a sum"),
+        (fp("x", "R", "O", (8,), (-(2.0**50),)), "entry 0 is not a sum"),
+    ],
+    ids=["empty-entry", "half", "nan", "inf", "2-to-the-50", "minus-2-to-the-50"],
+)
+def test_write_db_refuses_an_entry_the_file_cannot_carry_exactly(tmp_path, entry, message):
+    path = tmp_path / "f.db"
+    with pytest.raises(ValueError, match=message):
+        write_db(path, FingerprintDb((entry,), {}))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        ("0,nop,1,R,O,8,10\n2,nop,1,R,O,8,10\n", 4, "must start at 0 and step by 0 or 1"),
+        ("1,nop,1,R,O,8,10\n", 3, "entry numbers must start at 0"),
+        ("-1,nop,1,R,O,8,10\n", 3, "entry numbers must start at 0"),
+        ("0,nop,1,R,O,8,10\n1,nop,1,R,O,8,10\n0,nop,1,R,O,8,10\n", 5, "step by 0 or 1"),
+        ("0,nop,1,R,O,8,10\n0,drop,1,R,O,8,10\n", 4, "label and support must not change"),
+        ("0,nop,1,R,O,8,10\n0,nop,2,R,O,8,10\n", 4, "label and support must not change"),
+        ("0,nop,1,R,O,8,10\n1,nop,0,R,O,8,10\n", 4, "support must be at least 1"),
+        (f"0,nop,1,R,O,8,{2**50}\n", 3, r"latency_sum must be below 2\*\*50 in magnitude"),
+        (f"0,nop,1,R,O,8,-{2**50}\n", 3, r"latency_sum must be below 2\*\*50"),
+        (f"0,nop,1,R,O,8,10\n0,nop,1,R,O,8,-{2**63}\n", 4, r"latency_sum must be below 2\*\*50"),
+        ("0,nop,1,R,O,8\n", 3, "expected 7 fields"),
+        ("0,nop,many,R,O,8,10\n", 3, "invalid literal"),
+        ("0,nop,1,R,O,x,10\n", 3, "invalid literal"),
+        ("0,nop,1,R,O,1.5,10\n", 3, "invalid literal"),
+        ("0,nop,1,R,O,8,fast\n", 3, "invalid literal"),
+        ("0,nop,1,R,O,8,inf\n", 3, "invalid literal"),
+        ("0,nop,1,R,O,8,10.0\n", 3, "invalid literal"),
+        (f"0,nop,1,R,O,1{'0' * 400},10\n", 3, "pf '10+' does not fit in int64"),
+        (f"0,nop,1,R,O,{10**20},10\n", 3, f"pf '{10**20}' does not fit in int64"),
+        (f"0,nop,1,R,O,8,{2**63}\n", 3, f"latency_sum '{2**63}' does not fit in int64"),
+        ("0,nop,1,R,O,8,10\n0,nop,1,Q,O,8,10\n", 4, "bad access mode 'Q'"),
+        ("0,nop,1,R\u00e9,O,8,10\n", 3, "bad access mode 'R\u00e9'"),
+        ("0,nop,1,\u00e9,O,8,10\n", 3, "bad access mode '\u00e9'"),
+        ("0,nop,1,R,Z,8,10\n", 3, "bad page class 'Z'"),
+        ("0,nop,1,R,,8,10\n", 3, "bad page class ''"),
+    ],
+)
+def test_read_db_rejects_malformed_rows_on_their_line(tmp_path, rows, line, message):
+    # Modes and classes are packed by the matcher as ASCII codes of R/W/E and O/S/X; a trace's
+    # pf_count and latency are int64, and so are an entry's pf values and latency sums.
+    path = tmp_path / "bad.db"
+    path.write_text(f"{_DB_TAG}{_DB_COLUMNS}{rows}")
     with pytest.raises(FormatError, match=message) as info:
         read_db(path)
     assert info.value.line == line
 
 
-@pytest.mark.parametrize(
-    "entry,pf,latency,line,message",
-    [
-        ("entry nop support=1", "1,2", "1.0,inf", 6, "non-finite latency value inf"),
-        ("entry nop support=0", "1,2", "1.0,2.0", 2, "support must be at least 1, got 0"),
-        ("entry nop support=1", f"1,1{'0' * 400}", "1.0,2.0", 5, "pf value 10+ does not fit"),
-        ("entry nop support=1", f"1,{10**20}", "1.0,2.0", 5, f"pf value {10**20} does not fit"),
-        ("entry nop support=1", "1,2", "1.0,1e308", 6, r"latency value 1e\+308 does not fit"),
-    ],
-    ids=["inf-latency", "zero-support", "pf-off-float", "pf-off-int64", "latency-off-int64"],
-)
-def test_read_db_rejects_poisoned_entries(tmp_path, entry, pf, latency, line, message):
-    # A non-finite latency makes every score against its entry nan, and nan wins each pick;
-    # a trace's pf_count and latency are int64, so an entry's pf and latency values must fit
-    # in it too (a latency of 1e308 overflows the scorer's sums of squares into nan).
-    path = tmp_path / "bad.db"
-    path.write_text(
-        f"# optrace fingerprint-db v1\n{entry}\n"
-        f"modes RE\nclasses OX\npf {pf}\nlatency {latency}\nend\n"
-    )
-    with pytest.raises(FormatError, match=message) as info:
+def test_read_db_refuses_the_directive_format_on_its_first_entry_line(tmp_path):
+    path = tmp_path / "old.db"
+    path.write_text(f"{_DB_TAG}# profile_seed=3\nentry nop support=1\nmodes R\nclasses O\n"
+                    "pf 8\nlatency 10.000000\nend\n")
+    with pytest.raises(FormatError, match="expected column header entry,label,") as info:
         read_db(path)
-    assert info.value.line == line
+    assert info.value.line == 3
 
 
 def test_read_db_requires_header(tmp_path):
     path = tmp_path / "bad.db"
-    path.write_text("entry nop support=1\n")
+    path.write_text(f"{_DB_COLUMNS}0,nop,1,R,O,8,10\n")
     with pytest.raises(FormatError) as info:
         read_db(path)
     assert info.value.line == 1
 
 
-def test_db_empty_vectors_round_trip(tmp_path):
-    db = FingerprintDb(
-        entries=(
-            Fingerprint(
-                label="x", modes="", classes="", pf=(), latency=(), support=1
-            ),
-        ),
-        meta={},
-    )
-    path = tmp_path / "e.db"
-    write_db(path, db)
-    back = read_db(path)
-    assert back.entries[0].pf == ()
-    assert back.entries[0].latency == ()
+@pytest.mark.parametrize("nl", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("block", [1, 64, traceio._BLOCK_BYTES])
+def test_crlf_and_cr_files_go_to_the_byte_parser(tmp_path, nl, block):
+    # Only the blocks that hold the header lines are split into lines.
+    _, trace = synth(("i32.const", "i32.const", "i32.add", "drop") * 10, seed=3)
+    trace_path, db_path = tmp_path / "t.trace", tmp_path / "f.db"
+    write_trace(trace_path, trace)
+    write_db(db_path, make_db())
+    for path in (trace_path, db_path):
+        path.write_bytes(path.read_bytes().replace(b"\n", nl.encode()))
+    split, rows = [], traceio._Lines.rows
+
+    def spy(self, data):
+        split.append(self.last_line + 1)
+        return rows(self, data)
+
+    no_csv = mock.patch.object(traceio, "_csv_columns", side_effect=AssertionError)
+    with no_csv, mock.patch.object(traceio._Lines, "rows", spy), mock.patch.object(
+        traceio, "_BLOCK_BYTES", block
+    ):
+        assert read_trace(trace_path).events == trace.events
+        assert max(split) <= 3
+        split.clear()
+        assert read_db(db_path) == make_db()
+        assert max(split) <= 5  # the tag, two meta lines and the column line
 
 
 # ------------------------------------------------------------------ config
