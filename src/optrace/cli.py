@@ -37,7 +37,7 @@ from .preprocess import (
 )
 from .profiler import ProfilingError, build_fingerprint_db
 from .traceio import (
-    _NULL_LABEL,
+    _label_text,
     ConfigError,
     FormatError,
     config_hash,
@@ -305,15 +305,12 @@ def _evaluate(pred_labels, truth_labels, strict: bool):
 
 
 def _write_confusion(path, confusion) -> None:
-    def name(label):
-        return _NULL_LABEL if label is None else label
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("truth,predicted,count\n")
         for (truth, pred), count in sorted(
-            confusion.items(), key=lambda kv: (name(kv[0][0]), name(kv[0][1]))
+            confusion.items(), key=lambda kv: (_label_text(kv[0][0]), _label_text(kv[0][1]))
         ):
-            fh.write(f"{name(truth)},{name(pred)},{count}\n")
+            fh.write(f"{_label_text(truth)},{_label_text(pred)},{count}\n")
 
 
 def _cmd_eval(args) -> int:

@@ -251,9 +251,6 @@ class CompiledDb:
                     for b in dblocks]
             d = np.concatenate(grid).reshape(len(dfirst), E)
             by_d = np.argsort(-d, axis=1, kind="stable")  # each discrete key's entries
-            # Discrete key j's -d, ascending, as j - d * 1j: complex numbers sort by their
-            # real part, then their imaginary part, so one search serves every key.
-            ranked = (np.arange(len(d))[:, None] - 1j * np.take_along_axis(d, by_d, 1)).ravel()
             for start in range(0, len(keys), per_block):
                 block = slice(start, start + per_block)
                 kd, lat = dslot[block], (latency, L, keys[block])
@@ -261,8 +258,8 @@ class CompiledDb:
                 entry = by_d[kd[key], pos]
                 first = d[kd[key], entry] * self._score_pairs(*lat, key, entry, side)
                 s2 = first.reshape(len(kd), -1).min(axis=1)
-                # The entries of each key's discrete key with d >= s2.
-                count = np.searchsorted(ranked, kd - 1j * s2, side="right") - kd * E
+                # The entries of each key's discrete key with d >= s2: by_d's first `count`.
+                count = (d[kd] >= s2[:, None]).sum(axis=1)
                 key, pos = _ragged(count)
                 entry = by_d[kd[key], pos]
                 score, more = d[kd[key], entry], pos >= 2

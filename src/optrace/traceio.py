@@ -8,6 +8,7 @@ addresses in lowercase hex; the page number is address / 4096.
 
 import csv
 import hashlib
+from collections import namedtuple
 from contextlib import suppress
 from dataclasses import fields
 from functools import partial
@@ -62,27 +63,6 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     pass
-
-
-_TRUTH_COLUMNS = ("boundary_index", "label")
-_PREDICTION_COLUMNS = ("segment_id", "label", "score", "margin")
-_DB_COLUMNS = ("entry", "label", "support", "mode", "class", "pf", "latency_sum")
-
-
-def _write_table(path, kind: str, meta: dict[str, object], columns, count: int, text) -> None:
-    """Write a file of `count` rows: its header, then `text(chunk)` per slice of _CHUNK_LINES rows.
-
-    The header is the tag line, one `# key=value` line per meta value that
-    is not None, and the column line.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# optrace {kind} v1\n")
-        for key, value in meta.items():
-            if value is not None:
-                fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, count, _CHUNK_LINES):
-            fh.write(text(slice(start, start + _CHUNK_LINES)))
 
 
 def decode_text(data: bytes, line: int = 1) -> str:
@@ -201,7 +181,9 @@ def _hex_address(a, digit, start, end):
     if (a[start + neg] != ord("0")).any() or (a[start + neg + 1] != ord("x")).any():
         return None
     value = _digits(digit, start + neg + 2, end, 16, 15)
-    return None if value is None or (value % PAGE_SIZE).any() else np.where(neg, -value, value)
+    if value is None or (value % PAGE_SIZE).any():
+        return None
+    return np.where(neg, -value, value) // PAGE_SIZE
 
 
 def _decimal(a, digit, start, end):
@@ -220,19 +202,19 @@ def _six_decimals(a, digit, start, end):
     return None if (mantissa >= 2**53).any() else np.where(neg, -1.0, 1.0) * (mantissa / 1e6)
 
 
-def _tokens(coded, a, digit, start, end):
-    """`coded` of the fields `a[start:end]` decoded; None unless every one is a label token."""
+def _tokens(code, a, digit, start, end):
+    """`code` of each field `a[start:end]`, decoded; None unless every one is a label token."""
     buf = a.tobytes()
     with suppress(UnicodeDecodeError):
         texts = [buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist())]
-        if all(t.isprintable() and " " not in t and '"' not in t for t in set(texts)):
-            return coded(texts)
+        if all(_label_text(text) == text for text in set(texts)):
+            return np.array(list(map(code, texts)), np.int64)
     return None
 
 
 def _parse(buf: bytes, kinds):
-    """The columns of `buf`'s rows, each ending in LF, of one field per `(parse, _)` kind in
-    `kinds`; None if a field is off the writer's form of its kind."""
+    """The columns of `buf`'s rows, each ending in LF, of one field per column kind in `kinds`,
+    each read by its `parse`; None if a field is off the writer's form of its kind."""
     a = np.frombuffer(buf, np.uint8)
     sep = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
     row = np.frombuffer(b"," * (len(kinds) - 1) + b"\n", np.uint8)  # a row's separators
@@ -242,8 +224,8 @@ def _parse(buf: bytes, kinds):
     np.add(sep.ravel()[:-1], 1, out=start[1:])  # a field starts after the separator before it
     start = start.reshape(sep.shape)
     digit, columns = _DIGIT.take(a), []
-    for k, (parse, _) in enumerate(kinds.values()):  # left to right: no label is coded off a row
-        columns.append(parse(a, digit, start[:, k], sep[:, k]))
+    for k, kind in enumerate(kinds.values()):  # left to right: no label is coded off a row
+        columns.append(kind.parse(a, digit, start[:, k], sep[:, k]))
         if columns[-1] is None:
             return None
     return columns
@@ -251,9 +233,9 @@ def _parse(buf: bytes, kinds):
 
 def _csv_columns(linenos, lines: list[bytes], kinds) -> list:
     """The columns of `lines`, each read by `_text` and `csv` a line at a time (a quoted field
-    never spans lines); a FormatError names the first bad line and, within it, the leftmost bad
-    field."""
-    values = []  # a one-value column per field
+    never spans lines) and each field by its kind's `convert`; a FormatError names the first
+    bad line and, within it, the leftmost bad field."""
+    values = [[] for _ in kinds]
     for lineno, line in zip(linenos, lines):
         try:
             row = next(csv.reader((_text(line, lineno),)))
@@ -261,30 +243,26 @@ def _csv_columns(linenos, lines: list[bytes], kinds) -> list:
             raise FormatError(str(exc), lineno) from None
         if len(row) != len(kinds):
             raise FormatError(f"expected {len(kinds)} fields", lineno)
-        for (name, (_, convert)), text in zip(kinds.items(), row):
+        for column, (name, kind), text in zip(values, kinds.items(), row):
             try:
-                values.append(convert([text]))
+                column.append(kind.convert(text))
             except OverflowError:
                 raise FormatError(f"{name} {text!r} does not fit in int64", lineno) from None
             except ValueError as exc:
                 raise FormatError(str(exc), lineno) from None
-    return [np.concatenate(values[k :: len(kinds)]) for k in range(len(kinds))]
+    return [np.array(column, kind.dtype) for column, kind in zip(values, kinds.values())]
 
 
 def _table(lines: _Lines, kinds: dict):
     """Yield a table of no rows, whose columns set the types of the columns concatenated,
     then check the column header line and yield the rows of each block as columns.
 
-    `kinds` maps each column's name to a `(parse, convert)` pair: a column
-    kind of `_parse`, and a function that converts a list of fields into the
-    column or raises a ValueError naming a problem (an OverflowError for a
-    value off int64).  A block after the column line that `_parse` takes once
-    its CRLF and CR line ends are made LF is read as it is; the data lines of
-    any other go to `_parse` once more, then to `_csv_columns`, which reports
-    the first bad line.
+    `kinds` maps each column's name to its kind.  A block after the column line that `_parse`
+    takes once its CRLF and CR line ends are made LF is read as it is; the data lines of any
+    other go to `_parse` once more, then to `_csv_columns`, which reports the first bad line.
     """
     header = None
-    yield [convert([]) for _, convert in kinds.values()]
+    yield [np.empty(0, kind.dtype) for kind in kinds.values()]
     for block in lines.blocks():
         lf = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
         if header is not None and (table := _parse(lf, kinds)) is not None:
@@ -303,21 +281,28 @@ def _table(lines: _Lines, kinds: dict):
 
 
 def _data_line(path, kind: str, row: int) -> int:
-    """The line number of data row `row` of a CSV file, row 0 being the one after the column
-    line."""
+    """The line number of data row `row` of a CSV file, row 0 following the column line."""
     lines = _Lines(path, kind)
     return [n for block in lines.blocks() for n in lines.rows(block)[0]][row + 1]
 
 
-def _mapped(convert, dtype):
-    """A column converter: `convert` mapped over the fields, into an array of `dtype`."""
-    return lambda texts: np.array(list(map(convert, texts)), dtype)
+# A column kind: `parse` reads a column of fields in the writer's form from bytes for `_parse`;
+# `convert` reads one CSV field into a value of `dtype`, or raises a ValueError naming the
+# problem (an OverflowError for a value off int64); `text` gives a column's written fields.
+_Kind = namedtuple("_Kind", "parse convert dtype text")
 
 
-_DECIMAL = (_decimal, _mapped(int, np.int64))
+def _integer(text: str, base: int = 10, page: bool = False) -> int:
+    """`text` as an int64 integer in `base`; if `page`, a page-aligned address as its page."""
+    value = int(text, base)
+    if page and value % PAGE_SIZE:
+        raise ValueError(f"address {value:#x} not page aligned")
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError
+    return value // PAGE_SIZE if page else value
 
 
-def _letter(noun: str, letters: bytes):
+def _letter(noun: str, letters: bytes) -> _Kind:
     """The column kind of a one-letter field of `letters`, read as its ASCII code."""
     is_letter = np.zeros(256, bool)
     is_letter[list(letters)] = True
@@ -330,69 +315,96 @@ def _letter(noun: str, letters: bytes):
             raise ValueError(f"bad {noun} {text!r}")
         return ord(text)
 
-    return parse, _mapped(convert, np.uint8)
+    return _Kind(parse, convert, np.uint8, lambda values: values.tobytes().decode("ascii"))
 
 
-_MODE = _letter("access mode", bytes((READ, WRITE, EXEC)))
-_CLASS = _letter("page class", bytes((OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS)))
+def _label_text(label: str | None) -> str:
+    """A label as written: NULL for None, a label token as it is, and any other label quoted as
+    `csv` quotes it, its quotes doubled."""
+    if label is None:
+        return _NULL_LABEL
+    if label.isprintable() and not any(c in label for c in ' ",'):  # a label token
+        return label
+    return '"' + label.replace('"', '""') + '"'
 
 
-# ---------------------------------------------------------------- traces
-
-
-def _formatted(values: np.ndarray, fmt=str) -> list[str]:
+def _formatted(values: np.ndarray, fmt) -> list[str]:
     """`fmt(value)` of every value, each distinct bit pattern (-0.0 is not 0.0) formatted once."""
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     formatted = map(fmt, distinct.view(values.dtype).tolist())
     return np.array(list(formatted), dtype=object)[inverse].tolist()
 
 
-def _joined(columns) -> str:
-    """Lines of the formatted fields in `columns` (not empty), one line per row."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+_DECIMAL = _Kind(_decimal, _integer, np.int64, partial(_formatted, fmt=str))
+_SIX_DECIMALS = _Kind(_six_decimals, float, np.float64, partial(_formatted, fmt="{:.6f}".format))
+_ADDRESS = _Kind(_hex_address, partial(_integer, base=16, page=True), np.int64,
+                 partial(_formatted, fmt=lambda page: f"{page * PAGE_SIZE:#x}"))
+_MODE = _letter("access mode", bytes((READ, WRITE, EXEC)))
+# A label column holds int64 codes into a table of labels: `_write_table` writes each code's
+# `_label_text`, and `_read_table` gives each read a `parse` and a `convert` that code texts.
+_LABEL = _Kind(None, None, np.int64, None)
+_TRACE = {"address": _ADDRESS, "mode": _MODE, "pf_count": _DECIMAL, "latency": _DECIMAL}
 
-
-def _trace_fields(trace: SideChannelTrace, rows) -> list:
-    """The formatted address, mode, pf and latency fields of `rows`, a column each."""
-    return [
-        _formatted(trace.page[rows], lambda page: f"{page * PAGE_SIZE:#x}"),
-        trace.mode[rows].tobytes().decode("ascii"),
-        _formatted(trace.pf[rows]),
-        _formatted(trace.latency[rows]),
-    ]
-
-
-def _address(text: str) -> int:
-    addr = int(text, 16)
-    if addr % PAGE_SIZE:
-        raise ValueError(f"address {addr:#x} not page aligned")
-    return addr
-
-
-_TRACE_COLUMNS = {
-    "address": (_hex_address, _mapped(_address, np.int64)),
-    "mode": _MODE,
-    "pf_count": _DECIMAL,
-    "latency": _DECIMAL,
+# Each CSV file kind: the names of its columns, in order, and their kinds.
+_KINDS = {
+    "trace": _TRACE,
+    "segments": {"segment_id": _DECIMAL, **_TRACE},
+    "truth": {"boundary_index": _DECIMAL, "label": _LABEL},
+    "predictions": {
+        "segment_id": _DECIMAL, "label": _LABEL, "score": _SIX_DECIMALS, "margin": _SIX_DECIMALS,
+    },
+    "fingerprint-db": {
+        "entry": _DECIMAL, "label": _LABEL, "support": _DECIMAL, "mode": _MODE,
+        "class": _letter("page class", bytes((OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS))),
+        "pf": _DECIMAL, "latency_sum": _DECIMAL,
+    },
 }
+
+
+def _write_table(path, kind: str, meta: dict[str, object], columns, table=()) -> None:
+    """Write `columns`, one per column of `kind` (a label column's codes index `table`), a row
+    per line after the header: the tag line, one `# key=value` line per meta value that is not
+    None, and the column line."""
+    kinds = _KINDS[kind]
+    label = partial(_formatted, fmt=list(map(_label_text, table)).__getitem__)
+    texts = [label if k is _LABEL else k.text for k in kinds.values()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# optrace {kind} v1\n")
+        fh.writelines(f"# {key}={value}\n" for key, value in meta.items() if value is not None)
+        fh.write(",".join(kinds) + "\n")
+        for start in range(0, len(columns[0]), _CHUNK_LINES):
+            rows = slice(start, start + _CHUNK_LINES)
+            fields = [text(column[rows]) for column, text in zip(columns, texts)]
+            fh.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")
+
+
+def _read_table(path, kind: str):
+    """The columns of a CSV file of `kind`, its label column read as codes into a table of the
+    label texts in order of appearance (None for NULL); then that table and the meta."""
+    lines, index = _Lines(path, kind), {}
+
+    def code(text: str) -> int:
+        return index.setdefault(text, len(index))
+
+    label = _LABEL._replace(parse=partial(_tokens, code), convert=code)
+    kinds = {name: label if k is _LABEL else k for name, k in _KINDS[kind].items()}
+    columns = list(map(np.concatenate, zip(*_table(lines, kinds))))
+    return columns, [None if text == _NULL_LABEL else text for text in index], lines.meta
+
+
+# ---------------------------------------------------------------- traces
 
 
 def write_trace(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
-    _write_table(path, "trace", meta, _TRACE_COLUMNS, len(trace),
-                 lambda rows: _joined(_trace_fields(trace, rows)))
+    _write_table(path, "trace", meta, [trace.page, trace.mode, trace.pf, trace.latency])
 
 
 def read_trace(path) -> SideChannelTrace:
-    """Read a trace file into columns.
-
-    Blocks of rows in the writer's form are parsed as bytes; any other
-    block's rows go through the CSV reader, which reports the first bad line.
-    """
-    lines = _Lines(path, "trace")
-    page, mode, pf, latency = map(np.concatenate, zip(*_table(lines, _TRACE_COLUMNS)))
-    page //= PAGE_SIZE
-    seed = lines.meta.get("layout_seed")
+    """Read a trace file into columns: blocks of rows in the writer's form are parsed as bytes,
+    and any other block's rows go through the CSV reader, which reports the first bad line."""
+    (page, mode, pf, latency), _, meta = _read_table(path, "trace")
+    seed = meta.get("layout_seed")
     with suppress(ValueError):
         if seed is None or int(seed) >= 0:
             layout_seed = None if seed is None else int(seed)
@@ -400,88 +412,42 @@ def read_trace(path) -> SideChannelTrace:
     raise FormatError(f"layout_seed {seed!r} is not a non-negative integer")
 
 
-def write_segments(
-    path,
-    segments: Segments,
-    config_hash: str | None = None,
-    layout_seed: int | None = None,
-) -> None:
+def write_segments(path, segments: Segments, config_hash: str | None = None,
+                   layout_seed: int | None = None) -> None:
     """Trace rows annotated with the segment each event landed in."""
-    lengths = segments.lengths
+    lengths, trace = segments.lengths, segments.trace
     ids = np.repeat(np.arange(len(segments)), lengths)
     offsets = np.cumsum(lengths) - lengths
     rows = np.arange(len(ids)) + np.repeat(segments.starts - offsets, lengths)
-
-    def text(chunk: slice) -> str:
-        return _joined([map(str, ids[chunk].tolist()), *_trace_fields(segments.trace, rows[chunk])])
-
+    columns = [ids, *(column[rows] for column in (trace.page, trace.mode, trace.pf, trace.latency))]
     meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-    _write_table(path, "segments", meta, ("segment_id", *_TRACE_COLUMNS), len(rows), text)
+    _write_table(path, "segments", meta, columns)
 
 
-# ----------------------------------------------------------- truth labels
-
-
-def _write_labels(path, kind: str, columns, labels: Labels, layout_seed, config_hash, *floats):
-    """Write one row per label: its row, its label (NULL for None), then its value in each
-    column of `floats`, to six decimals."""
-    table = [_NULL_LABEL if label is None else label for label in labels.table]
-    texts = Labels(labels.rows, labels.codes, table).labels
-
-    def text(chunk: slice) -> str:
-        values = (_formatted(column[chunk], "{:.6f}".format) for column in floats)
-        return _joined([map(str, labels.rows[chunk].tolist()), texts[chunk], *values])
-
-    meta = {"layout_seed": layout_seed, "config_hash": config_hash}
-    _write_table(path, kind, meta, columns, len(labels), text)
-
-
-def _read_columns(path, kind: str, kinds: dict):
-    """The columns of a CSV file of `kinds`, whose `label` column (its kind a placeholder) is
-    read as codes into a table of the label texts in order of appearance (None for NULL); then
-    that table and the meta."""
-    lines, index = _Lines(path, kind), {}
-
-    def coded(texts: list[str]) -> np.ndarray:
-        return np.array([index.setdefault(text, len(index)) for text in texts], np.int64)
-
-    kinds = {**kinds, "label": (partial(_tokens, coded), coded)}
-    columns = list(map(np.concatenate, zip(*_table(lines, kinds))))
-    return columns, [None if text == _NULL_LABEL else text for text in index], lines.meta
-
-
-def _read_labels(path, make, kind: str, columns):
-    """`make(rows, codes, table, *floats)` of a truth or predictions file's int64 column, label
-    column and float64 columns, and the header meta."""
-    first, _, *floats = columns
-    kinds = {first: _DECIMAL, "label": None}
-    kinds.update(dict.fromkeys(floats, (_six_decimals, _mapped(float, np.float64))))
-    (rows, codes, *values), table, meta = _read_columns(path, kind, kinds)
-    return make(rows, codes, table, *values), meta
+# -------------------------------------------------- truth labels and predictions
 
 
 def write_truth(path, trace: SideChannelTrace, config_hash: str | None = None) -> None:
     if trace.truth is None:
         raise ValueError("trace carries no ground truth")
-    _write_labels(path, "truth", _TRUTH_COLUMNS, trace.truth, trace.layout_seed, config_hash)
+    meta = {"layout_seed": trace.layout_seed, "config_hash": config_hash}
+    _write_table(path, "truth", meta, [trace.truth.rows, trace.truth.codes], trace.truth.table)
 
 
 def read_truth(path) -> tuple[Labels, dict[str, str]]:
-    return _read_labels(path, Labels, "truth", _TRUTH_COLUMNS)
+    (rows, codes), table, meta = _read_table(path, "truth")
+    return Labels(rows, codes, table), meta
 
 
-# ----------------------------------------------------------- predictions
-
-
-def write_predictions(
-    path, predictions: Predictions, config_hash: str | None = None, layout_seed: int | None = None
-) -> None:
-    _write_labels(path, "predictions", _PREDICTION_COLUMNS, predictions, layout_seed, config_hash,
-                  predictions.score, predictions.margin)
+def write_predictions(path, predictions: Predictions, config_hash: str | None = None,
+                      layout_seed: int | None = None) -> None:
+    p, meta = predictions, {"layout_seed": layout_seed, "config_hash": config_hash}
+    _write_table(path, "predictions", meta, [p.rows, p.codes, p.score, p.margin], p.table)
 
 
 def read_predictions(path) -> tuple[Predictions, dict[str, str]]:
-    return _read_labels(path, Predictions, "predictions", _PREDICTION_COLUMNS)
+    (rows, codes, score, margin), table, meta = _read_table(path, "predictions")
+    return Predictions(rows, codes, table, score, margin), meta
 
 
 # --------------------------------------------------------- fingerprint DB
@@ -491,26 +457,29 @@ def write_db(path, db: FingerprintDb) -> None:
     """One row per entry position.  `latency_sum` is the latency mean times the support, an
     integer below 2**50 in magnitude whose quotient by the support is the mean, so the file
     reads back exactly."""
-    rows = []
-    for k, fp in enumerate(db.entries):
-        if not len(fp):
-            raise ValueError(f"fingerprint-db entry {k} has no rows")
-        sums = np.rint(np.array(fp.latency, np.float64) * fp.support)
-        if not ((sums / fp.support == fp.latency) & (np.abs(sums) < 2.0**50)).all():
-            raise ValueError(f"a latency of fingerprint-db entry {k} is not a sum below 2**50")
-        label = _NULL_LABEL if fp.label is None else fp.label
-        fields = zip(fp.modes, fp.classes, fp.pf, sums.astype(np.int64).tolist(), strict=True)
-        rows += [f"{k},{label},{fp.support},{m},{c},{p},{s}\n" for m, c, p, s in fields]
+    fps, index = db.entries, {}
+    if 0 in (lengths := [len(fp) for fp in fps]):
+        raise ValueError(f"fingerprint-db entry {lengths.index(0)} has no rows")
+    entry = np.repeat(np.arange(len(fps)), lengths)
+    per_entry = [(index.setdefault(fp.label, len(index)), fp.support) for fp in fps]
+    codes, support = np.array(per_entry, np.int64).reshape(-1, 2)[entry].T
+    latency = np.array([x for fp in fps for x in fp.latency], np.float64)
+    sums = np.rint(latency * support)
+    if (bad := (sums / support != latency) | (np.abs(sums) >= 2.0**50)).any():
+        k = entry[np.argmax(bad)]
+        raise ValueError(f"a latency of fingerprint-db entry {k} is not a sum below 2**50")
+    modes, classes = ("".join(fp.modes for fp in fps), "".join(fp.classes for fp in fps))
+    pf = np.array([p for fp in fps for p in fp.pf], np.int64)
+    letters = (np.frombuffer(text.encode(), np.uint8) for text in (modes, classes))
     meta = {key: db.meta[key] for key in sorted(db.meta)}
-    _write_table(path, "fingerprint-db", meta, _DB_COLUMNS, len(rows),
-                 lambda chunk: "".join(rows[chunk]))
+    columns = [entry, codes, support, *letters, pf, sums.astype(np.int64)]
+    _write_table(path, "fingerprint-db", meta, columns, list(index))
 
 
 def read_db(path) -> FingerprintDb:
     """A fingerprint DB whose entries are the runs of rows of one `entry` number, which starts
     at 0 and steps by 0 or 1; each mean latency is `latency_sum / support`, as the profiler's."""
-    kinds = (_DECIMAL, None, _DECIMAL, _MODE, _CLASS, _DECIMAL, _DECIMAL)
-    columns, table, meta = _read_columns(path, "fingerprint-db", dict(zip(_DB_COLUMNS, kinds)))
+    columns, table, meta = _read_table(path, "fingerprint-db")
     entry, codes, support, modes, classes, pf, sums = columns
     new = np.diff(entry, prepend=-1) != 0
     new[:1] = True  # the first row starts entry 0

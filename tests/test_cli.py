@@ -1,5 +1,6 @@
 """Command-line driver: pipeline wiring, artifacts, and exit codes."""
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,6 +195,25 @@ def test_eval_writes_confusion_table(pipeline, tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "truth,predicted,count"
     assert all(int(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
+
+
+def test_eval_reads_and_writes_labels_that_need_quotes(tmp_path):
+    # The confusion table quotes a label as the truth and predictions files do.
+    labels = ["a,b", 'say "hi"', "x ", "café au lait"]
+    quoted = ['"a,b"', '"say ""hi"""', '"x "', '"café au lait"']
+    truth, preds, out = tmp_path / "t.truth", tmp_path / "p.predictions", tmp_path / "c.csv"
+    head = "# layout_seed=1\n"
+    truth_rows = "".join(f"{i},{q}\n" for i, q in enumerate(quoted))
+    pred_rows = "".join(f"{i},{q},1.0,0.0\n" for i, q in enumerate(quoted))
+    truth.write_text(f"# optrace truth v1\n{head}boundary_index,label\n{truth_rows}", "utf-8")
+    preds.write_text(f"# optrace predictions v1\n{head}segment_id,label,score,margin\n{pred_rows}",
+                     "utf-8")
+    assert run("eval", "--truth", truth, "--predictions", preds, "--out-confusion", out) == 0
+    assert out.read_text(encoding="utf-8") == "truth,predicted,count\n" + "".join(
+        f"{q},{q},1\n" for q in ['"a,b"', '"café au lait"', '"say ""hi"""', '"x "']
+    )
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()[1:]))
+    assert rows == [[label, label, "1"] for label in sorted(labels)]
 
 
 def test_eval_writes_a_non_ascii_label_in_an_ascii_locale(tmp_path, monkeypatch):

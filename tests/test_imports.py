@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "optrace").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted(path for d in ("src/optrace", "tests", "perfbench")
+               for path in (ROOT / d).glob("*.py"))
 
 
 def _annotations(tree: ast.AST):

@@ -724,6 +724,23 @@ def test_write_truth_requires_ground_truth(tmp_path):
         write_truth(tmp_path / "t.truth", bare)
 
 
+def test_labels_that_are_not_tokens_are_quoted_and_read_back(tmp_path):
+    # A comma, quotes, a trailing space in truth's last column, a non-ASCII label with a space.
+    rows = list(enumerate(["a,b", 'say "hi"', "x ", "café au lait", "i32.add", None]))
+    trace = SideChannelTrace([0], [ord("R")], [0], [0], labels_of(rows), 4)
+    write_truth(tmp_path / "t", trace)
+    assert (tmp_path / "t").read_text(encoding="utf-8").splitlines()[3:] == [
+        '0,"a,b"', '1,"say ""hi"""', '2,"x "', '3,"café au lait"', "4,i32.add", "5,NULL",
+    ]
+    assert read_truth(tmp_path / "t")[0] == rows
+    preds = predictions_of(Prediction(row, label, 1.0, -0.0) for row, label in rows)
+    write_predictions(tmp_path / "p", preds)
+    assert read_predictions(tmp_path / "p")[0] == list(preds)
+    db = FingerprintDb(tuple(fp(label, "R", "O", (1,), (2.0,)) for _, label in rows), {})
+    write_db(tmp_path / "d", db)
+    assert read_db(tmp_path / "d") == db
+
+
 # ------------------------------------------------------------ predictions
 
 
@@ -1242,6 +1259,56 @@ def test_crlf_and_cr_files_go_to_the_byte_parser(tmp_path, nl, block):
         split.clear()
         assert read_db(db_path) == make_db()
         assert max(split) <= 5  # the tag, two meta lines and the column line
+
+
+# ---------------------------------------------------------- every CSV kind
+
+
+# The values of each column kind: pages whose addresses fit in int64, int64 integers, floats
+# of six decimals with a mantissa below 2**53 (-0.0 among them), and letters by column name.
+_KIND_VALUES = {
+    traceio._ADDRESS: st.integers(-(2**51), 2**51 - 1),
+    traceio._DECIMAL: st.integers(-(2**63), 2**63 - 1),
+    traceio._SIX_DECIMALS: st.one_of(
+        st.just(-0.0), st.integers(-(2**53) + 1, 2**53 - 1).map(lambda m: m / 1e6)
+    ),
+}
+_LETTERS = {"mode": b"RWE", "class": b"OSX"}
+# Labels: NULL, tokens, and texts that need quoting (no line breaks, which no row can hold).
+_LABELS = st.one_of(
+    st.none(),
+    st.sampled_from(["i32.add", "café", "", "a,b", 'say "hi"', "x ", " y", "\u3000"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=5),
+).filter(lambda label: label != "NULL")
+
+
+@pytest.mark.parametrize("kind", ["trace", "truth", "predictions", "fingerprint-db"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_csv_kind_reads_back_the_columns_table_and_meta_it_writes(kind, data):
+    n, kinds = data.draw(st.integers(0, 10)), traceio._KINDS[kind]
+    labels = data.draw(st.lists(_LABELS, min_size=n, max_size=n)) if "label" in kinds else []
+    table = list(dict.fromkeys(labels))  # in order of appearance, as the reader codes them
+    columns = []
+    for name, column in kinds.items():
+        if column is traceio._LABEL:
+            values = [table.index(label) for label in labels]
+        else:
+            each = st.sampled_from(_LETTERS[name]) if name in _LETTERS else _KIND_VALUES[column]
+            values = data.draw(st.lists(each, min_size=n, max_size=n))
+        columns.append(np.array(values, column.dtype))
+    meta = data.draw(st.dictionaries(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+                                     st.from_regex(r"[a-z0-9=,.]{1,8}", fullmatch=True)))
+    block = data.draw(st.sampled_from([7, 64, traceio._BLOCK_BYTES]))
+    chunk = data.draw(st.integers(1, 4))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        traceio, "_BLOCK_BYTES", block
+    ), mock.patch.object(traceio, "_CHUNK_LINES", chunk):
+        path = Path(tmp) / kind
+        traceio._write_table(path, kind, meta, columns, table)
+        back, back_table, back_meta = traceio._read_table(path, kind)
+    assert [(c.dtype, c.tobytes()) for c in back] == [(c.dtype, c.tobytes()) for c in columns]
+    assert back_table == table and back_meta == meta
 
 
 # ------------------------------------------------------------------ config
