@@ -206,7 +206,7 @@ def _cmd_profile(args) -> int:
         seed = args.seed
     db = _profile_db(cfg, trace, layout, seed)
     write_db(args.out, db)
-    labels = {fp.label for fp in db.entries if fp.label is not None}
+    labels = db.labels() - {None}
     print(f"profile: {len(db.entries)} fingerprints covering {len(labels)} opcodes")
     print(f"profile: db -> {args.out}")
     return 0

@@ -114,23 +114,7 @@ def score_discrete(a, b) -> float:
 # block's temporaries stay in cache and add little to peak RSS.
 BLOCK_ELEMENTS = 1 << 18
 
-# Each channel's Fingerprint attribute and padded dtype; channel scores
-# multiply in this order.
-_CHANNELS = {
-    Channel.MODE: ("modes", np.uint8),
-    Channel.CLASS: ("classes", np.uint8),
-    Channel.PF: ("pf", np.float64),
-    Channel.LATENCY: ("latency", np.float64),
-}
 _NUMERIC = (Channel.PF, Channel.LATENCY)
-
-
-def _pad(rows, width: int, dtype) -> np.ndarray:
-    """(len(rows), width) array of `rows`, strings as ASCII codes, zero-padded."""
-    out = np.zeros((len(rows), width), dtype=dtype)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = list(row.encode("ascii")) if isinstance(row, str) else row
-    return out
 
 
 def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -159,7 +143,7 @@ def _discrete_scores(ent, entry, seg, cut_mask, lendiff) -> np.ndarray:
 
 
 class CompiledDb:
-    """Fingerprint entries packed into padded arrays for bulk scoring.
+    """The fingerprint entries packed into padded arrays for bulk scoring.
 
     A segment scores against an entry as the product of its channel scores.
     Mode and class score as score_discrete.  pf and latency score as their
@@ -177,21 +161,24 @@ class CompiledDb:
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
-        if not db.entries:
+        if not len(db.entries):
             raise MatchError("empty fingerprint database")
-        self.entries = db.entries
-        self.lens = np.array([len(fp) for fp in db.entries], dtype=np.int64)
+        self.lens = db.lengths
         self.width = int(self.lens.max())
-        # Padded (E, width) array of each scored channel, in _CHANNELS order.
-        self.entry = {
-            channel: _pad([getattr(fp, attr) for fp in db.entries], self.width, dtype)
-            for channel, (attr, dtype) in _CHANNELS.items()
-            if channel in channels
-        }
-        tie_key = [(-fp.support, fp.label is None, fp.label or "") for fp in db.entries]
-        order = sorted(range(len(tie_key)), key=lambda i: (tie_key[i], i))
-        self.rank = np.empty(len(order), dtype=np.int64)
-        self.rank[order] = np.arange(len(order))
+        entry = np.repeat(np.arange(len(self.lens)), self.lens)
+        at = entry, np.arange(len(entry)) - db.entries.rows[entry]  # each DB row's place
+        values = db.mode, db.classes, db.pf.astype(np.float64), db.latency_sum / db.support[entry]
+        # Padded (E, width) array of each scored channel, in Channel order, the order channel
+        # scores multiply in.
+        self.entry = {}
+        for channel, column in zip(Channel, values):
+            if channel in channels:
+                self.entry[channel] = np.zeros((len(self.lens), self.width), column.dtype)
+                self.entry[channel][at] = column
+        keys = [(label is None, label or "") for label in db.entries.table]
+        label_rank = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        by_label = np.array([label_rank[key] for key in keys], np.int64)[db.entries.codes]
+        self.rank = np.argsort(np.lexsort((by_label, -db.support)))
 
     def _entry_side(self, cut: int):
         """Entry-side terms shared by every segment of `cut` scored rows.
@@ -235,7 +222,7 @@ class CompiledDb:
         lengths = segments.lengths
         cuts = np.minimum(lengths, self.width)
         order = np.argsort(cuts, kind="stable")
-        E = len(self.entries)
+        E = len(self.lens)
         per_block = max(1, BLOCK_ELEMENTS // max(1, E * self.width))
         for rows in np.split(order, np.flatnonzero(np.diff(cuts[order])) + 1):
             cut = int(cuts[rows[0]])
@@ -341,4 +328,4 @@ def match_trace(
     for rows, slot, key, entry, score in compiled.score_blocks(segments):
         b, t, g = compiled.pick(key, entry, score)
         best[rows], top[rows], margin[rows] = b[slot], t[slot], g[slot]
-    return Predictions(np.arange(n), best, [fp.label for fp in db.entries], top, margin)
+    return Predictions(np.arange(n), best, db.entries.labels, top, margin)

@@ -101,6 +101,12 @@ class Segments(Sequence):
     def lengths(self) -> np.ndarray:
         return self.ends - self.starts
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows of every segment, segment by segment."""
+        offsets = np.cumsum(self.lengths) - self.lengths
+        return np.arange(self.lengths.sum()) + np.repeat(self.starts - offsets, self.lengths)
+
 
 def detect_optable_page(trace: SideChannelTrace) -> tuple[int, float]:
     """Find the dispatch-table page via the read-then-execute pattern.

@@ -1,4 +1,4 @@
-"""Fingerprint database construction from marker-instrumented runs.
+"""Building the fingerprint database from marker-instrumented runs.
 
 During profiling the analyst controls the interpreter, so each dispatch tail
 additionally writes to a dedicated marker page.  Marker writes delimit one
@@ -16,7 +16,6 @@ from .preprocess import Segment, Segments, segment_trace
 
 __all__ = [
     "ProfilingError",
-    "Fingerprint",
     "FingerprintDb",
     "split_by_marker",
     "build_fingerprint_db",
@@ -27,36 +26,37 @@ class ProfilingError(ValueError):
     """Marker stream and dispatch stream disagree."""
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Channel vectors for one opcode (or one unlabeled dispatch slice).
+@dataclass(frozen=True, eq=False)
+class FingerprintDb:
+    """The fingerprint entries as the columns of `db.txt`.
 
-    label None marks slices produced by mid-handler dispatch-table reads;
-    they carry no retired opcode.  support counts how many raw slices were
-    merged into this entry; latency holds their element-wise means.
+    Entry e merges support[e] profiling slices that agree on every discrete
+    channel and on their label (None for a mid-handler dispatch-table read).
+    Its rows start at entries.rows[e] and run to the next entry's first row:
+    per row, the ASCII codes `mode` and `classes`, the fault count `pf` and
+    the int64 `latency_sum` of the slices, so its mean is latency_sum / support.
     """
 
-    label: str | None
-    modes: str
-    classes: str
-    pf: tuple[int, ...]
-    latency: tuple[float, ...]
-    support: int
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-
-@dataclass(frozen=True)
-class FingerprintDb:
-    entries: tuple[Fingerprint, ...]
+    entries: Labels
+    support: np.ndarray
+    mode: np.ndarray
+    classes: np.ndarray
+    pf: np.ndarray
+    latency_sum: np.ndarray
     meta: dict[str, str]
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.entries.rows, append=len(self.mode))
 
     def labels(self) -> set[str | None]:
-        return {fp.label for fp in self.entries}
+        return set(self.entries.labels)
+
+    def __eq__(self, other) -> bool:
+        columns = ("support", "mode", "classes", "pf", "latency_sum")
+        return isinstance(other, FingerprintDb) and self.entries == other.entries and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in columns
+        ) and self.meta == other.meta
 
 
 def _labeled_slices(
@@ -108,45 +108,40 @@ def split_by_marker(
     return list(zip(labels.labels, segments))
 
 
-def _fingerprints(labels: list[str | None], segs: Segments) -> list[Fingerprint]:
-    """Merge slices that agree on label and every discrete channel.
+def _merged(labels: Labels, segs: Segments, meta: dict[str, str]) -> FingerprintDb:
+    """The DB of one entry per group of slices that agree on label and every discrete channel.
 
-    Latency, the only noisy channel, is averaged element-wise across the
-    merged slices; a latency sum that reaches 2**50 in magnitude is a
-    ProfilingError.  Entries come out sorted for stable serialization.
+    A latency sum that reaches 2**50 in magnitude is a ProfilingError naming
+    the label of the first such group, in slice order.  Entries come out
+    sorted by label (unlabeled last), modes, classes and pf, for stable
+    serialization.
     """
-    modes = segs.trace.mode.tobytes()
-    classes = segs.classes.tobytes()
-    pf = segs.trace.pf.tobytes()
-    size = segs.trace.pf.itemsize
-    groups: dict[tuple, list[int]] = {}
-    for label, start, end in zip(labels, segs.starts.tolist(), segs.ends.tolist()):
-        key = (label, modes[start:end], classes[start:end], pf[start * size : end * size])
-        groups.setdefault(key, []).append(start)
+    trace, table = segs.trace, labels.table
+    modes, classes = trace.mode.tobytes(), segs.classes.tobytes()
+    # Big-endian bytes of pf + 2**63, which sort as the tuples of pf values do.
+    pf = (trace.pf.astype(np.uint64) ^ np.uint64(2**63)).astype(">u8").tobytes()
+    groups: dict[tuple, int] = {}
+    slot = np.array([
+        groups.setdefault((code, modes[s:e], classes[s:e], pf[8 * s : 8 * e]), len(groups))
+        for code, s, e in zip(labels.codes.tolist(), segs.starts.tolist(), segs.ends.tolist())
+    ], dtype=np.int64)
 
-    entries = []
-    for (label, modes_b, classes_b, _), starts in groups.items():
-        rows = np.array(starts)[:, None] + np.arange(len(modes_b))
-        latency = segs.trace.latency[rows]
-        # Below 2**50 a sum is far inside int64, and the DB file's rint(mean * support) gives
-        # it back exactly; the float64 sum, unlike the int64 one, cannot wrap.
-        if (np.abs(latency.sum(axis=0, dtype=np.float64)) >= 2.0**50).any():
-            raise ProfilingError(f"a latency sum of {label!r} slices reaches 2**50")
-        latency = latency.sum(axis=0) / len(starts)
-        entries.append(
-            Fingerprint(
-                label=label,
-                modes=modes_b.decode("ascii"),
-                classes=classes_b.decode("ascii"),
-                pf=tuple(segs.trace.pf[starts[0] : starts[0] + len(modes_b)].tolist()),
-                latency=tuple(latency.tolist()),
-                support=len(starts),
-            )
-        )
-    entries.sort(
-        key=lambda fp: (fp.label is None, fp.label or "", fp.modes, fp.classes, fp.pf)
-    )
-    return entries
+    keys = sorted(groups, key=lambda key: (table[key[0]] is None, table[key[0]] or "", key))
+    order = np.array([groups[key] for key in keys], dtype=np.int64)  # each entry's group
+    first = np.unique(slot, return_index=True)[1][order]  # each entry's first slice
+    rows = segs[first].rows  # the rows of each entry's first slice
+    at = np.cumsum(segs.lengths[first]) - segs.lengths[first]  # each entry's first DB row
+    src = segs.rows
+    dst = np.repeat(at[np.argsort(order)][slot] - segs.starts, segs.lengths) + src
+    # Below 2**50 a sum is far inside int64; the float64 sum, unlike the int64 one, cannot wrap.
+    if (bad := np.abs(np.bincount(dst, trace.latency[src], len(rows))) >= 2.0**50).any():
+        label = table[np.repeat(labels.codes, segs.lengths)[np.argmax(bad[dst])]]
+        raise ProfilingError(f"a latency sum of {label!r} slices reaches 2**50")
+    latency_sum = np.zeros(len(rows), np.int64)
+    np.add.at(latency_sum, dst, trace.latency[src])
+    entries = Labels(at, labels.codes[first], table)
+    return FingerprintDb(entries, np.bincount(slot)[order], trace.mode[rows], segs.classes[rows],
+                         trace.pf[rows], latency_sum, meta)
 
 
 def build_fingerprint_db(
@@ -167,7 +162,4 @@ def build_fingerprint_db(
     short = segments.lengths <= max_slice_len
     if not short.any():
         raise ProfilingError("every profiling slice exceeded max_slice_len")
-    return FingerprintDb(
-        entries=tuple(_fingerprints(labels[short].labels, segments[short])),
-        meta=dict(meta or {}),
-    )
+    return _merged(labels[short], segments[short], dict(meta or {}))

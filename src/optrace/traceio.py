@@ -21,7 +21,7 @@ from .machine import EXEC, PAGE_SIZE, READ, WRITE, Labels, LayoutConfig, Mitigat
 from .machine import NoiseModel, SideChannelTrace
 from .matcher import Channel, Predictions
 from .preprocess import OPTABLE_CLASS, OTHER_CLASS, STACK_CLASS, Segments, preprocess_trace
-from .profiler import Fingerprint, FingerprintDb
+from .profiler import FingerprintDb
 
 __all__ = [
     "FormatError",
@@ -205,7 +205,7 @@ def _six_decimals(a, digit, start, end):
 def _tokens(code, a, digit, start, end):
     """`code` of each field `a[start:end]`, decoded; None unless every one is a label token."""
     buf = a.tobytes()
-    with suppress(UnicodeDecodeError):
+    with suppress(ValueError):  # an undecodable field, or a label with a line break
         texts = [buf[s:e].decode() for s, e in zip(start.tolist(), end.tolist())]
         if all(_label_text(text) == text for text in set(texts)):
             return np.array(list(map(code, texts)), np.int64)
@@ -320,11 +320,14 @@ def _letter(noun: str, letters: bytes) -> _Kind:
 
 def _label_text(label: str | None) -> str:
     """A label as written: NULL for None, a label token as it is, and any other label quoted as
-    `csv` quotes it, its quotes doubled."""
+    `csv` quotes it, its quotes doubled.  A label with a line break is a ValueError, since every
+    reader reads a quoted field within one line."""
     if label is None:
         return _NULL_LABEL
     if label.isprintable() and not any(c in label for c in ' ",'):  # a label token
         return label
+    if len((label + ".").splitlines()) > 1:
+        raise ValueError(f"label {label!r} holds a line break")
     return '"' + label.replace('"', '""') + '"'
 
 
@@ -336,6 +339,8 @@ def _formatted(values: np.ndarray, fmt) -> list[str]:
 
 
 _DECIMAL = _Kind(_decimal, _integer, np.int64, partial(_formatted, fmt=str))
+# A decimal column whose values never repeat, so formatting each distinct one once saves nothing.
+_ROW_ID = _DECIMAL._replace(text=lambda values: list(map(str, values.tolist())))
 _SIX_DECIMALS = _Kind(_six_decimals, float, np.float64, partial(_formatted, fmt="{:.6f}".format))
 _ADDRESS = _Kind(_hex_address, partial(_integer, base=16, page=True), np.int64,
                  partial(_formatted, fmt=lambda page: f"{page * PAGE_SIZE:#x}"))
@@ -349,9 +354,9 @@ _TRACE = {"address": _ADDRESS, "mode": _MODE, "pf_count": _DECIMAL, "latency": _
 _KINDS = {
     "trace": _TRACE,
     "segments": {"segment_id": _DECIMAL, **_TRACE},
-    "truth": {"boundary_index": _DECIMAL, "label": _LABEL},
+    "truth": {"boundary_index": _ROW_ID, "label": _LABEL},
     "predictions": {
-        "segment_id": _DECIMAL, "label": _LABEL, "score": _SIX_DECIMALS, "margin": _SIX_DECIMALS,
+        "segment_id": _ROW_ID, "label": _LABEL, "score": _SIX_DECIMALS, "margin": _SIX_DECIMALS,
     },
     "fingerprint-db": {
         "entry": _DECIMAL, "label": _LABEL, "support": _DECIMAL, "mode": _MODE,
@@ -415,10 +420,8 @@ def read_trace(path) -> SideChannelTrace:
 def write_segments(path, segments: Segments, config_hash: str | None = None,
                    layout_seed: int | None = None) -> None:
     """Trace rows annotated with the segment each event landed in."""
-    lengths, trace = segments.lengths, segments.trace
-    ids = np.repeat(np.arange(len(segments)), lengths)
-    offsets = np.cumsum(lengths) - lengths
-    rows = np.arange(len(ids)) + np.repeat(segments.starts - offsets, lengths)
+    trace, rows = segments.trace, segments.rows
+    ids = np.repeat(np.arange(len(segments)), segments.lengths)
     columns = [ids, *(column[rows] for column in (trace.page, trace.mode, trace.pf, trace.latency))]
     meta = {"layout_seed": layout_seed, "config_hash": config_hash}
     _write_table(path, "segments", meta, columns)
@@ -454,33 +457,23 @@ def read_predictions(path) -> tuple[Predictions, dict[str, str]]:
 
 
 def write_db(path, db: FingerprintDb) -> None:
-    """One row per entry position.  `latency_sum` is the latency mean times the support, an
-    integer below 2**50 in magnitude whose quotient by the support is the mean, so the file
-    reads back exactly."""
-    fps, index = db.entries, {}
-    if 0 in (lengths := [len(fp) for fp in fps]):
-        raise ValueError(f"fingerprint-db entry {lengths.index(0)} has no rows")
-    entry = np.repeat(np.arange(len(fps)), lengths)
-    per_entry = [(index.setdefault(fp.label, len(index)), fp.support) for fp in fps]
-    codes, support = np.array(per_entry, np.int64).reshape(-1, 2)[entry].T
-    latency = np.array([x for fp in fps for x in fp.latency], np.float64)
-    sums = np.rint(latency * support)
-    if (bad := (sums / support != latency) | (np.abs(sums) >= 2.0**50)).any():
-        k = entry[np.argmax(bad)]
-        raise ValueError(f"a latency of fingerprint-db entry {k} is not a sum below 2**50")
-    modes, classes = ("".join(fp.modes for fp in fps), "".join(fp.classes for fp in fps))
-    pf = np.array([p for fp in fps for p in fp.pf], np.int64)
-    letters = (np.frombuffer(text.encode(), np.uint8) for text in (modes, classes))
-    meta = {key: db.meta[key] for key in sorted(db.meta)}
-    columns = [entry, codes, support, *letters, pf, sums.astype(np.int64)]
-    _write_table(path, "fingerprint-db", meta, columns, list(index))
+    """One row per entry position.  Each `latency_sum` must be below 2**50 in magnitude, as
+    `read_db` requires."""
+    if 0 in (lengths := db.lengths):
+        raise ValueError(f"fingerprint-db entry {np.argmax(lengths == 0)} has no rows")
+    entry, sums = np.repeat(np.arange(len(lengths)), lengths), db.latency_sum
+    if (bad := (sums <= -(2**50)) | (sums >= 2**50)).any():
+        raise ValueError(f"a latency of fingerprint-db entry {entry[np.argmax(bad)]} is not a "
+                         "sum below 2**50")
+    columns = [entry, db.entries.codes[entry], db.support[entry], db.mode, db.classes, db.pf, sums]
+    _write_table(path, "fingerprint-db", dict(sorted(db.meta.items())), columns, db.entries.table)
 
 
 def read_db(path) -> FingerprintDb:
-    """A fingerprint DB whose entries are the runs of rows of one `entry` number, which starts
-    at 0 and steps by 0 or 1; each mean latency is `latency_sum / support`, as the profiler's."""
+    """The columns of a fingerprint DB file, whose entries are the runs of rows of one `entry`
+    number, which starts at 0 and steps by 0 or 1."""
     columns, table, meta = _read_table(path, "fingerprint-db")
-    entry, codes, support, modes, classes, pf, sums = columns
+    entry, codes, support, mode, classes, pf, sums = columns
     new = np.diff(entry, prepend=-1) != 0
     new[:1] = True  # the first row starts entry 0
     starts, number = np.flatnonzero(new), np.cumsum(new) - 1  # each row's entry, if well numbered
@@ -493,13 +486,8 @@ def read_db(path) -> FingerprintDb:
     ):
         if bad.any():
             raise FormatError(problem, _data_line(path, "fingerprint-db", int(np.argmax(bad))))
-    channels = (np.split(column, starts[1:]) for column in (modes, classes, pf, sums / support))
-    entries = tuple(
-        Fingerprint(table[c], m.tobytes().decode(), k.tobytes().decode(), tuple(p.tolist()),
-                    tuple(latency.tolist()), int(s))
-        for c, s, m, k, p, latency in zip(codes[starts], support[starts], *channels)
-    )
-    return FingerprintDb(entries=entries, meta=meta)
+    entries = Labels(starts, codes[starts], table)
+    return FingerprintDb(entries, support[starts], mode, classes, pf, sums, meta)
 
 
 # ----------------------------------------------------------------- config

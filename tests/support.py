@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -41,7 +42,7 @@ from optrace.matcher import (
 from optrace.metrics import classify_outcomes
 from optrace.opcodes import OPCODES
 from optrace.preprocess import Segment, Segments, preprocess_trace
-from optrace.profiler import Fingerprint, _fingerprints, build_fingerprint_db
+from optrace.profiler import FingerprintDb, _merged, build_fingerprint_db
 from optrace.workloads import benchmark_module, reference_module
 
 FULL_CHANNELS = frozenset(Channel)
@@ -71,16 +72,63 @@ def synth(run, seed=0, noise=ZERO, markers=False, specs=None, config=None):
     return layout, trace
 
 
-def fp(label, modes, classes, pf, latency, support=1) -> Fingerprint:
+@dataclass(frozen=True)
+class Entry:
+    """One fingerprint DB entry: its label, its channel rows, and its latency means."""
+
+    label: str | None
+    modes: str
+    classes: str
+    pf: tuple[int, ...]
+    latency: tuple[float, ...]
+    support: int
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+
+def fp(label, modes, classes, pf, latency, support=1) -> Entry:
     assert len(modes) == len(classes) == len(pf) == len(latency)
-    return Fingerprint(
-        label=label,
-        modes=modes,
-        classes=classes,
-        pf=tuple(pf),
-        latency=tuple(float(v) for v in latency),
+    return Entry(label, modes, classes, tuple(pf), tuple(float(v) for v in latency), support)
+
+
+def db_of(*entries: Entry, meta=None) -> FingerprintDb:
+    """`entries` packed into a FingerprintDb, in order; each latency mean times its support
+    must be an integer, which becomes its latency_sum."""
+    lengths = np.array([len(e) for e in entries], np.int64)
+    support = np.array([e.support for e in entries], np.int64)
+    latency = np.array([v for e in entries for v in e.latency], np.float64)
+    per_row = np.repeat(support, lengths)
+    sums = np.rint(latency * per_row)
+    assert (sums / per_row == latency).all()
+    modes, classes = ("".join(e.modes for e in entries), "".join(e.classes for e in entries))
+    return FingerprintDb(
+        entries=labels_of(zip(np.cumsum(lengths) - lengths, [e.label for e in entries])),
         support=support,
+        mode=np.frombuffer(modes.encode("ascii"), np.uint8),
+        classes=np.frombuffer(classes.encode("ascii"), np.uint8),
+        pf=np.array([v for e in entries for v in e.pf], np.int64),
+        latency_sum=sums.astype(np.int64),
+        meta=dict(meta or {}),
     )
+
+
+def entries_of(db: FingerprintDb) -> list[Entry]:
+    """The entries of `db`, in order, each latency mean latency_sum / support."""
+    out = []
+    for start, length, label, support in zip(
+        db.entries.rows.tolist(), db.lengths.tolist(), db.entries.labels, db.support.tolist()
+    ):
+        rows = slice(start, start + length)
+        out.append(Entry(
+            label,
+            db.mode[rows].tobytes().decode("ascii"),
+            db.classes[rows].tobytes().decode("ascii"),
+            tuple(db.pf[rows].tolist()),
+            tuple((db.latency_sum[rows] / support).tolist()),
+            support,
+        ))
+    return out
 
 
 def seg(modes, classes, pf, latency) -> Segment:
@@ -224,10 +272,11 @@ def predictions_of(rows) -> Predictions:
     )
 
 
-def dedup_fingerprints(labeled_segments):
-    """The profiler's merge of `(label, Segment)` pairs, the segments stacked in order."""
-    labels = [label for label, _ in labeled_segments]
-    return _fingerprints(labels, segments_of(seg for _, seg in labeled_segments))
+def dedup_fingerprints(labeled_segments) -> list[Entry]:
+    """The entries of the profiler's merge of `(label, Segment)` pairs, the segments stacked
+    in order."""
+    labels = labels_of(enumerate(label for label, _ in labeled_segments))
+    return entries_of(_merged(labels, segments_of(seg for _, seg in labeled_segments), {}))
 
 
 def segment_events(trace, segment):
@@ -235,7 +284,7 @@ def segment_events(trace, segment):
     return trace.take(slice(segment.start_index, segment.start_index + len(segment))).events
 
 
-# The scalar scorer: one segment against one fingerprint, the oracle of CompiledDb's bulk scores.
+# The scalar scorer: one segment against one DB entry, the oracle of CompiledDb's bulk scores.
 def sqrt_of(q: Fraction) -> float:
     """sqrt(q) correctly rounded, for a Fraction q > 0."""
     n, d = q.numerator, q.denominator
@@ -279,7 +328,7 @@ def score_numeric(a, b) -> float:
 
 
 def score_segment(
-    segment: Segment, fp: Fingerprint, channels: frozenset[Channel] = DEFAULT_CHANNELS
+    segment: Segment, fp: Entry, channels: frozenset[Channel] = DEFAULT_CHANNELS
 ) -> float:
     score = 1.0
     if Channel.MODE in channels:

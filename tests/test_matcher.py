@@ -27,10 +27,12 @@ from optrace.matcher import (
     score_discrete,
 )
 from optrace.preprocess import Segments
-from optrace.profiler import FingerprintDb, build_fingerprint_db
+from optrace.profiler import build_fingerprint_db
 from optrace.workloads import reference_module
 
 from support import (
+    db_of,
+    entries_of,
     fp,
     noise_model,
     predictions_of,
@@ -42,10 +44,6 @@ from support import (
     synth,
     victim,
 )
-
-
-def db(*fps):
-    return FingerprintDb(entries=tuple(fps), meta={})
 
 
 # ---------------------------------------------------------------- pearson
@@ -239,7 +237,7 @@ def tie_break(fps, tied):
     channels=CHANNEL_SETS,
 )
 def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
-    assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), [segment], fps, channels)
+    assert_pairs_match_scalar_oracle(CompiledDb(db_of(*fps), channels), [segment], fps, channels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +247,7 @@ def test_compiled_scores_match_scalar_scoring(fps, segment, channels):
     channels=CHANNEL_SETS,
 )
 def test_best_applies_the_documented_tie_break(fps, segment, channels):
-    compiled = CompiledDb(db(*fps), channels)
+    compiled = CompiledDb(db_of(*fps), channels)
     ((_, _, key, entry, scores),) = compiled.score_blocks(segments_of([segment]))
     (idx,), (top,), (margin,) = compiled.pick(key, entry, scores)
     assert top == float(scores.max())
@@ -269,8 +267,8 @@ def test_best_applies_the_documented_tie_break(fps, segment, channels):
     segment=segments(),
 )
 def test_adding_channels_never_raises_a_score(fps, segment):
-    (full,) = scored_pairs(CompiledDb(db(*fps), frozenset(Channel)), [segment])
-    (partial,) = scored_pairs(CompiledDb(db(*fps), frozenset({Channel.MODE})), [segment])
+    (full,) = scored_pairs(CompiledDb(db_of(*fps), frozenset(Channel)), [segment])
+    (partial,) = scored_pairs(CompiledDb(db_of(*fps), frozenset({Channel.MODE})), [segment])
     assert all(full[i] <= partial[i] + 1e-12 for i in full.keys() & partial.keys())
     assert max(full.values()) <= max(partial.values()) + 1e-12
 
@@ -323,7 +321,7 @@ def test_match_trace_batches_agree_with_scalar_oracle(
     width = max(len(entry) for entry in fps)
     budget = per_block * len(fps) * width
     with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
-        preds = match_trace(segments_of(segs), db(*fps), channels)
+        preds = match_trace(segments_of(segs), db_of(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -351,9 +349,9 @@ def test_match_trace_spans_blocks_at_the_default_budget():
     segs = distinct + [rng.choice(distinct) for _ in range(50)]
     rng.shuffle(segs)
     channels = frozenset(Channel)
-    blocks = list(CompiledDb(db(*fps), channels).score_blocks(segments_of(segs)))
+    blocks = list(CompiledDb(db_of(*fps), channels).score_blocks(segments_of(segs)))
     assert any(key[-1] + 1 == per_block for _, _, key, _, _ in blocks)
-    preds = match_trace(segments_of(segs), db(*fps), channels)
+    preds = match_trace(segments_of(segs), db_of(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -365,7 +363,7 @@ def test_exactly_equal_correlations_tie_to_the_tie_break():
     s = seg("RRR", "OOO", (3, 0, 0), (5000,) * 3)
     channels = frozenset({Channel.MODE, Channel.PF})
     assert score_segment(s, add, channels) == score_segment(s, sub, channels) == 0.1875
-    preds = match_trace(segments_of([s]), db(add, sub), channels)
+    preds = match_trace(segments_of([s]), db_of(add, sub), channels)
     assert list(preds) == [Prediction(0, "i32.sub", 0.1875, 0.0)]
     assert_matches_scalar_oracle(preds, [s], [add, sub], channels)
 
@@ -402,8 +400,8 @@ def test_pruned_latency_agrees_with_scalar_oracle(families, others, extra, per_b
     width = max(len(entry) for entry in fps)
     budget = per_block * len(fps) * width
     with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
-        preds = match_trace(segments_of(segs), db(*fps), channels)
-        assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), segs, fps, channels)
+        preds = match_trace(segments_of(segs), db_of(*fps), channels)
+        assert_pairs_match_scalar_oracle(CompiledDb(db_of(*fps), channels), segs, fps, channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
 
 
@@ -414,7 +412,7 @@ def test_tie_prefers_higher_support():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     low = fp("zz.rare", s.modes, s.classes, s.pf, s.latency, support=1)
     high = fp("aa.common", s.modes, s.classes, s.pf, s.latency, support=9)
-    preds = match_trace(segments_of([s]), db(low, high))
+    preds = match_trace(segments_of([s]), db_of(low, high))
     assert preds[0].label == "aa.common"
     assert preds[0].margin == pytest.approx(0.0)
 
@@ -423,7 +421,7 @@ def test_tie_prefers_lexicographically_smaller_label():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     b = fp("bbb", s.modes, s.classes, s.pf, s.latency)
     a = fp("aaa", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace(segments_of([s]), db(b, a))
+    preds = match_trace(segments_of([s]), db_of(b, a))
     assert preds[0].label == "aaa"
 
 
@@ -431,14 +429,14 @@ def test_tie_prefers_labeled_over_unlabeled():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     anon = fp(None, s.modes, s.classes, s.pf, s.latency)
     named = fp("zzz", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace(segments_of([s]), db(anon, named))
+    preds = match_trace(segments_of([s]), db_of(anon, named))
     assert preds[0].label == "zzz"
 
 
 def test_single_entry_margin_is_the_full_score():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     only = fp("one", s.modes, s.classes, s.pf, s.latency)
-    preds = match_trace(segments_of([s]), db(only))
+    preds = match_trace(segments_of([s]), db_of(only))
     assert preds[0].score == pytest.approx(1.0)
     assert preds[0].margin == pytest.approx(1.0)
 
@@ -451,7 +449,7 @@ def test_match_trace_enumerates_segments_in_order():
     s2 = seg("RW", "OS", (8, 9), (5548, 5409))
     e1 = fp("first", s1.modes, s1.classes, s1.pf, s1.latency)
     e2 = fp("second", s2.modes, s2.classes, s2.pf, s2.latency)
-    preds = match_trace(segments_of([s1, s2]), db(e1, e2))
+    preds = match_trace(segments_of([s1, s2]), db_of(e1, e2))
     assert [p.segment_id for p in preds] == [0, 1]
     assert [p.label for p in preds] == ["first", "second"]
 
@@ -478,14 +476,14 @@ def test_match_trace_is_deterministic():
         for _ in range(10)
     ]
     stacked = segments_of(segs)
-    assert match_trace(stacked, db(*entries)) == match_trace(stacked, db(*entries))
+    assert match_trace(stacked, db_of(*entries)) == match_trace(stacked, db_of(*entries))
 
 
 def test_database_of_empty_entries_still_scores_discrete_channels():
     s = seg("RE", "OX", (8, 5), (5548, 5309))
     empty = fp("none", "", "", (), ())
     channels = frozenset({Channel.MODE})
-    preds = match_trace(segments_of([s]), db(empty), channels)
+    preds = match_trace(segments_of([s]), db_of(empty), channels)
     assert preds[0].score == pytest.approx(score_segment(s, empty, channels))
 
 
@@ -498,7 +496,7 @@ def test_empty_entry_scores_like_the_oracle_on_numeric_channels():
     # The second database has width 0, so every segment's scored rows are empty.
     for fps in ([empty, pair], [empty]):
         for channels in ({Channel.PF}, {Channel.LATENCY}, {Channel.PF, Channel.MODE}):
-            preds = match_trace(segments_of(segs), db(*fps), frozenset(channels))
+            preds = match_trace(segments_of(segs), db_of(*fps), frozenset(channels))
             assert_matches_scalar_oracle(preds, segs, fps, frozenset(channels))
 
 
@@ -506,12 +504,12 @@ def test_constant_non_integer_prefix_scores_as_discrete():
     # A latency mean such as 5280 1/3 repeated is constant, so against a
     # varying segment it falls back to score_discrete; raw sums of squares
     # would leave it a small nonzero variance and score its correlation.
-    const = fp("const", "RWERW", "OSXOS", (1,) * 5, (15841 / 3,) * 5)
+    const = fp("const", "RWERW", "OSXOS", (1,) * 5, (15841 / 3,) * 5, support=3)
     s = seg("RWERW", "OSXOS", (1,) * 5, (5000, 5010, 5005, 5001, 5002))
     channels = frozenset({Channel.LATENCY})
     want = score_numeric(s.latency, const.latency)
     assert want == pytest.approx(1 / 6)
-    assert scored_pairs(CompiledDb(db(const), channels), [s])[0][0] == pytest.approx(want)
+    assert scored_pairs(CompiledDb(db_of(const), channels), [s])[0][0] == pytest.approx(want)
 
 
 def offset_latency(trace: SideChannelTrace, offset: int) -> SideChannelTrace:
@@ -556,7 +554,7 @@ def test_segments_score_once_per_length_and_scored_rows():
     tail_differs = seg("RWEEE", "OSXXX", (1, 2, 3, 9, 9), (5000, 5010, 5005, 5009, 5009))
     segs = [base, longer, tail_differs]
     placed = {}
-    compiled = CompiledDb(db(*fps))
+    compiled = CompiledDb(db_of(*fps))
     blocks = compiled.score_blocks(segments_of(segs))
     for block, (rows, slot, key, entry, score) in enumerate(blocks):
         for row, k in zip(rows.tolist(), slot.tolist()):
@@ -576,9 +574,8 @@ ALL_SUBSETS = [
 
 
 def key_of(segment, channels):
-    """The rows of `segment` that the scored `channels` read, in _CHANNELS order."""
-    attrs = [attr for ch, (attr, _) in matcher._CHANNELS.items() if ch in channels]
-    return tuple(getattr(segment, attr) for attr in attrs)
+    """The rows of `segment` that the scored `channels` read, in Channel order."""
+    return tuple(rows for ch, rows in zip(Channel, vectors_of(segment)) if ch in channels)
 
 
 def spy_on_pairs(rows_in, latency_pairs):
@@ -632,9 +629,9 @@ def test_families_sharing_a_discrete_key_score_it_once():
     for channels in ALL_SUBSETS:
         rows_in, latency_pairs = Counter(), Counter()
         with spy_on_pairs(rows_in, latency_pairs):
-            preds = match_trace(segments_of(segs), db(*fps), channels)
+            preds = match_trace(segments_of(segs), db_of(*fps), channels)
         assert_matches_scalar_oracle(preds, segs, fps, channels)
-        assert_pairs_match_scalar_oracle(CompiledDb(db(*fps), channels), segs, fps, channels)
+        assert_pairs_match_scalar_oracle(CompiledDb(db_of(*fps), channels), segs, fps, channels)
         discrete = channels - {Channel.LATENCY}
         if discrete:
             # One discrete key per family group, and one for the odd segment.
@@ -650,12 +647,12 @@ def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
     # A zero-noise victim replays each handler's events exactly, so its
     # segments collapse to a few dozen full keys.
     segs = victim(0, zero=True, iterations=5).segments
-    fps = profile_db(PROFILE_SEED_OFFSET, zero=True).entries
+    fps = entries_of(profile_db(PROFILE_SEED_OFFSET, zero=True))
     width = max(len(entry) for entry in fps)
     full_keys = {(len(s), *(rows[:width] for rows in vectors_of(s))) for s in segs}
     rows_in, latency_pairs = Counter(), Counter()
     with spy_on_pairs(rows_in, latency_pairs):
-        preds = match_trace(segs, db(*fps))
+        preds = match_trace(segs, db_of(*fps))
     assert_latency_scored_once_per_pair(latency_pairs, full_keys, len(fps))
     # Latency is scored for only a few entries of each full key.
     assert sum(latency_pairs.values()) < len(full_keys) * len(fps) / 4
@@ -665,7 +662,7 @@ def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
 
 def test_empty_database_is_an_error():
     with pytest.raises(MatchError, match="empty"):
-        match_trace(segments_of([]), db())
+        match_trace(segments_of([]), db_of())
 
 
 # ------------------------------------------------------------ Predictions
@@ -730,7 +727,7 @@ def test_predictions_assignment_writes_into_the_columns():
 
 def old_prediction_list(segs, fps, channels):
     """match_trace as it was: one Prediction built per segment from the picks."""
-    compiled = CompiledDb(db(*fps), channels)
+    compiled = CompiledDb(db_of(*fps), channels)
     best = np.zeros(len(segs), dtype=np.int64)
     top, margin = np.zeros(len(segs)), np.zeros(len(segs))
     for rows, slot, key, entry, score in compiled.score_blocks(segments_of(segs)):
@@ -747,7 +744,7 @@ def old_prediction_list(segs, fps, channels):
     channels=CHANNEL_SETS,
 )
 def test_predictions_items_are_the_old_prediction_list(fps, segs, channels):
-    preds = match_trace(segments_of(segs), db(*fps), channels)
+    preds = match_trace(segments_of(segs), db_of(*fps), channels)
     want = old_prediction_list(segs, fps, channels)
     assert list(preds) == [preds[i] for i in range(len(preds))] == want
     assert preds.labels == [p.label for p in want]

@@ -10,6 +10,7 @@ from optrace.profiler import ProfilingError, build_fingerprint_db, split_by_mark
 
 from support import (
     dedup_fingerprints,
+    entries_of,
     labels_of,
     ops,
     profile_db,
@@ -144,6 +145,12 @@ def test_dedup_sorts_unlabeled_entries_last():
     assert [fp.label for fp in entries] == ["zz.op", None]
 
 
+def test_dedup_sorts_pf_as_tuples_of_integers():
+    pfs = [(1, 0), (-1, 7), (0, 2**40), (0, -3)]
+    slices = [("nop", seg("RR", "OX", pf, (5000, 5001))) for pf in pfs]
+    assert [fp.pf for fp in dedup_fingerprints(slices)] == [(-1, 7), (0, -3), (0, 2**40), (1, 0)]
+
+
 def test_dedup_collapses_a_uniform_zero_noise_run():
     layout, trace = synth(ops(*["nop"] * 5), markers=True)
     slices = split_by_marker(trace, layout.marker_page, layout.optable_page)
@@ -181,7 +188,7 @@ def test_build_db_support_accounts_for_every_slice():
         layout.optable_page,
         frozenset(layout.stack_pages),
     )
-    assert sum(fp.support for fp in db.entries) == len(slices)
+    assert sum(fp.support for fp in entries_of(db)) == len(slices)
 
 
 def test_build_db_carries_meta():
@@ -203,7 +210,7 @@ def test_build_db_drops_overlong_slices():
     # i32.add expands to more native steps than i32.const; a cap between the
     # two lengths keeps only the shorter slices.
     const_len = max(
-        len(fp) for fp in full.entries if fp.label == "i32.const"
+        len(fp) for fp in entries_of(full) if fp.label == "i32.const"
     )
     trimmed = build_fingerprint_db(
         trace,
@@ -212,7 +219,7 @@ def test_build_db_drops_overlong_slices():
         max_slice_len=const_len,
     )
     assert trimmed.labels() == {"i32.const"}
-    assert all(len(fp) <= const_len for fp in trimmed.entries)
+    assert all(len(fp) <= const_len for fp in entries_of(trimmed))
 
 
 def test_build_db_rejects_cap_that_drops_everything():
@@ -231,8 +238,8 @@ def test_build_db_refuses_latency_sums_that_reach_2_to_the_50(latency):
     trace = replace(trace, latency=np.full(len(trace), latency, np.int64))
     if 3 * latency < 2**50:
         db = build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
-        assert [fp.support for fp in db.entries] == [1, 3]
-        assert {v for fp in db.entries for v in fp.latency} == {latency}
+        assert [fp.support for fp in entries_of(db)] == [1, 3]
+        assert {v for fp in entries_of(db) for v in fp.latency} == {latency}
     else:
         with pytest.raises(ProfilingError, match=r"a latency sum of 'nop' slices reaches 2\*\*50"):
             build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
@@ -249,7 +256,7 @@ def test_reference_db_names_every_opcode():
 
 def test_reference_db_pins_the_add_fingerprint():
     db = profile_db(0, zero=True)
-    adds = [fp for fp in db.entries if fp.label == "i32.add" and len(fp) == 8]
+    adds = [fp for fp in entries_of(db) if fp.label == "i32.add" and len(fp) == 8]
     assert len(adds) == 1
     fp = adds[0]
     assert fp.modes == "REEEREWR"
