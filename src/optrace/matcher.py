@@ -78,12 +78,16 @@ def _correlation(n, sx, sxx, sy, syy, sxy):
 
     Sums should be of values shifted to start at 0: the raw-sum form cancels
     catastrophically once values are large next to their spread, and a
-    constant side then gives variance exactly 0.
+    constant side then gives variance exactly 0.  r is sign(cov) * sqrt(cov² /
+    (vx * vy)): exactly equal r² of integer terms below 2**53 give one float,
+    but no exact fallback yet decides ties of larger terms (latency's vx * vy
+    passes 10**18 under default noise) or of products of channel scores.
     """
     vx = n * sxx - sx * sx
     vy = n * syy - sy * sy
+    cov = n * sxy - sx * sy
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = (n * sxy - sx * sy) / np.sqrt(vx * vy)
+        r = np.sign(cov) * np.sqrt(cov * cov / (vx * vy))
     return r, vx, vy
 
 
@@ -113,8 +117,6 @@ def score_discrete(a, b) -> float:
 # large enough to amortize per-block NumPy calls, small enough that the
 # block's temporaries stay in cache and add little to peak RSS.
 BLOCK_ELEMENTS = 1 << 18
-
-_NUMERIC = (Channel.PF, Channel.LATENCY)
 
 
 def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -151,13 +153,16 @@ class CompiledDb:
     shorter length over the longer.  Constant prefixes make correlation
     undefined, so two agree fully or not at all, and one against a varying
     prefix scores as score_discrete; an empty vector scores 1.0 against an
-    empty one and 0.0 otherwise.  Ties are broken in favor of higher
-    support, then lexicographic label (unlabeled entries last), then
-    database order.  Every channel score lies in [0, 1], and d * l <= d
-    holds in floating point for such l, so an entry scores at most its
-    discrete score d, the product of its mode, class and pf scores: one
-    whose d is below a segment's runner-up cannot change its label, score
-    or margin, and its latency is not scored.
+    empty one and 0.0 otherwise.  Latency is held as each entry's latency_sum
+    row, which correlates as its mean does, and a constant row agrees with a
+    segment's value times support: both numeric channels hold integers, their
+    sums exact in any order while n * Σx² and n * Σy² of the shifted values
+    stay below 2**53.  Ties are broken in favor of higher support, then
+    lexicographic label (unlabeled entries last), then database order.  Every
+    channel score lies in [0, 1], and d * l <= d holds in floating point for
+    such l, so an entry scores at most its discrete score d, the product of
+    its mode, class and pf scores: one whose d is below a segment's runner-up
+    cannot change its label, score or margin, and its latency is not scored.
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
@@ -167,7 +172,7 @@ class CompiledDb:
         self.width = int(self.lens.max())
         entry = np.repeat(np.arange(len(self.lens)), self.lens)
         at = entry, np.arange(len(entry)) - db.entries.rows[entry]  # each DB row's place
-        values = db.mode, db.classes, db.pf.astype(np.float64), db.latency_sum / db.support[entry]
+        values = db.mode, db.classes, db.pf.astype(np.float64), db.latency_sum.astype(np.float64)
         # Padded (E, width) array of each scored channel, in Channel order, the order channel
         # scores multiply in.
         self.entry = {}
@@ -179,6 +184,8 @@ class CompiledDb:
         label_rank = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         by_label = np.array([label_rank[key] for key in keys], np.int64)[db.entries.codes]
         self.rank = np.argsort(np.lexsort((by_label, -db.support)))
+        # Per numeric channel, each entry's factor from a segment value to the row it matches.
+        self.scale = {Channel.PF: np.ones_like(db.support), Channel.LATENCY: db.support}
 
     def _entry_side(self, cut: int):
         """Entry-side terms shared by every segment of `cut` scored rows.
@@ -188,14 +195,13 @@ class CompiledDb:
         with their sums sy and syy.
         """
         m = np.minimum(self.lens, cut)
-        mask = np.arange(self.width)[None, :] < m[:, None]
+        mask = np.arange(cut)[None, :] < m[:, None]
         sums = {}
-        for channel in _NUMERIC:
-            if channel in self.entry:
-                ent = self.entry[channel]
-                masked = (ent - ent[:, :1]) * mask
-                sums[channel] = (masked, masked.sum(axis=1), (masked * masked).sum(axis=1))
-        return m, mask[:, :cut], sums
+        for channel in self.scale.keys() & self.entry.keys():  # the numeric channels scored
+            ent = self.entry[channel][:, :cut]
+            masked = (ent - ent[:, :1]) * mask
+            sums[channel] = (masked, masked.sum(axis=1), (masked * masked).sum(axis=1))
+        return m, mask, sums
 
     def score_blocks(self, segments: Segments):
         """Yield `(rows, slot, key, entry, score)`: segment rows[k] is key slot[k] of the
@@ -279,33 +285,26 @@ class CompiledDb:
         ent = self.entry[channel]
         m, cut_mask, sums = side
         masked, sy, syy = sums[channel]
-        m = m[entry]
-        # Both sides are shifted to start at 0, as _correlation needs.  x
-        # holds integers, so its prefix sums and squares are exact in float64
-        # whatever the summation order, while n * sum(x * x) < 2**53.
+        m, scale = m[entry], self.scale[channel][entry]
+        # Both sides are shifted to start at 0, as _correlation needs, and
+        # hold integers, so every sum below is exact in any order.
         xs = x - x[:, :1]
         csum = np.zeros((S, cut + 1))
         np.cumsum(xs, axis=1, out=csum[:, 1:])
         sx = csum[key, m]
         np.cumsum(xs * xs, axis=1, out=csum[:, 1:])
         sxx = csum[key, m]
-        # pf entries are integers, so their cross sums are exact in any
-        # order.  Latency entries are float means, so the summation order
-        # sets the last bits of sxy and can flip a near tie: sum the masked
-        # product along the full padded width, one contiguous row per pair,
-        # which keeps the labels of earlier releases.
-        xw = np.zeros((S, self.width))
-        xw[:, :cut] = xs
-        sxy = (xw[key] * masked[entry]).sum(axis=1)
+        sxy = (xs[key] * masked[entry]).sum(axis=1)
         r, vx, vy = _correlation(m.astype(np.float64), sx, sxx, sy[entry], syy[entry], sxy)
         corr_score = np.clip(r, 0.0, 1.0) * (m / np.maximum(self.lens[entry], L[key]))
         # Two constants agree fully or not at all; an empty entry agrees
         # with no segment, which here is never empty.
-        agree = (ent[entry, 0] == x[key, 0]) & (m > 0)
+        agree = (ent[entry, 0] == x[key, 0] * scale) & (m > 0)
         out = np.where((vx <= 0.0) & (vy <= 0.0), np.where(agree, 1.0, 0.0), corr_score)
         one = np.flatnonzero((vx <= 0.0) ^ (vy <= 0.0))
         if len(one):
-            out[one] = _discrete_scores(ent, entry[one], x[key[one]], cut_mask, lendiff[one])
+            x_one = x[key[one]] * scale[one, None]
+            out[one] = _discrete_scores(ent, entry[one], x_one, cut_mask, lendiff[one])
         return out
 
     def pick(self, key, entry, score):

@@ -80,7 +80,7 @@ class Entry:
     modes: str
     classes: str
     pf: tuple[int, ...]
-    latency: tuple[float, ...]
+    latency: tuple[float | Fraction, ...]
     support: int
 
     def __len__(self) -> int:
@@ -114,7 +114,7 @@ def db_of(*entries: Entry, meta=None) -> FingerprintDb:
 
 
 def entries_of(db: FingerprintDb) -> list[Entry]:
-    """The entries of `db`, in order, each latency mean latency_sum / support."""
+    """The entries of `db`, in order, each latency mean the Fraction latency_sum / support."""
     out = []
     for start, length, label, support in zip(
         db.entries.rows.tolist(), db.lengths.tolist(), db.entries.labels, db.support.tolist()
@@ -125,7 +125,7 @@ def entries_of(db: FingerprintDb) -> list[Entry]:
             db.mode[rows].tobytes().decode("ascii"),
             db.classes[rows].tobytes().decode("ascii"),
             tuple(db.pf[rows].tolist()),
-            tuple((db.latency_sum[rows] / support).tolist()),
+            tuple(Fraction(v, support) for v in db.latency_sum[rows].tolist()),
             support,
         ))
     return out

@@ -5,11 +5,12 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optrace import matcher
@@ -74,6 +75,11 @@ def test_pearson_rejects_bad_input():
         pearson([1], [2])
     with pytest.raises(ValueError, match="constant"):
         pearson([5, 5, 5], [1, 2, 3])
+
+
+def test_exactly_equal_correlations_give_the_same_float():
+    # Both are exactly sqrt(3) / 2; dividing by a rounded sqrt(vx * vy) gave ...386 and ...387.
+    assert pearson((3, 5, 1), (3, 9, 3)) == pearson((1, 5, 9), (0, 0, 4)) == 0.75**0.5
 
 
 @pytest.mark.parametrize("offset", [10**8, 10**9, 10**10])
@@ -368,6 +374,48 @@ def test_exactly_equal_correlations_tie_to_the_tie_break():
     assert_matches_scalar_oracle(preds, [s], [add, sub], channels)
 
 
+@pytest.mark.parametrize("numeric", ["pf", "latency"])
+def test_exact_ties_pick_by_rank_on_every_channel_subset(numeric):
+    # The segment's (0, 2, 1) correlates exactly sqrt(3) / 2 with (0, 1, 0) and with (1, 4, 1),
+    # a tie that dividing by a rounded sqrt(vx * vy) breaks.  On latency the entries' means are
+    # 5000 + (1, 3, 1) / 2 and 5000 + (1, 10, 1) / 3, sums that are no multiples of support.
+    if numeric == "pf":
+        s = seg("RRR", "OOO", (0, 2, 1), (5000,) * 3)
+        add = fp("i32.add", "RRR", "OOO", (0, 1, 0), (5000,) * 3)
+        sub = fp("i32.sub", "RRR", "OOO", (1, 4, 1), (5000,) * 3, support=2)
+    else:
+        s = seg("RRR", "OOO", (0, 0, 0), (5000, 5002, 5001))
+        add = fp("i32.add", "RRR", "OOO", (0, 0, 0), [v / 2 for v in (10001, 10003, 10001)], 2)
+        sub = fp("i32.sub", "RRR", "OOO", (0, 0, 0), [v / 3 for v in (15001, 15010, 15001)], 3)
+    for order in ([add, sub], [sub, add]):
+        fps = entries_of(db_of(*order))
+        for channels in ALL_SUBSETS:
+            preds = match_trace(segments_of([s]), db_of(*fps), channels)
+            assert (preds[0].label, preds[0].margin) == ("i32.sub", 0.0)
+            assert_matches_scalar_oracle(preds, [s], fps, channels)
+
+
+@pytest.mark.parametrize(
+    "entry_sum, segment, score",
+    [
+        ((15000,) * 3, (5000,) * 3, 1.0),
+        ((15001,) * 3, (5000,) * 3, 0.0),
+        # One constant side scores as score_discrete, an entry row matching 3 times the value.
+        ((15000,) * 3, (5000, 5001, 5000), 1 / 2),
+        ((15000, 15003, 15003), (5001,) * 3, 1 / 2),
+        ((15001,) * 3, (5000, 5001, 5000), 1 / 4),
+    ],
+)
+def test_constant_latency_sums_agree_with_the_segment_times_support(entry_sum, segment, score):
+    s = seg("RRR", "OOO", (0, 0, 0), segment)
+    entry = fp("const", "RRR", "OOO", (0, 0, 0), [v / 3 for v in entry_sum], support=3)
+    fps = entries_of(db_of(entry))
+    assert fps[0].latency == tuple(Fraction(v, 3) for v in entry_sum)
+    assert score_numeric(s.latency, fps[0].latency) == score
+    channels = frozenset({Channel.LATENCY})
+    assert scored_pairs(CompiledDb(db_of(*fps), channels), [s]) == [{0: score}]
+
+
 @st.composite
 def latency_families(draw):
     """Entries in families that share one discrete fingerprint and differ in latency only,
@@ -386,6 +434,18 @@ def latency_families(draw):
     return fps, segs
 
 
+def flat_counterexample(entries):
+    """Arguments of the pruning test that the random search once found: RRR/OOO entries, each
+    (label, pf, support), and one segment on each of their pf; extra segments RRR/OOO on
+    (0, 2, 1) and R/O three times; every latency 5000; mode and pf scored; one key a block."""
+    flat = (5000,) * 3
+    fps = [fp(label, "RRR", "OOO", pf, flat, support) for label, pf, support in entries]
+    segs = [seg("RRR", "OOO", pf, flat) for pf in dict.fromkeys(e.pf for e in fps)]
+    extra = [seg("R", "O", (0,), (5000,))] * 3 + [seg("RRR", "OOO", (0, 2, 1), flat)]
+    channels = frozenset({Channel.MODE, Channel.PF})
+    return dict(families=(fps, segs), others=[], extra=extra, per_block=1, channels=channels)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     families=latency_families(),
@@ -394,6 +454,15 @@ def latency_families(draw):
     per_block=st.integers(1, 3),
     channels=CHANNEL_SETS,
 )
+# (0, 2, 1) correlates exactly sqrt(3) / 2 with (0, 1, 0), (1, 4, 1) and (0, 3, 0); rounded
+# apart, such ties prune an entry whose bound equals the runner-up, or pick the lower support.
+@example(**flat_counterexample(
+    [("i32.add", pf, 1) for pf in [(0, 0, 0), (0, 1, 0), (1, 4, 1)] for _ in range(2)]
+))
+@example(**flat_counterexample([
+    ("i32.add", (0, 1, 0), 1), ("i32.add", (0, 1, 0), 1), ("i32.add", (0, 3, 0), 1),
+    ("i32.sub", (0, 3, 0), 2), ("i32.add", (0, 0, 0), 1), ("i32.add", (0, 0, 0), 1),
+]))
 def test_pruned_latency_agrees_with_scalar_oracle(families, others, extra, per_block, channels):
     fps, segs = families
     fps, segs = fps + others, segs + extra

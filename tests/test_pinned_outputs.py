@@ -128,7 +128,7 @@ def bursty_inputs(bursty_run):
 
 # `match_trace` codes, scores and margins on the `bursty` case, over every
 # channel subset in turn.
-ALL_SUBSETS_SCORES = "0ee9f3d081ee0eaa87bb2bc1771e5e3ad571d0b24fde40b7c86b0f868f78ef25"
+ALL_SUBSETS_SCORES = "36317af5c5e1486e00e9e1904d1766215982cf7a53c9be76522c2eb1125b70f4"
 
 
 def test_every_channel_subset_keeps_its_pinned_scores(bursty_inputs):
