@@ -29,20 +29,18 @@ from .machine import (
 )
 from .matcher import Channel, MatchError, match_trace
 from .metrics import classify_outcomes
-from .preprocess import (
-    DetectionError,
-    SegmentationError,
-    check_settings,
-    preprocess_trace,
-)
+from .preprocess import DetectionError, SegmentationError, preprocess_trace
 from .profiler import ProfilingError, build_fingerprint_db
 from .traceio import (
     _label_text,
+    DEFAULT_CONFIG,
     ConfigError,
     FormatError,
     config_hash,
+    config_record,
     decode_text,
     load_config,
+    parse_channels,
     read_db,
     read_predictions,
     read_trace,
@@ -75,47 +73,16 @@ class EvalError(ValueError):
     """Input files do not describe the same run, or their rows are out of order."""
 
 
-def _section(cfg, name: str) -> dict[str, object]:
-    """The `name.*` settings of `cfg`, keyed by what follows the dot."""
-    prefix = name + "."
-    return {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
-
-
-def _settings(cls, cfg, name: str, **extra):
-    """`cls` called with the `name.*` settings; a value it rejects is a usage error."""
-    try:
-        return cls(**_section(cfg, name), **extra)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
 def _noise_from_config(cfg, seed: int, zero: bool = False) -> NoiseModel:
-    if zero:
-        return NoiseModel.zero(rng_seed=seed)
-    return _settings(NoiseModel, cfg, "noise", rng_seed=seed)
+    return NoiseModel.zero(rng_seed=seed) if zero else config_record(cfg, "noise", rng_seed=seed)
 
 
 def _layout_from_config(cfg) -> LayoutConfig:
-    return _settings(LayoutConfig, cfg, "layout")
+    return config_record(cfg, "layout")
 
 
 def _mitigation_from_config(cfg) -> MitigationConfig:
-    return _settings(MitigationConfig, cfg, "mitigation")
-
-
-_CHANNEL_NAMES = {c.value: c for c in Channel}
-
-
-def _parse_channels(spec: str) -> frozenset[Channel]:
-    names = [part.strip() for part in spec.split(",") if part.strip()]
-    if not names:
-        raise ConfigError("empty channel list")
-    try:
-        return frozenset(_CHANNEL_NAMES[name] for name in names)
-    except KeyError as exc:
-        raise ConfigError(
-            f"unknown channel {exc.args[0]!r}; choose from {sorted(_CHANNEL_NAMES)}"
-        ) from None
+    return config_record(cfg, "mitigation")
 
 
 def _build_module(args):
@@ -213,8 +180,7 @@ def _cmd_profile(args) -> int:
 
 
 def _preprocess(cfg, trace):
-    _settings(check_settings, cfg, "preprocess")
-    return preprocess_trace(trace, **_section(cfg, "preprocess"))
+    return preprocess_trace(trace, config_record(cfg, "preprocess"))
 
 
 def _attack(cfg, trace, db, channels, out):
@@ -229,9 +195,9 @@ def _attack(cfg, trace, db, channels, out):
 
 def _cmd_attack(args) -> int:
     cfg = load_config(args.config)
+    channels = parse_channels(args.channels or cfg["match.channels"])
     trace = read_trace(args.trace)
     db = read_db(args.db)
-    channels = _parse_channels(args.channels or cfg["match.channels"])
     report, _, predictions = _attack(cfg, trace, db, channels, args.out)
     print(
         f"attack: dispatch table page 0x{report.optable_page:x} "
@@ -340,7 +306,7 @@ _ABLATION_SETS = [
 def _dedup_subsets(specs: list[str]) -> list[frozenset[Channel]]:
     subsets: list[frozenset[Channel]] = []
     for spec in specs:
-        channels = _parse_channels(spec)
+        channels = parse_channels(spec)
         if channels in subsets:
             print(f"warning: duplicate channel subset {spec!r} skipped", file=sys.stderr)
             continue
@@ -377,7 +343,6 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_end2end(args) -> int:
     cfg = load_config(args.config)
-    _settings(check_settings, cfg, "preprocess")  # before anything is synthesized or written
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
@@ -397,7 +362,7 @@ def _cmd_end2end(args) -> int:
     write_trace(out / "victim.csv", vtrace, config_hash=digest)
     write_truth(out / "truth.csv", vtrace, config_hash=digest)
 
-    channels = _parse_channels(cfg["match.channels"])
+    channels = parse_channels(cfg["match.channels"])
     victim = read_trace(out / "victim.csv")
     report, segments, predictions = _attack(cfg, victim, db, channels, out / "predictions.csv")
 
@@ -479,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="recover opcode labels from a trace")
     attack.add_argument("--trace", required=True)
     attack.add_argument("--db", required=True)
-    attack.add_argument("--channels", help=f"comma list: {','.join(_CHANNEL_NAMES)}")
+    attack.add_argument("--channels", help=f"comma list: {DEFAULT_CONFIG['match.channels']}")
     attack.add_argument("--out", default="predictions.csv")
     attack.set_defaults(func=_cmd_attack)
 
@@ -490,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write segmented trace CSV (segment_id column)")
     prep.set_defaults(func=_cmd_preprocess)
 
-    ev = sub.add_parser("eval", parents=[common, scoring],
+    ev = sub.add_parser("eval", parents=[scoring],
                         help="score predictions against truth")
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--truth", required=True)

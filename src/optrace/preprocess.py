@@ -24,14 +24,10 @@ __all__ = [
     "detect_stack_pages",
     "filter_redundant",
     "segment_trace",
-    "check_settings",
+    "PreprocessConfig",
     "preprocess_trace",
     "OPTABLE_CLASS", "STACK_CLASS", "OTHER_CLASS",
 ]
-
-DEFAULT_COVERAGE_TARGET = 0.95
-DEFAULT_WINDOW = 16
-DEFAULT_MIN_RW_FRAC = 0.005
 
 # Page classes, as the ASCII codes of the class column: optable, stack, everything else.
 OPTABLE_CLASS, STACK_CLASS, OTHER_CLASS = b"OSX"
@@ -43,6 +39,23 @@ class DetectionError(ValueError):
 
 class SegmentationError(ValueError):
     """Trace cannot be split into per-opcode segments."""
+
+
+@dataclass(frozen=True)
+class PreprocessConfig:
+    """Preprocessing settings: `coverage_target` and `min_rw_frac` of
+    `detect_stack_pages`, and `window` of `filter_redundant`."""
+
+    coverage_target: float = 0.95
+    window: int = 16
+    min_rw_frac: float = 0.005
+
+    def __post_init__(self):
+        for name in ("coverage_target", "min_rw_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.window < 0:
+            raise ValueError("window must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,8 +152,8 @@ def _boundaries(trace: SideChannelTrace, optable_page: int) -> np.ndarray:
 def detect_stack_pages(
     trace: SideChannelTrace,
     optable_page: int,
-    coverage_target: float = DEFAULT_COVERAGE_TARGET,
-    min_rw_frac: float = DEFAULT_MIN_RW_FRAC,
+    coverage_target: float = PreprocessConfig.coverage_target,
+    min_rw_frac: float = PreprocessConfig.min_rw_frac,
 ) -> frozenset[int]:
     """Pick the interpreter-stack pages: read+written often, covering regions.
 
@@ -190,7 +203,7 @@ def filter_redundant(
     trace: SideChannelTrace,
     optable_page: int,
     stack_pages: frozenset[int] = frozenset(),
-    window: int = DEFAULT_WINDOW,
+    window: int = PreprocessConfig.window,
 ) -> tuple[SideChannelTrace, int]:
     """Drop events on pages that never appear near a dispatch boundary.
 
@@ -232,28 +245,15 @@ def segment_trace(
     return Segments(trace, classes, starts, np.append(starts[1:], len(trace)))
 
 
-def check_settings(coverage_target: float, window: int, min_rw_frac: float) -> None:
-    """Raise ValueError for a preprocessing setting outside its range."""
-    for name, value in (("coverage_target", coverage_target), ("min_rw_frac", min_rw_frac)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
-    if window < 0:
-        raise ValueError("window must be >= 0")
-
-
 def preprocess_trace(
-    trace: SideChannelTrace,
-    coverage_target: float = DEFAULT_COVERAGE_TARGET,
-    window: int = DEFAULT_WINDOW,
-    min_rw_frac: float = DEFAULT_MIN_RW_FRAC,
+    trace: SideChannelTrace, config: PreprocessConfig = PreprocessConfig()
 ) -> tuple[PreprocessReport, SideChannelTrace, Segments]:
     """Full pipeline: detect structures, filter noise, segment."""
-    check_settings(coverage_target, window, min_rw_frac)
     optable_page, confidence = detect_optable_page(trace)
     stack_pages = detect_stack_pages(
-        trace, optable_page, coverage_target=coverage_target, min_rw_frac=min_rw_frac
+        trace, optable_page, coverage_target=config.coverage_target, min_rw_frac=config.min_rw_frac
     )
-    filtered, removed = filter_redundant(trace, optable_page, stack_pages, window=window)
+    filtered, removed = filter_redundant(trace, optable_page, stack_pages, window=config.window)
     segments = segment_trace(filtered, optable_page, stack_pages)
     report = PreprocessReport(
         optable_page=optable_page,

@@ -12,7 +12,6 @@ from collections import namedtuple
 from contextlib import suppress
 from dataclasses import fields
 from functools import partial
-from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .machine import EXEC, PAGE_SIZE, READ, WRITE, Labels, LayoutConfig, MitigationConfig
 from .machine import NoiseModel, SideChannelTrace
 from .matcher import Channel, Predictions
-from .preprocess import OPTABLE_CLASS, OTHER_CLASS, STACK_CLASS, Segments, preprocess_trace
+from .preprocess import OPTABLE_CLASS, OTHER_CLASS, STACK_CLASS, PreprocessConfig, Segments
 from .profiler import FingerprintDb
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
     "read_db",
     "load_config",
     "parse_config_text",
+    "config_record",
+    "parse_channels",
     "write_config",
     "config_hash",
 ]
@@ -492,27 +493,50 @@ def read_db(path) -> FingerprintDb:
 
 # ----------------------------------------------------------------- config
 
-def _field_defaults(section: str, cls, skip=()) -> dict[str, object]:
-    return {
-        f"{section}.{f.name}": f.default for f in fields(cls) if f.name not in skip
-    }
-
+# Each settings section and the record whose fields are its keys (all but the noise seed,
+# which comes from --seed), in the order `parse_config_text` checks them.
+_SECTIONS = {
+    "noise": NoiseModel, "layout": LayoutConfig, "mitigation": MitigationConfig,
+    "preprocess": PreprocessConfig,
+}
 
 # One flat namespace of dotted keys; values are coerced to the default's type.
-# Each section is stated once, by the code that takes it: the fields of the
-# noise, layout and mitigation settings (the noise seed comes from --seed),
-# preprocess_trace's keyword arguments, and every matcher channel.
+# Each section's defaults are its record's, and `match.channels` lists every
+# matcher channel.
 DEFAULT_CONFIG: dict[str, object] = {
-    **_field_defaults("noise", NoiseModel, skip={"rng_seed"}),
-    **_field_defaults("layout", LayoutConfig),
-    **_field_defaults("mitigation", MitigationConfig),
     **{
-        f"preprocess.{p.name}": p.default
-        for p in signature(preprocess_trace).parameters.values()
-        if p.default is not p.empty
+        f"{section}.{f.name}": f.default
+        for section, cls in _SECTIONS.items() for f in fields(cls) if f.name != "rng_seed"
     },
     "match.channels": ",".join(c.value for c in Channel),
 }
+
+
+def _in_section(section: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`; a ValueError it raises is a ConfigError naming `section`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def config_record(cfg, section: str, **extra):
+    """The record of `section` built from its `section.*` settings in `cfg` and `extra`."""
+    prefix = section + "."
+    keys = {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
+    return _in_section(section, _SECTIONS[section], **keys, **extra)
+
+
+def parse_channels(spec: str) -> frozenset[Channel]:
+    """The channels of a comma list, as `match.channels` and `--channels` give them."""
+    names = [part.strip() for part in spec.split(",") if part.strip()]
+    if not names:
+        raise ConfigError("empty channel list")
+    known = {c.value: c for c in Channel}
+    try:
+        return frozenset(known[name] for name in names)
+    except KeyError as exc:
+        raise ConfigError(f"unknown channel {exc.args[0]!r}; choose from {sorted(known)}") from None
 
 
 def _coerce(key: str, raw: str, default) -> object:
@@ -532,7 +556,9 @@ def _coerce(key: str, raw: str, default) -> object:
 
 
 def parse_config_text(text: str) -> dict[str, object]:
-    """The settings of `text`, whose lines end in LF, CRLF or CR, over the defaults."""
+    """The settings of `text`, whose lines end in LF, CRLF or CR, over the defaults; every
+    section is built into its record and `match.channels` parsed, so a bad value in any of
+    them is a ConfigError, the first section's in `_SECTIONS` order, then `match`'s."""
     config = dict(DEFAULT_CONFIG)
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         line = raw.strip()
@@ -545,6 +571,9 @@ def parse_config_text(text: str) -> dict[str, object]:
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         config[key] = _coerce(key, value, DEFAULT_CONFIG[key])
+    for section in _SECTIONS:
+        config_record(config, section)
+    _in_section("match", parse_channels, config["match.channels"])
     return config
 
 
@@ -552,7 +581,11 @@ def load_config(path=None) -> dict[str, object]:
     if path is None:
         return dict(DEFAULT_CONFIG)
     try:
-        return parse_config_text(decode_text(Path(path).read_bytes()))
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
+    try:
+        return parse_config_text(decode_text(data))
     except FormatError as exc:  # an undecodable byte
         raise ConfigError(str(exc)) from None
 

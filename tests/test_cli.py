@@ -1,6 +1,7 @@
 """Command-line driver: pipeline wiring, artifacts, and exit codes."""
 
 import csv
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +11,8 @@ from optrace import cli
 from optrace.cli import main
 from optrace.machine import LayoutConfig, MitigationConfig, NoiseModel
 from optrace.matcher import Channel, match_trace
-from optrace.preprocess import preprocess_trace
-from optrace.traceio import load_config, read_db, read_trace
+from optrace.preprocess import PreprocessConfig, preprocess_trace
+from optrace.traceio import load_config, parse_channels, read_db, read_trace
 from optrace.workloads import reference_module
 
 from support import run_optrace, trace_meta
@@ -359,6 +360,15 @@ def test_eval_force_overrides_header_check(tmp_path, pipeline):
                "--force") == 0
 
 
+@pytest.mark.parametrize("option", [("--config", "missing.cfg"), ("--seed", "5")])
+def test_eval_takes_no_config_or_seed(pipeline, capsys, option):
+    # eval reads neither, so it does not accept them.
+    with pytest.raises(SystemExit) as info:
+        run("eval", "--predictions", pipeline.preds, "--truth", pipeline.truth, *option)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- ablate
 
 
@@ -529,10 +539,76 @@ def test_out_of_range_preprocess_setting_is_a_usage_error(pipeline, tmp_path, ca
     dead.write_text("# optrace trace v1\naddress,mode,pf_count,latency\n0x1000,W,1,10\n")
     assert run("preprocess", "--trace", dead, "--config", bad) == 2
     assert run("preprocess", "--trace", dead) == 4
+    capsys.readouterr()
     # end2end stops before it profiles or writes anything.
     out = tmp_path / "e2e"
     assert run("end2end", "--iterations", 1, "--config", bad, "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith("error: preprocess: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "noise.ctx_switch_rate = 2",
+        "layout.span = 10",
+        "mitigation.variant_count = 0",
+        "preprocess.window = -40",
+        "match.channels = bogus",
+    ],
+)
+def test_end2end_checks_every_section_before_it_writes(tmp_path, capsys, setting):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(setting + "\n")
+    out = tmp_path / "e2e"
+    assert run("end2end", "--iterations", 1, "--config", bad, "--out-dir", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting.split('.')[0]}: ")
+    assert not out.exists()
+
+
+def test_attack_refuses_a_noise_setting_it_does_not_use(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("noise.ctx_switch_rate = 2\n")
+    out = tmp_path / "p.csv"
+    assert run("attack", "--trace", pipeline.trace, "--db", pipeline.db, "--config", bad,
+               "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: noise: ctx_switch_rate must be in [0, 1]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--workload", "primes", "--out-trace", "t.csv", "--out-truth", "t.truth"),
+        ("profile", "--repeats", "1", "--out", "db.txt"),
+        ("attack", "--trace", "missing.csv", "--db", "missing.db", "--out", "p.csv"),
+        ("preprocess", "--trace", "missing.csv", "--out", "s.csv"),
+        ("ablate", "--trace", "missing.csv", "--db", "missing.db", "--truth", "missing.truth",
+         "--out", "a.csv"),
+        ("end2end", "--iterations", "1", "--out-dir", "e2e"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_checks_its_config_before_inputs_and_outputs(
+    tmp_path, monkeypatch, capsys, argv
+):
+    # A bad value in a section the command does not use still stops it, before it reads
+    # its (here missing) inputs or writes anything.
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text("match.channels = bogus\n")
+    assert run(*argv, "--config", "bad.cfg") == 2
+    assert capsys.readouterr().err.startswith("error: match: unknown channel 'bogus'")
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+def test_a_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert run(
+        "synth", "--workload", "primes", "--config", missing,
+        "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth",
+    ) == 2
+    assert capsys.readouterr().err == f"error: config file {missing}: No such file or directory\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_a_window_longer_than_any_trace_keeps_every_row(pipeline, tmp_path, capsys):
@@ -585,16 +661,17 @@ def test_every_config_key_reaches_the_code_that_owns_it(tmp_path, monkeypatch):
     )
     seen = {}
 
-    def fake_preprocess(trace, **kwargs):
-        seen.update(kwargs, trace=trace)
+    def fake_preprocess(trace, config):
+        seen.update(trace=trace, config=config)
         return "report"
 
     monkeypatch.setattr(cli, "preprocess_trace", fake_preprocess)
     assert cli._preprocess(cfg, "trace") == "report"
     assert seen == {
-        "trace": "trace", "coverage_target": 0.9, "window": 8, "min_rw_frac": 0.01,
+        "trace": "trace",
+        "config": PreprocessConfig(coverage_target=0.9, window=8, min_rw_frac=0.01),
     }
-    assert cli._parse_channels(cfg["match.channels"]) == {Channel.MODE, Channel.PF}
+    assert parse_channels(cfg["match.channels"]) == {Channel.MODE, Channel.PF}
 
 
 def test_malformed_trace_file_is_a_data_error(pipeline, tmp_path, capsys):

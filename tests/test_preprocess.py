@@ -14,8 +14,8 @@ from optrace.machine import (
     synthesize_trace,
 )
 from optrace.preprocess import (
-    DEFAULT_WINDOW,
     DetectionError,
+    PreprocessConfig,
     SegmentationError,
     detect_optable_page,
     detect_stack_pages,
@@ -44,7 +44,7 @@ def bench_trace(seed=0, noise=ZERO):
     return run, layout, trace
 
 
-def expected_keep_pages(trace, optable_page, stack_pages, window=DEFAULT_WINDOW):
+def expected_keep_pages(trace, optable_page, stack_pages, window=PreprocessConfig.window):
     """Brute-force restatement of the filter rule for oracle comparison."""
     keep = {optable_page} | set(stack_pages)
     events = trace.events
@@ -263,9 +263,8 @@ def test_preprocess_trace_bundles_the_stages():
     [{"window": -40}, {"coverage_target": 5.0}, {"coverage_target": -0.5}, {"min_rw_frac": 1.5}],
 )
 def test_preprocess_trace_rejects_out_of_range_settings(setting):
-    _, _, trace = bench_trace()
     with pytest.raises(ValueError, match=next(iter(setting))) as caught:
-        preprocess_trace(trace, **setting)
+        PreprocessConfig(**setting)
     assert not isinstance(caught.value, (DetectionError, SegmentationError))
 
 

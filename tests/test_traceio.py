@@ -1407,6 +1407,22 @@ def test_parse_config_rejects_bad_input(text, message):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("preprocess.window = -40\nnoise.ctx_switch_rate = 2", "noise: ctx_switch_rate"),
+        ("mitigation.variant_count = 0\nlayout.span = 10", "layout: layout needs"),
+        ("match.channels = bogus\npreprocess.coverage_target = 5", "preprocess: coverage_target"),
+        ("match.channels = ,", "match: empty channel list"),
+    ],
+)
+def test_the_first_bad_section_in_table_order_is_reported(text, message):
+    # Sections are checked in the order noise, layout, mitigation, preprocess, match,
+    # whatever the order of the lines.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        parse_config_text(text)
+
+
 def test_boolean_spellings():
     for raw, want in [("true", True), ("1", True), ("ON", True), ("off", False), ("0", False), ("No", False)]:
         cfg = parse_config_text(f"mitigation.shuffle_handlers = {raw}")
@@ -1437,7 +1453,8 @@ def test_config_files_are_utf8_whose_lines_end_in_lf_crlf_or_cr(tmp_path):
     cfg["match.channels"] = "café"
     write_config(path, cfg)
     assert b"match.channels = caf\xc3\xa9\n" in path.read_bytes()
-    assert load_config(path) == cfg
+    with pytest.raises(ConfigError, match=r"^match: unknown channel 'café'"):  # read as UTF-8
+        load_config(path)
 
 
 def test_config_hash_is_stable_and_sensitive():
