@@ -253,10 +253,15 @@ def _check_row_order(truth, predictions=None) -> None:
 
 
 def _truth_of(trace, path):
-    """The truth file at `path`, checked to come from the run of `trace` and to be in order."""
+    """The truth file at `path`, checked to come from the run of `trace`, to be in order and
+    to label rows of `trace`."""
     truth, meta = read_truth(path)
     _check_same_run("trace", trace.layout_seed, meta)
     _check_row_order(truth)
+    if (outside := (truth.rows < 0) | (truth.rows >= len(trace))).any():
+        row = int(outside.argmax())
+        raise EvalError(f"truth data row {row + 1}: boundary_index {truth.rows[row]} is outside "
+                        f"the trace's {len(trace)} rows")
     return truth
 
 

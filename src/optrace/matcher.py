@@ -113,9 +113,11 @@ def score_discrete(a, b) -> float:
     return 1.0 / (1.0 + mism + abs(len(a) - len(b)))
 
 
-# Most S*E*W elements (segments x entries x width) scored in one block:
-# large enough to amortize per-block NumPy calls, small enough that the
-# block's temporaries stay in cache and add little to peak RSS.
+# Most elements a scoring step holds.  A block holds at most BLOCK_ELEMENTS // E
+# segments (E entries), so its discrete-score grid holds at most BLOCK_ELEMENTS
+# scores; a pair step scores at most BLOCK_ELEMENTS // cut pairs of cut rows.
+# Large enough to amortize per-step NumPy calls, small enough that temporaries
+# stay in cache and add little to peak RSS at any trace length.
 BLOCK_ELEMENTS = 1 << 18
 
 
@@ -163,6 +165,8 @@ class CompiledDb:
     such l, so an entry scores at most its discrete score d, the product of
     its mode, class and pf scores: one whose d is below a segment's runner-up
     cannot change its label, score or margin, and its latency is not scored.
+    Memory is bounded at any trace length: a block holds at most
+    BLOCK_ELEMENTS // E segments (E entries), a pair step BLOCK_ELEMENTS // cut pairs.
     """
 
     def __init__(self, db: FingerprintDb, channels: frozenset[Channel] = DEFAULT_CHANNELS):
@@ -208,72 +212,67 @@ class CompiledDb:
         block, and key key[p] scores score[p] against entry entry[p], key by key.
 
         Segments are grouped by cut = min(length, width), the number of rows
-        the scorer reads, and each group's channels are gathered once.  Each
-        distinct discrete key (length, mode, class and pf rows) scores d
-        against every entry once.  Each distinct full key among them then
-        scores latency against its two entries of highest d, and against each
-        entry whose d reaches s2, the lower of those two scores: its best and
-        runner-up are among these pairs, ties included.  A pair scores d times
-        latency, the float operations of scoring its channels in turn.
-        Blocks hold at most BLOCK_ELEMENTS pair-position elements.
+        the scorer reads, and a block is a run of at most BLOCK_ELEMENTS // E
+        segments of one cut (E entries), whose channels are gathered once.  In
+        a block each distinct discrete key (length, mode, class and pf rows)
+        scores d against every entry once, a grid of at most BLOCK_ELEMENTS
+        scores.  Each distinct full key then scores latency against its two
+        entries of highest d, and against each entry whose d reaches s2, the
+        lower of those two scores: its best and runner-up are among these
+        pairs, ties included.  A pair scores d times latency, the float
+        operations of scoring its channels in turn.
         """
         if not len(segments):
             return
-        columns = {
-            Channel.MODE: segments.trace.mode,
-            Channel.CLASS: segments.classes,
-            Channel.PF: segments.trace.pf,
-            Channel.LATENCY: segments.trace.latency,
-        }
+        trace = segments.trace
+        columns = dict(zip(Channel, (trace.mode, segments.classes, trace.pf, trace.latency)))
         lengths = segments.lengths
         cuts = np.minimum(lengths, self.width)
         order = np.argsort(cuts, kind="stable")
         E = len(self.lens)
-        per_block = max(1, BLOCK_ELEMENTS // max(1, E * self.width))
-        for rows in np.split(order, np.flatnonzero(np.diff(cuts[order])) + 1):
-            cut = int(cuts[rows[0]])
-            L = lengths[rows]
+        size = max(1, BLOCK_ELEMENTS // E)
+        edges = np.flatnonzero(np.diff(cuts[order])) + 1  # where one cut ends
+        for rows in np.split(order, np.union1d(edges, np.arange(size, len(order), size))):
+            cut, L = int(cuts[rows[0]]), lengths[rows]
             x = {ch: _gather(columns[ch], segments.starts[rows], cut) for ch in self.entry}
             side = self._entry_side(cut)
             discrete = {ch: v for ch, v in x.items() if ch is not Channel.LATENCY}
-            latency = {ch: v for ch, v in x.items() if ch is Channel.LATENCY}
             keys, slot = _distinct(L, *x.values())
-            dfirst, dslot = _distinct(L[keys], *(v[keys] for v in discrete.values()))
-            dblocks = np.split(keys[dfirst], range(per_block, len(dfirst), per_block))
-            grid = [self._score_pairs(discrete, L, b, *_ragged(np.full(len(b), E)), side)
-                    for b in dblocks]
-            d = np.concatenate(grid).reshape(len(dfirst), E)
+            dfirst, kd = _distinct(L[keys], *(v[keys] for v in discrete.values()))
+            grid = _ragged(np.full(len(dfirst), E))
+            d = self._score_pairs(discrete, L, keys[dfirst], *grid, side).reshape(len(dfirst), E)
             by_d = np.argsort(-d, axis=1, kind="stable")  # each discrete key's entries
-            for start in range(0, len(keys), per_block):
-                block = slice(start, start + per_block)
-                kd, lat = dslot[block], (latency, L, keys[block])
-                key, pos = _ragged(np.full(len(kd), min(2, E)))
-                entry = by_d[kd[key], pos]
-                first = d[kd[key], entry] * self._score_pairs(*lat, key, entry, side)
-                s2 = first.reshape(len(kd), -1).min(axis=1)
-                # The entries of each key's discrete key with d >= s2: by_d's first `count`.
-                count = (d[kd] >= s2[:, None]).sum(axis=1)
-                key, pos = _ragged(count)
-                entry = by_d[kd[key], pos]
-                score, more = d[kd[key], entry], pos >= 2
-                score[~more] = first
-                score[more] *= self._score_pairs(*lat, key[more], entry[more], side)
-                inside = (slot >= start) & (slot < start + per_block)
-                yield rows[inside], slot[inside] - start, key, entry, score
+            lat = {ch: v for ch, v in x.items() if ch is Channel.LATENCY}, L, keys
+            key, pos = _ragged(np.full(len(keys), min(2, E)))
+            entry = by_d[kd[key], pos]
+            first = d[kd[key], entry] * self._score_pairs(*lat, key, entry, side)
+            s2 = first.reshape(len(keys), -1).min(axis=1)
+            # The entries of each key's discrete key with d >= s2: the first that many of by_d.
+            key, pos = _ragged((d[kd] >= s2[:, None]).sum(axis=1))
+            entry = by_d[kd[key], pos]
+            score, more = d[kd[key], entry], pos >= 2
+            score[~more] = first
+            score[more] *= self._score_pairs(*lat, key[more], entry[more], side)
+            yield rows, slot, key, entry, score
 
     def _score_pairs(self, x: dict[Channel, np.ndarray], L: np.ndarray, rows, key, entry, side):
         """Per pair p, the product of the scores of row rows[key[p]] of each channel in `x`,
-        of length L[rows[key[p]]], against entry entry[p]."""
+        of length L[rows[key[p]]], against entry entry[p].  Pairs come key by key and score in
+        steps of at most max(1, BLOCK_ELEMENTS // cut) pairs, each on the rows of its keys."""
         _, cut_mask, sums = side
-        L = L[rows]
-        lendiff = np.abs(self.lens[entry] - L[key])
+        step = max(1, BLOCK_ELEMENTS // max(1, cut_mask.shape[1]))
         scores = np.ones(len(key))
-        for channel, values in x.items():
-            if channel in sums:
-                scores *= self._numeric_scores(channel, values[rows], L, key, entry, lendiff, side)
-            else:
-                ent = self.entry[channel]
-                scores *= _discrete_scores(ent, entry, values[rows[key]], cut_mask, lendiff)
+        for lo in range(0, len(key), step):
+            p = slice(lo, lo + step)
+            r = rows[key[lo] : key[p][-1] + 1]  # the rows of this step's keys
+            k, e, n = key[p] - key[lo], entry[p], L[r]
+            lendiff = np.abs(self.lens[e] - n[k])
+            for channel, values in x.items():
+                if channel in sums:
+                    scores[p] *= self._numeric_scores(channel, values[r], n, k, e, lendiff, side)
+                else:
+                    ent = self.entry[channel]
+                    scores[p] *= _discrete_scores(ent, e, values[r[k]], cut_mask, lendiff)
         return scores
 
     def _numeric_scores(self, channel: Channel, x, L, key, entry, lendiff, side) -> np.ndarray:

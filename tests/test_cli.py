@@ -12,7 +12,7 @@ from optrace.cli import main
 from optrace.machine import LayoutConfig, MitigationConfig, NoiseModel
 from optrace.matcher import Channel, match_trace
 from optrace.preprocess import PreprocessConfig, preprocess_trace
-from optrace.traceio import load_config, parse_channels, read_db, read_trace
+from optrace.traceio import load_config, parse_channels, read_db, read_trace, read_truth
 from optrace.workloads import reference_module
 
 from support import run_optrace, trace_meta
@@ -281,6 +281,23 @@ def test_profile_refuses_truth_boundaries_out_of_order(tmp_path, capsys):
     assert err == f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
 
 
+@pytest.mark.parametrize("where", ["before", "past"])
+def test_profile_refuses_truth_rows_outside_the_trace(tmp_path, capsys, where):
+    trace, truth = synth_marked(tmp_path, 0, "--zero-noise")
+    n, rows = len(read_trace(trace)), len(read_truth(truth)[0])
+    if where == "before":
+        edited = with_data_rows(truth, tmp_path, lambda r: ["-1," + r[0].partition(",")[2], *r[1:]])
+        row, index = 1, -1
+    else:
+        edited = with_data_rows(truth, tmp_path, lambda r: [*r, f"{n},i32.add"])
+        row, index = rows + 1, n
+    assert run("profile", "--trace", trace, "--truth", edited, "--out", tmp_path / "x.txt") == 3
+    assert capsys.readouterr().err == (
+        f"error: truth data row {row}: boundary_index {index} is outside the trace's {n} rows\n"
+    )
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_preprocess_reports_structure(pipeline, tmp_path, capsys):
     seg_path = tmp_path / "segments.csv"
     assert run("preprocess", "--trace", pipeline.trace, "--out", seg_path) == 0
@@ -406,6 +423,17 @@ def test_ablate_refuses_truth_boundaries_out_of_order(tmp_path, pipeline, capsys
     captured = capsys.readouterr()
     assert captured.err == (
         f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
+    )
+    assert captured.out == ""
+
+
+def test_ablate_refuses_truth_rows_outside_the_trace(tmp_path, pipeline, capsys):
+    n, rows = len(read_trace(pipeline.trace)), len(read_truth(pipeline.truth)[0])
+    truth = with_data_rows(pipeline.truth, tmp_path, lambda r: [*r, f"{n},i32.add"])
+    assert run("ablate", "--trace", pipeline.trace, "--db", pipeline.db, "--truth", truth) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: truth data row {rows + 1}: boundary_index {n} is outside the trace's {n} rows\n"
     )
     assert captured.out == ""
 

@@ -315,8 +315,9 @@ def test_match_trace_batches_agree_with_scalar_oracle(
 ):
     # Mixed lengths, some past the widest entry (width <= 4), exact
     # repeats, and twins that differ from a segment in one channel only;
-    # blocks of at most `per_block` segments, so that a length group with
-    # more distinct segments than that spans several blocks.
+    # blocks of at most `per_block` segments, so that a cut with more
+    # segments than that spans several blocks, and pair steps short enough
+    # that their edges fall inside one key's pairs.
     segs = short + long
     for r, channel, fresh in twins:
         vectors = list(vectors_of(segs[r % len(segs)]))
@@ -324,11 +325,28 @@ def test_match_trace_batches_agree_with_scalar_oracle(
         segs.append(seg(*vectors))
     segs += [segs[r % len(segs)] for r in repeats]
     random.Random(len(segs)).shuffle(segs)
-    width = max(len(entry) for entry in fps)
-    budget = per_block * len(fps) * width
-    with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
+    with mock.patch.object(matcher, "BLOCK_ELEMENTS", per_block * len(fps)):
         preds = match_trace(segments_of(segs), db_of(*fps), channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
+
+
+def spy_on_steps(steps):
+    """Stand-ins for the channel kernels, each called on one pair step of
+    CompiledDb._score_pairs, that record the step's pairs and cut in `steps`."""
+    numeric, discrete = CompiledDb._numeric_scores, matcher._discrete_scores
+
+    def numeric_spy(self, channel, x, L, key, entry, lendiff, side):
+        steps.append((len(entry), x.shape[1]))
+        return numeric(self, channel, x, L, key, entry, lendiff, side)
+
+    def discrete_spy(ent, entry, seg, cut_mask, lendiff):
+        steps.append((len(entry), seg.shape[1]))
+        return discrete(ent, entry, seg, cut_mask, lendiff)
+
+    return (
+        mock.patch.object(CompiledDb, "_numeric_scores", numeric_spy),
+        mock.patch.object(matcher, "_discrete_scores", discrete_spy),
+    )
 
 
 def test_match_trace_spans_blocks_at_the_default_budget():
@@ -348,17 +366,31 @@ def test_match_trace_spans_blocks_at_the_default_budget():
         for i in range(40)
     ]
     fps.append(fps[3])  # an exact tie with an earlier entry
-    per_block = matcher.BLOCK_ELEMENTS // (len(fps) * width)
-    distinct = [seg(*vectors(width)) for _ in range(per_block + 20)]
+    db, channels = db_of(*fps), frozenset(Channel)
+    compiled = CompiledDb(db, channels)
+    size = matcher.BLOCK_ELEMENTS // len(fps)  # segments a block holds at most
+    distinct = [seg(*vectors(width)) for _ in range(150)]
     distinct += [seg(*vectors(rng.randint(width + 1, 3 * width))) for _ in range(30)]
     distinct += [seg(fps[7].modes, fps[7].classes, fps[7].pf, fps[7].latency)]
-    segs = distinct + [rng.choice(distinct) for _ in range(50)]
-    rng.shuffle(segs)
-    channels = frozenset(Channel)
-    blocks = list(CompiledDb(db_of(*fps), channels).score_blocks(segments_of(segs)))
-    assert any(key[-1] + 1 == per_block for _, _, key, _, _ in blocks)
-    preds = match_trace(segments_of(segs), db_of(*fps), channels)
-    assert_matches_scalar_oracle(preds, segs, fps, channels)
+    # Repeats give the cut of the widest entry more segments than a block holds.
+    segs = distinct + [rng.choice(distinct) for _ in range(size)]
+    steps = []
+    numeric_spy, discrete_spy = spy_on_steps(steps)
+    with numeric_spy, discrete_spy:
+        blocks = list(compiled.score_blocks(segments_of(segs)))
+    cuts = [min(len(segs[rows[0]]), compiled.width) for rows, *_ in blocks]
+    assert cuts.count(compiled.width) >= 2
+    assert max(len(rows) for rows, *_ in blocks) <= size
+    assert all(pairs <= matcher.BLOCK_ELEMENTS // cut for pairs, cut in steps)
+    # The widest cut's discrete-score grid, 41 entries for each of its 180 distinct
+    # segments, takes more than one step.
+    assert (matcher.BLOCK_ELEMENTS // compiled.width, compiled.width) in steps
+    preds = match_trace(segments_of(segs), db, channels)
+    with mock.patch.object(matcher, "BLOCK_ELEMENTS", len(segs) * len(fps)):
+        whole = match_trace(segments_of(segs), db, channels)  # each cut one block
+    bits = [[c.tobytes() for c in (p.rows, p.codes, p.score, p.margin)] for p in (preds, whole)]
+    assert bits[0] == bits[1]
+    assert_matches_scalar_oracle(preds[: len(distinct)], distinct, fps, channels)
 
 
 def test_exactly_equal_correlations_tie_to_the_tie_break():
@@ -437,7 +469,7 @@ def latency_families(draw):
 def flat_counterexample(entries):
     """Arguments of the pruning test that the random search once found: RRR/OOO entries, each
     (label, pf, support), and one segment on each of their pf; extra segments RRR/OOO on
-    (0, 2, 1) and R/O three times; every latency 5000; mode and pf scored; one key a block."""
+    (0, 2, 1) and R/O three times; every latency 5000; mode and pf scored; one segment a block."""
     flat = (5000,) * 3
     fps = [fp(label, "RRR", "OOO", pf, flat, support) for label, pf, support in entries]
     segs = [seg("RRR", "OOO", pf, flat) for pf in dict.fromkeys(e.pf for e in fps)]
@@ -466,9 +498,7 @@ def flat_counterexample(entries):
 def test_pruned_latency_agrees_with_scalar_oracle(families, others, extra, per_block, channels):
     fps, segs = families
     fps, segs = fps + others, segs + extra
-    width = max(len(entry) for entry in fps)
-    budget = per_block * len(fps) * width
-    with mock.patch.object(matcher, "BLOCK_ELEMENTS", budget):
+    with mock.patch.object(matcher, "BLOCK_ELEMENTS", per_block * len(fps)):
         preds = match_trace(segments_of(segs), db_of(*fps), channels)
         assert_pairs_match_scalar_oracle(CompiledDb(db_of(*fps), channels), segs, fps, channels)
     assert_matches_scalar_oracle(preds, segs, fps, channels)
