@@ -121,16 +121,33 @@ def score_discrete(a, b) -> float:
 BLOCK_ELEMENTS = 1 << 18
 
 
-def _gather(column: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """(S, width) array whose row k is column[starts[k] : starts[k] + width]."""
-    return column[starts[:, None] + np.arange(width)]
+def _multipliers(n: int) -> np.ndarray:
+    """The odd multiplier of each of n key words in a key's hash: splitmix64 of its position."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
 def _distinct(*columns: np.ndarray):
-    """First row and slot of each distinct key, a row's key being its row of every column."""
-    key = np.concatenate([c.reshape(len(c), -1).view(np.uint8) for c in columns], axis=1)
-    keys = key.view(np.dtype((np.void, key.shape[1]))).ravel()
-    _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    """First row and slot of each distinct key, a row's key being its row of every column.
+
+    Hash, then verify.  A key's bytes, zero-padded to 8-byte words, each word xored with its
+    high half shifted down (one-to-one, so a value packed into a word's high bytes moves its
+    low bits too), hash to the sum of each word times its odd multiplier, mod 2**64: keys
+    that differ in one word never share a hash.  If a row differs from the first row of its
+    hash, the keys are deduplicated exactly, by `np.unique` on their bytes.
+    """
+    parts = [c.reshape(len(c), -1).view(np.uint8) for c in columns]
+    pad = -sum(part.shape[1] for part in parts) % 8
+    words = np.concatenate([*parts, np.zeros((len(parts[0]), pad), np.uint8)], axis=1)
+    words = words.view(np.uint64)
+    words ^= words >> np.uint64(32)
+    hashes = words @ _multipliers(words.shape[1])
+    _, first, slot = np.unique(hashes, return_index=True, return_inverse=True)
+    if (words[first[slot]] != words).any():  # two keys share a hash
+        keys = words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+        _, first, slot = np.unique(keys, return_index=True, return_inverse=True)
     return first, slot
 
 
@@ -234,7 +251,8 @@ class CompiledDb:
         edges = np.flatnonzero(np.diff(cuts[order])) + 1  # where one cut ends
         for rows in np.split(order, np.union1d(edges, np.arange(size, len(order), size))):
             cut, L = int(cuts[rows[0]]), lengths[rows]
-            x = {ch: _gather(columns[ch], segments.starts[rows], cut) for ch in self.entry}
+            at = segments.starts[rows][:, None] + np.arange(cut)  # each block row's trace rows
+            x = {ch: columns[ch][at] for ch in self.entry}
             side = self._entry_side(cut)
             discrete = {ch: v for ch, v in x.items() if ch is not Channel.LATENCY}
             keys, slot = _distinct(L, *x.values())

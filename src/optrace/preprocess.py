@@ -168,11 +168,14 @@ def detect_stack_pages(
     if not len(starts):
         return frozenset()
     data = np.flatnonzero((trace.mode == READ) | (trace.mode == WRITE))
-    pages, code = np.unique(trace.page[data], return_inverse=True)
-    mode = trace.mode[data]
-    off_table = pages[code] != optable_page
-    reads = np.bincount(code[off_table & (mode == READ)], minlength=len(pages))
-    writes = np.bincount(code[off_table & (mode == WRITE)], minlength=len(pages))
+    page = trace.page[data]
+    pages = np.unique(page)
+    code = np.searchsorted(pages, page)
+    # Reads and writes of each page but the optable's, which has a read at each start.
+    counts = np.bincount(2 * code + (trace.mode[data] == WRITE), minlength=2 * len(pages))
+    counts = counts.reshape(-1, 2)
+    counts[np.searchsorted(pages, optable_page)] = 0
+    reads, writes = counts.T
 
     # Distinct (region, page) pairs of data accesses inside regions, for
     # spread and coverage; region k runs from starts[k] to starts[k + 1].
@@ -210,7 +213,8 @@ def filter_redundant(
     Keeps every event whose page shows up within +-window events of some
     optable read (plus the detected interpreter pages themselves); long
     co-tenant bursts disappear while opcode-region events survive.  Truth
-    boundary indices are remapped.  Returns (filtered trace, removed count).
+    boundary indices are remapped.  Returns (filtered trace, removed count);
+    the filtered trace is `trace` itself when it drops no row and no label.
     """
     n = len(trace)
     window = min(window, n)  # a window as long as the trace already reaches every row
@@ -221,9 +225,14 @@ def filter_redundant(
         np.clip(starts + window + 1, 0, n), minlength=n + 1
     )
     near = np.cumsum(edges[:n]) > 0
-    keep_pages = np.union1d(trace.page[near], [optable_page, *stack_pages])
-    keep = np.isin(trace.page, keep_pages)
-    return trace.take(keep), n - int(np.count_nonzero(keep))
+    # One membership test against every near row's page: with that many, `isin` takes its
+    # table method rather than sorting.
+    keep = np.isin(trace.page, np.concatenate([trace.page[near], [optable_page, *stack_pages]]))
+    removed = n - int(np.count_nonzero(keep))
+    truth = trace.truth
+    if not removed and (truth is None or ((truth.rows >= 0) & (truth.rows < n)).all()):
+        return trace, 0  # `take` would copy every row and drop no label
+    return trace.take(keep), removed
 
 
 def segment_trace(

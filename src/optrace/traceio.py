@@ -158,52 +158,62 @@ def _check_columns(lineno: int | None, line: str, columns: tuple[str, ...]) -> N
 # `[RWE]` or `[OSX]`; a label token of printable UTF-8 without a space, quote or
 # comma; a six-decimal float `-?[0-9]{1,10}\.[0-9]{6}` whose mantissa (its digits
 # as one integer) is below 2**53.  So no integer leaves int64, and a mantissa
-# and 10**6 are exact doubles: their one rounded quotient is float(field).
-_DIGIT = np.full(256, 255, np.uint8)  # value of each byte as a digit; 255 for no digit
-_DIGIT[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+# and 10**6 are exact doubles: their one rounded quotient is float(field).  A
+# PAGE_SIZE of 16**3 makes an address page aligned when it ends in three 0s.
+_HEX = np.full(256, 255, np.uint8)  # value of each byte as a hex digit; 255 for no digit
+_HEX[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
-def _digits(digit: np.ndarray, start, end, base: int, most: int):
-    """Values of the fields `digit[start:end]`, each of 1 to `most` digits in `base`, or None."""
+def _digits(a, start, end, base: int, most: int, least: int = 1):
+    """Values of the fields `a[start:end]`, each of `least` to `most` digits in `base` (10 or
+    16), or None.  Only the bytes at digit positions are read, one position at a time."""
     count = end - start
-    if count.min() < 1 or count.max() > most:
+    fewest, longest = count.min(), count.max()
+    if fewest < least or longest > most:
         return None
     value = np.zeros(len(count), np.int64)
-    for k in range(count.max()):
-        d = np.where(k < count, digit.take(end - 1 - k, mode="clip"), 0)
+    for k in range(longest):
+        d = a.take(end - 1 - k, mode="clip")
+        d = _HEX.take(d) if base == 16 else np.subtract(d, ord("0"), out=d)  # no digit: >= base
+        if k >= fewest:
+            d *= k < count
         if (d >= base).any():
             return None
         value += d * np.int64(base**k)
     return value
 
 
-def _hex_address(a, digit, start, end):
+def _hex_address(a, start, end):
+    """Pages of the page-aligned addresses `-?0x[0-9a-f]{1,15}`: the digits before the three
+    trailing 0s (none for `0x0`, `0x00` and `0x000`), negated after a `-`."""
     neg = a[start] == ord("-")
-    if (a[start + neg] != ord("0")).any() or (a[start + neg + 1] != ord("x")).any():
+    first = start + neg + 2  # the first digit
+    if (a[first - 2] != ord("0")).any() or (a[first - 1] != ord("x")).any():
         return None
-    value = _digits(digit, start + neg + 2, end, 16, 15)
-    if value is None or (value % PAGE_SIZE).any():
+    last = np.maximum(end - 3, first)  # the first of the trailing 0s, read as decimals
+    page, low = _digits(a, first, last, 16, 12, least=0), _digits(a, last, end, 10, 3)
+    if page is None or low is None or low.any():
         return None
-    return np.where(neg, -value, value) // PAGE_SIZE
+    return np.negative(page, out=page, where=neg)
 
 
-def _decimal(a, digit, start, end):
+def _decimal(a, start, end):
     neg = a[start] == ord("-")
-    value = _digits(digit, start + neg, end, 10, 18)
-    return None if value is None else np.where(neg, -value, value)
+    value = _digits(a, start + neg, end, 10, 18)
+    return None if value is None else np.negative(value, out=value, where=neg)
 
 
-def _six_decimals(a, digit, start, end):
+def _six_decimals(a, start, end):
     neg = a[start] == ord("-")
-    whole = _digits(digit, start + neg, end - 7, 10, 10)
-    fraction = _digits(digit, end - 6, end, 10, 6)
+    whole = _digits(a, start + neg, end - 7, 10, 10)
+    fraction = _digits(a, end - 6, end, 10, 6)
     if whole is None or fraction is None or (a[end - 7] != ord(".")).any():
         return None
     mantissa = whole * 10**6 + fraction
     return None if (mantissa >= 2**53).any() else np.where(neg, -1.0, 1.0) * (mantissa / 1e6)
 
 
-def _tokens(code, a, digit, start, end):
+def _tokens(code, a, start, end):
     """`code` of each field `a[start:end]`, decoded; None unless every one is a label token."""
     buf = a.tobytes()
     with suppress(ValueError):  # an undecodable field, or a label with a line break
@@ -224,9 +234,9 @@ def _parse(buf: bytes, kinds):
     sep, start = sep.reshape(-1, len(kinds)), np.zeros(len(sep), sep.dtype)
     np.add(sep.ravel()[:-1], 1, out=start[1:])  # a field starts after the separator before it
     start = start.reshape(sep.shape)
-    digit, columns = _DIGIT.take(a), []
+    columns = []
     for k, kind in enumerate(kinds.values()):  # left to right: no label is coded off a row
-        columns.append(kind.parse(a, digit, start[:, k], sep[:, k]))
+        columns.append(kind.parse(a, start[:, k], sep[:, k]))
         if columns[-1] is None:
             return None
     return columns
@@ -308,8 +318,9 @@ def _letter(noun: str, letters: bytes) -> _Kind:
     is_letter = np.zeros(256, bool)
     is_letter[list(letters)] = True
 
-    def parse(a, digit, start, end):
-        return a[start] if (end == start + 1).all() and is_letter[a[start]].all() else None
+    def parse(a, start, end):
+        letter = a[start]
+        return letter if (end == start + 1).all() and is_letter[letter].all() else None
 
     def convert(text: str) -> int:
         if len(text) != 1 or text not in letters.decode():

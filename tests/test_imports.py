@@ -1,6 +1,10 @@
-"""No module imports a name it never uses: a stand-in for a linter's unused-import rule."""
+"""No module imports a name it never uses, a stand-in for a linter's unused-import rule, and
+importing the command line loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,16 @@ def test_the_check_sees_unused_imports():
         "def f(x: 'os.PathLike') -> dataclass: return x\n"
     )
     assert unused_imports(source) == ["system", "TYPE_CHECKING"]
+
+
+def test_importing_the_command_line_leaves_numpy_random_unloaded():
+    # A fresh interpreter's import is part of every command's start-up; numpy.random alone
+    # takes about 10 ms to import on a 2-vCPU VM, and no optrace module draws from it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, optrace.traceio, optrace.workloads, optrace.cli; print(sorted(sys.modules))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    loaded = ast.literal_eval(child.stdout)
+    assert "numpy" in loaded and "optrace.cli" in loaded
+    assert "numpy.random" not in loaded

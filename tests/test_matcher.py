@@ -759,6 +759,48 @@ def test_repeats_of_a_real_trace_score_latency_once_per_full_key():
     assert_matches_scalar_oracle(preds, segs, fps, frozenset(Channel))
 
 
+def spy_on_unique(void_keys: list):
+    """A stand-in for np.unique that records, per call, whether it was given keys as bytes."""
+    unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        void_keys.append(values.dtype.kind == "V")
+        return unique(values, *args, **kwargs)
+
+    return mock.patch.object(np, "unique", spy)
+
+
+def test_every_key_sharing_a_hash_gives_the_same_predictions():
+    # With every multiplier 0 every key hashes to 0, so each block's check fails and its
+    # keys are deduplicated as bytes: labels, scores and margins keep their bits.
+    segs = victim(0, iterations=5).segments
+    db = profile_db(PROFILE_SEED_OFFSET)
+    void_keys = []
+    with spy_on_unique(void_keys):
+        want = match_trace(segs, db)
+    assert not any(void_keys)  # no two keys of this trace share a hash
+    zero = mock.patch.object(matcher, "_multipliers", lambda n: np.zeros(n, np.uint64))
+    with zero, spy_on_unique(void_keys):
+        got = match_trace(segs, db)
+    assert any(void_keys)
+    bits = [[c.tobytes() for c in (p.rows, p.codes, p.score, p.margin)] for p in (want, got)]
+    assert bits[0] == bits[1]
+
+
+def test_two_keys_with_one_hash_stay_distinct():
+    # Keys whose words, each xored with its high half, are (c1, 0) and (0, c0), for
+    # multipliers c0 and c1, both hash to c0 * c1.  The xor undoes itself.
+    c0, c1 = matcher._multipliers(2)
+    mixed = np.array([[c1, 0], [0, c0]], np.uint64)
+    a, b = mixed ^ (mixed >> np.uint64(32))
+    void_keys = []
+    with spy_on_unique(void_keys):
+        first, slot = matcher._distinct(np.array([a, b, a, [0, 0]], np.uint64))
+    assert void_keys == [False, True]  # the hashes, then the keys as bytes
+    assert sorted(first.tolist()) == [0, 1, 3]
+    assert first[slot].tolist() == [0, 1, 0, 3]
+
+
 def test_empty_database_is_an_error():
     with pytest.raises(MatchError, match="empty"):
         match_trace(segments_of([]), db_of())

@@ -1,5 +1,6 @@
 """Structure recovery: dispatch-page detection, filtering, segmentation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from optrace.bytecode import execute
 from optrace.handlers import default_handler_specs
 from optrace.machine import (
+    Labels,
     LayoutConfig,
     NoiseModel,
+    SideChannelTrace,
     StepEvent,
     build_layout,
     synthesize_trace,
@@ -139,6 +142,18 @@ def test_filter_removes_nothing_on_clean_trace():
         trace, layout.optable_page, frozenset(layout.stack_pages)
     )
     assert removed == 0
+    assert filtered is trace  # not a copy
+
+
+def test_filter_drops_truth_rows_off_the_trace_though_it_keeps_every_row():
+    _, layout, trace = bench_trace()
+    stacks = frozenset(layout.stack_pages)
+    t = trace.truth
+    rows = np.append(t.rows, [len(trace), -1])
+    off = SideChannelTrace(trace.page, trace.mode, trace.pf, trace.latency,
+                           Labels(rows, np.append(t.codes, [0, 0]), t.table), trace.layout_seed)
+    filtered, removed = filter_redundant(off, layout.optable_page, stacks)
+    assert filtered is not off and removed == 0
     assert filtered.events == trace.events
     assert filtered.truth == trace.truth
 

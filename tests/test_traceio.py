@@ -283,6 +283,23 @@ _TAG, _COLUMNS = "# optrace trace v1\n", "address,mode,pf_count,latency\n"
 _DB_TAG = "# optrace fingerprint-db v1\n"
 _DB_COLUMNS = "entry,label,support,mode,class,pf,latency_sum\n"
 
+# In-form edge fields.  Addresses of 1 to 15 hex digits: up to three 0s, after a page of up
+# to 12 digits.
+_EDGE_ROWS = [f"{address},R,1,10" for address in (
+    "0x0", "0x00", "0x000", "-0x0", "0x0000", "-0x0000", "0x1000", "0x0001000", "-0x0001000",
+    *(f"0x{'f' * (n - 3)}000" for n in range(4, 16)), f"-0x{'f' * 12}000",
+    f"0x{'0' * 11}1000", f"0x1{'0' * 14}",
+)] + [f"0x1000,W,{value},{value}" for value in (
+    "0", "-0", "00", "007", "-007", "9" * 18, "-" + "9" * 18, "0" * 17 + "1", "1" + "0" * 17,
+)]
+# Their off-form neighbours.
+_OFF_FORM_ROWS = [f"{address},R,1,10" for address in (
+    "0X1000", "0xA000", "0x1001", "0x10", "0x1", f"0x{'0' * 12}1000", "0x", "-0x",
+    f"0x{'f' * 16}000", "-0X0", "--0x0",
+)] + [f"0x1000,W,{value},{value}" for value in (
+    "1" + "0" * 18, "0" * 18 + "1", "-" + "0" * 18 + "7", "+5", "--5", "-", "",
+)]
+
 
 @pytest.mark.parametrize(
     "text,split",
@@ -310,6 +327,8 @@ _DB_COLUMNS = "entry,label,support,mode,class,pf,latency_sum\n"
         (f"{_TAG}# a=1\x0cb=2\n{_COLUMNS}0x1000,R,1,10\n", False),  # `b=2` is in the comment
         (f"{_TAG}# a=1\x85b=2\n{_COLUMNS}0x1000,R,1,10\n", False),
         (f"{_TAG}address,mode,pf_count,latency \n0x1000,R,1,10\n", False),
+        *((f"{_TAG}{_COLUMNS}0x2000,E,3,30\n{row}\n", False) for row in _EDGE_ROWS),
+        *((f"{_TAG}{_COLUMNS}0x2000,E,3,30\n{row}\n", True) for row in _OFF_FORM_ROWS),
     ],
 )
 def test_files_near_the_writers_form_read_as_the_csv_reader_reads_them(tmp_path, text, split):
