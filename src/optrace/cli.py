@@ -32,7 +32,6 @@ from .metrics import classify_outcomes
 from .preprocess import DetectionError, SegmentationError, preprocess_trace
 from .profiler import ProfilingError, build_fingerprint_db
 from .traceio import (
-    _label_text,
     DEFAULT_CONFIG,
     ConfigError,
     FormatError,
@@ -46,6 +45,7 @@ from .traceio import (
     read_trace,
     read_truth,
     write_config,
+    write_confusion,
     write_db,
     write_predictions,
     write_segments,
@@ -275,15 +275,6 @@ def _evaluate(pred_labels, truth_labels, strict: bool):
     return classify_outcomes(truth_labels, pred_labels, strict=strict)
 
 
-def _write_confusion(path, confusion) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("truth,predicted,count\n")
-        for (truth, pred), count in sorted(
-            confusion.items(), key=lambda kv: (_label_text(kv[0][0]), _label_text(kv[0][1]))
-        ):
-            fh.write(f"{_label_text(truth)},{_label_text(pred)},{count}\n")
-
-
 def _cmd_eval(args) -> int:
     predictions, pred_meta = read_predictions(args.predictions)
     truth, truth_meta = read_truth(args.truth)
@@ -297,7 +288,7 @@ def _cmd_eval(args) -> int:
             f"missed={report.missed} inserted={report.inserted}"
         )
     if args.out_confusion:
-        _write_confusion(args.out_confusion, report.confusion)
+        write_confusion(args.out_confusion, report.confusion)
         print(f"confusion -> {args.out_confusion}")
     return 0
 
@@ -403,9 +394,10 @@ _positive_int, _seed = _int_at_least(1, "positive"), _int_at_least(0, "non-negat
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key = value settings file")
-    common.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="key = value settings file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     program = argparse.ArgumentParser(add_help=False)
     program.add_argument("--workload", default="benchmark",
                          choices=["benchmark", "reference", "primes"])
@@ -426,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", parents=[common, program, synthesis],
+    synth = sub.add_parser("synth", parents=[config, seed, program, synthesis],
                            help="generate a victim trace")
     synth.add_argument("--markers", action="store_true",
                        help="instrumented profiling build (marker page writes)")
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resolved settings path (default: trace path, .config)")
     synth.set_defaults(func=_cmd_synth)
 
-    profile = sub.add_parser("profile", parents=[common, synthesis, profiling],
+    profile = sub.add_parser("profile", parents=[config, seed, synthesis, profiling],
                              help="build a fingerprint database")
     profile.add_argument("--trace", metavar="FILE",
                          help="marker-instrumented trace CSV (default: synthesize)")
@@ -445,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", default="db.txt")
     profile.set_defaults(func=_cmd_profile)
 
-    attack = sub.add_parser("attack", parents=[common],
+    attack = sub.add_parser("attack", parents=[config],
                             help="recover opcode labels from a trace")
     attack.add_argument("--trace", required=True)
     attack.add_argument("--db", required=True)
@@ -453,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--out", default="predictions.csv")
     attack.set_defaults(func=_cmd_attack)
 
-    prep = sub.add_parser("preprocess", parents=[common],
+    prep = sub.add_parser("preprocess", parents=[config],
                           help="report detected interpreter structure")
     prep.add_argument("--trace", required=True)
     prep.add_argument("--out", metavar="FILE",
@@ -471,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write confusion matrix CSV")
     ev.set_defaults(func=_cmd_eval)
 
-    ablate = sub.add_parser("ablate", parents=[common, scoring],
+    ablate = sub.add_parser("ablate", parents=[config, scoring],
                             help="recall per fingerprint-channel subset")
     ablate.add_argument("--trace", required=True)
     ablate.add_argument("--db", required=True)
@@ -483,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate.set_defaults(func=_cmd_ablate)
 
     end2end = sub.add_parser(
-        "end2end", parents=[common, program, synthesis, profiling, scoring],
+        "end2end", parents=[config, seed, program, synthesis, profiling, scoring],
         help="profile, synthesize, attack, and evaluate",
     )
     end2end.add_argument("--out-dir", default="optrace-out")

@@ -14,7 +14,11 @@ import numpy as np
 from .machine import WRITE, Labels, SideChannelTrace
 from .preprocess import Segment, Segments, segment_trace
 
+# No handler expands to anywhere near this many native steps: a longer slice was preempted.
+MAX_SLICE_LEN = 64
+
 __all__ = [
+    "MAX_SLICE_LEN",
     "ProfilingError",
     "FingerprintDb",
     "split_by_marker",
@@ -79,17 +83,18 @@ def _labeled_slices(
             f"{marker_count} marker writes but {labeled} labeled dispatches"
         )
 
-    if (np.diff(trace.truth.rows) <= 0).any():  # each slice start is looked up among them
-        raise ProfilingError("ground-truth rows do not increase")
     stripped = trace.take(~is_marker)
-    truth = stripped.truth
     segments = segment_trace(stripped, optable_page, stack_pages)
-    at = np.searchsorted(truth.rows, segments.starts)
-    found = np.append(truth.rows, -1)[at] == segments.starts  # -1: no start is there
-    if not found.all():
-        start = segments.starts[np.argmin(found)]
-        raise ProfilingError(f"dispatch at event {start} has no ground-truth label")
-    return truth[at], segments
+    # Slice i is labelled by truth row i: the truth rows must be the dispatch rows, in order.
+    rows, dispatches = trace.truth.rows, np.flatnonzero(~is_marker)[segments.starts]
+    if not np.array_equal(rows, dispatches):
+        # At the first index where they differ, the earlier row (or the only one) has no partner.
+        n = min(len(rows), len(dispatches))
+        i = int(np.argmax(np.append(rows[:n] != dispatches[:n], True)))
+        if i < len(dispatches) and (i == len(rows) or dispatches[i] < rows[i]):
+            raise ProfilingError(f"dispatch at event {dispatches[i]} has no ground-truth label")
+        raise ProfilingError(f"ground-truth row {rows[i]} labels no dispatch")
+    return stripped.truth, segments
 
 
 def split_by_marker(
@@ -150,16 +155,10 @@ def build_fingerprint_db(
     optable_page: int,
     stack_pages: frozenset[int] = frozenset(),
     meta: dict[str, str] | None = None,
-    max_slice_len: int = 64,
 ) -> FingerprintDb:
-    """Profile a marker-instrumented run into a deduplicated database.
-
-    No handler expands to anywhere near max_slice_len native steps, so any
-    longer slice means the run was preempted mid-dispatch; such slices are
-    discarded rather than stored as nonsense fingerprints.
-    """
+    """The deduplicated database of a marker-instrumented run's slices of at most MAX_SLICE_LEN."""
     labels, segments = _labeled_slices(trace, marker_page, optable_page, stack_pages)
-    short = segments.lengths <= max_slice_len
+    short = segments.lengths <= MAX_SLICE_LEN
     if not short.any():
-        raise ProfilingError("every profiling slice exceeded max_slice_len")
+        raise ProfilingError(f"every profiling slice exceeded MAX_SLICE_LEN ({MAX_SLICE_LEN})")
     return _merged(labels[short], segments[short], dict(meta or {}))

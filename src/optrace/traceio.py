@@ -33,6 +33,7 @@ __all__ = [
     "read_truth",
     "write_predictions",
     "read_predictions",
+    "write_confusion",
     "write_db",
     "read_db",
     "load_config",
@@ -463,6 +464,14 @@ def write_predictions(path, predictions: Predictions, config_hash: str | None = 
 def read_predictions(path) -> tuple[Predictions, dict[str, str]]:
     (rows, codes, score, margin), table, meta = _read_table(path, "predictions")
     return Predictions(rows, codes, table, score, margin), meta
+
+
+def write_confusion(path, confusion: dict[tuple, int]) -> None:
+    """Write the count of each (truth, predicted) label pair, a line per pair by label text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("truth,predicted,count\n")
+        for pair, count in sorted(confusion.items(), key=lambda kv: tuple(map(_label_text, kv[0]))):
+            fh.write(f"{','.join(map(_label_text, pair))},{count}\n")
 
 
 # --------------------------------------------------------- fingerprint DB

@@ -1,5 +1,6 @@
 """Command-line driver: pipeline wiring, artifacts, and exit codes."""
 
+import argparse
 import csv
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,6 +47,51 @@ def pipeline(tmp_path_factory):
         "attack", "--trace", paths.trace, "--db", paths.db, "--out", paths.preds,
     ) == 0
     return paths
+
+
+# ------------------------------------------------------------ every option
+
+
+def test_every_command_reads_every_option_it_takes(pipeline, tmp_path):
+    # Each command runs on argv like this module's, through a namespace that records every
+    # attribute read; an option no run of its command reads is accepted for nothing.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    marked = (tmp_path / "m.csv", tmp_path / "m.truth")
+    argvs = [
+        ("synth", "--seed", 3, "--iterations", 2, "--zero-noise", "--out-config", tmp_path / "c",
+         "--out-trace", tmp_path / "t.csv", "--out-truth", tmp_path / "t.truth"),
+        ("synth", "--workload", "primes", "--zero-noise", "--markers", "--step-limit", 10**6,
+         "--out-trace", marked[0], "--out-truth", marked[1]),
+        ("profile", "--zero-noise", "--seed", 11, "--repeats", 2, "--out", tmp_path / "db"),
+        ("profile", "--trace", marked[0], "--truth", marked[1], "--out", tmp_path / "db2"),
+        ("attack", "--trace", pipeline.trace, "--db", pipeline.db, "--channels", "mode,pf",
+         "--out", tmp_path / "p.csv"),
+        ("preprocess", "--trace", pipeline.trace, "--out", tmp_path / "s.csv"),
+        ("eval", "--predictions", pipeline.preds, "--truth", pipeline.truth, "--counts"),
+        ("ablate", "--trace", pipeline.trace, "--db", pipeline.db, "--truth", pipeline.truth),
+        ("end2end", "--iterations", 2, "--zero-noise", "--repeats", 4, "--seed", 9,
+         "--out-dir", tmp_path / "e2e"),
+    ]
+    read: dict[str, set[str]] = {}
+    seen = None  # the names the running command reads; None while argparse fills the namespace
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if seen is not None:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    for argv in argvs:
+        seen = None
+        args = parser.parse_args(list(map(str, argv)), namespace=Recording())
+        seen = read.setdefault(argv[0], set())
+        assert args.func(args) == 0, argv
+    unread = {
+        command: {a.dest for a in subparser._actions if a.dest != "help"} - read[command]
+        for command, subparser in commands.choices.items()
+    }
+    assert unread == dict.fromkeys(commands.choices, set())
 
 
 # ------------------------------------------------------------------ synth
@@ -281,6 +327,17 @@ def test_profile_refuses_truth_boundaries_out_of_order(tmp_path, capsys):
     assert err == f"error: truth data row 2: boundary_index {first} does not exceed {second}\n"
 
 
+def test_profile_refuses_a_null_label_on_a_row_that_is_no_dispatch(tmp_path, capsys):
+    # Slices are labelled by position, so a label on a handler-body row would shift every
+    # label after it; the NULL label counts against no marker write.
+    trace, truth = synth_marked(tmp_path, 0, "--zero-noise")
+    row = int(truth.read_text().splitlines()[4].split(",")[0]) + 1
+    edited = with_data_rows(truth, tmp_path, lambda r: [r[0], f"{row},NULL", *r[1:]])
+    assert run("profile", "--trace", trace, "--truth", edited, "--out", tmp_path / "x.txt") == 4
+    assert capsys.readouterr().err == f"error: ground-truth row {row} labels no dispatch\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 @pytest.mark.parametrize("where", ["before", "past"])
 def test_profile_refuses_truth_rows_outside_the_trace(tmp_path, capsys, where):
     trace, truth = synth_marked(tmp_path, 0, "--zero-noise")
@@ -384,6 +441,16 @@ def test_eval_takes_no_config_or_seed(pipeline, capsys, option):
         run("eval", "--predictions", pipeline.preds, "--truth", pipeline.truth, *option)
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attack", "preprocess", "ablate"])
+def test_commands_that_synthesize_nothing_take_no_seed(pipeline, capsys, command):
+    inputs = {"attack": ("--db", pipeline.db), "preprocess": (),
+              "ablate": ("--db", pipeline.db, "--truth", pipeline.truth)}[command]
+    with pytest.raises(SystemExit) as info:
+        run(command, "--trace", pipeline.trace, *inputs, "--seed", 5)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- ablate

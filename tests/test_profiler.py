@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from optrace import profiler
 from optrace.opcodes import all_opcodes
 from optrace.profiler import ProfilingError, build_fingerprint_db, split_by_marker
 
@@ -97,7 +98,7 @@ def test_split_rejects_marker_truth_count_mismatch():
 
 
 def test_split_rejects_truth_rows_out_of_order():
-    # Each slice's label is looked up among the truth rows by a binary search.
+    # Slice i takes truth label i, so the first dispatch here meets the second one's row.
     layout, trace = synth(ops("nop", "i32.const", "drop"), markers=True)
     pairs = list(trace.truth)
     doctored = trace_of(
@@ -105,8 +106,21 @@ def test_split_rejects_truth_rows_out_of_order():
         truth=labels_of([pairs[1], pairs[0], *pairs[2:]]),
         layout_seed=trace.layout_seed,
     )
-    with pytest.raises(ProfilingError, match="rows do not increase"):
+    with pytest.raises(ProfilingError, match=f"dispatch at event {pairs[0][0]} has no ground-"):
         split_by_marker(doctored, layout.marker_page, layout.optable_page)
+
+
+@pytest.mark.parametrize("page", ["handler", "marker"])
+def test_split_rejects_a_null_label_on_a_row_that_is_no_dispatch(page):
+    # A NULL label counts against no marker write, so only its row gives it away.
+    layout, trace = synth(ops("nop", "i32.const", "drop"), markers=True)
+    pairs = list(trace.truth)
+    marker = np.flatnonzero(trace.page == layout.marker_page)[0]
+    row = int(marker if page == "marker" else pairs[0][0] + 1)
+    assert row < pairs[1][0] and (page == "marker") == (trace.page[row] == layout.marker_page)
+    doctored = replace(trace, truth=labels_of([pairs[0], (row, None), *pairs[1:]]))
+    with pytest.raises(ProfilingError, match=f"ground-truth row {row} labels no dispatch"):
+        build_fingerprint_db(doctored, layout.marker_page, layout.optable_page)
 
 
 # ------------------------------------------------------------------ dedup
@@ -204,7 +218,7 @@ def test_build_db_carries_meta():
     assert bare.meta == {}
 
 
-def test_build_db_drops_overlong_slices():
+def test_build_db_drops_overlong_slices(monkeypatch):
     layout, trace = synth(ops("i32.const", "i32.const", "i32.add", "i32.add"), markers=True)
     full = build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
     # i32.add expands to more native steps than i32.const; a cap between the
@@ -212,22 +226,17 @@ def test_build_db_drops_overlong_slices():
     const_len = max(
         len(fp) for fp in entries_of(full) if fp.label == "i32.const"
     )
-    trimmed = build_fingerprint_db(
-        trace,
-        layout.marker_page,
-        layout.optable_page,
-        max_slice_len=const_len,
-    )
+    monkeypatch.setattr(profiler, "MAX_SLICE_LEN", const_len)
+    trimmed = build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
     assert trimmed.labels() == {"i32.const"}
     assert all(len(fp) <= const_len for fp in entries_of(trimmed))
 
 
-def test_build_db_rejects_cap_that_drops_everything():
+def test_build_db_rejects_cap_that_drops_everything(monkeypatch):
     layout, trace = synth(ops("nop", "nop"), markers=True)
-    with pytest.raises(ProfilingError, match="max_slice_len"):
-        build_fingerprint_db(
-            trace, layout.marker_page, layout.optable_page, max_slice_len=0
-        )
+    monkeypatch.setattr(profiler, "MAX_SLICE_LEN", 0)
+    with pytest.raises(ProfilingError, match=r"MAX_SLICE_LEN \(0\)"):
+        build_fingerprint_db(trace, layout.marker_page, layout.optable_page)
 
 
 @pytest.mark.parametrize("latency", [2**48, 2**49, 2**62])
